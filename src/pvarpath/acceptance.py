@@ -25,8 +25,9 @@ from .construct import (
     sign_matrix,
     splice,
     variation_constant,
+    weight_patterns,
 )
-from .partition import build_homeomorphism, digits_matrix, power_table, random_refining_table
+from .partition import build_homeomorphism, power_table, random_refining_table
 from .schauder import CoefficientArray, SampledPath, synthesize, xi_profile
 from .timechange import transported_pvar_check
 from .variation import pvar_profile
@@ -163,14 +164,8 @@ def criterion_5() -> CriterionResult:
     for spec in cases:
         x = reference_path(spec, n)
         observed = spec.q ** (n / spec.p) * x.increments()
-        D = digits_matrix(n, spec.q)
-        if spec.q == 2:
-            signs = spec.sign_arrays()
-            kappas = np.arange(2 ** n)[:, None] >> np.arange(1, n + 1)[None, :]
-            sigma = np.stack([signs[n - j][kappas[:, j - 1]] for j in range(1, n + 1)], axis=1)
-            w = sigma * (1 - 2 * D)
-        else:
-            w = spec.eta_values()[D]
+        D, sigma = weight_patterns(spec, n)
+        w = sigma * spec.eta_values()[D]
         coef = np.array([spec.rho ** j * spec.y(n - j) for j in range(1, n + 1)])
         series = w @ coef
         worst = max(worst, float(np.max(np.abs(series - observed))))

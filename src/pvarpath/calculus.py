@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import cumsum_stable, sum_stable
+from ._util import cumsum_stable
 from .errors import ValidationError
 from .schauder import SampledPath
 from .variation import VariationProfile, pvar_profile, stieltjes_against_profile
@@ -124,7 +124,8 @@ def follmer_sum(
 
     Entry i is the sum over grid intervals strictly before eval point i of
     sum_{k=1}^{p-1} f^(k)(y(t_j)) / k! * (increment)^k, accumulated in a
-    fixed sequential order.
+    fixed sequential order in extended precision, like the variation
+    profile it is compared against (see ``_util`` for the measurement).
     """
     p = _check_even_order(p)
     if f.order < p - 1 and not f.exhaustive:
@@ -222,15 +223,6 @@ class NormSelector:
     def sup(cls) -> "NormSelector":
         return cls(kind="sup")
 
-    def embedding_constant(self, p: float) -> float:
-        """Grid-level constant K with ||g||_Lp <= K * ||g||_B.
-
-        For all selectors here the left-endpoint L^p quadrature is bounded by
-        the sup of samples, which each of these norms dominates, so K = 1.
-        No sharpness is claimed.
-        """
-        return 1.0
-
     def label(self) -> str:
         if self.kind == "holder":
             return f"holder({self.alpha:g})"
@@ -267,10 +259,10 @@ def grid_norm(g: SampledPath, selector: NormSelector) -> float:
     if selector.kind == "sup":
         return float(np.max(np.abs(v)))
     if selector.kind == "tv_plus_sup":
-        return float(np.max(np.abs(v)) + np.sum(np.abs(np.diff(v)), dtype=np.longdouble))
+        return float(np.max(np.abs(v)) + np.sum(np.abs(np.diff(v))))
     if selector.kind == "lp":
         dt = np.diff(g.grid.points)
-        return float(sum_stable(np.abs(v[:-1]) ** selector.p * dt) ** (1.0 / selector.p))
+        return float(np.sum(np.abs(v[:-1]) ** selector.p * dt) ** (1.0 / selector.p))
     return abs(float(v[0])) + holder_quotient(g.grid.points, v, selector.alpha)
 
 
@@ -322,9 +314,9 @@ def stability_bound(
         selector = NormSelector.sup()
     dens = np.abs(g1.samples) ** p - np.abs(g2.samples) ** p
     dt = np.diff(g1.grid.points)
-    prefix = np.concatenate(([0.0], cumsum_stable(dens[:-1] * dt)))
+    prefix = np.concatenate(([0.0], np.cumsum(dens[:-1] * dt)))
     lhs = c_p * float(np.max(np.abs(prefix)))
-    rhs_l1 = c_p * sum_stable(np.abs(dens[:-1]) * dt)
+    rhs_l1 = c_p * float(np.sum(np.abs(dens[:-1]) * dt))
     n1 = grid_norm(g1, selector)
     n2 = grid_norm(g2, selector)
     diff = SampledPath(grid=g1.grid, values=g1.samples - g2.samples)

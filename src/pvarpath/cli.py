@@ -3,16 +3,19 @@
 Subcommands: build, analyze, constant, recipe, ito, timechange, selftest.
 Artifacts are JSON (machine interchange) or CSV (plotting interchange);
 every run records the fully resolved configuration and its hash, either
-inside the JSON artifact or in a sibling ``<output>.manifest.json``.
-Identical argument lists produce byte-identical artifacts: the only
-randomness is the named seed (default 0) and nothing is time-based.
+inside the JSON artifact or in a sibling ``<output>.manifest.json``.  File
+locations are left out of the configuration; each file read is recorded by
+the digest of its bytes instead.  Identical arguments and inputs produce
+byte-identical artifacts wherever they are written: the only randomness is
+the named seed (default 0) and nothing is time-based.
 
-Exit codes: 0 success, 2 validation/usage error, 3 budget exceeded.
+Exit codes: 0 success, 2 validation/usage/I-O error, 3 budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -28,13 +31,8 @@ from .construct import (
     variation_constant,
 )
 from .errors import BudgetError, ValidationError
-from .partition import power_table, qadic_table, random_refining_table
-from .timechange import (
-    build_homeomorphism,
-    pullback_path,
-    transported_pvar_check,
-    transported_recipe,
-)
+from .partition import build_homeomorphism, power_table, qadic_table, random_refining_table
+from .timechange import pullback_path, transported_pvar_check, transported_recipe
 from .variation import pvar_profile
 
 TARGET_DENSITIES = {
@@ -53,8 +51,14 @@ def _write_json(path: str, doc: dict) -> None:
     _write_text(path, serialize.canonical_dumps(doc))
 
 
+# Arguments naming files: where a run reads or writes does not change what
+# it computes, so they stay out of the recorded configuration.
+_FILE_ARGS = frozenset({"output", "input", "path", "table", "table_out", "profile_csv"})
+
+
 def _manifest(args: argparse.Namespace, extra: dict | None = None) -> dict:
-    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    config = {k: v for k, v in sorted(vars(args).items())
+              if k != "func" and k not in _FILE_ARGS}
     if extra:
         config.update(extra)
     return {"config": config, "config_hash": serialize.config_hash(config)}
@@ -64,23 +68,31 @@ def _sibling_manifest(out: str, args: argparse.Namespace, extra: dict | None = N
     _write_json(out + ".manifest.json", _manifest(args, extra))
 
 
+def _weights_from_args(args: argparse.Namespace):
+    return tuple(float(v) for v in args.a.split(",")) if args.a else None
+
+
 def _spec_from_args(args: argparse.Namespace) -> UniformMagnitudeSpec:
     signs = "plus" if args.signs == "plus" else int(args.seed)
-    a = None
-    if args.a is not None:
-        a = tuple(float(v) for v in args.a.split(","))
-    elif args.q >= 3:
-        a = tuple(1.0 for _ in range(args.q - 1))
     return UniformMagnitudeSpec(
-        q=args.q, p=args.p, levels=args.levels, signs=signs, a=a
+        q=args.q, p=args.p, levels=args.levels, signs=signs, a=_weights_from_args(args)
     )
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str) -> tuple[dict, str]:
+    """The parsed document and the first 16 hex digits of the sha256 of its
+    bytes (for a canonical artifact, equal to ``config_hash`` of the doc)."""
     try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = Path(path).read_bytes()
+        return json.loads(raw), hashlib.sha256(raw).hexdigest()[:16]
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_path(path: str):
+    """The path artifact at ``path`` and the digest of its bytes."""
+    doc, digest = _load_json(path)
+    return serialize.path_from_dict(doc), digest
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +110,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    doc = _load_json(args.input)
-    path = serialize.path_from_dict(doc)
+    path, input_hash = _load_path(args.input)
     if args.q is not None and args.q != path.q:
         raise ValidationError(f"artifact has q={path.q}, requested q={args.q}")
     levels = args.levels if args.levels is not None else path.level
@@ -116,14 +127,13 @@ def _cmd_analyze(args) -> int:
     buf = StringIO()
     serialize.write_profiles_csv(profiles, buf)
     _write_text(args.output, buf.getvalue())
-    _sibling_manifest(args.output, args, {"input_hash": serialize.config_hash(doc)})
+    _sibling_manifest(args.output, args, {"input_hash": input_hash})
     return 0
 
 
 def _cmd_constant(args) -> int:
-    a = tuple(float(v) for v in args.a.split(",")) if args.a else None
     report = variation_constant(
-        args.p, args.q, a, method=args.method, J=args.J, N=args.N,
+        args.p, args.q, _weights_from_args(args), method=args.method, J=args.J, N=args.N,
         seed=args.seed, tol=args.tol,
     )
     doc = serialize.constant_to_dict(report)
@@ -159,8 +169,7 @@ def _cmd_recipe(args) -> int:
 
 
 def _cmd_ito(args) -> int:
-    doc = _load_json(args.input)
-    path = serialize.path_from_dict(doc)
+    path, input_hash = _load_path(args.input)
     if args.level is not None:
         if args.level > path.level:
             raise ValidationError(
@@ -175,13 +184,16 @@ def _cmd_ito(args) -> int:
     buf = StringIO()
     serialize.write_residual_csv(report.eval_points, report.residuals, buf)
     _write_text(args.output, buf.getvalue())
-    _sibling_manifest(args.output, args, {"sup_residual": report.sup})
+    _sibling_manifest(args.output, args, {"sup_residual": report.sup, "input_hash": input_hash})
     return 0
 
 
 def _cmd_timechange(args) -> int:
+    if args.mode in ("check", "pullback") and not args.path:
+        raise ValidationError(f"--mode {args.mode} needs --path")
+    inputs = {}
     if args.table:
-        table_doc = _load_json(args.table)
+        table_doc, inputs["table_hash"] = _load_json(args.table)
         table = build_homeomorphism(serialize.table_from_dict(table_doc))
     else:
         depth = args.depth if args.depth is not None else args.levels
@@ -195,17 +207,13 @@ def _cmd_timechange(args) -> int:
             _write_json(args.table_out, serialize.table_to_dict(raw))
         table = build_homeomorphism(raw)
 
-    if args.mode == "check":
-        src = serialize.path_from_dict(_load_json(args.path))
-        gap = transported_pvar_check(src, table, args.p)
-        doc = {"identity_gap": gap, "manifest": _manifest(args)}
-        _write_json(args.output, doc)
-        return 0
-    if args.mode == "pullback":
-        src = serialize.path_from_dict(_load_json(args.path))
-        pulled = pullback_path(src, table)
-        doc = serialize.path_to_dict(pulled)
-        doc["manifest"] = _manifest(args)
+    if args.mode in ("check", "pullback"):
+        src, inputs["path_hash"] = _load_path(args.path)
+        if args.mode == "check":
+            doc = {"identity_gap": transported_pvar_check(src, table, args.p)}
+        else:
+            doc = serialize.path_to_dict(pullback_path(src, table))
+        doc["manifest"] = _manifest(args, inputs)
         _write_json(args.output, doc)
         return 0
     # mode == "recipe"
@@ -215,7 +223,7 @@ def _cmd_timechange(args) -> int:
         lambda s: h(s, args.rate), spec, table, args.levels
     )
     doc = serialize.path_to_dict(result.y)
-    doc["manifest"] = _manifest(args, {"target_sup_gap": result.sup_gap})
+    doc["manifest"] = _manifest(args, {"target_sup_gap": result.sup_gap, **inputs})
     _write_json(args.output, doc)
     return 0
 
@@ -332,10 +340,14 @@ def run(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, ValueError, KeyError) as exc:
+    except (ValidationError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -2,20 +2,22 @@
 
 The reference construction fixes one magnitude per level (default
 c_m = q**(m(1/2 - 1/p)), which normalizes the level diagnostic to 1) and
-spreads it over all positions, with free signs in the dyadic case and a
-fixed branch-weight vector for q >= 3.  Scaled increments of such a path
-are partial sums of a geometric series with sign/digit-dependent terms:
+spreads it over all positions: theta_m[k, l] = c_m * sigma_m[k] * a_l, with
+branch weights a (a = (1,) for q = 2) and per-position signs sigma (free
+for q = 2, all +1 for q >= 3).  Scaled increments of such a path are
+partial sums of a geometric series with sign/digit-dependent terms:
 
     q**(n/p) * (x((k+1)/q**n) - x(k/q**n)) = sum_{j=1..n} rho**j y_{n-j} w_j(k)
 
-with rho = q**-(1-1/p), y_m the normalized magnitude, and w_j(k) either a
-level sign (q = 2) or a digit-indexed branch value (q >= 3).  Because k ->
-(w_1(k), ..., w_n(k)) enumerates all possibilities exactly once, level sums
-equal expectations over independent uniform digits, and the limiting slope
-of the variation is the p-th absolute moment of the full series.  That
-moment is computed here by three independent routes: truncated exact
-enumeration with a certified tail bound, stratified Monte Carlo, and a
-cumulant-based closed form for even p.
+with rho = q**-(1-1/p), y_m the normalized magnitude, and the single weight
+formula w_j(k) = sigma_{n-j}[k // q**j] * eta_{d_j(k)}, where d_j(k) is the
+j-th base-q digit of k and eta_d = sum_l a_l gamma[l, d] (eta = (1, -1) for
+q = 2).  Because k -> (w_1(k), ..., w_n(k)) enumerates all possibilities
+exactly once, level sums equal expectations over independent uniform
+digits, and the limiting slope of the variation is the p-th absolute moment
+of the full series.  That moment is computed here by three independent
+routes: truncated exact enumeration with a certified tail bound, stratified
+Monte Carlo, and a cumulant-based closed form for even p.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import cumsum_stable, sum_stable
 from .errors import BudgetError, ValidationError
-from .partition import PartitionGrid, digits, digits_matrix, qadic_grid
+from .partition import PartitionGrid, check_interval_budget, digits_matrix, qadic_grid
 from .schauder import (
     CoefficientArray,
     SampledPath,
@@ -59,10 +60,12 @@ class UniformMagnitudeSpec:
     """Parameters of a uniform-magnitude reference path.
 
     c_rule "default" means c_m = q**(m(1/2 - 1/p)); an explicit sequence may
-    be supplied for convergence studies.  ``signs`` applies only to q = 2
-    ("plus", an integer seed, or explicit per-level +-1 arrays); for q >= 3
-    the branch weights ``a`` (default all ones) play that role and signs must
-    stay "plus".
+    be supplied for convergence studies.  ``signs`` is "plus", an integer
+    seed, or explicit per-level +-1 arrays; ``a`` holds the q-1 branch
+    weights (default all ones).  q = 2 takes no weights (a = (1,)), and
+    q >= 3 takes no signs: a sign flip permutes the two dyadic child values
+    but not the q >= 3 ones, and the bijection behind the variation constant
+    needs that permutation.
     """
 
     q: int = 2
@@ -79,10 +82,9 @@ class UniformMagnitudeSpec:
             raise ValidationError(f"p must be > 1, got {self.p}")
         if self.levels < 1:
             raise ValidationError(f"levels must be >= 1, got {self.levels}")
-        if self.q == 2:
-            if self.a is not None:
-                raise ValidationError("branch weights apply only to q >= 3")
-        else:
+        if self.q == 2 and self.a is not None:
+            raise ValidationError("branch weights apply only to q >= 3")
+        if self.q >= 3:
             a = tuple(float(v) for v in (self.a if self.a is not None else np.ones(self.q - 1)))
             if len(a) != self.q - 1:
                 raise ValidationError(f"branch weights must have length {self.q - 1}")
@@ -120,33 +122,30 @@ class UniformMagnitudeSpec:
             return 1.0
         return self.q ** (m * (1.0 / self.p - 0.5)) * self.c(m)
 
-    def xi_value(self, m: int) -> float:
-        """Level diagnostic of the uniform construction: y_m**p."""
-        return self.y(m) ** self.p
-
     def eta_values(self) -> np.ndarray:
-        """The q per-child values driven by digits (signs +-1 when q = 2)."""
-        if self.q == 2:
-            return np.array([1.0, -1.0])
-        return eta_all(self.a, self.q)
+        """The q per-child values eta_d driven by digits; (1, -1) when q = 2."""
+        return eta_all(_branch_weights(self.q, self.a), self.q)
 
     def sign_arrays(self) -> list:
-        """Per-level +-1 arrays (q = 2 only); deterministic in the seed."""
-        if self.q != 2:
-            raise ValidationError("sign arrays apply only to q = 2")
+        """Per-level +-1 arrays sigma_m of length q**m; deterministic in the seed.
+
+        "plus" arrays are read-only broadcast views, so they cost no memory
+        at any level count.
+        """
         if self.signs == "plus":
-            return [np.ones(2 ** m, dtype=np.int8) for m in range(self.levels)]
+            one = np.ones(1, dtype=np.int8)
+            return [np.broadcast_to(one, (self.q ** m,)) for m in range(self.levels)]
         if isinstance(self.signs, (int, np.integer)):
             rng = np.random.default_rng(int(self.signs))
             return [
-                (rng.integers(0, 2, size=2 ** m, dtype=np.int8) * 2 - 1).astype(np.int8)
+                (rng.integers(0, 2, size=self.q ** m, dtype=np.int8) * 2 - 1).astype(np.int8)
                 for m in range(self.levels)
             ]
         arrays = []
         for m, arr in enumerate(self.signs):
             a = np.asarray(arr, dtype=np.int8)
-            if a.shape != (2 ** m,):
-                raise ValidationError(f"sign array at level {m} must have length {2 ** m}")
+            if a.shape != (self.q ** m,):
+                raise ValidationError(f"sign array at level {m} must have length {self.q ** m}")
             if not np.all(np.abs(a) == 1):
                 raise ValidationError("sign entries must be +-1")
             arrays.append(a)
@@ -176,15 +175,10 @@ class UniformMagnitudeSpec:
 
 
 def build_reference(spec: UniformMagnitudeSpec) -> CoefficientArray:
-    """Coefficient array of the reference path: c_m * sign (q=2) or c_m * a_l."""
-    levels = []
-    if spec.q == 2:
-        for m, signs in enumerate(spec.sign_arrays()):
-            levels.append(spec.c(m) * signs.astype(np.float64))
-    else:
-        a = np.asarray(spec.a, dtype=np.float64)
-        for m in range(spec.levels):
-            levels.append(np.tile(spec.c(m) * a, (spec.q ** m, 1)))
+    """Coefficient array of the reference path: theta_m[k, l] = c_m * sigma_m[k] * a_l."""
+    check_interval_budget(spec.q, spec.levels)
+    a = _branch_weights(spec.q, spec.a)
+    levels = [spec.c(m) * np.outer(signs, a) for m, signs in enumerate(spec.sign_arrays())]
     return CoefficientArray(q=spec.q, boundary=(0.0, 0.0), levels=tuple(levels))
 
 
@@ -221,15 +215,12 @@ class VariationConstant:
     details: dict = field(default_factory=dict)
 
 
+def _branch_weights(q: int, a) -> np.ndarray:
+    return np.ones(q - 1) if a is None else np.asarray(a, dtype=np.float64)
+
+
 def _series_weights(p: float, q: int, a) -> tuple[np.ndarray, float]:
-    if q == 2:
-        if a is not None:
-            raise ValidationError("branch weights apply only to q >= 3")
-        etas = np.array([1.0, -1.0])
-    else:
-        etas = eta_all(np.ones(q - 1) if a is None else np.asarray(a, float), q)
-    rho = q ** -(1.0 - 1.0 / p)
-    return etas, rho
+    return eta_all(_branch_weights(q, a), q), q ** -(1.0 - 1.0 / p)
 
 
 def _truncation_bound(p: float, head_sup: float, tail_sup: float) -> float:
@@ -269,13 +260,13 @@ def _cross_sums(weights: list) -> np.ndarray:
 
 def _mean_abs_pow(a: np.ndarray, b: np.ndarray, p: float) -> float:
     """Mean of |a_i + b_j|^p over all pairs, blockwise to bound memory."""
-    total = np.longdouble(0.0)
+    total = 0.0
     block = max(1, (1 << 21) // max(1, b.size))
     for start in range(0, a.size, block):
         chunk = a[start:start + block, None] + b[None, :]
         np.abs(chunk, out=chunk)
-        total += np.sum(chunk ** p, dtype=np.longdouble)
-    return float(total / (np.longdouble(a.size) * np.longdouble(b.size)))
+        total += float(np.sum(chunk ** p))
+    return total / (a.size * b.size)
 
 
 def _constant_exact(p, q, etas, rho, J, tol, budget) -> VariationConstant:
@@ -435,9 +426,9 @@ def variation_constant(
 class IncrementParts:
     """Series form of one scaled grid increment.
 
-    ``value`` is sum_j rho^j y_{n-j} w_j with w_j the per-level weight:
-    the effective sign for q = 2 (coefficient sign times step-function
-    sign), or the branch value eta_{d_j} for q >= 3.
+    ``value`` is sum_j rho^j y_{n-j} w_j with the per-level weight
+    w_j = sigma_j * eta_{d_j}: the coefficient sign times the branch value
+    of the digit (for q = 2, eta_d = 1 - 2d is the step-function sign).
     """
 
     n: int
@@ -447,24 +438,33 @@ class IncrementParts:
     weights: tuple
 
 
+def weight_patterns(spec: UniformMagnitudeSpec, n: int, ks=None) -> tuple[np.ndarray, np.ndarray]:
+    """Digits and signs behind the series weights of level-``n`` increments.
+
+    Returns (D, sigma), both (len(ks), n) with column j-1 for level n-j:
+    D holds d_j(k) and sigma holds sigma_{n-j}[k // q**j], the sign of the
+    coefficient whose tent spans increment k.  The weights are
+    w = sigma * eta[D].  ``ks`` defaults to every increment.
+    """
+    q = spec.q
+    ks = np.arange(q ** n, dtype=np.int64) if ks is None else np.asarray(ks, dtype=np.int64)
+    signs = spec.sign_arrays()
+    sigma = np.stack([signs[n - j][ks // q ** j] for j in range(1, n + 1)], axis=1)
+    return digits_matrix(n, q, ks), sigma
+
+
 def increment_decomposition(spec: UniformMagnitudeSpec, n: int, k: int) -> IncrementParts:
     if not 1 <= n <= spec.levels:
         raise ValidationError(f"level n must lie in [1, {spec.levels}], got {n}")
     if not 0 <= k < spec.q ** n:
         raise ValidationError(f"index k={k} out of range at level {n}")
-    dv = digits(k, n, spec.q)
-    ds = np.array(dv.digits, dtype=np.int64)
-    if spec.q == 2:
-        signs = spec.sign_arrays()
-        kappa = k >> np.arange(1, n + 1)
-        sigma = np.array([signs[n - j][kappa[j - 1]] for j in range(1, n + 1)], dtype=np.float64)
-        weights = sigma * (1.0 - 2.0 * ds)
-    else:
-        weights = spec.eta_values()[ds]
+    D, sigma = weight_patterns(spec, n, [k])
+    weights = sigma[0] * spec.eta_values()[D[0]]
     js = np.arange(1, n + 1, dtype=np.float64)
     ys = np.array([spec.y(n - j) for j in range(1, n + 1)])
-    value = sum_stable(spec.rho ** js * ys * weights)
-    return IncrementParts(n=n, k=k, value=value, digits=dv.digits, weights=tuple(weights))
+    value = float(np.sum(spec.rho ** js * ys * weights))
+    return IncrementParts(n=n, k=k, value=value, digits=tuple(D[0].tolist()),
+                          weights=tuple(weights))
 
 
 def scaled_increments(path: SampledPath, p: float) -> np.ndarray:
@@ -495,23 +495,18 @@ def sign_matrix(spec: UniformMagnitudeSpec, n: int, budget: int = SIGN_MATRIX_BU
     if not 1 <= n <= spec.levels:
         raise ValidationError(f"level n must lie in [1, {spec.levels}]")
     q = spec.q
-    D = digits_matrix(n, q)          # (q**n, n), column j-1 holds d_j
-    if q == 2:
-        signs = spec.sign_arrays()
-        kappas = np.arange(2 ** n)[:, None] >> np.arange(1, n + 1)[None, :]
-        sigma = np.stack([signs[n - j][kappas[:, j - 1]] for j in range(1, n + 1)], axis=1)
-        eps = sigma * (1 - 2 * D)
-        bits = ((1 - eps) // 2).astype(np.int64)
-        codes = bits @ (1 << np.arange(n, dtype=np.int64))
-    else:
-        codes = D @ (q ** np.arange(n, dtype=np.int64))
+    D, sigma = weight_patterns(spec, n)
+    # sigma * eta_d = eta_{q-1-d} when sigma = -1 (q = 2, eta = (1, -1));
+    # sigma is +1 for q >= 3, so the pattern is indexed by its digits
+    effective = np.where(sigma > 0, D, q - 1 - D)
+    codes = effective @ (q ** np.arange(n, dtype=np.int64))
     order = np.sort(codes)
     bijection = bool(np.array_equal(order, np.arange(q ** n)))
     distinct = int(np.unique(codes).size)
 
     weights = [spec.rho ** j * spec.y(n - j) * spec.eta_values() for j in range(1, n + 1)]
     sums = _cross_sums(weights)
-    expected = float(np.mean(np.abs(sums) ** spec.p, dtype=np.longdouble))
+    expected = float(np.mean(np.abs(sums) ** spec.p))
     path = reference_path(spec, n)
     observed = pvar_profile(path, spec.p, eval_indices=np.array([0, q ** n])).terminal
     return SignMatrixReport(
@@ -611,7 +606,7 @@ def recipe(
         meta={"source": "recipe", "spec_digest": spec.digest(), "level": n},
     )
     dt = np.diff(grid.points)
-    target = np.concatenate(([0.0], cumsum_stable(0.5 * (hp[:-1] + hp[1:]) * dt)))
+    target = np.concatenate(([0.0], np.cumsum(0.5 * (hp[:-1] + hp[1:]) * dt)))
     trend = None
     if check_multiplier and n >= 4:
         trend = variation_index_estimate(analyze(g), [spec.p])[0]

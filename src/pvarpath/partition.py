@@ -123,23 +123,8 @@ def qadic_grid(q: int, n: int) -> PartitionGrid:
     return PartitionGrid(q=q, level=n, points=points)
 
 
-@dataclass(frozen=True)
-class DigitVector:
-    """Base-``q`` digits of an interval index, least significant first."""
-
-    q: int
-    digits: tuple
-
-    @property
-    def index(self) -> int:
-        return sum(int(d) * self.q ** j for j, d in enumerate(self.digits))
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-
-def digits(k: int, n: int, q: int) -> DigitVector:
-    """Base-``q`` expansion d_1..d_n of ``k`` with d_1 least significant."""
+def digits(k: int, n: int, q: int) -> tuple:
+    """Base-``q`` expansion (d_1, ..., d_n) of ``k`` with d_1 least significant."""
     if q < 2:
         raise ValidationError(f"q must be >= 2, got {q}")
     if not 0 <= k < q ** n:
@@ -149,7 +134,7 @@ def digits(k: int, n: int, q: int) -> DigitVector:
     for _ in range(n):
         rem, d = divmod(rem, q)
         ds.append(d)
-    return DigitVector(q=q, digits=tuple(ds))
+    return tuple(ds)
 
 
 def digits_matrix(n: int, q: int, ks: np.ndarray | None = None) -> np.ndarray:

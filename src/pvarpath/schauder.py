@@ -6,9 +6,16 @@ the step function takes value q**(m/2) * gamma[l, d] on child d, and the
 tent function is its running integral.  For q = 2 the single row is (1, -1)
 and everything reduces to the classical dyadic system.
 
-Synthesis and analysis work on grid samples with pure integer indexing, so
-values at a level-m grid point never receive contributions from levels >= m
-(exact zeros, not small floats).
+Synthesis and analysis are a pair of inverse pyramid passes over the same
+(q**m, q-1) coefficient levels.  Each level-m step compares the samples at
+the q-1 interior children of every parent with the linear interpolation of
+the parent's endpoints: the difference is q**(-m/2-1) * theta_m @ CUM, where
+CUM[l-1, d-1] = sum_{d' < d} gamma[l, d'] for children d = 1..q-1 (columns
+1..q-1 of ``gamma_cumulative``).  Both passes read and write the level-n
+samples through the same strided views.  Analysis solves that relation for
+theta_m; synthesis writes interpolation plus detail into the new points and
+never rewrites a coarser one, so values at a level-m grid point never
+receive contributions from levels >= m (exact zeros, not small floats).
 """
 
 from __future__ import annotations
@@ -156,9 +163,10 @@ def schauder_eval(q: int, m: int, k: int, l: int, t):
 class CoefficientArray:
     """Ragged tent-coefficient array plus endpoint values.
 
-    Level m holds an array of shape (2**m,) when q == 2 and (q**m, q-1) for
-    q >= 3 (one coefficient per branch).  ``boundary`` carries (x(0), x(1)),
-    which the expansions represent by an affine part.
+    Level m holds an array of shape (q**m, q-1): one coefficient per parent
+    interval and branch.  A flat (2**m,) dyadic level, as older coefficient
+    documents store it, is read as (2**m, 1).  ``boundary`` carries
+    (x(0), x(1)), which the expansions represent by an affine part.
     """
 
     q: int
@@ -175,7 +183,9 @@ class CoefficientArray:
         lv = []
         for m, arr in enumerate(self.levels):
             a = np.asarray(arr, dtype=np.float64)
-            want = (self.q ** m,) if self.q == 2 else (self.q ** m, self.q - 1)
+            want = (self.q ** m, self.q - 1)
+            if self.q == 2 and a.shape == want[:1]:
+                a = a.reshape(want)
             if a.shape != want:
                 raise ValidationError(f"level {m} must have shape {want}, got {a.shape}")
             if not np.all(np.isfinite(a)):
@@ -188,13 +198,8 @@ class CoefficientArray:
     def num_levels(self) -> int:
         return len(self.levels)
 
-    def level_matrix(self, m: int) -> np.ndarray:
-        """Level m as a (q**m, q-1) matrix regardless of q."""
-        arr = self.levels[m]
-        return arr.reshape(self.q ** m, 1) if self.q == 2 else arr
-
     def theta(self, m: int, k: int, l: int = 1) -> float:
-        return float(self.level_matrix(m)[k, l - 1])
+        return float(self.levels[m][k, l - 1])
 
     def zeroed_from(self, n: int) -> "CoefficientArray":
         """Copy with all levels >= n replaced by zeros."""
@@ -275,41 +280,42 @@ def qadic_path(values, q: int = 2, meta: dict | None = None, offset: float = 0.0
 
 
 # ---------------------------------------------------------------------------
-# Synthesis: coefficients -> grid samples (exact integer indexing)
+# Synthesis and analysis: one pyramid pass each way
 # ---------------------------------------------------------------------------
+
+
+def _refinement(values: np.ndarray, q: int, n: int, m: int):
+    """The level-(m+1) points inside each level-m interval, as a (q**m, q-1)
+    view into the level-n samples, and their linear interpolation from the
+    level-m points."""
+    parents = values[:: q ** (n - m)]
+    interp_w = np.arange(1, q, dtype=np.float64) / q
+    base = parents[:-1][:, None] + np.diff(parents)[:, None] * interp_w[None, :]
+    interior = values[:: q ** (n - m - 1)][:-1].reshape(q ** m, q)[:, 1:]
+    return interior, base
 
 
 def synthesize(coeffs: CoefficientArray, n: int, meta: dict | None = None) -> SampledPath:
     """Evaluate the expansion at every level-``n`` grid point.
 
-    Tent functions of level m >= n vanish at all level-n points, so only
-    levels 0..n-1 contribute; coefficient levels beyond that are ignored.
+    Level by level, the new interior points are filled by linear
+    interpolation plus the level-m tents; points already filled are never
+    written again.  Tent functions of level m >= n vanish at all level-n
+    points, so coefficient levels beyond n-1 are ignored.
     """
     if n < 1:
         raise ValidationError(f"target level must be >= 1, got {n}")
     q = coeffs.q
     check_interval_budget(q, n)
     grid = qadic_grid(q, n)
-    j = np.arange(q ** n + 1, dtype=np.int64)
-    x0, x1 = coeffs.boundary
-    values = x0 + (x1 - x0) * grid.points
-
-    cum = gamma_cumulative(q)[:, :q]   # (q-1, q)
-    rows = gamma_rows(q)               # (q-1, q)
-    for m in range(min(n, coeffs.num_levels)):
-        theta = coeffs.level_matrix(m)
-        width = q ** (n - m)
-        child_w = q ** (n - m - 1)
-        k = np.minimum(j // width, q ** m - 1)
-        r = j - k * width
-        d = np.minimum(r // child_w, q - 1)
-        v = r - d * child_w
-        pre = theta @ cum    # (q**m, q): accumulated area entering child d
-        slope = theta @ rows  # (q**m, q): slope inside child d
-        scale = q ** (0.5 * m) / q ** (m + 1)
-        contrib = scale * (pre[k, d] + slope[k, d] * (v / child_w))
-        contrib[-1] = 0.0   # tents vanish at t = 1 exactly
-        values = values + contrib
+    cum = gamma_cumulative(q)[:, 1:q]  # (q-1, q-1): row l-1, column d-1
+    values = np.empty(q ** n + 1, dtype=np.float64)
+    values[0], values[-1] = coeffs.boundary
+    for m in range(n):
+        interior, base = _refinement(values, q, n, m)
+        interior[...] = base
+        if m < coeffs.num_levels:
+            interior += q ** (-0.5 * m - 1) * coeffs.levels[m] @ cum
 
     return SampledPath(
         grid=grid,
@@ -319,28 +325,14 @@ def synthesize(coeffs: CoefficientArray, n: int, meta: dict | None = None) -> Sa
     )
 
 
-# ---------------------------------------------------------------------------
-# Analysis: grid samples -> coefficients
-# ---------------------------------------------------------------------------
-
-
-def _analysis_matrix(q: int) -> np.ndarray:
-    """Maps interior-child detail values to branch coefficients.
-
-    detail_d = q**(-m/2-1) * sum_l CUM[l, d] * theta_l for d = 1..q-1; the
-    (q-1) x (q-1) system is invertible because the tent functions at one
-    parent are linearly independent.  For q = 2 it is the scalar 1.
-    """
-    bmat = gamma_cumulative(q)[:, 1:q].T  # (q-1, q-1): row d-1, column l-1
-    return np.linalg.inv(bmat)
-
-
 def analyze(path: SampledPath, levels: int | None = None) -> CoefficientArray:
     """Recover coefficients of levels 0..n-1 from level-n grid samples.
 
-    For q = 2 this reproduces the classical closed form
-    2**(m/2) * (2 x(mid) - x(left) - x(right)); for q >= 3 the per-parent
-    linear system is solved with a precomputed inverse.
+    Inverts the synthesis step at each level: the interior-child details
+    detail = q**(-m/2-1) * theta_m @ CUM are mapped back through the inverse
+    of the (q-1) x (q-1) matrix CUM, which is invertible because the tent
+    functions at one parent are linearly independent.  For q = 2 this is
+    the classical closed form 2**(m/2) * (2 x(mid) - x(left) - x(right)).
     """
     if path.grid.generator != "q-adic":
         raise ValidationError("analysis requires samples on a q-adic grid")
@@ -353,21 +345,12 @@ def analyze(path: SampledPath, levels: int | None = None) -> CoefficientArray:
         raise ValidationError(f"levels must lie in [1, {n}], got {levels}")
     q = path.q
     vals = path.samples
-    inv = _analysis_matrix(q)
+    inv = np.linalg.inv(gamma_cumulative(q)[:, 1:q])
     out = []
     for m in range(levels):
-        stride = q ** (n - m)
-        child = q ** (n - m - 1)
-        parents = vals[::stride]
-        children = vals[::child]
-        interp_w = np.arange(1, q, dtype=np.float64) / q
-        base = parents[:-1][:, None] + np.diff(parents)[:, None] * interp_w[None, :]
-        interior = children.reshape(-1)[
-            np.arange(q ** m)[:, None] * q + np.arange(1, q)[None, :]
-        ]
+        interior, base = _refinement(vals, q, n, m)
         detail = interior - base
-        theta = q ** (0.5 * m + 1) * detail @ inv.T
-        out.append(theta[:, 0] if q == 2 else theta)
+        out.append(q ** (0.5 * m + 1) * detail @ inv)
     return CoefficientArray(q=q, boundary=(float(vals[0]), float(vals[-1])), levels=tuple(out))
 
 
@@ -379,15 +362,14 @@ def analyze(path: SampledPath, levels: int | None = None) -> CoefficientArray:
 def xi(coeffs: CoefficientArray, p: float, m: int) -> float:
     """Level-m variation diagnostic q**(-mp/2) * sum |theta|^p.
 
-    For q >= 3 this sums over branches as well; that generalization beyond
-    uniform-magnitude arrays is this library's convention (for a
-    uniform-magnitude array use its own level diagnostic, which drops the
-    branch-weight factor).
+    The sum runs over positions and branches, so a uniform-magnitude array
+    gives y_m**p * sum_l |a_l|**p (the branch factor is 1 for q = 2); that
+    generalization beyond uniform-magnitude arrays is this library's
+    convention.
     """
     if p <= 1:
         raise ValidationError(f"exponent p must be > 1, got {p}")
-    arr = coeffs.level_matrix(m)
-    return float(coeffs.q ** (-m * p / 2.0) * np.sum(np.abs(arr) ** p))
+    return float(coeffs.q ** (-m * p / 2.0) * np.sum(np.abs(coeffs.levels[m]) ** p))
 
 
 def xi_profile(coeffs: CoefficientArray, p: float) -> np.ndarray:

@@ -186,7 +186,3 @@ def write_residual_csv(eval_points, residuals, stream: IO[str]) -> None:
     stream.write("t,residual\n")
     for t, r in zip(eval_points, residuals):
         stream.write(f"{fmt_float(t)},{fmt_float(r)}\n")
-
-
-def norm_report_dict(selector_label: str, value: float) -> dict:
-    return {"selector": selector_label, "value": float(value)}

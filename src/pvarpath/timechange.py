@@ -17,19 +17,9 @@ import numpy as np
 
 from .construct import RecipeResult, UniformMagnitudeSpec, VariationConstant, recipe
 from .errors import ValidationError
-from .partition import HomeomorphismTable, RefiningTable, build_homeomorphism
+from .partition import HomeomorphismTable
 from .schauder import SampledPath
 from .variation import VariationProfile, pvar_profile
-
-__all__ = [
-    "HomeomorphismTable",
-    "build_homeomorphism",
-    "table_digest",
-    "pullback_path",
-    "transported_pvar_check",
-    "transported_recipe",
-    "TransportedRecipeResult",
-]
 
 
 def table_digest(table: HomeomorphismTable) -> str:

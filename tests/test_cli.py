@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pvarpath
 from pvarpath.cli import run
 
 
@@ -173,3 +178,27 @@ class TestUsageErrors:
 
     def test_no_subcommand(self):
         assert run([]) == 2
+
+    def test_check_without_path(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        for mode in ("check", "pullback"):
+            assert run(["timechange", "--mode", mode, "--depth", "4", "-o", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "--path" in err
+        assert not out.exists()
+
+    def test_missing_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "ref.json"
+        assert run(["build", "--levels", "4", "-o", str(out)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m(self):
+        src = str(Path(pvarpath.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-m", "pvarpath", "selftest", "--criteria", "1"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "1/1 criteria passed" in proc.stdout

@@ -63,20 +63,25 @@ class TestBuildReference:
     def test_p2_all_plus_is_ones(self):
         coeffs = build_reference(UniformMagnitudeSpec(q=2, p=2.0, levels=3))
         for m in range(3):
-            np.testing.assert_array_equal(coeffs.levels[m], np.ones(2 ** m))
+            np.testing.assert_array_equal(coeffs.levels[m], np.ones((2 ** m, 1)))
         assert coeffs.boundary == (0.0, 0.0)
 
     def test_p4_magnitude_growth(self):
         coeffs = build_reference(UniformMagnitudeSpec(q=2, p=4.0, levels=4))
         for m in range(4):
             np.testing.assert_allclose(
-                coeffs.levels[m], 2.0 ** (m / 4) * np.ones(2 ** m), rtol=1e-15
+                coeffs.levels[m], 2.0 ** (m / 4) * np.ones((2 ** m, 1)), rtol=1e-15
             )
 
     def test_q3_unit_weights(self):
         coeffs = build_reference(UniformMagnitudeSpec(q=3, p=2.0, levels=3, a=(1.0, 1.0)))
         for m in range(3):
             np.testing.assert_array_equal(coeffs.levels[m], np.ones((3 ** m, 2)))
+
+    def test_budget_checked_before_allocating(self, monkeypatch):
+        monkeypatch.setenv("PVAR_MAX_INTERVALS", "100")
+        with pytest.raises(BudgetError):
+            build_reference(UniformMagnitudeSpec(q=2, p=2.0, levels=10))
 
 
 class TestVariationConstant:

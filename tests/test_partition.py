@@ -50,13 +50,13 @@ class TestQadicGrid:
 class TestDigits:
     def test_ternary_71(self):
         # 71 = 2 + 2*3 + 1*9 + 2*27 + 0*81
-        assert digits(71, 5, 3).digits == (2, 2, 1, 2, 0)
+        assert digits(71, 5, 3) == (2, 2, 1, 2, 0)
 
     def test_zero_index(self):
-        assert digits(0, 4, 5).digits == (0, 0, 0, 0)
+        assert digits(0, 4, 5) == (0, 0, 0, 0)
 
     def test_binary_5(self):
-        assert digits(5, 3, 2).digits == (1, 0, 1)
+        assert digits(5, 3, 2) == (1, 0, 1)
 
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -69,13 +69,13 @@ class TestDigits:
     def test_round_trip(self, q, n, data):
         k = data.draw(st.integers(0, q ** n - 1)) if n > 0 else 0
         dv = digits(k, n, q)
-        assert dv.index == k
+        assert sum(d * q ** j for j, d in enumerate(dv)) == k
         assert len(dv) == n
 
     def test_matrix_agrees_with_scalar(self):
         mat = digits_matrix(5, 3)
         for k in (0, 1, 71, 242):
-            assert tuple(mat[k]) == digits(k, 5, 3).digits
+            assert tuple(mat[k]) == digits(k, 5, 3)
 
 
 class TestAncestor:
@@ -97,7 +97,7 @@ class TestAncestor:
         # descending one level multiplies by q and adds the digit d_{n-m}(k)
         k = data.draw(st.integers(0, q ** n - 1))
         m = data.draw(st.integers(0, n - 2))
-        d = digits(k, n, q).digits
+        d = digits(k, n, q)
         assert ancestor_index(m + 1, n, k, q) == q * ancestor_index(m, n, k, q) + d[n - m - 1]
 
 

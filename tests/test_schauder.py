@@ -175,23 +175,32 @@ class TestSynthesize:
         path = synthesize(coeffs, 4)
         np.testing.assert_array_equal(path.values, 2.0 - 3.0 * path.grid.points)
 
-    @pytest.mark.parametrize("q", (2, 3))
+    @pytest.mark.parametrize("q", (2, 3, 4))
     def test_round_trip_seed_42(self, q):
         rng = np.random.default_rng(42)
-        shape = (lambda m: (q ** m,)) if q == 2 else (lambda m: (q ** m, q - 1))
-        levels = tuple(rng.normal(size=shape(m)) for m in range(4))
+        levels = tuple(rng.normal(size=(q ** m, q - 1)) for m in range(4))
         coeffs = CoefficientArray(q=q, boundary=(0.1, -0.4), levels=levels)
         back = analyze(synthesize(coeffs, 4))
         for m in range(4):
             np.testing.assert_allclose(back.levels[m], coeffs.levels[m], atol=1e-12)
 
-    def test_fine_levels_do_not_affect_coarse_samples(self):
+    @pytest.mark.parametrize("q", (2, 3, 4))
+    def test_fine_levels_do_not_affect_coarse_samples(self, q):
         rng = np.random.default_rng(1)
-        levels = tuple(rng.normal(size=(2 ** m,)) for m in range(8))
-        coeffs = CoefficientArray(q=2, boundary=(0.0, 1.0), levels=levels)
+        levels = tuple(rng.normal(size=(q ** m, q - 1)) for m in range(8))
+        coeffs = CoefficientArray(q=q, boundary=(0.0, 1.0), levels=levels)
         full = synthesize(coeffs, 4)
         trimmed = synthesize(coeffs.zeroed_from(4), 4)
         np.testing.assert_array_equal(full.values, trimmed.values)
+
+    @pytest.mark.parametrize("q", (2, 3, 4))
+    def test_coarse_subgrids_are_coarse_syntheses(self, q):
+        rng = np.random.default_rng(7)
+        levels = tuple(rng.normal(size=(q ** m, q - 1)) for m in range(5))
+        coeffs = CoefficientArray(q=q, boundary=(0.3, -0.2), levels=levels)
+        fine = synthesize(coeffs, 5)
+        for m in range(1, 5):
+            np.testing.assert_array_equal(fine.restrict(m).values, synthesize(coeffs, m).values)
 
     def test_round_trip_many_random_arrays(self):
         rng = np.random.default_rng(2024)

@@ -62,6 +62,12 @@ class TestCoeffsRoundTrip:
         for m in range(4):
             np.testing.assert_array_equal(back.levels[m], coeffs.levels[m])
 
+    def test_flat_dyadic_levels_load(self):
+        doc = {"q": 2, "boundary": [0.0, 0.0], "levels": [[1.0], [1.0, -1.0]]}
+        coeffs = serialize.coeffs_from_dict(doc)
+        assert [lv.shape for lv in coeffs.levels] == [(1, 1), (2, 1)]
+        np.testing.assert_array_equal(coeffs.levels[1][:, 0], [1.0, -1.0])
+
 
 class TestTableRoundTrip:
     def test_qadic_detected(self):
