@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import cumsum_stable
-from .errors import ValidationError
+from .errors import BudgetError, ValidationError
+from .partition import MAX_INTERVALS_ENV, interval_budget
 from .schauder import SampledPath
 from .variation import VariationProfile, pvar_profile, stieltjes_against_profile
 
@@ -232,10 +233,19 @@ class NormSelector:
 
 
 def holder_quotient(points: np.ndarray, values: np.ndarray, alpha: float) -> float:
-    """max |v_j - v_i| / (t_j - t_i)**alpha over all grid pairs (O(N^2))."""
+    """max |v_j - v_i| / (t_j - t_i)**alpha over all grid pairs (O(N^2)).
+
+    The pair count may be at most 64 times the interval budget."""
     pts = np.asarray(points, dtype=np.float64)
     vals = np.asarray(values, dtype=np.float64)
     n = pts.size
+    pairs = n * (n - 1) // 2
+    budget = 64 * interval_budget()
+    if pairs > budget:
+        raise BudgetError(
+            f"{n} points give {pairs} pairs; the pair budget is {budget} "
+            f"(64 x {MAX_INTERVALS_ENV})"
+        )
     best = 0.0
     chunk = max(1, (1 << 22) // n)
     for s in range(0, n - 1, chunk):

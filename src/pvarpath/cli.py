@@ -7,7 +7,9 @@ inside the JSON artifact or in a sibling ``<output>.manifest.json``.  File
 locations are left out of the configuration; each file read is recorded by
 the digest of its bytes instead.  Identical arguments and inputs produce
 byte-identical artifacts wherever they are written: the only randomness is
-the named seed (default 0) and nothing is time-based.
+the named seed (default 0) and nothing is time-based.  CSV outputs are
+written to their file as they are formatted, block by block, never
+assembled as one string first.
 
 Exit codes: 0 success, 2 validation/usage/I-O error, 3 budget exceeded.
 """
@@ -15,6 +17,7 @@ Exit codes: 0 success, 2 validation/usage/I-O error, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -122,11 +125,8 @@ def _cmd_analyze(args) -> int:
         pvar_profile(path.restrict(n), args.p, eval_level=args.eval_level)
         for n in range(levels + 1)
     ]
-    from io import StringIO
-
-    buf = StringIO()
-    serialize.write_profiles_csv(profiles, buf)
-    _write_text(args.output, buf.getvalue())
+    with open(args.output, "w") as stream:
+        serialize.write_profiles_csv(profiles, stream)
     _sibling_manifest(args.output, args, {"input_hash": input_hash})
     return 0
 
@@ -160,11 +160,8 @@ def _cmd_recipe(args) -> int:
     })
     _write_json(args.output, doc)
     if args.profile_csv:
-        from io import StringIO
-
-        buf = StringIO()
-        serialize.write_profiles_csv([prof], buf)
-        _write_text(args.profile_csv, buf.getvalue())
+        with open(args.profile_csv, "w") as stream:
+            serialize.write_profiles_csv([prof], stream)
     return 0
 
 
@@ -179,11 +176,8 @@ def _cmd_ito(args) -> int:
     coeffs = [float(v) for v in args.f.split(",")]
     f = FunctionWithDerivatives.polynomial(coeffs)
     report = change_of_variable_residual(f, path, args.p)
-    from io import StringIO
-
-    buf = StringIO()
-    serialize.write_residual_csv(report.eval_points, report.residuals, buf)
-    _write_text(args.output, buf.getvalue())
+    with open(args.output, "w") as stream:
+        serialize.write_residual_csv(report.eval_points, report.residuals, stream)
     _sibling_manifest(args.output, args, {"sup_residual": report.sup, "input_hash": input_hash})
     return 0
 
@@ -233,10 +227,15 @@ def _cmd_selftest(args) -> int:
     if args.criteria:
         indices = [int(v) for v in args.criteria.split(",")]
     results = acceptance.run_all(indices)
-    for r in results:
-        print(r.line())
     n_pass = sum(r.passed for r in results)
-    print(f"{n_pass}/{len(results)} criteria passed")
+    if args.json:
+        for r in results:
+            sys.stdout.write(serialize.canonical_dumps(dataclasses.asdict(r)))
+        sys.stdout.write(serialize.canonical_dumps({"passed": n_pass, "total": len(results)}))
+    else:
+        for r in results:
+            print(r.line())
+        print(f"{n_pass}/{len(results)} criteria passed")
     return 0 if n_pass == len(results) else 1
 
 
@@ -324,6 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("selftest", help="run the acceptance criteria")
     s.add_argument("--criteria", default=None, help="comma-separated criterion indices")
+    s.add_argument("--json", action="store_true",
+                   help="one JSON object per criterion, then a summary object")
     s.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -31,7 +31,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .partition import PartitionGrid, check_interval_budget, digits_matrix, qadic_grid
+from .partition import (
+    MAX_INTERVALS_ENV,
+    PartitionGrid,
+    check_interval_budget,
+    digits_matrix,
+    interval_budget,
+    qadic_grid,
+)
 from .schauder import (
     CoefficientArray,
     SampledPath,
@@ -650,12 +657,21 @@ def bernstein(z, degree: int, grid: PartitionGrid | None = None) -> SampledPath:
 
     ``z`` may be a callable or a SampledPath (linearly interpolated at the
     nodes k/degree).  Evaluation folds convex combinations in place, which
-    is numerically stable and reproduces constants bitwise.
+    is numerically stable and reproduces constants bitwise.  The work array
+    of ``(degree + 1) * grid.points.size`` entries may hold at most the
+    interval budget.
     """
     if degree < 1:
         raise ValidationError(f"degree must be >= 1, got {degree}")
     if grid is None:
         grid = qadic_grid(2, 10)
+    work = (degree + 1) * grid.points.size
+    budget = interval_budget()
+    if work > budget:
+        raise BudgetError(
+            f"degree {degree} on {grid.points.size} points needs a {work}-entry work array; "
+            f"budget is {budget} (override with {MAX_INTERVALS_ENV})"
+        )
     nodes = np.arange(degree + 1, dtype=np.float64) / degree
     if callable(z):
         zv = np.asarray(z(nodes), dtype=np.float64)

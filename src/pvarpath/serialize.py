@@ -1,8 +1,12 @@
 """JSON and CSV interchange for paths, coefficients, tables and reports.
 
 JSON artifacts are written with sorted keys and compact separators, so a
-fixed input produces byte-identical output.  CSV floats carry 17 significant
-digits (shortest exact round-trip for float64 is at most 17).
+fixed input produces byte-identical output; arrays enter them through
+``ndarray.tolist()``.  CSV floats are written in one format, ``_CSV_FLOAT``
+(``%.17g``: 17 significant digits, enough for any float64 to read back
+exactly).  CSVs are streamed to the caller's file object in blocks of
+``_CSV_CHUNK_ROWS`` rows, each formatted by a single ``%`` operation, so no
+whole-file string is ever held in memory.
 """
 
 from __future__ import annotations
@@ -28,10 +32,6 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_dumps(config).encode()).hexdigest()[:16]
 
 
-def fmt_float(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 # ---------------------------------------------------------------------------
 # SampledPath <-> JSON
 # ---------------------------------------------------------------------------
@@ -43,11 +43,11 @@ def path_to_dict(path: SampledPath) -> dict:
         meta["offset"] = float(path.offset)
     meta["grid_generator"] = path.grid.generator
     if path.grid.generator != "q-adic":
-        meta["grid_points"] = [float(v) for v in path.grid.points]
+        meta["grid_points"] = path.grid.points.tolist()
     return {
         "q": int(path.q),
         "level": int(path.level),
-        "values": [float(v) for v in path.values],
+        "values": path.values.tolist(),
         "meta": meta,
     }
 
@@ -100,7 +100,7 @@ def coeffs_from_dict(d: dict) -> CoefficientArray:
 def table_to_dict(table: RefiningTable) -> dict:
     return {
         "q": int(table.q),
-        "levels": [[float(v) for v in g.points] for g in table.levels],
+        "levels": [g.points.tolist() for g in table.levels],
     }
 
 
@@ -168,21 +168,29 @@ def constant_to_dict(report: VariationConstant) -> dict:
 # ---------------------------------------------------------------------------
 
 
+_CSV_FLOAT = "%.17g"
+_CSV_CHUNK_ROWS = 1 << 16
+
+
+def _write_rows(stream: IO[str], prefix: str, *columns) -> None:
+    """One line per row: ``prefix``, then the columns' values in ``_CSV_FLOAT``,
+    comma-separated.  ``prefix`` is a literal (no ``%``)."""
+    cols = [np.asarray(c, dtype=np.float64) for c in columns]
+    row_fmt = prefix + ",".join([_CSV_FLOAT] * len(cols)) + "\n"
+    rows = cols[0].size
+    for start in range(0, rows, _CSV_CHUNK_ROWS):
+        block = np.column_stack([c[start:start + _CSV_CHUNK_ROWS] for c in cols])
+        stream.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
 def write_profiles_csv(profiles, stream: IO[str]) -> None:
     """Rows "level,t,value" across one or more profiles."""
     stream.write("level,t,value\n")
     for prof in profiles:
-        for t, v in zip(prof.eval_points, prof.values):
-            stream.write(f"{prof.level},{fmt_float(t)},{fmt_float(v)}\n")
-
-
-def write_grid_csv(grid: PartitionGrid, stream: IO[str]) -> None:
-    """One grid point per line."""
-    for t in grid.points:
-        stream.write(fmt_float(t) + "\n")
+        _write_rows(stream, f"{prof.level},", prof.eval_points, prof.values)
 
 
 def write_residual_csv(eval_points, residuals, stream: IO[str]) -> None:
+    """Rows "t,residual"."""
     stream.write("t,residual\n")
-    for t, r in zip(eval_points, residuals):
-        stream.write(f"{fmt_float(t)},{fmt_float(r)}\n")
+    _write_rows(stream, "", eval_points, residuals)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pvarpath import (
+    BudgetError,
     FunctionWithDerivatives,
     NormSelector,
     UniformMagnitudeSpec,
@@ -11,6 +12,7 @@ from pvarpath import (
     change_of_variable_residual,
     follmer_sum,
     grid_norm,
+    holder_quotient,
     pvar_profile,
     qadic_grid,
     qadic_path,
@@ -139,6 +141,15 @@ class TestGridNorm:
             NormSelector.lp(0.5)
         with pytest.raises(ValidationError):
             NormSelector(kind="banach")
+
+
+class TestHolderQuotient:
+    def test_pair_budget(self, monkeypatch):
+        monkeypatch.setenv("PVAR_MAX_INTERVALS", "1")     # 64 pairs
+        t = np.linspace(0.0, 1.0, 12)
+        assert holder_quotient(t[:-1], t[:-1], 0.5) > 0.0   # 55 pairs
+        with pytest.raises(BudgetError):
+            holder_quotient(t, t, 0.5)                      # 66 pairs
 
 
 class TestTransportedNorm:

@@ -171,6 +171,15 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "[PASS]" in out and "1/1 criteria passed" in out
 
+    def test_json_lines(self, capsys):
+        assert run(["selftest", "--json", "--criteria", "1"]) == 0
+        criterion, summary = [json.loads(line)
+                              for line in capsys.readouterr().out.splitlines()]
+        assert set(criterion) == {"index", "name", "passed", "runtime_s",
+                                  "runtime_limit_s", "detail"}
+        assert criterion["index"] == 1 and criterion["passed"] is True
+        assert summary == {"passed": 1, "total": 1}
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self):
@@ -191,6 +200,19 @@ class TestUsageErrors:
         out = tmp_path / "missing" / "ref.json"
         assert run(["build", "--levels", "4", "-o", str(out)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
+
+    def test_csv_under_missing_directory(self, tmp_path, capsys):
+        ref = tmp_path / "ref.json"
+        assert run(["build", "--levels", "4", "-o", str(ref)]) == 0
+        out = str(tmp_path / "missing" / "out.csv")
+        for argv in (["analyze", str(ref), "-o", out],
+                     ["ito", str(ref), "--f", "0,0,1", "-o", out],
+                     ["recipe", "--levels", "4", "--profile-csv", out,
+                      "-o", str(tmp_path / "y.json")]):
+            capsys.readouterr()
+            assert run(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "missing" in err, argv
 
 
 class TestModuleEntryPoint:

@@ -335,6 +335,20 @@ class TestBernstein:
             quot = holder_quotient(grid.points, out.values, 0.5)
             assert quot <= (2 * degree + 1) * np.max(np.abs(zv))
 
+    def test_budget_checked_before_allocating(self, monkeypatch):
+        grid = qadic_grid(2, 8)
+        monkeypatch.setenv("PVAR_MAX_INTERVALS", "1000")
+        calls = []
+
+        def z(t):
+            calls.append(t.size)
+            return t
+
+        assert bernstein(z, 2, grid).values.size == 257    # 3 * 257 <= 1000
+        with pytest.raises(BudgetError):
+            bernstein(z, 3, grid)                           # 4 * 257 > 1000
+        assert calls == [3]
+
 
 class TestSplice:
     def make_pair(self, seed=3, depth=8):

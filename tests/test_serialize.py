@@ -1,5 +1,6 @@
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -117,8 +118,11 @@ class TestCanonicalOutput:
 
     def test_float_format_round_trips(self):
         vals = [1 / 3, 2.0 ** -52, 1 - 2.0 ** -16, 0.1 + 0.2]
-        for v in vals:
-            assert float(serialize.fmt_float(v)) == v
+        buf = io.StringIO()
+        serialize.write_residual_csv(vals, vals[::-1], buf)
+        rows = [line.split(",") for line in buf.getvalue().split("\n")[1:-1]]
+        assert [float(t) for t, _ in rows] == vals
+        assert [float(r) for _, r in rows] == vals[::-1]
 
 
 class TestCsvWriters:
@@ -134,14 +138,45 @@ class TestCsvWriters:
         assert level == "4" and float(t) == 1.0
         assert float(value) == prof.terminal
 
-    def test_grid_csv(self):
-        from pvarpath import qadic_grid
-
-        buf = io.StringIO()
-        serialize.write_grid_csv(qadic_grid(2, 2), buf)
-        assert [float(v) for v in buf.getvalue().split()] == [0.0, 0.25, 0.5, 0.75, 1.0]
-
     def test_residual_csv(self):
         buf = io.StringIO()
         serialize.write_residual_csv([0.0, 1.0], [0.5, -0.25], buf)
         assert buf.getvalue() == "t,residual\n0,0.5\n1,-0.25\n"
+
+
+def _row(*xs):
+    """The per-row CSV formula the chunked writers must reproduce byte for byte."""
+    return ",".join(f"{float(x):.17g}" for x in xs) + "\n"
+
+
+SPECIALS = [0.0, -0.0, 5e-324, 2.0 ** -52, 1 / 3, 1e300, -1e-14, 1.0, -7.0, 12345678.0]
+
+
+def _columns(rows):
+    """Two columns of ``rows`` values: the special values, then distinct
+    random values (so any reordering of rows shows)."""
+    rng = np.random.default_rng(rows)
+    t = np.resize(np.array(SPECIALS[::-1]), rows)
+    r = np.concatenate([SPECIALS, rng.standard_normal(rows)])[:rows]
+    return t, r
+
+
+class TestCsvByteIdentity:
+    @pytest.mark.parametrize("rows", [0, 1, len(SPECIALS), serialize._CSV_CHUNK_ROWS + 3])
+    def test_residual_csv(self, rows):
+        t, r = _columns(rows)
+        buf = io.StringIO()
+        serialize.write_residual_csv(t, r, buf)
+        assert buf.getvalue() == "t,residual\n" + "".join(map(_row, t, r))
+
+    @pytest.mark.parametrize("rows", [0, 1, len(SPECIALS), serialize._CSV_CHUNK_ROWS + 3])
+    def test_profiles_csv(self, rows):
+        t, r = _columns(rows)
+        profiles = [SimpleNamespace(level=3, eval_points=t, values=r),
+                    SimpleNamespace(level=17, eval_points=r[::-1], values=t[::-1])]
+        buf = io.StringIO()
+        serialize.write_profiles_csv(profiles, buf)
+        expected = "level,t,value\n" + "".join(
+            f"{prof.level}," + _row(a, b)
+            for prof in profiles for a, b in zip(prof.eval_points, prof.values))
+        assert buf.getvalue() == expected
