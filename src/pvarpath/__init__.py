@@ -11,7 +11,6 @@ from .errors import BudgetError, ValidationError
 from .partition import (
     HomeomorphismTable,
     PartitionGrid,
-    RefiningTable,
     ancestor_index,
     build_homeomorphism,
     digits,
@@ -19,7 +18,6 @@ from .partition import (
     qadic_grid,
     qadic_table,
     random_refining_table,
-    validate_refining,
 )
 from .schauder import (
     CoefficientArray,

@@ -34,7 +34,7 @@ from .construct import (
     variation_constant,
 )
 from .errors import BudgetError, ValidationError
-from .partition import build_homeomorphism, power_table, qadic_table, random_refining_table
+from .partition import power_table, qadic_table, random_refining_table
 from .timechange import pullback_path, transported_pvar_check, transported_recipe
 from .variation import pvar_profile
 
@@ -52,6 +52,22 @@ def _write_text(path: str, text: str) -> None:
 
 def _write_json(path: str, doc: dict) -> None:
     _write_text(path, serialize.canonical_dumps(doc))
+
+
+def _write_all(writes) -> None:
+    """Open each ``(path, write)`` target in turn and pass ``write`` the
+    stream.  If any step fails, the files already created are removed, so a
+    failed command leaves none of its outputs behind."""
+    created = []
+    try:
+        for path, write in writes:
+            with open(path, "w") as stream:
+                created.append(path)
+                write(stream)
+    except BaseException:
+        for path in created:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 # Arguments naming files: where a run reads or writes does not change what
@@ -158,10 +174,12 @@ def _cmd_recipe(args) -> int:
         "constant": result.constant.value,
         "target_sup_gap": gap,
     })
-    _write_json(args.output, doc)
+    text = serialize.canonical_dumps(doc)
+    writes = [(args.output, lambda stream: stream.write(text))]
     if args.profile_csv:
-        with open(args.profile_csv, "w") as stream:
-            serialize.write_profiles_csv([prof], stream)
+        writes.append((args.profile_csv,
+                       lambda stream: serialize.write_profiles_csv([prof], stream)))
+    _write_all(writes)
     return 0
 
 
@@ -188,7 +206,7 @@ def _cmd_timechange(args) -> int:
     inputs = {}
     if args.table:
         table_doc, inputs["table_hash"] = _load_json(args.table)
-        table = build_homeomorphism(serialize.table_from_dict(table_doc))
+        table = serialize.table_from_dict(table_doc)
     else:
         depth = args.depth if args.depth is not None else args.levels
         makers = {
@@ -196,10 +214,9 @@ def _cmd_timechange(args) -> int:
             "power": lambda: power_table(args.q, depth, args.exponent),
             "random": lambda: random_refining_table(args.q, depth, seed=args.seed),
         }
-        raw = makers[args.make_table]()
+        table = makers[args.make_table]()
         if args.table_out:
-            _write_json(args.table_out, serialize.table_to_dict(raw))
-        table = build_homeomorphism(raw)
+            _write_json(args.table_out, serialize.table_to_dict(table))
 
     if args.mode in ("check", "pullback"):
         src, inputs["path_hash"] = _load_path(args.path)
@@ -280,8 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--p", type=float, required=True)
     c.add_argument("--q", type=int, default=2)
     c.add_argument("--a", type=str, default=None)
-    c.add_argument("--method", choices=("exact", "mc", "monte-carlo", "closed", "closed-form"),
-                   default="exact")
+    c.add_argument("--method", choices=("exact", "mc", "closed"), default="exact")
     c.add_argument("--J", type=int, default=None, help="enumeration truncation depth")
     c.add_argument("--N", type=int, default=10 ** 6, help="monte-carlo sample count")
     c.add_argument("--seed", type=int, default=0)

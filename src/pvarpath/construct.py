@@ -53,7 +53,7 @@ from .variation import (
     variation_index_estimate,
 )
 
-DEFAULT_ENUMERATION_BUDGET = 2 ** 26
+ENUMERATION_BUDGET = 2 ** 26
 SIGN_MATRIX_BUDGET = 2 ** 20
 
 
@@ -276,7 +276,7 @@ def _mean_abs_pow(a: np.ndarray, b: np.ndarray, p: float) -> float:
     return total / (a.size * b.size)
 
 
-def _constant_exact(p, q, etas, rho, J, tol, budget) -> VariationConstant:
+def _constant_exact(p, q, etas, rho, J, tol) -> VariationConstant:
     eta_sup = float(np.max(np.abs(etas)))
 
     def bound_for(j):
@@ -288,14 +288,14 @@ def _constant_exact(p, q, etas, rho, J, tol, budget) -> VariationConstant:
         J = 1
         while bound_for(J) > tol:
             J += 1
-            if q ** J > budget:
+            if q ** J > ENUMERATION_BUDGET:
                 raise BudgetError(
                     f"enumeration to tail bound {tol:g} needs more than budget "
-                    f"{budget} digit strings (q={q}); best reachable bound is "
-                    f"{bound_for(int(math.log(budget, q))):.3g}"
+                    f"{ENUMERATION_BUDGET} digit strings (q={q}); best reachable bound is "
+                    f"{bound_for(int(math.log(ENUMERATION_BUDGET, q))):.3g}"
                 )
-    if q ** J > budget:
-        raise BudgetError(f"q**J = {q ** J} exceeds enumeration budget {budget}")
+    if q ** J > ENUMERATION_BUDGET:
+        raise BudgetError(f"q**J = {q ** J} exceeds enumeration budget {ENUMERATION_BUDGET}")
     j_half = J // 2
     head = _cross_sums([rho ** j * etas for j in range(1, j_half + 1)])
     tail = _cross_sums([rho ** j * etas for j in range(j_half + 1, J + 1)])
@@ -308,11 +308,11 @@ def _constant_exact(p, q, etas, rho, J, tol, budget) -> VariationConstant:
     )
 
 
-def _constant_monte_carlo(p, q, etas, rho, N, seed, budget) -> VariationConstant:
+def _constant_monte_carlo(p, q, etas, rho, N, seed) -> VariationConstant:
     if N < 1:
         raise ValidationError("sample count must be positive")
-    if N > budget * 64:
-        raise BudgetError(f"N = {N} exceeds the sampling budget {budget * 64}")
+    if N > 64 * ENUMERATION_BUDGET:
+        raise BudgetError(f"N = {N} exceeds the sampling budget {64 * ENUMERATION_BUDGET}")
     eta_sup = float(np.max(np.abs(etas)))
     # Strata = exact enumeration of the leading digits; the remaining digit
     # tail is sampled.  This is still an unbiased seeded estimator, with a
@@ -401,25 +401,24 @@ def variation_constant(
     N: int = 10 ** 6,
     seed: int = 0,
     tol: float = 1e-6,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> VariationConstant:
     """The limiting slope constant of the uniform-magnitude construction.
 
     methods: "exact" enumerates all q**J truncated digit strings, with J
     chosen so a certified truncation bound is below ``tol`` (the bound uses
     that the omitted tail has mean zero, which beats the raw Lipschitz
-    estimate by an order of tail); "monte-carlo" (alias "mc") is a seeded
-    stratified estimator with standard error; "closed-form" evaluates even
-    moments through cumulants of the digit distribution.
+    estimate by an order of tail); "mc" is a seeded stratified Monte Carlo
+    estimator with standard error; "closed" evaluates even moments through
+    cumulants of the digit distribution in closed form.
     """
     if p <= 1:
         raise ValidationError(f"p must be > 1, got {p}")
     etas, rho = _series_weights(p, q, a)
-    if method in ("exact", "exact-enumeration"):
-        return _constant_exact(p, q, etas, rho, J, tol, budget)
-    if method in ("mc", "monte-carlo"):
-        return _constant_monte_carlo(p, q, etas, rho, N, seed, budget)
-    if method in ("closed", "closed-form"):
+    if method == "exact":
+        return _constant_exact(p, q, etas, rho, J, tol)
+    if method == "mc":
+        return _constant_monte_carlo(p, q, etas, rho, N, seed)
+    if method == "closed":
         return _constant_closed_form(p, q, etas, rho)
     raise ValidationError(f"unknown method {method!r}")
 
@@ -490,15 +489,17 @@ class SignMatrixReport:
     gap: float
 
 
-def sign_matrix(spec: UniformMagnitudeSpec, n: int, budget: int = SIGN_MATRIX_BUDGET) -> SignMatrixReport:
+def sign_matrix(spec: UniformMagnitudeSpec, n: int) -> SignMatrixReport:
     """Exhaustively verify the weight-pattern bijection at level ``n``.
 
     Checks that k -> (w_1(k), ..., w_n(k)) hits every pattern exactly once,
     and that the level-n variation of the synthesized path equals the
     average of |sum_j rho^j y_{n-j} w_j|^p over all enumerated patterns.
     """
-    if spec.q ** n > budget:
-        raise BudgetError(f"sign matrix at level {n} needs {spec.q ** n} rows, budget {budget}")
+    if spec.q ** n > SIGN_MATRIX_BUDGET:
+        raise BudgetError(
+            f"sign matrix at level {n} needs {spec.q ** n} rows, budget {SIGN_MATRIX_BUDGET}"
+        )
     if not 1 <= n <= spec.levels:
         raise ValidationError(f"level n must lie in [1, {spec.levels}]")
     q = spec.q
@@ -584,7 +585,6 @@ def recipe(
     spec: UniformMagnitudeSpec,
     n: int,
     constant: VariationConstant | None = None,
-    check_multiplier: bool = True,
 ) -> RecipeResult:
     """Build y with prescribed variation t -> integral of ``hprime``.
 
@@ -615,7 +615,7 @@ def recipe(
     dt = np.diff(grid.points)
     target = np.concatenate(([0.0], np.cumsum(0.5 * (hp[:-1] + hp[1:]) * dt)))
     trend = None
-    if check_multiplier and n >= 4:
+    if n >= 4:
         trend = variation_index_estimate(analyze(g), [spec.p])[0]
         if trend.trend != "vanishing":
             warnings.warn(

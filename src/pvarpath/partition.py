@@ -2,9 +2,11 @@
 
 Grid points are stored as floats but always generated from exact integer
 ratios, and every structural question (membership, nesting, ancestry) is
-decided by integer index arithmetic.  Float comparison appears only where a
-user-supplied table is validated against its own stored data, where exact
-equality of floats is the contract.
+decided by integer index arithmetic.  A refining table is stored as its
+finest level only, so its coarser levels nest by construction.  Float
+equality is checked only in :func:`build_homeomorphism`'s nesting check of
+tables from outside the program, where exact equality of the stored floats
+is the contract.
 """
 
 from __future__ import annotations
@@ -161,154 +163,55 @@ def ancestor_index(m: int, n: int, k: int, q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Refining tables
+# Refining tables: the time change realized to a finite depth
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True, eq=False)
-class RefiningTable:
-    """Levels 0..N of a q-refining partition sequence.
-
-    The defining structure is nesting: point i at level n reappears as point
-    q*i at level n+1.  This is the exact float equality t[n][i] == t[n+1][q*i]
-    on the stored data.
-    """
-
-    q: int
-    levels: tuple
-
-    def __post_init__(self):
-        if not self.levels:
-            raise ValidationError("refining table must contain at least one level")
-        lv = tuple(self.levels)
-        object.__setattr__(self, "levels", lv)
-        for n, grid in enumerate(lv):
-            if grid.q != self.q:
-                raise ValidationError(f"level {n} has q={grid.q}, table has q={self.q}")
-            if grid.level != n:
-                raise ValidationError(f"levels must be consecutive from 0; slot {n} holds level {grid.level}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
-    @property
-    def finest(self) -> PartitionGrid:
-        return self.levels[-1]
-
-
-@dataclass(frozen=True)
-class RefiningReport:
-    """Outcome of :func:`validate_refining`.  ``passed`` means no nesting
-    violations; the mesh of the finest level is reported alongside (a density
-    proxy, since no finite table can certify density)."""
-
-    passed: bool
-    violations: tuple
-    mesh: float
-    mesh_threshold: float | None = None
-
-    @property
-    def mesh_ok(self) -> bool | None:
-        if self.mesh_threshold is None:
-            return None
-        return self.mesh <= self.mesh_threshold
-
-
-def validate_refining(table: RefiningTable, mesh_threshold: float | None = None) -> RefiningReport:
-    """Check the nesting identity level by level and report the finest mesh."""
-    violations = []
-    for n in range(table.depth):
-        coarse = table.levels[n].points
-        fine = table.levels[n + 1].points
-        nested = fine[:: table.q]
-        bad = np.nonzero(coarse != nested)[0]
-        violations.extend((n, int(i)) for i in bad)
-    return RefiningReport(
-        passed=not violations,
-        violations=tuple(violations),
-        mesh=table.finest.mesh,
-        mesh_threshold=mesh_threshold,
-    )
-
-
-def qadic_table(q: int, depth: int) -> RefiningTable:
-    """The q-adic table itself: levels 0..depth of exact grids."""
-    return RefiningTable(q=q, levels=tuple(qadic_grid(q, n) for n in range(depth + 1)))
-
-
-def power_table(q: int, depth: int, exponent: float = 2.0) -> RefiningTable:
-    """Refining table with points (i/q**n)**exponent (exponent > 0).
-
-    For exponent 2 the associated time change is the square root map.
-    """
-    if exponent <= 0:
-        raise ValidationError("exponent must be positive")
-    grids = []
-    for n in range(depth + 1):
-        base = qadic_grid(q, n).points
-        pts = base ** exponent
-        grids.append(PartitionGrid(q=q, level=n, points=pts, generator="table"))
-    return RefiningTable(q=q, levels=tuple(grids))
-
-
-def random_refining_table(q: int, depth: int, seed: int = 0, concentration: float = 5.0) -> RefiningTable:
-    """Seeded random dense-looking q-refining table.
-
-    Each interval is split into q parts with Dirichlet(concentration) weights,
-    which keeps points strictly increasing at every level.
-    """
-    check_interval_budget(q, depth)
-    rng = np.random.default_rng(seed)
-    grids = [qadic_grid(q, 0)]
-    pts = grids[0].points
-    for n in range(depth):
-        w = rng.dirichlet(np.full(q, concentration), size=q ** n)
-        cuts = np.cumsum(w, axis=1)[:, :-1]
-        left = pts[:-1][:, None]
-        length = np.diff(pts)[:, None]
-        inner = left + length * cuts
-        fine = np.empty(q ** (n + 1) + 1, dtype=np.float64)
-        fine[:: q] = pts
-        for d in range(1, q):
-            fine[d::q] = inner[:, d - 1]
-        grids.append(PartitionGrid(q=q, level=n + 1, points=fine, generator="table"))
-        pts = fine
-    return RefiningTable(q=q, levels=tuple(grids))
-
-
-# ---------------------------------------------------------------------------
-# Homeomorphism realized on a finite table
-# ---------------------------------------------------------------------------
+DIRICHLET_CONCENTRATION = 5.0
 
 
 @dataclass(frozen=True, eq=False)
 class HomeomorphismTable:
-    """Finite-level realization of the increasing time change phi.
+    """Levels 0..N of a q-refining partition sequence, held as level N.
 
-    Pairs (s_i, i/q**N) at the finest stored level N pin phi exactly at table
-    points; between them evaluation is monotone piecewise-linear, which is the
-    simplest admissible interpolant since phi is only determined on the table.
+    Level n is every ``q**(N - n)``-th point of the finest level, so the
+    nesting t[n][i] == t[n+1][q*i] holds by construction.  The increasing
+    time change phi sends s_i to i/q**N; it is exact at table points and
+    monotone piecewise-linear between them, which is the simplest admissible
+    interpolant since phi is only determined on the table.
     """
 
     q: int
     depth: int
     s_points: np.ndarray
-    u_points: np.ndarray
 
     def __post_init__(self):
+        if not (isinstance(self.q, (int, np.integer)) and self.q >= 2):
+            raise ValidationError(f"branching factor q must be an integer >= 2, got {self.q}")
+        if self.depth < 0:
+            raise ValidationError(f"table depth must be >= 0, got {self.depth}")
         s = _readonly(self.s_points)
-        u = _readonly(self.u_points)
         object.__setattr__(self, "s_points", s)
-        object.__setattr__(self, "u_points", u)
-        if s.shape != u.shape or s.ndim != 1:
-            raise ValidationError("s and u tables must be 1-d arrays of equal length")
-        if s.shape[0] != self.q ** self.depth + 1:
-            raise ValidationError("table length must be q**depth + 1")
-        if np.any(np.diff(s) <= 0) or np.any(np.diff(u) <= 0):
-            raise ValidationError("homeomorphism table must be strictly increasing")
-        if s[0] != 0.0 or s[-1] != 1.0 or u[0] != 0.0 or u[-1] != 1.0:
+        n_expected = self.q ** self.depth + 1
+        if s.shape != (n_expected,):
+            raise ValidationError(
+                f"finest table level {self.depth} must have {n_expected} points, got {s.shape}"
+            )
+        check_interval_budget(self.q, self.depth)
+        if s[0] != 0.0 or s[-1] != 1.0:
             raise ValidationError("homeomorphism must fix 0 and 1")
+        if not np.all(np.diff(s) > 0):
+            raise ValidationError("table points must be strictly increasing")
+
+    @property
+    def u_points(self) -> np.ndarray:
+        """phi(s_points): the level-N q-adic grid."""
+        return qadic_grid(self.q, self.depth).points
+
+    def level_points(self, level: int) -> np.ndarray:
+        """Points of level ``level``: a strided view of the finest level."""
+        if not 0 <= level <= self.depth:
+            raise ValidationError(f"level {level} exceeds table depth {self.depth}")
+        return self.s_points[:: self.q ** (self.depth - level)]
 
     def forward(self, t):
         """phi(t): table-point exact, piecewise-linear elsewhere."""
@@ -320,19 +223,69 @@ class HomeomorphismTable:
 
     def source_grid(self, level: int) -> PartitionGrid:
         """Level-``level`` grid of the refining sequence (phi-preimages)."""
-        if not 0 <= level <= self.depth:
-            raise ValidationError(f"level {level} exceeds table depth {self.depth}")
-        stride = self.q ** (self.depth - level)
-        return PartitionGrid(self.q, level, self.s_points[::stride], generator="table")
+        return PartitionGrid(self.q, level, self.level_points(level), generator="table")
 
 
-def build_homeomorphism(table: RefiningTable) -> HomeomorphismTable:
-    """Pair the finest table level with the q-adic grid: phi(s_i) = i/q**N."""
-    report = validate_refining(table)
-    if not report.passed:
+def qadic_table(q: int, depth: int) -> HomeomorphismTable:
+    """The q-adic sequence itself: phi is the identity."""
+    return HomeomorphismTable(q, depth, qadic_grid(q, depth).points)
+
+
+def power_table(q: int, depth: int, exponent: float = 2.0) -> HomeomorphismTable:
+    """Refining table with points (i/q**n)**exponent (exponent > 0).
+
+    For exponent 2 the associated time change is the square root map.
+    """
+    if exponent <= 0:
+        raise ValidationError("exponent must be positive")
+    return HomeomorphismTable(q, depth, qadic_grid(q, depth).points ** exponent)
+
+
+def random_refining_table(q: int, depth: int, seed: int = 0) -> HomeomorphismTable:
+    """Seeded random dense-looking q-refining table.
+
+    Level by level, each interval is split into q parts with
+    Dirichlet(``DIRICHLET_CONCENTRATION``) weights, which keeps points
+    strictly increasing.
+    """
+    check_interval_budget(q, depth)
+    rng = np.random.default_rng(seed)
+    pts = qadic_grid(q, 0).points
+    for n in range(depth):
+        w = rng.dirichlet(np.full(q, DIRICHLET_CONCENTRATION), size=q ** n)
+        cuts = np.cumsum(w, axis=1)[:, :-1]
+        left = pts[:-1][:, None]
+        length = np.diff(pts)[:, None]
+        inner = left + length * cuts
+        fine = np.empty(q ** (n + 1) + 1, dtype=np.float64)
+        fine[:: q] = pts
+        for d in range(1, q):
+            fine[d::q] = inner[:, d - 1]
+        pts = fine
+    return HomeomorphismTable(q, depth, pts)
+
+
+def build_homeomorphism(q: int, levels) -> HomeomorphismTable:
+    """The table whose levels 0..N are the point lists ``levels``.
+
+    This is the check of tables from outside the program (the on-disk
+    format lists every level): level n must hold q**n + 1 points and equal
+    every ``q**(N - n)``-th point of level N exactly, float for float.
+    """
+    if not isinstance(levels, (list, tuple)) or not levels:
+        raise ValidationError("refining table levels must be a non-empty list of point lists")
+    try:
+        arrays = [np.asarray(pts, dtype=np.float64) for pts in levels]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"refining table levels must hold numbers: {exc}") from exc
+    table = HomeomorphismTable(q, len(arrays) - 1, arrays[-1])
+    violations = []
+    for n, pts in enumerate(arrays[:-1]):
+        if pts.shape != (q ** n + 1,):
+            raise ValidationError(f"level {n} must have {q ** n + 1} points, got {pts.shape}")
+        violations.extend((n, int(i)) for i in np.nonzero(pts != table.level_points(n))[0])
+    if violations:
         raise ValidationError(
-            f"refining table fails nesting at (level, index) {report.violations[:5]}"
+            f"refining table fails nesting at (level, index) {tuple(violations[:5])}"
         )
-    fine = table.finest
-    u = qadic_grid(table.q, fine.level).points
-    return HomeomorphismTable(q=table.q, depth=fine.level, s_points=fine.points, u_points=u)
+    return table

@@ -19,7 +19,7 @@ import numpy as np
 
 from .construct import UniformMagnitudeSpec, VariationConstant
 from .errors import ValidationError
-from .partition import PartitionGrid, RefiningTable, qadic_grid
+from .partition import HomeomorphismTable, PartitionGrid, build_homeomorphism, qadic_grid
 from .schauder import CoefficientArray, SampledPath
 from .variation import VariationProfile
 
@@ -93,29 +93,25 @@ def coeffs_from_dict(d: dict) -> CoefficientArray:
 
 
 # ---------------------------------------------------------------------------
-# RefiningTable <-> JSON
+# HomeomorphismTable <-> JSON
 # ---------------------------------------------------------------------------
 
 
-def table_to_dict(table: RefiningTable) -> dict:
+def table_to_dict(table: HomeomorphismTable) -> dict:
+    """Every level 0..N, each a stride of the finest one."""
     return {
         "q": int(table.q),
-        "levels": [g.points.tolist() for g in table.levels],
+        "levels": [table.level_points(n).tolist() for n in range(table.depth + 1)],
     }
 
 
-def table_from_dict(d: dict) -> RefiningTable:
+def table_from_dict(d: dict) -> HomeomorphismTable:
     try:
         q = int(d["q"])
         raw_levels = d["levels"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed table document: {exc}") from exc
-    grids = []
-    for n, pts in enumerate(raw_levels):
-        arr = np.asarray(pts, dtype=np.float64)
-        generator = "q-adic" if np.array_equal(arr, qadic_grid(q, n).points) else "table"
-        grids.append(PartitionGrid(q=q, level=n, points=arr, generator=generator))
-    return RefiningTable(q=q, levels=tuple(grids))
+    return build_homeomorphism(q, raw_levels)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ point to i/q**n.  Composing a path with phi therefore permutes nothing: the
 value list on the refined grid IS the value list on the q-adic grid, read
 against different abscissae.  All grid-level transport identities here are
 exact for that reason, and the checks assert them at full float precision.
+
+To depth N, such a sequence is its finest level: a ``HomeomorphismTable``
+holds level N alone, and level n is every q**(N-n)-th point of it.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from .errors import ValidationError
 from .schauder import CoefficientArray, SampledPath, xi_profile
 
 DEFAULT_EVAL_LEVEL = 10
+SLOPE_TOL = 0.01          # |log-slope| per level below which a trend is bounded
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,15 +139,11 @@ class TrendRow:
     xi_last: float
 
 
-def variation_index_estimate(
-    coeffs: CoefficientArray,
-    p_grid,
-    slope_tol: float = 0.01,
-) -> tuple:
+def variation_index_estimate(coeffs: CoefficientArray, p_grid) -> tuple:
     """Classify the tail trend of the level diagnostics for each exponent.
 
     The slope of log xi_m against m is fit over the last half of stored
-    levels; |slope| <= slope_tol counts as bounded.  All-zero tails (e.g.
+    levels; |slope| <= ``SLOPE_TOL`` counts as bounded.  All-zero tails (e.g.
     piecewise-affine paths) are vanishing by convention.
     """
     M = coeffs.num_levels
@@ -162,9 +159,9 @@ def variation_index_estimate(
             continue
         mask = xs > 0.0
         slope = float(np.polyfit(ms[mask], np.log(xs[mask]), 1)[0]) if mask.sum() > 1 else 0.0
-        if slope > slope_tol:
+        if slope > SLOPE_TOL:
             trend = "growing"
-        elif slope < -slope_tol:
+        elif slope < -SLOPE_TOL:
             trend = "vanishing"
         else:
             trend = "bounded"

@@ -90,6 +90,10 @@ class TestConstant:
     def test_unknown_flag(self):
         assert run(["constant", "--p", "2", "--frobnicate"]) == 2
 
+    def test_one_spelling_per_method(self):
+        # "closed-form" is the reported label, not a second name for "closed"
+        assert run(["constant", "--p", "4", "--method", "closed-form"]) == 2
+
 
 class TestRecipe:
     def test_exp_target(self, tmp_path):
@@ -152,6 +156,26 @@ class TestTimechange:
         doc = read_json(out)
         assert doc["manifest"]["config"]["target_sup_gap"] <= 0.04
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"q": 2, "levels": 5}, "non-empty list"),
+        ({"q": 2, "levels": []}, "non-empty list"),
+        ({"q": 2, "levels": [[0.0, 1.0], [0.0, 1.0]]}, "3 points"),
+        ({"q": 2, "levels": [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]]}, "level 0 must have 2 points"),
+        ({"q": 1, "levels": [[0.0, 1.0]]}, "q must be an integer >= 2"),
+        ({"q": 2, "levels": [[0.0, 1.0], [0.0, 0.25, 1.0], [0.0, 0.25, 0.5, 0.75, 1.0]]},
+         "(level, index) ((1, 1),)"),
+    ], ids=["levels-not-list", "levels-empty", "finest-wrong-length",
+           "coarse-wrong-length", "q-1", "not-nested"])
+    def test_malformed_table_exit_2(self, tmp_path, capsys, doc, message):
+        tbl = tmp_path / "table.json"
+        tbl.write_text(json.dumps(doc))
+        out = tmp_path / "y.json"
+        assert run(["timechange", "--mode", "recipe", "--levels", "1", "--table", str(tbl),
+                    "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not out.exists()
+
     def test_reads_persisted_table(self, tmp_path):
         tbl = tmp_path / "table.json"
         ref = tmp_path / "ref.json"
@@ -213,6 +237,16 @@ class TestUsageErrors:
             assert run(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "missing" in err, argv
+
+
+    def test_failed_recipe_leaves_no_outputs(self, tmp_path, capsys):
+        good_json, good_csv = tmp_path / "y.json", tmp_path / "p.csv"
+        bad_json, bad_csv = tmp_path / "missing" / "y.json", tmp_path / "missing" / "p.csv"
+        for out, csv in ((good_json, bad_csv), (bad_json, good_csv)):
+            assert run(["recipe", "--levels", "4", "--profile-csv", str(csv),
+                        "-o", str(out)]) == 2
+            assert capsys.readouterr().err.count("\n") == 1
+            assert not out.exists() and not csv.exists()
 
 
 class TestModuleEntryPoint:

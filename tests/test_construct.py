@@ -187,7 +187,7 @@ class TestSignMatrix:
 
     def test_budget(self):
         with pytest.raises(BudgetError):
-            sign_matrix(UniformMagnitudeSpec(q=2, p=2.0, levels=24), 24, budget=2 ** 12)
+            sign_matrix(UniformMagnitudeSpec(q=2, p=2.0, levels=24), 24)
 
 
 class TestSigmaIndependence:

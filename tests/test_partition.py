@@ -12,9 +12,8 @@ from pvarpath import (
     qadic_grid,
     qadic_table,
     random_refining_table,
-    validate_refining,
 )
-from pvarpath.partition import PartitionGrid, RefiningTable, digits_matrix
+from pvarpath.partition import HomeomorphismTable, digits_matrix
 
 
 class TestQadicGrid:
@@ -103,46 +102,38 @@ class TestAncestor:
 
 class TestRefining:
     def test_qadic_table_passes(self):
-        report = validate_refining(qadic_table(2, 6))
-        assert report.passed
-        assert report.mesh == pytest.approx(2.0 ** -6)
+        table = qadic_table(2, 6)
+        for n in range(7):
+            np.testing.assert_array_equal(table.level_points(n), qadic_grid(2, n).points)
+        assert table.source_grid(6).mesh == pytest.approx(2.0 ** -6)
 
     def test_square_table_passes(self):
         # (q i / q**(n+1))**2 == (i / q**n)**2 — nesting survives the square
-        report = validate_refining(power_table(3, 5, 2.0))
-        assert report.passed
+        levels = [qadic_grid(3, n).points ** 2 for n in range(6)]
+        table = build_homeomorphism(3, levels)
+        np.testing.assert_array_equal(table.s_points, power_table(3, 5, 2.0).s_points)
 
     def test_perturbed_point_fails_at_location(self):
-        table = qadic_table(2, 4)
-        pts = table.levels[3].points.copy()
-        pts[5] += 1e-9
-        bad = PartitionGrid(q=2, level=3, points=pts, generator="table")
-        levels = list(table.levels)
-        levels[3] = bad
-        report = validate_refining(RefiningTable(q=2, levels=tuple(levels)))
-        assert not report.passed
+        levels = [qadic_grid(2, n).points.copy() for n in range(5)]
+        levels[3][5] += 1e-9
         # the corrupted level-3 point no longer matches its level-4 copy
-        assert report.violations == ((3, 5),)
-
-    def test_mesh_threshold_report(self):
-        report = validate_refining(qadic_table(2, 3), mesh_threshold=0.2)
-        assert report.mesh_ok
-        report = validate_refining(qadic_table(2, 1), mesh_threshold=0.2)
-        assert not report.mesh_ok
+        with pytest.raises(ValidationError, match=r"\(level, index\) \(\(3, 5\),\)"):
+            build_homeomorphism(2, levels)
 
     def test_random_table_is_refining(self):
-        report = validate_refining(random_refining_table(3, 6, seed=9))
-        assert report.passed
+        table = random_refining_table(3, 6, seed=9)
+        back = build_homeomorphism(3, [table.level_points(n) for n in range(7)])
+        np.testing.assert_array_equal(back.s_points, table.s_points)
 
 
 class TestHomeomorphism:
     def test_identity_on_qadic(self):
-        table = build_homeomorphism(qadic_table(2, 8))
+        table = qadic_table(2, 8)
         pts = table.s_points
         np.testing.assert_array_equal(table.forward(pts), pts)
 
     def test_square_root_map(self):
-        table = build_homeomorphism(power_table(2, 8, 2.0))
+        table = power_table(2, 8, 2.0)
         # table abscissae are squares, so forward recovers the square root
         np.testing.assert_array_equal(table.forward(table.s_points), table.u_points)
         np.testing.assert_allclose(
@@ -150,21 +141,20 @@ class TestHomeomorphism:
         )
 
     def test_round_trip_on_random_table_points(self):
-        table = build_homeomorphism(random_refining_table(2, 10, seed=4))
+        table = random_refining_table(2, 10, seed=4)
         rng = np.random.default_rng(0)
         idx = rng.integers(0, table.s_points.size, size=1000)
         s = table.s_points[idx]
         np.testing.assert_array_equal(table.inverse(table.forward(s)), s)
 
     def test_monotone_and_fixed_endpoints(self):
-        table = build_homeomorphism(random_refining_table(3, 6, seed=2))
+        table = random_refining_table(3, 6, seed=2)
         fwd = table.forward(table.s_points)
         assert np.all(np.diff(fwd) > 0)
         assert fwd[0] == 0.0 and fwd[-1] == 1.0
 
     def test_rejects_broken_table(self):
-        table = qadic_table(2, 4)
-        pts = table.levels[4].points.copy()
+        pts = qadic_table(2, 4).s_points.copy()
         pts[3] = pts[2]  # duplicates break strict monotonicity
         with pytest.raises(ValidationError):
-            PartitionGrid(q=2, level=4, points=pts, generator="table")
+            HomeomorphismTable(q=2, depth=4, s_points=pts)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from types import SimpleNamespace
@@ -13,6 +14,7 @@ from pvarpath import (
     pvar_profile,
     qadic_path,
     qadic_table,
+    random_refining_table,
     reference_path,
     shifted_reference,
 )
@@ -35,9 +37,9 @@ class TestPathRoundTrip:
         np.testing.assert_array_equal(back.samples, xb.samples)
 
     def test_table_grid_survives(self):
-        from pvarpath import build_homeomorphism, pullback_path
+        from pvarpath import pullback_path
 
-        table = build_homeomorphism(power_table(2, 6, 2.0))
+        table = power_table(2, 6, 2.0)
         x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=6), 6)
         pulled = pullback_path(x, table)
         back = serialize.path_from_dict(serialize.path_to_dict(pulled))
@@ -71,16 +73,31 @@ class TestCoeffsRoundTrip:
 
 
 class TestTableRoundTrip:
-    def test_qadic_detected(self):
-        table = qadic_table(2, 4)
-        back = serialize.table_from_dict(serialize.table_to_dict(table))
-        assert all(g.generator == "q-adic" for g in back.levels)
+    def test_qadic_round_trip_is_identity(self):
+        back = serialize.table_from_dict(serialize.table_to_dict(qadic_table(2, 4)))
+        np.testing.assert_array_equal(back.s_points, back.u_points)
 
     def test_power_round_trip(self):
         table = power_table(3, 3, 2.0)
         back = serialize.table_from_dict(serialize.table_to_dict(table))
-        for a, b in zip(table.levels, back.levels):
-            np.testing.assert_array_equal(a.points, b.points)
+        assert (back.q, back.depth) == (3, 3)
+        np.testing.assert_array_equal(back.s_points, table.s_points)
+
+    # sha256[:16] of the canonical document: the on-disk table format lists
+    # every level, and these digests pin its bytes
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: qadic_table(2, 6), "32851673d04e12a2"),
+        (lambda: power_table(3, 5, 2.0), "7d34eb741d0af3e5"),
+        (lambda: power_table(2, 8, 1.5), "199ac242cbe7d254"),
+        (lambda: random_refining_table(3, 6, seed=9), "fe19fd46bd2595d5"),
+    ], ids=["qadic-2-6", "power-3-5", "power-2-8", "random-3-6"])
+    def test_writer_bytes(self, make, digest):
+        table = make()
+        text = serialize.canonical_dumps(serialize.table_to_dict(table))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+        back = serialize.table_from_dict(json.loads(text))
+        assert (back.q, back.depth) == (table.q, table.depth)
+        np.testing.assert_array_equal(back.s_points, table.s_points)
 
 
 class TestSpecRoundTrip:

@@ -4,7 +4,6 @@ import pytest
 from pvarpath import (
     UniformMagnitudeSpec,
     ValidationError,
-    build_homeomorphism,
     holder_quotient,
     power_table,
     pullback_path,
@@ -19,12 +18,12 @@ from pvarpath import (
 
 
 def sqrt_table(depth=10, q=2):
-    return build_homeomorphism(power_table(q, depth, 2.0))
+    return power_table(q, depth, 2.0)
 
 
 class TestPullback:
     def test_identity_table_is_identity(self):
-        table = build_homeomorphism(qadic_table(2, 8))
+        table = qadic_table(2, 8)
         x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=8), 8)
         pulled = pullback_path(x, table)
         np.testing.assert_array_equal(pulled.values, x.values)
@@ -65,7 +64,7 @@ class TestPullback:
 
 class TestTransportedPvarCheck:
     def test_identity_gap_zero(self):
-        table = build_homeomorphism(qadic_table(2, 8))
+        table = qadic_table(2, 8)
         x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=8), 8)
         assert transported_pvar_check(x, table, 2.0) == 0.0
 
@@ -74,7 +73,7 @@ class TestTransportedPvarCheck:
         assert transported_pvar_check(x, sqrt_table(10), 2.0) <= 1e-12
 
     def test_random_ternary_table_level_8(self):
-        table = build_homeomorphism(random_refining_table(3, 8, seed=17))
+        table = random_refining_table(3, 8, seed=17)
         x = reference_path(UniformMagnitudeSpec(q=3, p=2.0, levels=8, a=(1.0, 1.0)), 8)
         assert transported_pvar_check(x, table, 2.0) <= 1e-12
 
@@ -92,7 +91,7 @@ class TestTransportedRecipe:
 
     def test_identity_change_reduces_to_plain_recipe(self):
         spec = UniformMagnitudeSpec(q=2, p=2.0, levels=10)
-        table = build_homeomorphism(qadic_table(2, 10))
+        table = qadic_table(2, 10)
         res = transported_recipe(lambda s: s, spec, table, 10)
         plain = recipe(lambda t: np.ones_like(t), spec, 10,
                        constant=res.qadic.constant)
@@ -110,7 +109,7 @@ class TestTransportedRecipe:
 
     def test_smooth_power_table_tracks_target(self):
         spec = UniformMagnitudeSpec(q=2, p=2.0, levels=14)
-        table = build_homeomorphism(power_table(2, 14, 1.5))
+        table = power_table(2, 14, 1.5)
         res = transported_recipe(lambda s: np.log1p(s), spec, table, 14)
         assert res.sup_gap <= 0.02 * (1 + np.log(2.0))
 
@@ -119,7 +118,7 @@ class TestTransportedRecipe:
         # non-differentiable, which voids the recipe hypothesis; the
         # coefficient-trend diagnostic must flag the rough multiplier
         spec = UniformMagnitudeSpec(q=2, p=2.0, levels=12)
-        table = build_homeomorphism(random_refining_table(2, 12, seed=23))
+        table = random_refining_table(2, 12, seed=23)
         with pytest.warns(UserWarning, match="vanishing"):
             res = transported_recipe(lambda s: np.log1p(s), spec, table, 12)
         assert res.qadic.multiplier_trend.trend != "vanishing"
