@@ -7,9 +7,11 @@ inside the JSON artifact or in a sibling ``<output>.manifest.json``.  File
 locations are left out of the configuration; each file read is recorded by
 the digest of its bytes instead.  Identical arguments and inputs produce
 byte-identical artifacts wherever they are written: the only randomness is
-the named seed (default 0) and nothing is time-based.  CSV outputs are
-written to their file as they are formatted, block by block, never
-assembled as one string first.
+the named seed (default 0) and nothing is time-based.  JSON and CSV outputs
+are streamed to their files in chunks formatted across the CPUs the process
+may run on (see ``serialize``), never assembled as one string first; their
+bytes do not depend on how many CPUs there are.  A command writes all its
+outputs or, if any write fails, none of them.
 
 Exit codes: 0 success, 2 validation/usage/I-O error, 3 budget exceeded.
 """
@@ -46,24 +48,20 @@ TARGET_DENSITIES = {
 }
 
 
-def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text)
-
-
-def _write_json(path: str, doc: dict) -> None:
-    _write_text(path, serialize.canonical_dumps(doc))
-
-
-def _write_all(writes) -> None:
-    """Open each ``(path, write)`` target in turn and pass ``write`` the
-    stream.  If any step fails, the files already created are removed, so a
-    failed command leaves none of its outputs behind."""
+def _write_all(outputs) -> None:
+    """Write each ``(path, content)`` output in turn: ``content`` is a JSON
+    document, or a function that writes to the open stream.  If any step
+    fails, the files already created are removed, so a failed command
+    leaves none of its outputs behind."""
     created = []
     try:
-        for path, write in writes:
+        for path, content in outputs:
             with open(path, "w") as stream:
                 created.append(path)
-                write(stream)
+                if callable(content):
+                    content(stream)
+                else:
+                    serialize.write_json(content, stream)
     except BaseException:
         for path in created:
             Path(path).unlink(missing_ok=True)
@@ -83,10 +81,6 @@ def _manifest(args: argparse.Namespace, extra: dict | None = None) -> dict:
     return {"config": config, "config_hash": serialize.config_hash(config)}
 
 
-def _sibling_manifest(out: str, args: argparse.Namespace, extra: dict | None = None) -> None:
-    _write_json(out + ".manifest.json", _manifest(args, extra))
-
-
 def _weights_from_args(args: argparse.Namespace):
     return tuple(float(v) for v in args.a.split(",")) if args.a else None
 
@@ -98,20 +92,19 @@ def _spec_from_args(args: argparse.Namespace) -> UniformMagnitudeSpec:
     )
 
 
-def _load_json(path: str) -> tuple[dict, str]:
-    """The parsed document and the first 16 hex digits of the sha256 of its
-    bytes (for a canonical artifact, equal to ``config_hash`` of the doc)."""
+def _load(path: str, from_dict):
+    """The object ``from_dict`` builds from the JSON document at ``path``, and
+    the first 16 hex digits of the sha256 of the file's bytes (for a
+    canonical artifact, equal to ``config_hash`` of the document).  The
+    bytes are released before the object is built, and the parsed document
+    as soon as it is, so a large artifact is not held twice over."""
     try:
         raw = Path(path).read_bytes()
-        return json.loads(raw), hashlib.sha256(raw).hexdigest()[:16]
+        doc, digest = json.loads(raw), hashlib.sha256(raw).hexdigest()[:16]
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_path(path: str):
-    """The path artifact at ``path`` and the digest of its bytes."""
-    doc, digest = _load_json(path)
-    return serialize.path_from_dict(doc), digest
+    del raw
+    return from_dict(doc), digest
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +117,12 @@ def _cmd_build(args) -> int:
     path = reference_path(spec, args.levels)
     doc = serialize.path_to_dict(path)
     doc["manifest"] = _manifest(args)
-    _write_json(args.output, doc)
+    _write_all([(args.output, doc)])
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    path, input_hash = _load_path(args.input)
+    path, input_hash = _load(args.input, serialize.path_from_dict)
     if args.q is not None and args.q != path.q:
         raise ValidationError(f"artifact has q={path.q}, requested q={args.q}")
     levels = args.levels if args.levels is not None else path.level
@@ -141,9 +134,10 @@ def _cmd_analyze(args) -> int:
         pvar_profile(path.restrict(n), args.p, eval_level=args.eval_level)
         for n in range(levels + 1)
     ]
-    with open(args.output, "w") as stream:
-        serialize.write_profiles_csv(profiles, stream)
-    _sibling_manifest(args.output, args, {"input_hash": input_hash})
+    _write_all([
+        (args.output, lambda stream: serialize.write_profiles_csv(profiles, stream)),
+        (args.output + ".manifest.json", _manifest(args, {"input_hash": input_hash})),
+    ])
     return 0
 
 
@@ -154,11 +148,10 @@ def _cmd_constant(args) -> int:
     )
     doc = serialize.constant_to_dict(report)
     doc["manifest"] = _manifest(args)
-    out = serialize.canonical_dumps(doc)
     if args.output:
-        _write_text(args.output, out)
+        _write_all([(args.output, doc)])
     else:
-        sys.stdout.write(out)
+        serialize.write_json(doc, sys.stdout)
     return 0
 
 
@@ -174,17 +167,16 @@ def _cmd_recipe(args) -> int:
         "constant": result.constant.value,
         "target_sup_gap": gap,
     })
-    text = serialize.canonical_dumps(doc)
-    writes = [(args.output, lambda stream: stream.write(text))]
+    outputs = [(args.output, doc)]
     if args.profile_csv:
-        writes.append((args.profile_csv,
-                       lambda stream: serialize.write_profiles_csv([prof], stream)))
-    _write_all(writes)
+        outputs.append((args.profile_csv,
+                        lambda stream: serialize.write_profiles_csv([prof], stream)))
+    _write_all(outputs)
     return 0
 
 
 def _cmd_ito(args) -> int:
-    path, input_hash = _load_path(args.input)
+    path, input_hash = _load(args.input, serialize.path_from_dict)
     if args.level is not None:
         if args.level > path.level:
             raise ValidationError(
@@ -194,19 +186,21 @@ def _cmd_ito(args) -> int:
     coeffs = [float(v) for v in args.f.split(",")]
     f = FunctionWithDerivatives.polynomial(coeffs)
     report = change_of_variable_residual(f, path, args.p)
-    with open(args.output, "w") as stream:
-        serialize.write_residual_csv(report.eval_points, report.residuals, stream)
-    _sibling_manifest(args.output, args, {"sup_residual": report.sup, "input_hash": input_hash})
+    _write_all([
+        (args.output, lambda stream: serialize.write_residual_csv(
+            report.eval_points, report.residuals, stream)),
+        (args.output + ".manifest.json",
+         _manifest(args, {"sup_residual": report.sup, "input_hash": input_hash})),
+    ])
     return 0
 
 
 def _cmd_timechange(args) -> int:
     if args.mode in ("check", "pullback") and not args.path:
         raise ValidationError(f"--mode {args.mode} needs --path")
-    inputs = {}
+    inputs, outputs = {}, []
     if args.table:
-        table_doc, inputs["table_hash"] = _load_json(args.table)
-        table = serialize.table_from_dict(table_doc)
+        table, inputs["table_hash"] = _load(args.table, serialize.table_from_dict)
     else:
         depth = args.depth if args.depth is not None else args.levels
         makers = {
@@ -216,16 +210,17 @@ def _cmd_timechange(args) -> int:
         }
         table = makers[args.make_table]()
         if args.table_out:
-            _write_json(args.table_out, serialize.table_to_dict(table))
+            outputs.append((args.table_out, lambda stream: serialize.write_json(
+                serialize.table_to_dict(table), stream)))
 
     if args.mode in ("check", "pullback"):
-        src, inputs["path_hash"] = _load_path(args.path)
+        src, inputs["path_hash"] = _load(args.path, serialize.path_from_dict)
         if args.mode == "check":
             doc = {"identity_gap": transported_pvar_check(src, table, args.p)}
         else:
             doc = serialize.path_to_dict(pullback_path(src, table))
         doc["manifest"] = _manifest(args, inputs)
-        _write_json(args.output, doc)
+        _write_all(outputs + [(args.output, doc)])
         return 0
     # mode == "recipe"
     spec = _spec_from_args(args)
@@ -235,7 +230,7 @@ def _cmd_timechange(args) -> int:
     )
     doc = serialize.path_to_dict(result.y)
     doc["manifest"] = _manifest(args, {"target_sup_gap": result.sup_gap, **inputs})
-    _write_json(args.output, doc)
+    _write_all(outputs + [(args.output, doc)])
     return 0
 
 
@@ -247,8 +242,8 @@ def _cmd_selftest(args) -> int:
     n_pass = sum(r.passed for r in results)
     if args.json:
         for r in results:
-            sys.stdout.write(serialize.canonical_dumps(dataclasses.asdict(r)))
-        sys.stdout.write(serialize.canonical_dumps({"passed": n_pass, "total": len(results)}))
+            serialize.write_json(dataclasses.asdict(r), sys.stdout)
+        serialize.write_json({"passed": n_pass, "total": len(results)}, sys.stdout)
     else:
         for r in results:
             print(r.line())

@@ -81,7 +81,7 @@ class PartitionGrid:
             )
         if pts[0] != 0.0 or pts[-1] != 1.0:
             raise ValidationError("grid must start at 0 and end at 1")
-        if np.any(np.diff(pts) <= 0):
+        if not np.all(np.diff(pts) > 0):
             raise ValidationError("grid points must be strictly increasing")
         if self.generator == "q-adic":
             denom = float(self.q ** self.level)

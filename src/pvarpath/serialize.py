@@ -4,16 +4,23 @@ JSON artifacts are written with sorted keys and compact separators, so a
 fixed input produces byte-identical output; arrays enter them through
 ``ndarray.tolist()``.  CSV floats are written in one format, ``_CSV_FLOAT``
 (``%.17g``: 17 significant digits, enough for any float64 to read back
-exactly).  CSVs are streamed to the caller's file object in blocks of
-``_CSV_CHUNK_ROWS`` rows, each formatted by a single ``%`` operation, so no
-whole-file string is ever held in memory.
+exactly).
+
+Both formats are streamed to the caller's text stream: a long JSON list and
+every CSV are cut into ranges of ``_CSV_CHUNK_ROWS`` items, and the ranges
+are formatted round-robin by this process and forked workers, one per CPU
+it may run on, then written in order (``_write_chunks``).  No process holds
+much more than one range of text, no whole-file string is ever built, and
+the bytes do not depend on how many CPUs there are.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
-from typing import IO
+import os
+from typing import IO, Callable
 
 import numpy as np
 
@@ -24,8 +31,129 @@ from .schauder import CoefficientArray, SampledPath
 from .variation import VariationProfile
 
 
+_CSV_CHUNK_ROWS = 1 << 16
+_encode_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _cpu_count() -> int:
+    """Processes ``_write_chunks`` may use: the CPUs this process may run on,
+    where the platform reports them (and so can fork), else 1."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _send(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(pipe: IO[bytes]) -> str:
+    """The next length-prefixed range a worker sent."""
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little") if len(head) == 8 else -1
+    data = pipe.read(size) if size >= 0 else b""
+    if len(data) != size:
+        raise OSError("a formatting worker stopped before sending all its ranges")
+    return data.decode()
+
+
+def _write_chunks(stream: IO[str], n: int, fmt: Callable[[int, int], str]) -> None:
+    """Write ``fmt(lo, hi)`` for the consecutive ``_CSV_CHUNK_ROWS``-item
+    ranges ``[lo, hi)`` of ``[0, n)`` to ``stream``, in order.
+
+    Range i is formatted by process ``i % P``: this process, or one of
+    ``P - 1`` forked workers, P being the CPU count capped at the number of
+    ranges.  A worker sends its ranges, length-prefixed, through its own
+    pipe and blocks until this process has taken the previous one, so every
+    process holds about one range of text at a time.  The bytes written are
+    those of the serial loop whatever P is.  A worker runs only ``fmt`` and
+    ``os.write`` and always leaves by ``os._exit``; one that stops early
+    makes this function raise ``OSError``.  Every worker is reaped before it
+    returns or raises.
+    """
+    starts = range(0, n, _CSV_CHUNK_ROWS)
+    procs = max(1, min(_cpu_count(), len(starts)))
+    workers = []  # (pid, read end of its pipe)
+    try:
+        for w in range(1, procs):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    # hold no other pipe's read end, so each worker sees a
+                    # broken pipe as soon as this process closes its end
+                    os.close(read_fd)
+                    for _, pipe in workers:
+                        pipe.close()
+                    for lo in starts[w::procs]:
+                        data = fmt(lo, min(lo + _CSV_CHUNK_ROWS, n)).encode()
+                        _send(write_fd, len(data).to_bytes(8, "little") + data)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            workers.append((pid, os.fdopen(read_fd, "rb")))
+        for i, lo in enumerate(starts):
+            if i % procs == 0:
+                stream.write(fmt(lo, min(lo + _CSV_CHUNK_ROWS, n)))
+            else:
+                stream.write(_receive(workers[i % procs - 1][1]))
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _holds_containers(values) -> bool:
+    return any(isinstance(v, (dict, list)) for v in values)
+
+
+def _write_value(obj, stream: IO[str]) -> None:
+    if isinstance(obj, list) and len(obj) > _CSV_CHUNK_ROWS:
+        stream.write("[")
+        _write_chunks(stream, len(obj), lambda lo, hi: ("," if lo else "")
+                      + _encode_json(obj[lo:hi])[1:-1])
+        stream.write("]")
+    elif (isinstance(obj, dict) and all(isinstance(k, str) for k in obj)
+          and _holds_containers(obj.values())):
+        stream.write("{")
+        for i, key in enumerate(sorted(obj)):
+            stream.write(("," if i else "") + _encode_json(key) + ":")
+            _write_value(obj[key], stream)
+        stream.write("}")
+    elif isinstance(obj, list) and _holds_containers(obj):
+        stream.write("[")
+        for i, item in enumerate(obj):
+            if i:
+                stream.write(",")
+            _write_value(item, stream)
+        stream.write("]")
+    else:
+        stream.write(_encode_json(obj))
+
+
+def write_json(obj, stream: IO[str]) -> None:
+    """The canonical JSON of ``obj`` (sorted keys, compact separators, one
+    closing newline), streamed to ``stream``: a list of two or more chunks
+    goes through ``_write_chunks``, dicts and lists holding containers are
+    walked, and every other value is encoded in one call.  The bytes are
+    those of ``json.dumps(obj, sort_keys=True, separators=(",", ":")) +
+    "\\n"``."""
+    _write_value(obj, stream)
+    stream.write("\n")
+
+
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """``write_json`` of ``obj`` as one string."""
+    buf = io.StringIO()
+    write_json(obj, buf)
+    return buf.getvalue()
 
 
 def config_hash(config: dict) -> str:
@@ -165,7 +293,6 @@ def constant_to_dict(report: VariationConstant) -> dict:
 
 
 _CSV_FLOAT = "%.17g"
-_CSV_CHUNK_ROWS = 1 << 16
 
 
 def _write_rows(stream: IO[str], prefix: str, *columns) -> None:
@@ -173,10 +300,12 @@ def _write_rows(stream: IO[str], prefix: str, *columns) -> None:
     comma-separated.  ``prefix`` is a literal (no ``%``)."""
     cols = [np.asarray(c, dtype=np.float64) for c in columns]
     row_fmt = prefix + ",".join([_CSV_FLOAT] * len(cols)) + "\n"
-    rows = cols[0].size
-    for start in range(0, rows, _CSV_CHUNK_ROWS):
-        block = np.column_stack([c[start:start + _CSV_CHUNK_ROWS] for c in cols])
-        stream.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+
+    def fmt(lo: int, hi: int) -> str:
+        block = np.column_stack([c[lo:hi] for c in cols])
+        return (row_fmt * (hi - lo)) % tuple(block.ravel().tolist())
+
+    _write_chunks(stream, cols[0].size, fmt)
 
 
 def write_profiles_csv(profiles, stream: IO[str]) -> None:

@@ -248,6 +248,47 @@ class TestUsageErrors:
             assert capsys.readouterr().err.count("\n") == 1
             assert not out.exists() and not csv.exists()
 
+    def test_failed_timechange_leaves_no_table(self, tmp_path, capsys):
+        tbl = tmp_path / "t.json"
+        assert run(["timechange", "--mode", "recipe", "--make-table", "power",
+                    "--levels", "4", "--table-out", str(tbl),
+                    "-o", str(tmp_path / "missing" / "y.json")]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not tbl.exists()
+
+    def test_nan_grid_point_rejected(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({
+            "q": 2, "level": 2, "values": [0.0, 1.0, 0.0, 1.0, 0.0],
+            "meta": {"grid_generator": "table",
+                     "grid_points": [0.0, float("nan"), 0.5, 0.75, 1.0]}}))
+        out = tmp_path / "prof.csv"
+        assert run(["analyze", str(path), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "strictly increasing" in err
+        assert not out.exists()
+
+    def test_failed_chunk_worker_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        from pvarpath import serialize
+
+        write_chunks, parent = serialize._write_chunks, os.getpid()
+
+        def failing_in_worker(stream, n, fmt):
+            def fmt_or_fail(lo, hi):
+                if os.getpid() != parent:
+                    raise RuntimeError("worker fails")
+                return fmt(lo, hi)
+            write_chunks(stream, n, fmt_or_fail)
+
+        monkeypatch.setattr(serialize, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(serialize, "_write_chunks", failing_in_worker)
+        out = tmp_path / "x.json"
+        assert run(["build", "--levels", "17", "-o", str(out)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):

@@ -13,7 +13,7 @@ from pvarpath import (
     qadic_table,
     random_refining_table,
 )
-from pvarpath.partition import HomeomorphismTable, digits_matrix
+from pvarpath.partition import HomeomorphismTable, PartitionGrid, digits_matrix
 
 
 class TestQadicGrid:
@@ -44,6 +44,17 @@ class TestQadicGrid:
             qadic_grid(1, 3)
         with pytest.raises(ValidationError):
             qadic_grid(2, -1)
+
+
+class TestPartitionGrid:
+    @pytest.mark.parametrize("points", [
+        [0.0, np.nan, 0.5, 0.75, 1.0],
+        [0.0, 0.5, 0.25, 0.75, 1.0],
+        [0.0, 0.25, 0.25, 0.75, 1.0],
+    ], ids=["nan", "decreasing", "repeated"])
+    def test_rejects_points_not_strictly_increasing(self, points):
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            PartitionGrid(q=2, level=2, points=np.array(points), generator="table")
 
 
 class TestDigits:

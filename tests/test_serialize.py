@@ -1,6 +1,10 @@
+import contextlib
 import hashlib
 import io
 import json
+import math
+import os
+import signal
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +15,7 @@ from pvarpath import (
     UniformMagnitudeSpec,
     ValidationError,
     power_table,
+    pullback_path,
     pvar_profile,
     qadic_path,
     qadic_table,
@@ -178,22 +183,136 @@ def _columns(rows):
     return t, r
 
 
-class TestCsvByteIdentity:
-    @pytest.mark.parametrize("rows", [0, 1, len(SPECIALS), serialize._CSV_CHUNK_ROWS + 3])
-    def test_residual_csv(self, rows):
-        t, r = _columns(rows)
-        buf = io.StringIO()
-        serialize.write_residual_csv(t, r, buf)
-        assert buf.getvalue() == "t,residual\n" + "".join(map(_row, t, r))
+CHUNK = serialize._CSV_CHUNK_ROWS
+ROW_COUNTS = [0, 1, len(SPECIALS), CHUNK - 1, CHUNK, CHUNK + 3, 2 * CHUNK + 3]
+CPU_COUNTS = (1, 2, 3)
 
-    @pytest.mark.parametrize("rows", [0, 1, len(SPECIALS), serialize._CSV_CHUNK_ROWS + 3])
-    def test_profiles_csv(self, rows):
+
+def _written(monkeypatch, cpus, write):
+    """What ``write(stream)`` writes when the chunked writer sees ``cpus`` CPUs."""
+    monkeypatch.setattr(serialize, "_cpu_count", lambda: cpus)
+    buf = io.StringIO()
+    write(buf)
+    return buf.getvalue()
+
+
+class TestCsvByteIdentity:
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    def test_residual_csv(self, rows, monkeypatch):
+        t, r = _columns(rows)
+        expected = "t,residual\n" + "".join(map(_row, t, r))
+        for cpus in CPU_COUNTS:
+            out = _written(monkeypatch, cpus, lambda buf: serialize.write_residual_csv(t, r, buf))
+            assert out == expected, cpus
+
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    def test_profiles_csv(self, rows, monkeypatch):
         t, r = _columns(rows)
         profiles = [SimpleNamespace(level=3, eval_points=t, values=r),
                     SimpleNamespace(level=17, eval_points=r[::-1], values=t[::-1])]
-        buf = io.StringIO()
-        serialize.write_profiles_csv(profiles, buf)
         expected = "level,t,value\n" + "".join(
             f"{prof.level}," + _row(a, b)
             for prof in profiles for a, b in zip(prof.eval_points, prof.values))
-        assert buf.getvalue() == expected
+        for cpus in CPU_COUNTS:
+            out = _written(monkeypatch, cpus,
+                           lambda buf: serialize.write_profiles_csv(profiles, buf))
+            assert out == expected, cpus
+
+
+def _path_document():
+    """A level-17 path document (three chunks of values) holding NaN, +-inf,
+    -0.0 and the smallest subnormal, and a manifest with nested containers
+    and integer keys."""
+    doc = serialize.path_to_dict(reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=17), 17))
+    doc["values"][1:6] = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
+    doc["manifest"] = {"config": {"b": [1, 2.5], "a": None}, "config_hash": "0123",
+                       "rows": [{"y": [3], "x": {}}, []], "by_level": {10: [1.5], 2: None}}
+    return doc
+
+
+def _pulled_document():
+    """A pulled-back path: its grid_points list is chunked as well."""
+    x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=17), 17)
+    return serialize.path_to_dict(pullback_path(x, power_table(2, 17, 2.0)))
+
+
+def _table_document():
+    """Nested levels; the finest (3**11 + 1 points) spans three chunks."""
+    return serialize.table_to_dict(power_table(3, 11, 2.0))
+
+
+class TestJsonByteIdentity:
+    @pytest.mark.parametrize("make", [_path_document, _pulled_document, _table_document],
+                             ids=["path", "pulled", "table"])
+    def test_matches_json_dumps(self, make, monkeypatch):
+        doc = make()
+        expected = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        for cpus in CPU_COUNTS:
+            assert _written(monkeypatch, cpus, lambda buf: serialize.write_json(doc, buf)) \
+                == expected, cpus
+            assert serialize.canonical_dumps(doc) == expected, cpus
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail a test that blocks for longer than ``seconds`` instead of hanging."""
+    def expire(signum, frame):
+        pytest.fail(f"still blocked after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestChunkWorkers:
+    def test_worker_failure_raises_and_reaps(self, monkeypatch):
+        monkeypatch.setattr(serialize, "_cpu_count", lambda: 2)
+        parent = os.getpid()
+
+        def fmt(lo, hi):
+            # the worker formats ranges 1, 3, 5, ...; it fails on its second
+            if os.getpid() != parent and lo >= 3 * CHUNK:
+                raise RuntimeError("worker fails")
+            return f"{lo}-{hi};"
+
+        with _deadline(60), pytest.raises(OSError, match="worker"):
+            serialize._write_chunks(io.StringIO(), 6 * CHUNK, fmt)
+        _assert_no_children()
+
+    def test_failed_fork_closes_pipes_and_reaps(self, monkeypatch):
+        monkeypatch.setattr(serialize, "_cpu_count", lambda: 3)
+        real_fork, forks = os.fork, []
+
+        def fork_once():
+            if forks:
+                raise OSError("no more processes")
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with _deadline(60), pytest.raises(OSError, match="no more processes"):
+            serialize._write_chunks(io.StringIO(), 6 * CHUNK, lambda lo, hi: "x" * (1 << 20))
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        _assert_no_children()
+
+    def test_failed_stream_reaps_blocked_workers(self, monkeypatch):
+        # ranges larger than a pipe's buffer keep every worker blocked in a
+        # write when the stream fails
+        monkeypatch.setattr(serialize, "_cpu_count", lambda: 3)
+
+        class FailingStream:
+            def write(self, text):
+                raise OSError("disk full")
+
+        with _deadline(60), pytest.raises(OSError, match="disk full"):
+            serialize._write_chunks(FailingStream(), 9 * CHUNK, lambda lo, hi: "x" * (1 << 20))
+        _assert_no_children()
