@@ -11,9 +11,7 @@ from .errors import BudgetError, ValidationError
 from .partition import (
     HomeomorphismTable,
     PartitionGrid,
-    ancestor_index,
     build_homeomorphism,
-    digits,
     power_table,
     qadic_grid,
     qadic_table,
@@ -21,10 +19,8 @@ from .partition import (
 )
 from .schauder import (
     CoefficientArray,
-    GammaMatrix,
     SampledPath,
     analyze,
-    eta,
     eta_all,
     gamma,
     gamma_rows,
@@ -38,8 +34,6 @@ from .schauder import (
 )
 from .variation import (
     VariationProfile,
-    block_equipartition_gap,
-    pvar_norm,
     pvar_profile,
     stieltjes_against_profile,
     variation_index_estimate,
@@ -49,10 +43,8 @@ from .construct import (
     VariationConstant,
     bernstein,
     build_reference,
-    increment_decomposition,
     recipe,
     reference_path,
-    scaled_increments,
     shifted_reference,
     sign_matrix,
     splice,
@@ -71,7 +63,6 @@ from .calculus import (
 )
 from .timechange import (
     pullback_path,
-    table_digest,
     transported_pvar_check,
     transported_recipe,
 )

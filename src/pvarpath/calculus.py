@@ -84,22 +84,6 @@ class FunctionWithDerivatives:
         ]
         return cls(funcs=tuple(funcs), exhaustive=True)
 
-    def finite_difference_check(self, points, step: float = 1e-5, rtol: float = 1e-4):
-        """Central-difference cross-check of each supplied derivative.
-
-        Returns (ok, worst_relative_error) comparing deriv(k) against the
-        central difference of deriv(k-1) at the given points.
-        """
-        pts = np.asarray(points, dtype=np.float64)
-        worst = 0.0
-        for k in range(1, len(self.funcs)):
-            lower = self.funcs[k - 1]
-            approx = (lower(pts + step) - lower(pts - step)) / (2 * step)
-            exact = self.funcs[k](pts)
-            scale = np.maximum(np.abs(exact), 1.0)
-            worst = max(worst, float(np.max(np.abs(approx - exact) / scale)))
-        return worst <= rtol, worst
-
 
 # ---------------------------------------------------------------------------
 # Compensated sums and the change-of-variable residual
@@ -223,13 +207,6 @@ class NormSelector:
     @classmethod
     def sup(cls) -> "NormSelector":
         return cls(kind="sup")
-
-    def label(self) -> str:
-        if self.kind == "holder":
-            return f"holder({self.alpha:g})"
-        if self.kind == "lp":
-            return f"lp({self.p:g})"
-        return self.kind
 
 
 def holder_quotient(points: np.ndarray, values: np.ndarray, alpha: float) -> float:

@@ -126,9 +126,10 @@ def _cmd_analyze(args) -> int:
     if args.q is not None and args.q != path.q:
         raise ValidationError(f"artifact has q={path.q}, requested q={args.q}")
     levels = args.levels if args.levels is not None else path.level
-    if levels > path.level:
+    if not 0 <= levels <= path.level:
         raise ValidationError(
-            f"artifact holds level {path.level} samples, cannot analyze to level {levels}"
+            f"artifact holds level {path.level} samples, --levels must lie in "
+            f"[0, {path.level}], got {levels}"
         )
     profiles = [
         pvar_profile(path.restrict(n), args.p, eval_level=args.eval_level)
@@ -198,6 +199,8 @@ def _cmd_ito(args) -> int:
 def _cmd_timechange(args) -> int:
     if args.mode in ("check", "pullback") and not args.path:
         raise ValidationError(f"--mode {args.mode} needs --path")
+    if args.table and args.table_out:
+        raise ValidationError("--table-out persists a generated table; it cannot go with --table")
     inputs, outputs = {}, []
     if args.table:
         table, inputs["table_hash"] = _load(args.table, serialize.table_from_dict)

@@ -424,24 +424,8 @@ def variation_constant(
 
 
 # ---------------------------------------------------------------------------
-# Increment decomposition and the sign/digit matrix
+# Weight patterns and the sign/digit matrix
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IncrementParts:
-    """Series form of one scaled grid increment.
-
-    ``value`` is sum_j rho^j y_{n-j} w_j with the per-level weight
-    w_j = sigma_j * eta_{d_j}: the coefficient sign times the branch value
-    of the digit (for q = 2, eta_d = 1 - 2d is the step-function sign).
-    """
-
-    n: int
-    k: int
-    value: float
-    digits: tuple
-    weights: tuple
 
 
 def weight_patterns(spec: UniformMagnitudeSpec, n: int, ks=None) -> tuple[np.ndarray, np.ndarray]:
@@ -457,25 +441,6 @@ def weight_patterns(spec: UniformMagnitudeSpec, n: int, ks=None) -> tuple[np.nda
     signs = spec.sign_arrays()
     sigma = np.stack([signs[n - j][ks // q ** j] for j in range(1, n + 1)], axis=1)
     return digits_matrix(n, q, ks), sigma
-
-
-def increment_decomposition(spec: UniformMagnitudeSpec, n: int, k: int) -> IncrementParts:
-    if not 1 <= n <= spec.levels:
-        raise ValidationError(f"level n must lie in [1, {spec.levels}], got {n}")
-    if not 0 <= k < spec.q ** n:
-        raise ValidationError(f"index k={k} out of range at level {n}")
-    D, sigma = weight_patterns(spec, n, [k])
-    weights = sigma[0] * spec.eta_values()[D[0]]
-    js = np.arange(1, n + 1, dtype=np.float64)
-    ys = np.array([spec.y(n - j) for j in range(1, n + 1)])
-    value = float(np.sum(spec.rho ** js * ys * weights))
-    return IncrementParts(n=n, k=k, value=value, digits=tuple(D[0].tolist()),
-                          weights=tuple(weights))
-
-
-def scaled_increments(path: SampledPath, p: float) -> np.ndarray:
-    """q**(n/p) times the grid increments of ``path``."""
-    return path.q ** (path.level / p) * path.increments()
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
-"""Dyadic/q-adic grids, q-refining tables and digit/ancestor arithmetic.
+"""Dyadic/q-adic grids, q-refining tables and base-q digit tables.
 
 Grid points are stored as floats but always generated from exact integer
-ratios, and every structural question (membership, nesting, ancestry) is
-decided by integer index arithmetic.  A refining table is stored as its
-finest level only, so its coarser levels nest by construction.  Float
-equality is checked only in :func:`build_homeomorphism`'s nesting check of
-tables from outside the program, where exact equality of the stored floats
-is the contract.
+ratios, and every structural question (membership, nesting) is decided by
+integer index arithmetic.  A refining table is stored as its finest level
+only, so its coarser levels nest by construction.  Float equality is
+checked only in :func:`build_homeomorphism`'s nesting check of tables from
+outside the program, where exact equality of the stored floats is the
+contract.
 """
 
 from __future__ import annotations
@@ -125,20 +125,6 @@ def qadic_grid(q: int, n: int) -> PartitionGrid:
     return PartitionGrid(q=q, level=n, points=points)
 
 
-def digits(k: int, n: int, q: int) -> tuple:
-    """Base-``q`` expansion (d_1, ..., d_n) of ``k`` with d_1 least significant."""
-    if q < 2:
-        raise ValidationError(f"q must be >= 2, got {q}")
-    if not 0 <= k < q ** n:
-        raise ValidationError(f"index k={k} out of range [0, {q ** n}) at level {n}")
-    ds = []
-    rem = int(k)
-    for _ in range(n):
-        rem, d = divmod(rem, q)
-        ds.append(d)
-    return tuple(ds)
-
-
 def digits_matrix(n: int, q: int, ks: np.ndarray | None = None) -> np.ndarray:
     """Digit table for many indices at once: column j-1 holds d_j(k)."""
     if ks is None:
@@ -151,15 +137,6 @@ def digits_matrix(n: int, q: int, ks: np.ndarray | None = None) -> np.ndarray:
     for j in range(n):
         rem, out[:, j] = np.divmod(rem, q)
     return out
-
-
-def ancestor_index(m: int, n: int, k: int, q: int) -> int:
-    """Index of the level-``m`` interval containing level-``n`` interval ``k``."""
-    if not 0 <= m < n:
-        raise ValidationError(f"need 0 <= m < n, got m={m}, n={n}")
-    if not 0 <= k < q ** n:
-        raise ValidationError(f"index k={k} out of range [0, {q ** n}) at level {n}")
-    return int(k) // q ** (n - m)
 
 
 # ---------------------------------------------------------------------------

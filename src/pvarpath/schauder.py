@@ -73,28 +73,6 @@ def gamma_cumulative(q: int) -> np.ndarray:
     return cum
 
 
-@dataclass(frozen=True, eq=False)
-class GammaMatrix:
-    q: int
-    rows: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        rows = gamma_rows(self.q) if self.rows is None else np.asarray(self.rows, float)
-        object.__setattr__(self, "rows", rows)
-
-    def deviations(self) -> tuple[float, float]:
-        """(max |row mean|, max |(1/q) G G^T - I|) for invariant checks."""
-        mean_dev = float(np.max(np.abs(self.rows.mean(axis=1))))
-        gram = self.rows @ self.rows.T / self.q
-        ortho_dev = float(np.max(np.abs(gram - np.eye(self.q - 1))))
-        return mean_dev, ortho_dev
-
-
-def eta(a, q: int, d: int) -> float:
-    """Weighted child value sum_l a_l * gamma[l, d]."""
-    return float(eta_all(a, q)[d])
-
-
 def eta_all(a, q: int) -> np.ndarray:
     """All q child values of the branch combination defined by weights ``a``."""
     a = np.asarray(a, dtype=np.float64)
@@ -164,9 +142,9 @@ class CoefficientArray:
     """Ragged tent-coefficient array plus endpoint values.
 
     Level m holds an array of shape (q**m, q-1): one coefficient per parent
-    interval and branch.  A flat (2**m,) dyadic level, as older coefficient
-    documents store it, is read as (2**m, 1).  ``boundary`` carries
-    (x(0), x(1)), which the expansions represent by an affine part.
+    interval and branch.  A flat (2**m,) dyadic level is read as (2**m, 1),
+    a convenience for q = 2 callers.  ``boundary`` carries (x(0), x(1)),
+    which the expansions represent by an affine part.
     """
 
     q: int

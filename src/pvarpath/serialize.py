@@ -1,4 +1,4 @@
-"""JSON and CSV interchange for paths, coefficients, tables and reports.
+"""JSON and CSV interchange for paths, tables and reports.
 
 JSON artifacts are written with sorted keys and compact separators, so a
 fixed input produces byte-identical output; arrays enter them through
@@ -24,10 +24,10 @@ from typing import IO, Callable
 
 import numpy as np
 
-from .construct import UniformMagnitudeSpec, VariationConstant
+from .construct import VariationConstant
 from .errors import ValidationError
 from .partition import HomeomorphismTable, PartitionGrid, build_homeomorphism, qadic_grid
-from .schauder import CoefficientArray, SampledPath
+from .schauder import SampledPath
 from .variation import VariationProfile
 
 
@@ -198,29 +198,6 @@ def path_from_dict(d: dict) -> SampledPath:
 
 
 # ---------------------------------------------------------------------------
-# CoefficientArray <-> JSON
-# ---------------------------------------------------------------------------
-
-
-def coeffs_to_dict(coeffs: CoefficientArray) -> dict:
-    return {
-        "q": int(coeffs.q),
-        "boundary": [float(coeffs.boundary[0]), float(coeffs.boundary[1])],
-        "levels": [np.asarray(lv).tolist() for lv in coeffs.levels],
-    }
-
-
-def coeffs_from_dict(d: dict) -> CoefficientArray:
-    try:
-        q = int(d["q"])
-        boundary = (float(d["boundary"][0]), float(d["boundary"][1]))
-        levels = tuple(np.asarray(lv, dtype=np.float64) for lv in d["levels"])
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValidationError(f"malformed coefficient document: {exc}") from exc
-    return CoefficientArray(q=q, boundary=boundary, levels=levels)
-
-
-# ---------------------------------------------------------------------------
 # HomeomorphismTable <-> JSON
 # ---------------------------------------------------------------------------
 
@@ -243,35 +220,8 @@ def table_from_dict(d: dict) -> HomeomorphismTable:
 
 
 # ---------------------------------------------------------------------------
-# Spec and constant reports
+# Constant reports
 # ---------------------------------------------------------------------------
-
-
-def spec_to_dict(spec: UniformMagnitudeSpec) -> dict:
-    return spec.to_config()
-
-
-def spec_from_dict(d: dict) -> UniformMagnitudeSpec:
-    try:
-        signs = d.get("signs", "plus")
-        if isinstance(signs, dict):
-            signs = int(signs["seed"])
-        elif isinstance(signs, list):
-            signs = tuple(tuple(row) for row in signs)
-        c_rule = d.get("c_rule", "default")
-        if isinstance(c_rule, list):
-            c_rule = tuple(c_rule)
-        a = d.get("a")
-        return UniformMagnitudeSpec(
-            q=int(d.get("q", 2)),
-            p=float(d.get("p", 2.0)),
-            levels=int(d.get("levels", 16)),
-            c_rule=c_rule,
-            signs=signs,
-            a=None if a is None else tuple(a),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed spec document: {exc}") from exc
 
 
 def constant_to_dict(report: VariationConstant) -> dict:

@@ -25,10 +25,6 @@ from .schauder import SampledPath
 from .variation import VariationProfile, pvar_profile
 
 
-def table_digest(table: HomeomorphismTable) -> str:
-    return hashlib.sha256(table.s_points.tobytes()).hexdigest()[:16]
-
-
 def pullback_path(x: SampledPath, table: HomeomorphismTable) -> SampledPath:
     """x composed with phi, sampled on the refined level-n grid.
 
@@ -44,11 +40,12 @@ def pullback_path(x: SampledPath, table: HomeomorphismTable) -> SampledPath:
         raise ValidationError(
             f"path level {x.level} exceeds the table depth {table.depth}"
         )
+    table_hash = hashlib.sha256(table.s_points.tobytes()).hexdigest()[:16]
     return SampledPath(
         grid=table.source_grid(x.level),
         values=x.values,
         offset=x.offset,
-        meta={**x.meta, "timechange": {"table_hash": table_digest(table), "N": table.depth}},
+        meta={**x.meta, "timechange": {"table_hash": table_hash, "N": table.depth}},
     )
 
 

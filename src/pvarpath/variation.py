@@ -1,4 +1,4 @@
-"""Discrete p-th variation profiles, the variation norm and related sums.
+"""Discrete p-th variation profiles and the sums built on them.
 
 A level-n profile is t -> sum_j |x(t_{j+1} ^ t) - x(t_j ^ t)|^p along the
 level-n grid; clamping at t means intervals beyond t contribute exactly
@@ -75,6 +75,8 @@ def pvar_profile(
     """
     if p <= 1:
         raise ValidationError(f"exponent p must be > 1, got {p}")
+    if eval_level < 0:
+        raise ValidationError(f"eval_level must be >= 0, got {eval_level}")
     n = path.level
     if eval_indices is None:
         eval_indices = _default_eval_indices(path.q, n, eval_level)
@@ -98,37 +100,6 @@ def pvar_profile(
         grid_generator=path.grid.generator,
         meta={"source": "pvar_profile"},
     )
-
-
-@dataclass(frozen=True)
-class PvarNormReport:
-    """Finite-truncation variation norm |x(0)| + max_n level-sum^(1/p)."""
-
-    value: float
-    argmax_level: int
-    per_level: tuple
-
-
-def pvar_norm(path: SampledPath, p: float, max_level: int | None = None) -> PvarNormReport:
-    """Truncated variation norm over levels 0..N of the path's sequence.
-
-    The supremum over all levels is approximated by the maximum over levels
-    available from the stored samples; the attaining level is reported so
-    callers can see whether the truncation is binding.
-    """
-    if p <= 1:
-        raise ValidationError(f"exponent p must be > 1, got {p}")
-    n = path.level if max_level is None else max_level
-    if not 0 <= n <= path.level:
-        raise ValidationError(f"max_level must lie in [0, {path.level}]")
-    sums = []
-    for m in range(n + 1):
-        inc = path.restrict(m).increments()
-        sums.append(float(np.sum(np.abs(inc) ** p)))
-    roots = [s ** (1.0 / p) for s in sums]
-    argmax = int(np.argmax(roots))
-    value = abs(float(path.samples[0])) + roots[argmax]
-    return PvarNormReport(value=value, argmax_level=argmax, per_level=tuple(sums))
 
 
 @dataclass(frozen=True)
@@ -201,20 +172,3 @@ def stieltjes_against_profile(w: SampledPath, profile: VariationProfile) -> np.n
     dF = np.diff(profile.values)
     cum = np.concatenate(([0.0], np.cumsum(wv[:-1] * dF)))
     return cum
-
-
-def block_equipartition_gap(path: SampledPath, p: float, m: int) -> float:
-    """Max over level-m blocks of |block variation - equal share of total|.
-
-    At level n the q**m blocks of q**(n-m) consecutive intervals carry
-    asymptotically equal shares of the level-n variation for uniform
-    magnitude constructions; this returns the worst deviation.
-    """
-    n = path.level
-    if not 0 <= m <= n:
-        raise ValidationError(f"block level m must lie in [0, {n}]")
-    terms = np.abs(path.increments()) ** p
-    blocks = terms.reshape(path.q ** m, path.q ** (n - m))
-    v = np.sum(blocks, axis=1)
-    total = float(np.sum(terms))
-    return float(np.max(np.abs(v - total / path.q ** m)))

@@ -49,14 +49,6 @@ class TestFunctionWithDerivatives:
         with pytest.raises(ValidationError):
             f.deriv(2)
 
-    def test_finite_difference_check(self):
-        f = FunctionWithDerivatives(funcs=(np.sin, np.cos, lambda v: -np.sin(v)))
-        ok, worst = f.finite_difference_check(np.linspace(0, 3, 25))
-        assert ok and worst < 1e-4
-        broken = FunctionWithDerivatives(funcs=(np.sin, np.sin))
-        ok, worst = broken.finite_difference_check(np.linspace(0.5, 3, 25))
-        assert not ok
-
 
 class TestFollmerSum:
     def test_identity_telescopes(self):

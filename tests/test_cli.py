@@ -68,6 +68,18 @@ class TestAnalyze:
         assert run(["analyze", str(tmp_path / "missing.json"),
                     "-o", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--levels", "-1"], "--levels"),
+        (["--eval-level", "-3"], "eval_level"),
+    ], ids=["levels", "eval-level"])
+    def test_negative_level_rejected(self, tmp_path, capsys, flags, message):
+        ref, out = tmp_path / "ref.json", tmp_path / "x.csv"
+        assert run(["build", "--levels", "6", "-o", str(ref)]) == 0
+        assert run(["analyze", str(ref), *flags, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not out.exists() and not (tmp_path / "x.csv.manifest.json").exists()
+
 
 class TestConstant:
     def test_exact_with_pinned_depth(self, tmp_path, capsys):
@@ -105,6 +117,15 @@ class TestRecipe:
         gap = doc["manifest"]["config"]["target_sup_gap"]
         assert gap <= 0.02 * (1 + (np.e - 1))
         assert csv.read_text().startswith("level,t,value\n")
+
+    def test_negative_eval_level_rejected(self, tmp_path, capsys):
+        # it used to profile t = 0 alone and record a target_sup_gap of 0.0
+        out, csv = tmp_path / "y.json", tmp_path / "prof.csv"
+        assert run(["recipe", "--levels", "6", "--eval-level", "-1",
+                    "--profile-csv", str(csv), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "eval_level" in err
+        assert not out.exists() and not csv.exists()
 
 
 class TestIto:
@@ -247,6 +268,17 @@ class TestUsageErrors:
                         "-o", str(out)]) == 2
             assert capsys.readouterr().err.count("\n") == 1
             assert not out.exists() and not csv.exists()
+
+    def test_table_out_with_table_rejected(self, tmp_path, capsys):
+        tbl, copy, out = tmp_path / "t.json", tmp_path / "t2.json", tmp_path / "y.json"
+        assert run(["timechange", "--mode", "recipe", "--levels", "4", "--table-out", str(tbl),
+                    "-o", str(tmp_path / "first.json")]) == 0
+        capsys.readouterr()
+        assert run(["timechange", "--mode", "recipe", "--levels", "4", "--table", str(tbl),
+                    "--table-out", str(copy), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--table-out" in err
+        assert not copy.exists() and not out.exists()
 
     def test_failed_timechange_leaves_no_table(self, tmp_path, capsys):
         tbl = tmp_path / "t.json"

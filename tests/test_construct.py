@@ -11,12 +11,10 @@ from pvarpath import (
     bernstein,
     build_reference,
     holder_quotient,
-    increment_decomposition,
     pvar_profile,
     qadic_grid,
     recipe,
     reference_path,
-    scaled_increments,
     shifted_reference,
     sign_matrix,
     splice,
@@ -25,6 +23,7 @@ from pvarpath import (
     variation_constant,
     xi_profile,
 )
+from pvarpath.construct import weight_patterns
 from pvarpath.schauder import SampledPath
 
 
@@ -128,23 +127,28 @@ class TestVariationConstant:
             variation_constant(3.0, 2, method="closed")
 
 
+def series_increments(spec, n, ks=None):
+    """sum_j rho**j y_{n-j} w_j(k) for each k, from the weight patterns."""
+    D, sigma = weight_patterns(spec, n, ks)
+    coef = np.array([spec.rho ** j * spec.y(n - j) for j in range(1, n + 1)])
+    return (sigma * spec.eta_values()[D]) @ coef
+
+
 class TestIncrementDecomposition:
     def test_first_level_all_plus(self):
         spec = UniformMagnitudeSpec(q=2, p=2.0, levels=4)
-        part = increment_decomposition(spec, 1, 0)
-        assert part.value == pytest.approx(2.0 ** 0.5 * 0.5, rel=1e-15)
-        assert part.weights == (1.0,)
+        assert series_increments(spec, 1, [0])[0] == pytest.approx(2.0 ** 0.5 * 0.5, rel=1e-15)
 
     def test_zero_magnitudes(self):
         spec = UniformMagnitudeSpec(q=2, p=2.0, levels=4, c_rule=(0.0,) * 4)
-        assert increment_decomposition(spec, 3, 5).value == 0.0
+        assert series_increments(spec, 3, [5])[0] == 0.0
 
     def test_ternary_digits_drive_weights(self):
         spec = UniformMagnitudeSpec(q=3, p=2.0, levels=6, a=(1.0, 1.0))
-        part = increment_decomposition(spec, 5, 71)
-        assert part.digits == (2, 2, 1, 2, 0)
+        D, sigma = weight_patterns(spec, 5, [71])
+        assert D.tolist() == [[2, 2, 1, 2, 0]]
         etas = spec.eta_values()
-        np.testing.assert_allclose(part.weights, etas[list(part.digits)], rtol=1e-15)
+        np.testing.assert_allclose(sigma[0] * etas[D[0]], etas[[2, 2, 1, 2, 0]], rtol=1e-15)
 
     @pytest.mark.parametrize(
         "spec",
@@ -157,17 +161,8 @@ class TestIncrementDecomposition:
     def test_matches_synthesized_increments(self, spec):
         n = 8
         x = reference_path(spec, n)
-        scaled = scaled_increments(x, spec.p)
-        for k in range(0, spec.q ** n, max(1, spec.q ** n // 64)):
-            part = increment_decomposition(spec, n, k)
-            assert abs(part.value - scaled[k]) <= 1e-12
-
-    def test_range_checks(self):
-        spec = UniformMagnitudeSpec(q=2, p=2.0, levels=4)
-        with pytest.raises(ValidationError):
-            increment_decomposition(spec, 5, 0)
-        with pytest.raises(ValidationError):
-            increment_decomposition(spec, 3, 8)
+        scaled = spec.q ** (n / spec.p) * x.increments()
+        assert np.max(np.abs(series_increments(spec, n) - scaled)) <= 1e-12
 
 
 class TestSignMatrix:

@@ -5,9 +5,7 @@ from hypothesis import given, settings, strategies as st
 from pvarpath import (
     BudgetError,
     ValidationError,
-    ancestor_index,
     build_homeomorphism,
-    digits,
     power_table,
     qadic_grid,
     qadic_table,
@@ -60,55 +58,27 @@ class TestPartitionGrid:
 class TestDigits:
     def test_ternary_71(self):
         # 71 = 2 + 2*3 + 1*9 + 2*27 + 0*81
-        assert digits(71, 5, 3) == (2, 2, 1, 2, 0)
+        assert digits_matrix(5, 3, [71]).tolist() == [[2, 2, 1, 2, 0]]
 
     def test_zero_index(self):
-        assert digits(0, 4, 5) == (0, 0, 0, 0)
+        assert digits_matrix(4, 5, [0]).tolist() == [[0, 0, 0, 0]]
 
     def test_binary_5(self):
-        assert digits(5, 3, 2) == (1, 0, 1)
+        assert digits_matrix(3, 2, [5]).tolist() == [[1, 0, 1]]
 
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
-            digits(8, 3, 2)
+            digits_matrix(3, 2, [8])
         with pytest.raises(ValidationError):
-            digits(-1, 3, 2)
+            digits_matrix(3, 2, [-1])
 
     @given(q=st.integers(2, 5), n=st.integers(0, 8), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, q, n, data):
         k = data.draw(st.integers(0, q ** n - 1)) if n > 0 else 0
-        dv = digits(k, n, q)
+        (dv,) = digits_matrix(n, q, [k]).tolist()
         assert sum(d * q ** j for j, d in enumerate(dv)) == k
         assert len(dv) == n
-
-    def test_matrix_agrees_with_scalar(self):
-        mat = digits_matrix(5, 3)
-        for k in (0, 1, 71, 242):
-            assert tuple(mat[k]) == digits(k, 5, 3)
-
-
-class TestAncestor:
-    def test_ternary_levels(self):
-        assert ancestor_index(4, 5, 71, 3) == 23
-        assert ancestor_index(3, 5, 71, 3) == 7
-        assert ancestor_index(2, 5, 71, 3) == 2
-
-    def test_root(self):
-        assert ancestor_index(0, 6, 17, 2) == 0
-
-    def test_level_order(self):
-        with pytest.raises(ValidationError):
-            ancestor_index(5, 5, 0, 2)
-
-    @given(q=st.integers(2, 5), n=st.integers(2, 7), data=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_child_index_relation(self, q, n, data):
-        # descending one level multiplies by q and adds the digit d_{n-m}(k)
-        k = data.draw(st.integers(0, q ** n - 1))
-        m = data.draw(st.integers(0, n - 2))
-        d = digits(k, n, q)
-        assert ancestor_index(m + 1, n, k, q) == q * ancestor_index(m, n, k, q) + d[n - m - 1]
 
 
 class TestRefining:

@@ -5,12 +5,11 @@ import pytest
 
 from pvarpath import (
     CoefficientArray,
-    GammaMatrix,
     ValidationError,
     analyze,
-    eta,
     eta_all,
     gamma,
+    gamma_rows,
     haar_eval,
     holder_bound,
     qadic_grid,
@@ -42,9 +41,9 @@ class TestGamma:
 
     @pytest.mark.parametrize("q", range(2, 9))
     def test_rows_mean_zero_orthonormal(self, q):
-        mean_dev, ortho_dev = GammaMatrix(q).deviations()
-        assert mean_dev <= 1e-12
-        assert ortho_dev <= 1e-12
+        rows = gamma_rows(q)
+        assert np.max(np.abs(rows.mean(axis=1))) <= 1e-12
+        assert np.max(np.abs(rows @ rows.T / q - np.eye(q - 1))) <= 1e-12
 
     def test_index_errors(self):
         with pytest.raises(ValidationError):
@@ -55,14 +54,13 @@ class TestGamma:
 
 class TestEta:
     def test_unit_weights_last_child(self):
-        assert eta((1.0, 1.0), 3, 2) == pytest.approx(-SQ2, abs=1e-15)
+        assert eta_all((1.0, 1.0), 3)[2] == pytest.approx(-SQ2, abs=1e-15)
 
     def test_unit_weight_reduces_to_first_row(self):
         for q in (2, 3, 5):
             a = np.zeros(q - 1)
             a[0] = 1.0
-            for d in range(q):
-                assert eta(a, q, d) == gamma(q, 1, d)
+            assert eta_all(a, q).tolist() == [gamma(q, 1, d) for d in range(q)]
 
     def test_mean_square_equals_weight_norm(self):
         vals = eta_all((1.0, 1.0), 3)
@@ -73,6 +71,13 @@ class TestEta:
             eta_all((1.0, 1.0, 1.0), 3)
         with pytest.raises(ValidationError):
             eta_all((0.0, 0.0), 3)
+
+
+class TestCoefficientArray:
+    def test_flat_dyadic_levels_load(self):
+        coeffs = CoefficientArray(q=2, boundary=(0.0, 0.0), levels=([1.0], [1.0, -1.0]))
+        assert [lv.shape for lv in coeffs.levels] == [(1, 1), (2, 1)]
+        np.testing.assert_array_equal(coeffs.levels[1][:, 0], [1.0, -1.0])
 
 
 class TestHaarEval:

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from pvarpath import (
-    CoefficientArray,
     UniformMagnitudeSpec,
     ValidationError,
     power_table,
@@ -56,27 +55,6 @@ class TestPathRoundTrip:
             serialize.path_from_dict({"q": 2})
 
 
-class TestCoeffsRoundTrip:
-    @pytest.mark.parametrize("q", (2, 3))
-    def test_round_trip(self, q):
-        rng = np.random.default_rng(1)
-        shape = (lambda m: (q ** m,)) if q == 2 else (lambda m: (q ** m, q - 1))
-        coeffs = CoefficientArray(
-            q=q, boundary=(0.25, -1.5),
-            levels=tuple(rng.normal(size=shape(m)) for m in range(4)),
-        )
-        back = serialize.coeffs_from_dict(serialize.coeffs_to_dict(coeffs))
-        assert back.boundary == coeffs.boundary
-        for m in range(4):
-            np.testing.assert_array_equal(back.levels[m], coeffs.levels[m])
-
-    def test_flat_dyadic_levels_load(self):
-        doc = {"q": 2, "boundary": [0.0, 0.0], "levels": [[1.0], [1.0, -1.0]]}
-        coeffs = serialize.coeffs_from_dict(doc)
-        assert [lv.shape for lv in coeffs.levels] == [(1, 1), (2, 1)]
-        np.testing.assert_array_equal(coeffs.levels[1][:, 0], [1.0, -1.0])
-
-
 class TestTableRoundTrip:
     def test_qadic_round_trip_is_identity(self):
         back = serialize.table_from_dict(serialize.table_to_dict(qadic_table(2, 4)))
@@ -103,29 +81,6 @@ class TestTableRoundTrip:
         back = serialize.table_from_dict(json.loads(text))
         assert (back.q, back.depth) == (table.q, table.depth)
         np.testing.assert_array_equal(back.s_points, table.s_points)
-
-
-class TestSpecRoundTrip:
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            UniformMagnitudeSpec(q=2, p=2.0, levels=8),
-            UniformMagnitudeSpec(q=2, p=3.0, levels=4, signs=42),
-            UniformMagnitudeSpec(q=3, p=2.5, levels=3, a=(1.0, -2.0)),
-            UniformMagnitudeSpec(q=2, p=2.0, levels=3, c_rule=(1.0, 0.5, 0.25)),
-        ],
-    )
-    def test_round_trip(self, spec):
-        back = serialize.spec_from_dict(serialize.spec_to_dict(spec))
-        assert back == spec
-        assert back.digest() == spec.digest()
-
-    def test_explicit_sign_arrays(self):
-        spec = UniformMagnitudeSpec(
-            q=2, p=2.0, levels=2, signs=((1,), (1, -1))
-        )
-        back = serialize.spec_from_dict(serialize.spec_to_dict(spec))
-        assert [s.tolist() for s in back.sign_arrays()] == [[1], [1, -1]]
 
 
 class TestCanonicalOutput:

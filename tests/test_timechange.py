@@ -8,6 +8,7 @@ from pvarpath import (
     power_table,
     pullback_path,
     pvar_profile,
+    qadic_path,
     qadic_table,
     random_refining_table,
     recipe,
@@ -54,6 +55,18 @@ class TestPullback:
         qcomp = holder_quotient(pulled.grid.points, pulled.values, alpha / 2)
         assert np.isfinite(qcomp)
         assert qcomp <= qx * qphi ** alpha + 1e-9
+
+    # sha256[:16] of the finest table level's float64 bytes: the pullback
+    # meta records it, and these digests pin it
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: power_table(2, 6), "60b781c1ff1447eb"),
+        (lambda: random_refining_table(3, 5, seed=1), "80d1e5f0b59f2e9d"),
+    ], ids=["power-2-6", "random-3-5"])
+    def test_table_hash_bytes(self, make, digest):
+        table = make()
+        x = qadic_path(np.zeros(table.q ** 3 + 1), q=table.q)
+        assert pullback_path(x, table).meta["timechange"] == {
+            "table_hash": digest, "N": table.depth}
 
     def test_level_exceeds_table(self):
         table = sqrt_table(4)

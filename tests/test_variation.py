@@ -7,10 +7,8 @@ from pvarpath import (
     UniformMagnitudeSpec,
     ValidationError,
     VariationProfile,
-    block_equipartition_gap,
     build_reference,
     holder_quotient,
-    pvar_norm,
     pvar_profile,
     qadic_grid,
     qadic_path,
@@ -57,6 +55,11 @@ class TestPvarProfile:
     def test_default_eval_grid_is_capped(self):
         prof = pvar_profile(linear_path(12), 2.0)
         assert prof.eval_points.size == 2 ** 10 + 1
+
+    def test_negative_eval_level_rejected(self):
+        # a negative level used to collapse the subgrid to t = 0 alone
+        with pytest.raises(ValidationError, match="eval_level"):
+            pvar_profile(linear_path(6), 2.0, eval_level=-1)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)
@@ -122,24 +125,6 @@ class TestHolderEmbedding:
             if prev is not None:
                 assert vd <= 0.51 * prev  # rate 2**(1-p) = 1/2 for p = 2
             prev = vd
-
-
-class TestPvarNorm:
-    def test_constant(self):
-        path = qadic_path(np.full(33, -3.0), q=2)
-        rep = pvar_norm(path, 2.0)
-        assert rep.value == 3.0
-
-    def test_linear_path_attained_at_root(self):
-        rep = pvar_norm(linear_path(10), 2.0)
-        assert rep.value == pytest.approx(1.0, abs=1e-15)
-        assert rep.argmax_level == 0
-
-    def test_reference_attained_at_finest(self):
-        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=16), 16)
-        rep = pvar_norm(x, 2.0)
-        assert rep.value == pytest.approx((1 - 2.0 ** -16) ** 0.5, abs=1e-12)
-        assert rep.argmax_level == 16
 
 
 class TestVariationIndexEstimate:
@@ -223,9 +208,7 @@ class TestStieltjes:
 class TestBlockEquipartition:
     @pytest.mark.parametrize("p", (2.0, 3.0, 4.0))
     def test_reference_blocks_share_variation(self, p):
+        # the 2**4 level-4 blocks carry equal shares of the level-16 variation
         x = reference_path(UniformMagnitudeSpec(q=2, p=p, levels=16), 16)
-        assert block_equipartition_gap(x, p, 4) <= 1e-2
-
-    def test_constant_path_trivially_flat(self):
-        path = qadic_path(np.zeros(2 ** 6 + 1), q=2)
-        assert block_equipartition_gap(path, 2.0, 3) == 0.0
+        prof = pvar_profile(x, p, eval_level=4)
+        assert np.max(np.abs(np.diff(prof.values) - prof.terminal / 2 ** 4)) <= 1e-2
