@@ -13,7 +13,7 @@ machine-precision self-test throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from ._util import cumsum_stable
 from .errors import BudgetError, ValidationError
 from .partition import MAX_INTERVALS_ENV, interval_budget
 from .schauder import SampledPath
-from .variation import VariationProfile, pvar_profile, stieltjes_against_profile
+from .variation import pvar_profile, stieltjes_against_profile
 
 
 # ---------------------------------------------------------------------------
@@ -99,15 +99,10 @@ def _check_even_order(p) -> int:
     return int(p)
 
 
-def follmer_sum(
-    f: FunctionWithDerivatives,
-    y: SampledPath,
-    p,
-    eval_indices: np.ndarray | None = None,
-) -> np.ndarray:
-    """Level-n compensated sum of f'(y) dy at the requested grid points.
+def follmer_sum(f: FunctionWithDerivatives, y: SampledPath, p) -> np.ndarray:
+    """Level-n compensated sum of f'(y) dy at every grid point.
 
-    Entry i is the sum over grid intervals strictly before eval point i of
+    Entry i is the sum over grid intervals strictly before point i of
     sum_{k=1}^{p-1} f^(k)(y(t_j)) / k! * (increment)^k, accumulated in a
     fixed sequential order in extended precision, like the variation
     profile it is compared against (see ``_util`` for the measurement).
@@ -122,11 +117,7 @@ def follmer_sum(
     for k in range(1, p):
         dk = dk * d
         terms = terms + f.deriv(k)(left) * dk / math.factorial(k)
-    cum = np.concatenate(([0.0], cumsum_stable(terms)))
-    if eval_indices is None:
-        return cum
-    idx = np.asarray(eval_indices, dtype=np.int64)
-    return cum[idx]
+    return np.concatenate(([0.0], cumsum_stable(terms)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,12 +127,7 @@ class ResidualReport:
     sup: float
 
 
-def change_of_variable_residual(
-    f: FunctionWithDerivatives,
-    y: SampledPath,
-    p,
-    profile: VariationProfile | None = None,
-) -> ResidualReport:
+def change_of_variable_residual(f: FunctionWithDerivatives, y: SampledPath, p) -> ResidualReport:
     """Defect of the discrete change-of-variable identity at every grid point.
 
     residual(t) = f(y_t) - f(y_0) - compensated_sum(t)
@@ -154,12 +140,8 @@ def change_of_variable_residual(
     p = _check_even_order(p)
     if f.order < p and not f.exhaustive:
         raise ValidationError(f"need derivatives up to order {p}")
-    full = np.arange(y.grid.points.size, dtype=np.int64)
-    if profile is None:
-        profile = pvar_profile(y, p, eval_indices=full)
-    elif profile.eval_indices.size != full.size:
-        raise ValidationError("profile must be evaluated on the full grid")
-    comp = follmer_sum(f, y, p, eval_indices=full)
+    profile = pvar_profile(y, p, eval_level=y.level)
+    comp = follmer_sum(f, y, p)
     w = SampledPath(grid=y.grid, values=f.deriv(p)(y.samples))
     corr = stieltjes_against_profile(w, profile) / math.factorial(p)
     sam = y.samples

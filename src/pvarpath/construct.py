@@ -67,8 +67,8 @@ class UniformMagnitudeSpec:
     """Parameters of a uniform-magnitude reference path.
 
     c_rule "default" means c_m = q**(m(1/2 - 1/p)); an explicit sequence may
-    be supplied for convergence studies.  ``signs`` is "plus", an integer
-    seed, or explicit per-level +-1 arrays; ``a`` holds the q-1 branch
+    be supplied for convergence studies.  ``signs`` is "plus" or an integer
+    seed of random per-position signs; ``a`` holds the q-1 branch
     weights (default all ones).  q = 2 takes no weights (a = (1,)), and
     q >= 3 takes no signs: a sign flip permutes the two dyadic child values
     but not the q >= 3 ones, and the bijection behind the variation constant
@@ -89,6 +89,9 @@ class UniformMagnitudeSpec:
             raise ValidationError(f"p must be > 1, got {self.p}")
         if self.levels < 1:
             raise ValidationError(f"levels must be >= 1, got {self.levels}")
+        if not (isinstance(self.signs, (int, np.integer))
+                or isinstance(self.signs, str) and self.signs == "plus"):
+            raise ValidationError("signs must be 'plus' or an integer seed")
         if self.q == 2 and self.a is not None:
             raise ValidationError("branch weights apply only to q >= 3")
         if self.q >= 3:
@@ -99,7 +102,7 @@ class UniformMagnitudeSpec:
                 raise ValidationError("branch weights must not be all zero")
             object.__setattr__(self, "a", a)
             if self.signs != "plus":
-                raise ValidationError("sign arrays apply only to q = 2")
+                raise ValidationError("random signs apply only to q = 2")
         if isinstance(self.c_rule, str):
             if self.c_rule != "default":
                 raise ValidationError(f"unknown c_rule {self.c_rule!r}")
@@ -110,9 +113,6 @@ class UniformMagnitudeSpec:
             if any(v < 0 for v in rule):
                 raise ValidationError("magnitudes must be nonnegative")
             object.__setattr__(self, "c_rule", rule)
-        if not (self.signs == "plus" or isinstance(self.signs, (int, np.integer))
-                or isinstance(self.signs, (tuple, list))):
-            raise ValidationError("signs must be 'plus', an integer seed, or explicit arrays")
 
     @property
     def rho(self) -> float:
@@ -142,30 +142,14 @@ class UniformMagnitudeSpec:
         if self.signs == "plus":
             one = np.ones(1, dtype=np.int8)
             return [np.broadcast_to(one, (self.q ** m,)) for m in range(self.levels)]
-        if isinstance(self.signs, (int, np.integer)):
-            rng = np.random.default_rng(int(self.signs))
-            return [
-                (rng.integers(0, 2, size=self.q ** m, dtype=np.int8) * 2 - 1).astype(np.int8)
-                for m in range(self.levels)
-            ]
-        arrays = []
-        for m, arr in enumerate(self.signs):
-            a = np.asarray(arr, dtype=np.int8)
-            if a.shape != (self.q ** m,):
-                raise ValidationError(f"sign array at level {m} must have length {self.q ** m}")
-            if not np.all(np.abs(a) == 1):
-                raise ValidationError("sign entries must be +-1")
-            arrays.append(a)
-        if len(arrays) < self.levels:
-            raise ValidationError("explicit signs must cover all levels")
-        return arrays[: self.levels]
+        rng = np.random.default_rng(int(self.signs))
+        return [
+            (rng.integers(0, 2, size=self.q ** m, dtype=np.int8) * 2 - 1).astype(np.int8)
+            for m in range(self.levels)
+        ]
 
     def to_config(self) -> dict:
-        signs = self.signs
-        if isinstance(signs, (int, np.integer)):
-            signs = {"seed": int(signs)}
-        elif not isinstance(signs, str):
-            signs = [list(map(int, np.asarray(s))) for s in signs]
+        signs = self.signs if self.signs == "plus" else {"seed": int(self.signs)}
         c_rule = self.c_rule if isinstance(self.c_rule, str) else list(self.c_rule)
         return {
             "q": int(self.q),
@@ -309,8 +293,8 @@ def _constant_exact(p, q, etas, rho, J, tol) -> VariationConstant:
 
 
 def _constant_monte_carlo(p, q, etas, rho, N, seed) -> VariationConstant:
-    if N < 1:
-        raise ValidationError("sample count must be positive")
+    if N < 2:
+        raise ValidationError(f"a standard error needs N >= 2 samples, got {N}")
     if N > 64 * ENUMERATION_BUDGET:
         raise BudgetError(f"N = {N} exceeds the sampling budget {64 * ENUMERATION_BUDGET}")
     eta_sup = float(np.max(np.abs(etas)))
@@ -347,7 +331,8 @@ def _constant_monte_carlo(p, q, etas, rho, N, seed) -> VariationConstant:
     sums = np.add.reduceat(out, starts)
     sumsq = np.add.reduceat(out ** 2, starts)
     means = sums / counts
-    # unbiased within-stratum variances (counts >= 2 by construction of S)
+    # unbiased within-stratum variances; counts >= 2 by construction of S:
+    # N < 128 is one stratum, and otherwise every stratum holds >= 64 samples
     variances = np.maximum(sumsq - counts * means ** 2, 0.0) / np.maximum(counts - 1, 1)
     value = float(np.mean(means))
     stderr = float(np.sqrt(np.sum(variances / counts)) / S)
@@ -413,6 +398,10 @@ def variation_constant(
     """
     if p <= 1:
         raise ValidationError(f"p must be > 1, got {p}")
+    if q < 2:
+        raise ValidationError(f"q must be >= 2, got {q}")
+    if J is not None and J < 1:
+        raise ValidationError(f"truncation depth J must be >= 1, got {J}")
     etas, rho = _series_weights(p, q, a)
     if method == "exact":
         return _constant_exact(p, q, etas, rho, J, tol)
@@ -481,7 +470,7 @@ def sign_matrix(spec: UniformMagnitudeSpec, n: int) -> SignMatrixReport:
     sums = _cross_sums(weights)
     expected = float(np.mean(np.abs(sums) ** spec.p))
     path = reference_path(spec, n)
-    observed = pvar_profile(path, spec.p, eval_indices=np.array([0, q ** n])).terminal
+    observed = pvar_profile(path, spec.p, eval_level=0).terminal
     return SignMatrixReport(
         n=n,
         q=q,
@@ -511,7 +500,8 @@ def transport_multiply(
 
     The prediction integrates |g|^p against the increments of the supplied
     profile of x (left-point sums), which is the exact discrete counterpart
-    of the transport identity for multipliers of vanishing variation.
+    of the transport identity for multipliers of vanishing variation; it is
+    reported where ``x_profile`` is.
     """
     if not g.grid.same_as(x.grid):
         raise ValidationError("g and x must share one grid")
@@ -522,16 +512,8 @@ def transport_multiply(
     )
     gp = SampledPath(grid=g.grid, values=np.abs(g.samples) ** p)
     pred = stieltjes_against_profile(gp, x_profile)
-    predicted = VariationProfile(
-        p=p,
-        q=x_profile.q,
-        level=x_profile.level,
-        eval_indices=x_profile.eval_indices,
-        eval_points=x_profile.eval_points,
-        values=pred,
-        grid_generator=x_profile.grid_generator,
-        meta={"source": "transport_prediction"},
-    )
+    predicted = VariationProfile(p=p, grid=x_profile.grid, eval_level=x_profile.eval_level,
+                                 values=pred)
     return TransportResult(y=y, predicted=predicted)
 
 

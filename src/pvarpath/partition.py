@@ -90,10 +90,6 @@ class PartitionGrid:
                 raise ValidationError("q-adic grid points must equal i / q**level exactly")
 
     @property
-    def intervals(self) -> int:
-        return self.q ** self.level
-
-    @property
     def mesh(self) -> float:
         return float(np.max(np.diff(self.points)))
 

@@ -176,14 +176,6 @@ class CoefficientArray:
     def num_levels(self) -> int:
         return len(self.levels)
 
-    def theta(self, m: int, k: int, l: int = 1) -> float:
-        return float(self.levels[m][k, l - 1])
-
-    def zeroed_from(self, n: int) -> "CoefficientArray":
-        """Copy with all levels >= n replaced by zeros."""
-        lv = [a if m < n else np.zeros_like(a) for m, a in enumerate(self.levels)]
-        return CoefficientArray(q=self.q, boundary=self.boundary, levels=tuple(lv))
-
 
 @dataclass(frozen=True, eq=False)
 class SampledPath:

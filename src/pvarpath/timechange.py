@@ -57,9 +57,8 @@ def transported_pvar_check(x: SampledPath, table: HomeomorphismTable, p: float) 
     the returned gap should be at machine level.
     """
     pulled = pullback_path(x, table)
-    full = np.arange(x.grid.points.size, dtype=np.int64)
-    lhs = pvar_profile(pulled, p, eval_indices=full).values
-    rhs = pvar_profile(x, p, eval_indices=full).values
+    lhs = pvar_profile(pulled, p, eval_level=x.level).values
+    rhs = pvar_profile(x, p, eval_level=x.level).values
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -111,7 +110,7 @@ def transported_recipe(
     pulled = pullback_path(built.y, table)
     pulled.meta["hprime_rule"] = "central-differences"
     empirical = pvar_profile(pulled, spec.p)
-    target = h_vals[empirical.eval_indices]
+    target = h_vals[:: empirical.stride]
     gap = float(np.max(np.abs(empirical.values - target)))
     return TransportedRecipeResult(
         y=pulled,

@@ -8,16 +8,22 @@ it is one side of the exact y**2 change-of-variable identity, and in plain
 float64 the identity's residuals at n=20 stop being exactly zero (0.4% zero
 instead of 66%, sup 4.6e-14 instead of 2.2e-16; see ``_util``).  Every other
 sum here is plain float64.
+
+A profile is read on its path's own grid, at the points of one coarser
+level m of the same partition sequence (every q**(n - m)-th point): where
+it is read is a level, never a list of points, and a weight integrated
+against it is sampled on that same grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._util import cumsum_stable
 from .errors import ValidationError
+from .partition import PartitionGrid
 from .schauder import CoefficientArray, SampledPath, xi_profile
 
 DEFAULT_EVAL_LEVEL = 10
@@ -26,80 +32,74 @@ SLOPE_TOL = 0.01          # |log-slope| per level below which a trend is bounded
 
 @dataclass(frozen=True, eq=False)
 class VariationProfile:
-    """Discrete p-th variation curve of one path at one level."""
+    """Discrete p-th variation curve of a path on ``grid``.
+
+    ``values`` are reported on the level-``eval_level`` subgrid, every
+    ``stride``-th point of ``grid``; an ``eval_level`` above the grid's own
+    level is clamped to it.
+    """
 
     p: float
-    q: int
-    level: int
-    eval_indices: np.ndarray
-    eval_points: np.ndarray
+    grid: PartitionGrid
+    eval_level: int
     values: np.ndarray
-    grid_generator: str = "q-adic"
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        idx = np.asarray(self.eval_indices, dtype=np.int64)
-        pts = np.asarray(self.eval_points, dtype=np.float64)
+        if self.eval_level < 0:
+            raise ValidationError(f"eval_level must be >= 0, got {self.eval_level}")
+        object.__setattr__(self, "eval_level", min(int(self.eval_level), self.grid.level))
         vals = np.asarray(self.values, dtype=np.float64)
-        if not (idx.shape == pts.shape == vals.shape):
-            raise ValidationError("eval_indices, eval_points and values must align")
+        if vals.shape != (self.q ** self.eval_level + 1,):
+            raise ValidationError(
+                f"a level-{self.eval_level} profile has {self.q ** self.eval_level + 1} "
+                f"values, got {vals.shape}"
+            )
         if np.any(np.diff(vals) < 0) or np.any(vals < 0):
             raise ValidationError("profile values must be nonnegative and non-decreasing")
-        for name, arr in (("eval_indices", idx), ("eval_points", pts), ("values", vals)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
+
+    @property
+    def q(self) -> int:
+        return self.grid.q
+
+    @property
+    def level(self) -> int:
+        """Level of the grid the variation sums run along."""
+        return self.grid.level
+
+    @property
+    def stride(self) -> int:
+        """Grid points per report point."""
+        return self.q ** (self.level - self.eval_level)
+
+    @property
+    def eval_points(self) -> np.ndarray:
+        return self.grid.points[:: self.stride]
 
     @property
     def terminal(self) -> float:
-        """Profile value at the last evaluation point (t = 1 by default)."""
+        """Profile value at t = 1."""
         return float(self.values[-1])
 
 
-def _default_eval_indices(q: int, n: int, eval_level: int) -> np.ndarray:
-    eval_level = min(n, eval_level)
-    stride = q ** (n - eval_level)
-    return np.arange(0, q ** n + 1, stride, dtype=np.int64)
-
-
 def pvar_profile(
-    path: SampledPath,
-    p: float,
-    eval_indices: np.ndarray | None = None,
-    eval_level: int = DEFAULT_EVAL_LEVEL,
+    path: SampledPath, p: float, eval_level: int = DEFAULT_EVAL_LEVEL
 ) -> VariationProfile:
     """Discrete p-th variation of ``path`` along its own grid.
 
-    ``eval_indices`` select grid points where the profile is reported
-    (defaults to the level-min(n, 10) subgrid to bound output size); they
-    are indices, so membership in the grid is by construction.
+    The profile is reported on the level-min(n, ``eval_level``) subgrid
+    (level 10 by default, to bound output size); ``eval_level=path.level``
+    reports every grid point and ``eval_level=0`` only t = 0 and t = 1.
     """
     if p <= 1:
         raise ValidationError(f"exponent p must be > 1, got {p}")
-    if eval_level < 0:
-        raise ValidationError(f"eval_level must be >= 0, got {eval_level}")
-    n = path.level
-    if eval_indices is None:
-        eval_indices = _default_eval_indices(path.q, n, eval_level)
-    else:
-        eval_indices = np.asarray(eval_indices, dtype=np.int64)
-        if eval_indices.size == 0:
-            raise ValidationError("eval_indices must be nonempty")
-        if np.any(eval_indices < 0) or np.any(eval_indices > path.q ** n):
-            raise ValidationError("eval index off the grid")
-        if np.any(np.diff(eval_indices) <= 0):
-            raise ValidationError("eval_indices must be strictly increasing")
     terms = np.abs(path.increments()) ** p
     cum = np.concatenate(([0.0], cumsum_stable(terms)))
-    return VariationProfile(
-        p=p,
-        q=path.q,
-        level=n,
-        eval_indices=eval_indices,
-        eval_points=path.grid.points[eval_indices],
-        values=cum[eval_indices],
-        grid_generator=path.grid.generator,
-        meta={"source": "pvar_profile"},
-    )
+    stride = path.q ** max(path.level - eval_level, 0)
+    # a compact copy, so a coarse profile does not keep the full sum alive
+    return VariationProfile(p=p, grid=path.grid, eval_level=eval_level,
+                            values=np.ascontiguousarray(cum[::stride]))
 
 
 @dataclass(frozen=True)
@@ -140,35 +140,15 @@ def variation_index_estimate(coeffs: CoefficientArray, p_grid) -> tuple:
     return tuple(rows)
 
 
-def _locate_on_grid(path: SampledPath, profile: VariationProfile) -> np.ndarray:
-    """Indices of the profile's eval points inside the path's grid."""
-    if path.grid.generator == "q-adic" and profile.grid_generator == "q-adic":
-        if path.q != profile.q:
-            raise ValidationError(f"grid mismatch: path q={path.q}, profile q={profile.q}")
-        if path.level >= profile.level:
-            scale = path.q ** (path.level - profile.level)
-            return profile.eval_indices * scale
-        scale = path.q ** (profile.level - path.level)
-        idx, rem = np.divmod(profile.eval_indices, scale)
-        if np.any(rem != 0):
-            raise ValidationError("path grid does not contain all profile eval points")
-        return idx
-    pos = np.searchsorted(path.grid.points, profile.eval_points)
-    pos = np.clip(pos, 0, path.grid.points.size - 1)
-    if not np.array_equal(path.grid.points[pos], profile.eval_points):
-        raise ValidationError("path grid does not contain all profile eval points")
-    return pos
-
-
 def stieltjes_against_profile(w: SampledPath, profile: VariationProfile) -> np.ndarray:
     """Left-point Riemann-Stieltjes sums of ``w`` against profile increments.
 
-    Returns the cumulative integral at each profile eval point; the first
-    entry is zero.  ``w`` must be sampled on a grid containing the eval
-    points (checked by index arithmetic on q-adic grids).
+    ``w`` must be sampled on the profile's grid; it is read at the profile's
+    report points.  Returns the cumulative integral at each of them; the
+    first entry is zero.
     """
-    idx = _locate_on_grid(w, profile)
-    wv = w.samples[idx]
+    if not w.grid.same_as(profile.grid):
+        raise ValidationError("the weight must be sampled on the profile's grid")
+    wv = w.samples[:: profile.stride]
     dF = np.diff(profile.values)
-    cum = np.concatenate(([0.0], np.cumsum(wv[:-1] * dF)))
-    return cum
+    return np.concatenate(([0.0], np.cumsum(wv[:-1] * dF)))

@@ -53,22 +53,19 @@ class TestFunctionWithDerivatives:
 class TestFollmerSum:
     def test_identity_telescopes(self):
         y = random_path(seed=1)
-        full = np.arange(y.grid.points.size)
-        got = follmer_sum(IDENTITY, y, 2, eval_indices=full)
+        got = follmer_sum(IDENTITY, y, 2)
         np.testing.assert_allclose(got, y.samples - y.samples[0], atol=1e-13)
 
     def test_square_p2_compensates_quadratic_variation(self):
         y = random_path(seed=2)
-        full = np.arange(y.grid.points.size)
-        got = follmer_sum(SQUARE, y, 2, eval_indices=full)
-        prof = pvar_profile(y, 2.0, eval_indices=full)
+        got = follmer_sum(SQUARE, y, 2)
+        prof = pvar_profile(y, 2.0, eval_level=y.level)
         target = y.samples ** 2 - y.samples[0] ** 2 - prof.values
         np.testing.assert_allclose(got, target, atol=1e-12)
 
     def test_square_p4_telescopes_exactly(self):
         y = random_path(seed=3)
-        full = np.arange(y.grid.points.size)
-        got = follmer_sum(SQUARE, y, 4, eval_indices=full)
+        got = follmer_sum(SQUARE, y, 4)
         np.testing.assert_allclose(got, y.samples ** 2 - y.samples[0] ** 2, atol=1e-12)
 
     def test_odd_order_rejected(self):
@@ -192,15 +189,11 @@ class TestEquivalentNorm:
         xbar = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=n), n)
         c2 = variation_constant(2.0, 2, method="closed").value
         grid = xbar.grid
-        idx = np.arange(2 ** n + 1)
         from pvarpath import VariationProfile
 
-        ideal = VariationProfile(
-            p=2.0, q=2, level=n, eval_indices=idx, eval_points=grid.points,
-            values=c2 * grid.points,
-        )
+        ideal = VariationProfile(p=2.0, grid=grid, eval_level=n, values=c2 * grid.points)
         rng = np.random.default_rng(0)
-        g = SampledPath(grid=grid, values=rng.uniform(0.2, 2.0, idx.size))
+        g = SampledPath(grid=grid, values=rng.uniform(0.2, 2.0, grid.points.size))
         gp = SampledPath(grid=grid, values=np.abs(g.values) ** 2)
         predicted_terminal = stieltjes_against_profile(gp, ideal)[-1]
         lp = grid_norm(g, NormSelector.lp(2.0))
@@ -249,11 +242,10 @@ class TestItoMapContinuity:
         xbar_vals = base.x.values + 4.0
         grid = base.y.grid
         g = base.g.values
-        full = np.arange(grid.points.size)
 
         def integral(gv):
             y = SampledPath(grid=grid, values=gv * xbar_vals)
-            return follmer_sum(FOURTH, y, 2, eval_indices=full)
+            return follmer_sum(FOURTH, y, 2)
 
         ref = integral(g)
         bump = np.sin(np.pi * grid.points)

@@ -106,6 +106,19 @@ class TestConstant:
         # "closed-form" is the reported label, not a second name for "closed"
         assert run(["constant", "--p", "4", "--method", "closed-form"]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--J", "-3"], "truncation depth J must be >= 1, got -3"),
+        (["--J", "0"], "truncation depth J must be >= 1, got 0"),
+        (["--q", "1"], "q must be >= 2, got 1"),
+        (["--method", "mc", "--N", "1"], "needs N >= 2 samples, got 1"),
+    ], ids=["J-negative", "J-zero", "q-1", "mc-N-1"])
+    def test_degenerate_oracle_inputs_exit_2(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert run(["constant", "--p", "2", *argv, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not out.exists()
+
 
 class TestRecipe:
     def test_exp_target(self, tmp_path):

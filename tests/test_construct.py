@@ -57,6 +57,14 @@ class TestSpec:
         with pytest.raises(ValidationError):
             UniformMagnitudeSpec(q=2, p=2.0, a=(1.0,))
 
+    def test_signs_are_plus_or_a_seed(self):
+        for signs in ([np.ones(2 ** m, dtype=np.int8) for m in range(4)],
+                      np.ones(1), "minus", 1.5):
+            with pytest.raises(ValidationError, match="'plus' or an integer seed"):
+                UniformMagnitudeSpec(q=2, p=2.0, levels=4, signs=signs)
+        assert UniformMagnitudeSpec(q=2, levels=4, signs=3).to_config()["signs"] == {"seed": 3}
+        assert UniformMagnitudeSpec(q=2, levels=4).to_config()["signs"] == "plus"
+
 
 class TestBuildReference:
     def test_p2_all_plus_is_ones(self):
@@ -126,6 +134,23 @@ class TestVariationConstant:
         with pytest.raises(ValidationError):
             variation_constant(3.0, 2, method="closed")
 
+    @pytest.mark.parametrize("J", (0, -3))
+    def test_truncation_depth_below_one_rejected(self, J):
+        # J = -3 used to report value 0.0 from a fractional term count
+        with pytest.raises(ValidationError, match="truncation depth J must be >= 1"):
+            variation_constant(2.0, 2, method="exact", J=J)
+
+    @pytest.mark.parametrize("q", (1, 0))
+    def test_branching_factor_below_two_rejected(self, q):
+        with pytest.raises(ValidationError, match="q must be >= 2"):
+            variation_constant(2.0, q)
+
+    def test_monte_carlo_needs_two_samples(self):
+        # one sample used to report stderr 0.0
+        with pytest.raises(ValidationError, match="N >= 2"):
+            variation_constant(2.0, 2, method="mc", N=1)
+        assert variation_constant(2.0, 2, method="mc", N=2, seed=0).stderr > 0.0
+
 
 def series_increments(spec, n, ks=None):
     """sum_j rho**j y_{n-j} w_j(k) for each k, from the weight patterns."""
@@ -188,11 +213,10 @@ class TestSignMatrix:
 class TestSigmaIndependence:
     def test_terminal_level_sums_ignore_signs(self):
         # the pattern multiset is the same for any sign array
-        ends = np.array([0, 2 ** 12])
         base = None
         for signs in ("plus", 1, 2):
             spec = UniformMagnitudeSpec(q=2, p=2.0, levels=12, signs=signs)
-            v = pvar_profile(reference_path(spec, 12), 2.0, eval_indices=ends).terminal
+            v = pvar_profile(reference_path(spec, 12), 2.0, eval_level=0).terminal
             base = v if base is None else base
             assert abs(v - base) <= 1e-12
 
@@ -201,7 +225,7 @@ class TestTransportMultiply:
     def make_reference(self, n=10):
         spec = UniformMagnitudeSpec(q=2, p=2.0, levels=n)
         x = reference_path(spec, n)
-        return x, pvar_profile(x, 2.0, eval_indices=np.arange(2 ** n + 1))
+        return x, pvar_profile(x, 2.0, eval_level=n)
 
     def test_unit_multiplier(self):
         x, prof = self.make_reference()
@@ -215,7 +239,7 @@ class TestTransportMultiply:
         c = -1.7
         g = SampledPath(grid=x.grid, values=np.full_like(x.values, c))
         res = transport_multiply(g, x, prof, 2.0)
-        emp = pvar_profile(res.y, 2.0, eval_indices=prof.eval_indices)
+        emp = pvar_profile(res.y, 2.0, eval_level=prof.eval_level)
         np.testing.assert_allclose(emp.values, c ** 2 * prof.values, rtol=1e-12)
         np.testing.assert_allclose(res.predicted.values, c ** 2 * prof.values, rtol=1e-12)
 
@@ -224,7 +248,7 @@ class TestTransportMultiply:
         x, prof = self.make_reference(16)
         g = SampledPath(grid=x.grid, values=gfun(x.grid.points))
         res = transport_multiply(g, x, prof, 2.0)
-        emp = pvar_profile(res.y, 2.0, eval_indices=prof.eval_indices)
+        emp = pvar_profile(res.y, 2.0, eval_level=prof.eval_level)
         gap = np.max(np.abs(emp.values - res.predicted.values))
         assert gap <= 0.02 * (1 + res.predicted.terminal)
 
@@ -234,7 +258,7 @@ class TestTransportMultiply:
         res = transport_multiply(g, x, prof, 2.0)
         target = res.predicted.eval_points ** 3 / 3
         assert np.max(np.abs(res.predicted.values - target)) <= 2e-4
-        emp = pvar_profile(res.y, 2.0, eval_indices=prof.eval_indices)
+        emp = pvar_profile(res.y, 2.0, eval_level=prof.eval_level)
         assert np.max(np.abs(emp.values - target)) <= 0.02 * (1 + target[-1])
 
     def test_grid_mismatch(self):
@@ -296,8 +320,8 @@ class TestShiftedReference:
         x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=8, signs=3), 8)
         xb = shifted_reference(x, x.sup_norm() + 2.0)
         for p in (2.0, 3.5):
-            a = pvar_profile(x, p, eval_indices=np.arange(2 ** 8 + 1)).values
-            b = pvar_profile(xb, p, eval_indices=np.arange(2 ** 8 + 1)).values
+            a = pvar_profile(x, p, eval_level=8).values
+            b = pvar_profile(xb, p, eval_level=8).values
             assert np.array_equal(a, b)
 
 

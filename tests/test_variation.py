@@ -9,6 +9,7 @@ from pvarpath import (
     VariationProfile,
     build_reference,
     holder_quotient,
+    power_table,
     pvar_profile,
     qadic_grid,
     qadic_path,
@@ -28,7 +29,7 @@ def linear_path(n, q=2):
 
 class TestPvarProfile:
     def test_linear_path_level_3(self):
-        prof = pvar_profile(linear_path(3), 2.0, eval_indices=np.array([0, 8]))
+        prof = pvar_profile(linear_path(3), 2.0, eval_level=0)
         assert prof.terminal == pytest.approx(1 / 8, abs=1e-16)
 
     def test_constant_path(self):
@@ -38,23 +39,23 @@ class TestPvarProfile:
 
     def test_root_tent_level_1(self):
         path = qadic_path(np.array([0.0, 0.5, 0.0]), q=2)
-        prof = pvar_profile(path, 2.0, eval_indices=np.array([0, 1, 2]))
+        prof = pvar_profile(path, 2.0, eval_level=1)
         np.testing.assert_allclose(prof.values, [0.0, 0.25, 0.5], atol=1e-16)
 
     def test_clamping_cuts_later_terms(self):
         path = qadic_path(np.array([0.0, 1.0, 3.0, 0.0, 2.0]), q=2)
-        prof = pvar_profile(path, 2.0, eval_indices=np.arange(5))
+        prof = pvar_profile(path, 2.0, eval_level=2)
         np.testing.assert_allclose(prof.values, [0.0, 1.0, 5.0, 14.0, 18.0])
-
-    def test_eval_point_off_grid_errors(self):
-        with pytest.raises(ValidationError):
-            pvar_profile(linear_path(3), 2.0, eval_indices=np.array([0, 9]))
-        with pytest.raises(ValidationError):
-            pvar_profile(linear_path(3), 2.0, eval_indices=np.array([3, 1]))
 
     def test_default_eval_grid_is_capped(self):
         prof = pvar_profile(linear_path(12), 2.0)
         assert prof.eval_points.size == 2 ** 10 + 1
+
+    def test_eval_level_clamped_to_grid(self):
+        path = linear_path(3)
+        prof = pvar_profile(path, 2.0, eval_level=10)
+        assert (prof.eval_level, prof.level, prof.stride) == (3, 3, 1)
+        np.testing.assert_array_equal(prof.eval_points, path.grid.points)
 
     def test_negative_eval_level_rejected(self):
         # a negative level used to collapse the subgrid to t = 0 alone
@@ -66,7 +67,7 @@ class TestPvarProfile:
     def test_monotone_in_t(self, seed):
         rng = np.random.default_rng(seed)
         path = qadic_path(rng.normal(size=2 ** 6 + 1), q=2)
-        prof = pvar_profile(path, 2.5, eval_indices=np.arange(2 ** 6 + 1))
+        prof = pvar_profile(path, 2.5, eval_level=6)
         assert np.all(np.diff(prof.values) >= 0)
         assert prof.values[0] == 0.0
 
@@ -77,10 +78,9 @@ class TestPvarProfile:
         rng = np.random.default_rng(seed)
         path = qadic_path(rng.normal(size=2 ** 6 + 1), q=2)
         pq = [(1.5, 2.0), (2.0, 3.0), (2.0, 7.5)]
-        full = np.array([0, 2 ** 6])
         for p, q_exp in pq:
-            vp = pvar_profile(path, p, eval_indices=full).terminal ** (1 / p)
-            vq = pvar_profile(path, q_exp, eval_indices=full).terminal ** (1 / q_exp)
+            vp = pvar_profile(path, p, eval_level=0).terminal ** (1 / p)
+            vq = pvar_profile(path, q_exp, eval_level=0).terminal ** (1 / q_exp)
             assert vq <= vp + 1e-12
 
 
@@ -91,9 +91,7 @@ class TestHolderEmbedding:
         x = linear_path(10)
         quot = holder_quotient(x.grid.points, x.values, alpha)
         for n in range(1, 11):
-            total = pvar_profile(
-                x.restrict(n), p, eval_indices=np.array([0, 2 ** n])
-            ).terminal
+            total = pvar_profile(x.restrict(n), p, eval_level=0).terminal
             assert total <= quot ** p * 2.0 ** (n * (1 - alpha * p)) + 1e-15
 
     def test_piecewise_linear_difference_controls_profile_gap(self):
@@ -117,10 +115,9 @@ class TestHolderEmbedding:
         pl = SampledPath(grid=y.grid, values=y_n.values - y.values)
         prev = None
         for m in range(n, 9):
-            ends = np.array([0, 2 ** m])
-            vy = pvar_profile(y.restrict(m), p, eval_indices=ends).terminal
-            vn = pvar_profile(y_n.restrict(m), p, eval_indices=ends).terminal
-            vd = pvar_profile(pl.restrict(m), p, eval_indices=ends).terminal
+            vy = pvar_profile(y.restrict(m), p, eval_level=0).terminal
+            vn = pvar_profile(y_n.restrict(m), p, eval_level=0).terminal
+            vd = pvar_profile(pl.restrict(m), p, eval_level=0).terminal
             assert abs(vn ** (1 / p) - vy ** (1 / p)) <= vd ** (1 / p) + 1e-12
             if prev is not None:
                 assert vd <= 0.51 * prev  # rate 2**(1-p) = 1/2 for p = 2
@@ -156,12 +153,9 @@ class TestVariationIndexEstimate:
             variation_index_estimate(coeffs, [2.0])
 
 
-def synthetic_linear_profile(n, slope, level_points=None):
-    idx = np.arange(2 ** n + 1) if level_points is None else level_points
-    pts = idx / 2 ** n
-    return VariationProfile(
-        p=2.0, q=2, level=n, eval_indices=idx, eval_points=pts, values=slope * pts
-    )
+def synthetic_linear_profile(n, slope):
+    grid = qadic_grid(2, n)
+    return VariationProfile(p=2.0, grid=grid, eval_level=n, values=slope * grid.points)
 
 
 class TestStieltjes:
@@ -191,17 +185,22 @@ class TestStieltjes:
         target = slope * prof.eval_points ** 2 / 2
         assert np.max(np.abs(got - target)) <= slope * 2.0 ** -n
 
-    def test_weight_on_finer_grid(self):
-        prof = synthetic_linear_profile(4, 1.0)
-        grid = qadic_grid(2, 6)
-        w = SampledPath(grid=grid, values=grid.points.copy())
-        got = stieltjes_against_profile(w, prof)
-        assert got[-1] == pytest.approx(0.5, abs=2.0 ** -4)
+    def test_coarse_profile_reads_weight_at_its_points(self):
+        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=8, signs=2), 8)
+        prof = pvar_profile(x, 2.0, eval_level=3)
+        w = SampledPath(grid=x.grid, values=np.exp(x.grid.points))
+        expected = np.concatenate(([0.0], np.cumsum(
+            np.exp(prof.eval_points[:-1]) * np.diff(prof.values))))
+        np.testing.assert_array_equal(stieltjes_against_profile(w, prof), expected)
 
     def test_grid_mismatch(self):
         prof = synthetic_linear_profile(4, 1.0)
-        w = qadic_path(np.ones(3 ** 2 + 1), q=3)
-        with pytest.raises(ValidationError):
+        coarser = qadic_path(np.ones(2 ** 3 + 1), q=2)
+        with pytest.raises(ValidationError, match="profile's grid"):
+            stieltjes_against_profile(coarser, prof)
+        table_grid = power_table(2, 4).source_grid(4)
+        w = SampledPath(grid=table_grid, values=np.ones(2 ** 4 + 1))
+        with pytest.raises(ValidationError, match="profile's grid"):
             stieltjes_against_profile(w, prof)
 
 
