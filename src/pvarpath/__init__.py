@@ -9,7 +9,6 @@ q-refining partition sequences through monotone time changes.
 
 from .errors import BudgetError, ValidationError
 from .partition import (
-    HomeomorphismTable,
     PartitionGrid,
     build_homeomorphism,
     power_table,

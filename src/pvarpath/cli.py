@@ -201,6 +201,8 @@ def _cmd_timechange(args) -> int:
         raise ValidationError(f"--mode {args.mode} needs --path")
     if args.table and args.table_out:
         raise ValidationError("--table-out persists a generated table; it cannot go with --table")
+    if args.table and args.depth is not None:
+        raise ValidationError("--depth sets a generated table's depth; it cannot go with --table")
     inputs, outputs = {}, []
     if args.table:
         table, inputs["table_hash"] = _load(args.table, serialize.table_from_dict)

@@ -2,17 +2,18 @@
 
 Grid points are stored as floats but always generated from exact integer
 ratios, and every structural question (membership, nesting) is decided by
-integer index arithmetic.  A refining table is stored as its finest level
-only, so its coarser levels nest by construction.  Float equality is
-checked only in :func:`build_homeomorphism`'s nesting check of tables from
-outside the program, where exact equality of the stored floats is the
-contract.
+integer index arithmetic.  A refining table to depth N is its level-N
+partition: a ``PartitionGrid`` with generator "table", whose coarser levels
+are strided views (``restrict``) and so nest by construction.  Float
+equality is checked only in :func:`build_homeomorphism`'s nesting check of
+tables from outside the program, where exact equality of the stored floats
+is the contract.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,9 +48,13 @@ def check_interval_budget(q: int, level: int) -> None:
         )
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64)
-    out.setflags(write=False)
+def frozen_floats(a) -> np.ndarray:
+    """``a`` as a read-only float64 array: kept as given if it already is one
+    (so coarser levels share its memory), else a read-only copy."""
+    out = np.asarray(a, dtype=np.float64)
+    if out.flags.writeable:
+        out = out.copy()
+        out.setflags(write=False)
     return out
 
 
@@ -59,7 +64,9 @@ class PartitionGrid:
 
     ``generator`` records provenance: "q-adic" grids have points exactly
     ``i / q**level``; "table" grids carry arbitrary strictly increasing
-    points (e.g. from a time change).
+    points.  A refining table is the "table" grid of its finest level N:
+    level n is ``restrict(n)``, and the time change phi sends its i-th
+    point to i / q**N.
     """
 
     q: int
@@ -72,7 +79,10 @@ class PartitionGrid:
             raise ValidationError(f"branching factor q must be an integer >= 2, got {self.q}")
         if self.level < 0:
             raise ValidationError(f"level must be >= 0, got {self.level}")
-        pts = _readonly(self.points)
+        if self.generator not in ("q-adic", "table"):
+            raise ValidationError(f"grid generator {self.generator!r} is not 'q-adic' or 'table'")
+        check_interval_budget(self.q, self.level)
+        pts = frozen_floats(self.points)
         object.__setattr__(self, "points", pts)
         n_expected = self.q ** self.level + 1
         if pts.shape != (n_expected,):
@@ -88,10 +98,6 @@ class PartitionGrid:
             expected = np.arange(n_expected, dtype=np.float64) / denom
             if not np.array_equal(pts, expected):
                 raise ValidationError("q-adic grid points must equal i / q**level exactly")
-
-    @property
-    def mesh(self) -> float:
-        return float(np.max(np.diff(self.points)))
 
     def same_as(self, other: "PartitionGrid") -> bool:
         """Structural equality: identical (q, level, generator) and points."""
@@ -142,79 +148,22 @@ def digits_matrix(n: int, q: int, ks: np.ndarray | None = None) -> np.ndarray:
 DIRICHLET_CONCENTRATION = 5.0
 
 
-@dataclass(frozen=True, eq=False)
-class HomeomorphismTable:
-    """Levels 0..N of a q-refining partition sequence, held as level N.
-
-    Level n is every ``q**(N - n)``-th point of the finest level, so the
-    nesting t[n][i] == t[n+1][q*i] holds by construction.  The increasing
-    time change phi sends s_i to i/q**N; it is exact at table points and
-    monotone piecewise-linear between them, which is the simplest admissible
-    interpolant since phi is only determined on the table.
-    """
-
-    q: int
-    depth: int
-    s_points: np.ndarray
-
-    def __post_init__(self):
-        if not (isinstance(self.q, (int, np.integer)) and self.q >= 2):
-            raise ValidationError(f"branching factor q must be an integer >= 2, got {self.q}")
-        if self.depth < 0:
-            raise ValidationError(f"table depth must be >= 0, got {self.depth}")
-        s = _readonly(self.s_points)
-        object.__setattr__(self, "s_points", s)
-        n_expected = self.q ** self.depth + 1
-        if s.shape != (n_expected,):
-            raise ValidationError(
-                f"finest table level {self.depth} must have {n_expected} points, got {s.shape}"
-            )
-        check_interval_budget(self.q, self.depth)
-        if s[0] != 0.0 or s[-1] != 1.0:
-            raise ValidationError("homeomorphism must fix 0 and 1")
-        if not np.all(np.diff(s) > 0):
-            raise ValidationError("table points must be strictly increasing")
-
-    @property
-    def u_points(self) -> np.ndarray:
-        """phi(s_points): the level-N q-adic grid."""
-        return qadic_grid(self.q, self.depth).points
-
-    def level_points(self, level: int) -> np.ndarray:
-        """Points of level ``level``: a strided view of the finest level."""
-        if not 0 <= level <= self.depth:
-            raise ValidationError(f"level {level} exceeds table depth {self.depth}")
-        return self.s_points[:: self.q ** (self.depth - level)]
-
-    def forward(self, t):
-        """phi(t): table-point exact, piecewise-linear elsewhere."""
-        return np.interp(t, self.s_points, self.u_points)
-
-    def inverse(self, u):
-        """phi^{-1}(u): table-point exact, piecewise-linear elsewhere."""
-        return np.interp(u, self.u_points, self.s_points)
-
-    def source_grid(self, level: int) -> PartitionGrid:
-        """Level-``level`` grid of the refining sequence (phi-preimages)."""
-        return PartitionGrid(self.q, level, self.level_points(level), generator="table")
-
-
-def qadic_table(q: int, depth: int) -> HomeomorphismTable:
+def qadic_table(q: int, depth: int) -> PartitionGrid:
     """The q-adic sequence itself: phi is the identity."""
-    return HomeomorphismTable(q, depth, qadic_grid(q, depth).points)
+    return PartitionGrid(q, depth, qadic_grid(q, depth).points, generator="table")
 
 
-def power_table(q: int, depth: int, exponent: float = 2.0) -> HomeomorphismTable:
+def power_table(q: int, depth: int, exponent: float = 2.0) -> PartitionGrid:
     """Refining table with points (i/q**n)**exponent (exponent > 0).
 
     For exponent 2 the associated time change is the square root map.
     """
     if exponent <= 0:
         raise ValidationError("exponent must be positive")
-    return HomeomorphismTable(q, depth, qadic_grid(q, depth).points ** exponent)
+    return PartitionGrid(q, depth, qadic_grid(q, depth).points ** exponent, generator="table")
 
 
-def random_refining_table(q: int, depth: int, seed: int = 0) -> HomeomorphismTable:
+def random_refining_table(q: int, depth: int, seed: int = 0) -> PartitionGrid:
     """Seeded random dense-looking q-refining table.
 
     Level by level, each interval is split into q parts with
@@ -235,10 +184,10 @@ def random_refining_table(q: int, depth: int, seed: int = 0) -> HomeomorphismTab
         for d in range(1, q):
             fine[d::q] = inner[:, d - 1]
         pts = fine
-    return HomeomorphismTable(q, depth, pts)
+    return PartitionGrid(q, depth, pts, generator="table")
 
 
-def build_homeomorphism(q: int, levels) -> HomeomorphismTable:
+def build_homeomorphism(q: int, levels) -> PartitionGrid:
     """The table whose levels 0..N are the point lists ``levels``.
 
     This is the check of tables from outside the program (the on-disk
@@ -251,12 +200,12 @@ def build_homeomorphism(q: int, levels) -> HomeomorphismTable:
         arrays = [np.asarray(pts, dtype=np.float64) for pts in levels]
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"refining table levels must hold numbers: {exc}") from exc
-    table = HomeomorphismTable(q, len(arrays) - 1, arrays[-1])
+    table = PartitionGrid(q, len(arrays) - 1, arrays[-1], generator="table")
     violations = []
     for n, pts in enumerate(arrays[:-1]):
         if pts.shape != (q ** n + 1,):
             raise ValidationError(f"level {n} must have {q ** n + 1} points, got {pts.shape}")
-        violations.extend((n, int(i)) for i in np.nonzero(pts != table.level_points(n))[0])
+        violations.extend((n, int(i)) for i in np.nonzero(pts != table.restrict(n).points)[0])
     if violations:
         raise ValidationError(
             f"refining table fails nesting at (level, index) {tuple(violations[:5])}"

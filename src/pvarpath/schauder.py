@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .partition import PartitionGrid, check_interval_budget, qadic_grid
+from .partition import PartitionGrid, frozen_floats, qadic_grid
 
 # ---------------------------------------------------------------------------
 # The sign table gamma and its derived quantities
@@ -193,15 +193,13 @@ class SampledPath:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = frozen_floats(self.values)
         if v.shape != self.grid.points.shape:
             raise ValidationError(
                 f"values shape {v.shape} does not match grid with {self.grid.points.shape[0]} points"
             )
         if not np.all(np.isfinite(v)):
             raise ValidationError("path values must be finite")
-        v = v.copy()
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -276,7 +274,6 @@ def synthesize(coeffs: CoefficientArray, n: int, meta: dict | None = None) -> Sa
     if n < 1:
         raise ValidationError(f"target level must be >= 1, got {n}")
     q = coeffs.q
-    check_interval_budget(q, n)
     grid = qadic_grid(q, n)
     cum = gamma_cumulative(q)[:, 1:q]  # (q-1, q-1): row l-1, column d-1
     values = np.empty(q ** n + 1, dtype=np.float64)

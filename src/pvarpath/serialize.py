@@ -1,5 +1,8 @@
 """JSON and CSV interchange for paths, tables and reports.
 
+A refining table is its level-N grid with generator "table"; its document
+lists every level 0..N, each a stride of the finest.
+
 JSON artifacts are written with sorted keys and compact separators, so a
 fixed input produces byte-identical output; arrays enter them through
 ``ndarray.tolist()``.  CSV floats are written in one format, ``_CSV_FLOAT``
@@ -26,7 +29,7 @@ import numpy as np
 
 from .construct import VariationConstant
 from .errors import ValidationError
-from .partition import HomeomorphismTable, PartitionGrid, build_homeomorphism, qadic_grid
+from .partition import PartitionGrid, build_homeomorphism, qadic_grid
 from .schauder import SampledPath
 from .variation import VariationProfile
 
@@ -198,19 +201,19 @@ def path_from_dict(d: dict) -> SampledPath:
 
 
 # ---------------------------------------------------------------------------
-# HomeomorphismTable <-> JSON
+# Refining table (its finest "table" grid) <-> JSON
 # ---------------------------------------------------------------------------
 
 
-def table_to_dict(table: HomeomorphismTable) -> dict:
+def table_to_dict(table: PartitionGrid) -> dict:
     """Every level 0..N, each a stride of the finest one."""
     return {
         "q": int(table.q),
-        "levels": [table.level_points(n).tolist() for n in range(table.depth + 1)],
+        "levels": [table.restrict(n).points.tolist() for n in range(table.level + 1)],
     }
 
 
-def table_from_dict(d: dict) -> HomeomorphismTable:
+def table_from_dict(d: dict) -> PartitionGrid:
     try:
         q = int(d["q"])
         raw_levels = d["levels"]

@@ -7,8 +7,9 @@ value list on the refined grid IS the value list on the q-adic grid, read
 against different abscissae.  All grid-level transport identities here are
 exact for that reason, and the checks assert them at full float precision.
 
-To depth N, such a sequence is its finest level: a ``HomeomorphismTable``
-holds level N alone, and level n is every q**(N-n)-th point of it.
+To depth N, such a sequence is its finest level: a refining table is the
+level-N ``PartitionGrid`` with generator "table", and level n is its
+``restrict(n)``, every q**(N-n)-th point.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ import numpy as np
 
 from .construct import RecipeResult, UniformMagnitudeSpec, VariationConstant, recipe
 from .errors import ValidationError
-from .partition import HomeomorphismTable
+from .partition import PartitionGrid
 from .schauder import SampledPath
 from .variation import VariationProfile, pvar_profile
 
 
-def pullback_path(x: SampledPath, table: HomeomorphismTable) -> SampledPath:
+def pullback_path(x: SampledPath, table: PartitionGrid) -> SampledPath:
     """x composed with phi, sampled on the refined level-n grid.
 
     Since phi maps the i-th refined point to the i-th q-adic point, the
@@ -36,20 +37,17 @@ def pullback_path(x: SampledPath, table: HomeomorphismTable) -> SampledPath:
         raise ValidationError("pullback expects a path sampled on a q-adic grid")
     if x.q != table.q:
         raise ValidationError(f"path q={x.q} does not match table q={table.q}")
-    if x.level > table.depth:
-        raise ValidationError(
-            f"path level {x.level} exceeds the table depth {table.depth}"
-        )
-    table_hash = hashlib.sha256(table.s_points.tobytes()).hexdigest()[:16]
+    grid = table.restrict(x.level)  # rejects a path finer than the table
+    table_hash = hashlib.sha256(table.points.tobytes()).hexdigest()[:16]
     return SampledPath(
-        grid=table.source_grid(x.level),
+        grid=grid,
         values=x.values,
         offset=x.offset,
-        meta={**x.meta, "timechange": {"table_hash": table_hash, "N": table.depth}},
+        meta={**x.meta, "timechange": {"table_hash": table_hash, "N": table.level}},
     )
 
 
-def transported_pvar_check(x: SampledPath, table: HomeomorphismTable, p: float) -> float:
+def transported_pvar_check(x: SampledPath, table: PartitionGrid, p: float) -> float:
     """Max gap of the transport identity at all refined partition points.
 
     Both sides of [x o phi](s) = [x](phi(s)) are computed independently, at
@@ -74,7 +72,7 @@ class TransportedRecipeResult:
 def transported_recipe(
     H,
     spec: UniformMagnitudeSpec,
-    table: HomeomorphismTable,
+    table: PartitionGrid,
     n: int,
     constant: VariationConstant | None = None,
 ) -> TransportedRecipeResult:
@@ -86,9 +84,7 @@ def transported_recipe(
     """
     if spec.q != table.q:
         raise ValidationError(f"spec q={spec.q} does not match table q={table.q}")
-    if n > table.depth:
-        raise ValidationError(f"level {n} exceeds table depth {table.depth}")
-    s_grid = table.source_grid(n)
+    s_grid = table.restrict(n)  # rejects a level finer than the table
     if callable(H):
         h_vals = np.asarray(H(s_grid.points), dtype=np.float64)
     else:

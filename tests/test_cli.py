@@ -292,6 +292,12 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--table-out" in err
         assert not copy.exists() and not out.exists()
+        # --depth sizes a generated table only; a read table keeps its own
+        assert run(["timechange", "--mode", "recipe", "--levels", "4", "--table", str(tbl),
+                    "--depth", "9", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--depth" in err
+        assert not out.exists()
 
     def test_failed_timechange_leaves_no_table(self, tmp_path, capsys):
         tbl = tmp_path / "t.json"
@@ -311,6 +317,35 @@ class TestUsageErrors:
         assert run(["analyze", str(path), "-o", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "strictly increasing" in err
+        assert not out.exists()
+
+    def test_unknown_grid_generator_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bogus.json"
+        path.write_text(json.dumps({
+            "q": 2, "level": 2, "values": [0.0, 1.0, 0.0, 1.0, 0.0],
+            "meta": {"grid_generator": "bogus",
+                     "grid_points": [0.0, 0.25, 0.5, 0.75, 1.0]}}))
+        out = tmp_path / "out.csv"
+        for argv in (["analyze", str(path), "-o", str(out)],
+                     ["ito", str(path), "--f", "0,0,1", "-o", str(out)]):
+            assert run(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "bogus" in err, argv
+            assert list(tmp_path.iterdir()) == [path], argv
+
+    @pytest.mark.parametrize("generator", ["q-adic", "table"])
+    def test_path_artifact_obeys_interval_budget(self, tmp_path, capsys, monkeypatch,
+                                                 generator):
+        meta = {"grid_generator": generator}
+        if generator == "table":
+            meta["grid_points"] = ((np.arange(9) / 8.0) ** 2).tolist()
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"q": 2, "level": 3, "values": [0.0] * 9, "meta": meta}))
+        monkeypatch.setenv("PVAR_MAX_INTERVALS", "4")
+        out = tmp_path / "prof.csv"
+        assert run(["analyze", str(path), "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "budget" in err
         assert not out.exists()
 
     def test_failed_chunk_worker_leaves_no_output(self, tmp_path, capsys, monkeypatch):

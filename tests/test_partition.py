@@ -11,7 +11,7 @@ from pvarpath import (
     qadic_table,
     random_refining_table,
 )
-from pvarpath.partition import HomeomorphismTable, PartitionGrid, digits_matrix
+from pvarpath.partition import PartitionGrid, digits_matrix
 
 
 class TestQadicGrid:
@@ -29,7 +29,7 @@ class TestQadicGrid:
     def test_count(self):
         g = qadic_grid(3, 4)
         assert g.points.size == 3 ** 4 + 1
-        assert g.mesh == pytest.approx(3.0 ** -4)
+        assert np.max(np.diff(g.points)) == pytest.approx(3.0 ** -4)
 
     def test_budget_guard(self, monkeypatch):
         monkeypatch.setenv("PVAR_MAX_INTERVALS", "1024")
@@ -53,6 +53,13 @@ class TestPartitionGrid:
     def test_rejects_points_not_strictly_increasing(self, points):
         with pytest.raises(ValidationError, match="strictly increasing"):
             PartitionGrid(q=2, level=2, points=np.array(points), generator="table")
+
+    def test_writable_points_are_copied(self):
+        points = qadic_grid(2, 2).points ** 2
+        grid = PartitionGrid(q=2, level=2, points=points, generator="table")
+        points[1] = 0.1
+        assert grid.points[1] == 0.0625
+        assert not grid.points.flags.writeable
 
 
 class TestDigits:
@@ -85,14 +92,14 @@ class TestRefining:
     def test_qadic_table_passes(self):
         table = qadic_table(2, 6)
         for n in range(7):
-            np.testing.assert_array_equal(table.level_points(n), qadic_grid(2, n).points)
-        assert table.source_grid(6).mesh == pytest.approx(2.0 ** -6)
+            np.testing.assert_array_equal(table.restrict(n).points, qadic_grid(2, n).points)
+        assert np.max(np.diff(table.restrict(6).points)) == pytest.approx(2.0 ** -6)
 
     def test_square_table_passes(self):
         # (q i / q**(n+1))**2 == (i / q**n)**2 — nesting survives the square
         levels = [qadic_grid(3, n).points ** 2 for n in range(6)]
         table = build_homeomorphism(3, levels)
-        np.testing.assert_array_equal(table.s_points, power_table(3, 5, 2.0).s_points)
+        np.testing.assert_array_equal(table.points, power_table(3, 5, 2.0).points)
 
     def test_perturbed_point_fails_at_location(self):
         levels = [qadic_grid(2, n).points.copy() for n in range(5)]
@@ -103,39 +110,5 @@ class TestRefining:
 
     def test_random_table_is_refining(self):
         table = random_refining_table(3, 6, seed=9)
-        back = build_homeomorphism(3, [table.level_points(n) for n in range(7)])
-        np.testing.assert_array_equal(back.s_points, table.s_points)
-
-
-class TestHomeomorphism:
-    def test_identity_on_qadic(self):
-        table = qadic_table(2, 8)
-        pts = table.s_points
-        np.testing.assert_array_equal(table.forward(pts), pts)
-
-    def test_square_root_map(self):
-        table = power_table(2, 8, 2.0)
-        # table abscissae are squares, so forward recovers the square root
-        np.testing.assert_array_equal(table.forward(table.s_points), table.u_points)
-        np.testing.assert_allclose(
-            table.forward(table.s_points), np.sqrt(table.s_points), atol=1e-15
-        )
-
-    def test_round_trip_on_random_table_points(self):
-        table = random_refining_table(2, 10, seed=4)
-        rng = np.random.default_rng(0)
-        idx = rng.integers(0, table.s_points.size, size=1000)
-        s = table.s_points[idx]
-        np.testing.assert_array_equal(table.inverse(table.forward(s)), s)
-
-    def test_monotone_and_fixed_endpoints(self):
-        table = random_refining_table(3, 6, seed=2)
-        fwd = table.forward(table.s_points)
-        assert np.all(np.diff(fwd) > 0)
-        assert fwd[0] == 0.0 and fwd[-1] == 1.0
-
-    def test_rejects_broken_table(self):
-        pts = qadic_table(2, 4).s_points.copy()
-        pts[3] = pts[2]  # duplicates break strict monotonicity
-        with pytest.raises(ValidationError):
-            HomeomorphismTable(q=2, depth=4, s_points=pts)
+        back = build_homeomorphism(3, [table.restrict(n).points for n in range(7)])
+        np.testing.assert_array_equal(back.points, table.points)

@@ -25,9 +25,6 @@ UNUSED_ALLOWED = {
 }
 
 UNUSED_MEMBERS_ALLOWED = {
-    "PartitionGrid.mesh": "ROADMAP item 6 decides it; only tests read it",
-    "HomeomorphismTable.forward": "ROADMAP item 6 decides it: phi off the table points",
-    "HomeomorphismTable.inverse": "ROADMAP item 6 decides it: phi^-1 off the table points",
     "NormSelector.lp": "pending ROADMAP item 2 (norms of the stability bound)",
     "NormSelector.tv_plus_sup": "pending ROADMAP item 2 (norms of the stability bound)",
 }

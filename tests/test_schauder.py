@@ -285,6 +285,20 @@ class TestSampledPath:
         path = qadic_path(vals, q=2)
         np.testing.assert_array_equal(path.restrict(1).values, [0.0, 4.0, 8.0])
 
+    def test_writable_values_are_copied(self):
+        vals = np.arange(9.0)
+        path = qadic_path(vals, q=2)
+        vals[4] = -1.0
+        assert path.values[4] == 4.0
+        assert not path.values.flags.writeable
+
+    def test_restrict_shares_read_only_values(self):
+        path = qadic_path(np.arange(9.0), q=2)
+        for level in (3, 1, 0):
+            coarse = path.restrict(level)
+            assert np.shares_memory(coarse.values, path.values)
+            assert np.shares_memory(coarse.grid.points, path.grid.points)
+
     def test_qadic_path_rejects_bad_count(self):
         with pytest.raises(ValidationError):
             qadic_path(np.zeros(6), q=2)

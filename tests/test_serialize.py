@@ -16,6 +16,7 @@ from pvarpath import (
     power_table,
     pullback_path,
     pvar_profile,
+    qadic_grid,
     qadic_path,
     qadic_table,
     random_refining_table,
@@ -58,13 +59,13 @@ class TestPathRoundTrip:
 class TestTableRoundTrip:
     def test_qadic_round_trip_is_identity(self):
         back = serialize.table_from_dict(serialize.table_to_dict(qadic_table(2, 4)))
-        np.testing.assert_array_equal(back.s_points, back.u_points)
+        np.testing.assert_array_equal(back.points, qadic_grid(2, 4).points)
 
     def test_power_round_trip(self):
         table = power_table(3, 3, 2.0)
         back = serialize.table_from_dict(serialize.table_to_dict(table))
-        assert (back.q, back.depth) == (3, 3)
-        np.testing.assert_array_equal(back.s_points, table.s_points)
+        assert (back.q, back.level) == (3, 3)
+        np.testing.assert_array_equal(back.points, table.points)
 
     # sha256[:16] of the canonical document: the on-disk table format lists
     # every level, and these digests pin its bytes
@@ -79,8 +80,8 @@ class TestTableRoundTrip:
         text = serialize.canonical_dumps(serialize.table_to_dict(table))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
         back = serialize.table_from_dict(json.loads(text))
-        assert (back.q, back.depth) == (table.q, table.depth)
-        np.testing.assert_array_equal(back.s_points, table.s_points)
+        assert (back.q, back.level) == (table.q, table.level)
+        np.testing.assert_array_equal(back.points, table.points)
 
 
 class TestCanonicalOutput:

@@ -8,6 +8,7 @@ from pvarpath import (
     power_table,
     pullback_path,
     pvar_profile,
+    qadic_grid,
     qadic_path,
     qadic_table,
     random_refining_table,
@@ -51,7 +52,7 @@ class TestPullback:
         pulled = pullback_path(x, table)
         alpha = 0.5
         qx = holder_quotient(x.grid.points, x.values, alpha)
-        qphi = holder_quotient(table.s_points, table.u_points, 0.5)
+        qphi = holder_quotient(table.points, qadic_grid(2, table.level).points, 0.5)
         qcomp = holder_quotient(pulled.grid.points, pulled.values, alpha / 2)
         assert np.isfinite(qcomp)
         assert qcomp <= qx * qphi ** alpha + 1e-9
@@ -66,7 +67,7 @@ class TestPullback:
         table = make()
         x = qadic_path(np.zeros(table.q ** 3 + 1), q=table.q)
         assert pullback_path(x, table).meta["timechange"] == {
-            "table_hash": digest, "N": table.depth}
+            "table_hash": digest, "N": table.level}
 
     def test_level_exceeds_table(self):
         table = sqrt_table(4)

@@ -198,7 +198,7 @@ class TestStieltjes:
         coarser = qadic_path(np.ones(2 ** 3 + 1), q=2)
         with pytest.raises(ValidationError, match="profile's grid"):
             stieltjes_against_profile(coarser, prof)
-        table_grid = power_table(2, 4).source_grid(4)
+        table_grid = power_table(2, 4)
         w = SampledPath(grid=table_grid, values=np.ones(2 ** 4 + 1))
         with pytest.raises(ValidationError, match="profile's grid"):
             stieltjes_against_profile(w, prof)
