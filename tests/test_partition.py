@@ -112,3 +112,11 @@ class TestRefining:
         table = random_refining_table(3, 6, seed=9)
         back = build_homeomorphism(3, [table.restrict(n).points for n in range(7)])
         np.testing.assert_array_equal(back.points, table.points)
+
+
+class TestHomeomorphism:
+    def test_rejects_broken_table(self):
+        pts = qadic_table(2, 4).points.copy()
+        pts[3] = pts[2]  # duplicates break strict monotonicity
+        with pytest.raises(ValidationError):
+            PartitionGrid(q=2, level=4, points=pts, generator="table")
