@@ -55,6 +55,8 @@ from .variation import (
 
 ENUMERATION_BUDGET = 2 ** 26
 SIGN_MATRIX_BUDGET = 2 ** 20
+MC_TABLE_CAP = 4096      # entries in one Monte Carlo digit-block table
+MC_CHUNK = 1 << 16       # samples drawn and accumulated at a time
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +252,17 @@ def _cross_sums(weights: list) -> np.ndarray:
 
 
 def _mean_abs_pow(a: np.ndarray, b: np.ndarray, p: float) -> float:
-    """Mean of |a_i + b_j|^p over all pairs, blockwise to bound memory."""
+    """Mean of |a_i + b_j|^p over all pairs, blockwise to bound memory.
+
+    ``abs`` and the power run in place in each block's buffer.
+    """
     total = 0.0
     block = max(1, (1 << 21) // max(1, b.size))
     for start in range(0, a.size, block):
         chunk = a[start:start + block, None] + b[None, :]
         np.abs(chunk, out=chunk)
-        total += float(np.sum(chunk ** p))
+        chunk **= p
+        total += float(np.sum(chunk))
     return total / (a.size * b.size)
 
 
@@ -293,6 +299,21 @@ def _constant_exact(p, q, etas, rho, J, tol) -> VariationConstant:
 
 
 def _constant_monte_carlo(p, q, etas, rho, N, seed) -> VariationConstant:
+    """Stratified Monte Carlo estimate of E|sum_j rho^j W_j|^p.
+
+    The leading J0 digits are enumerated exactly as strata (at most 1024,
+    each holding >= 64 samples unless N < 128 makes one stratum); sample i
+    belongs to stratum i mod S.  The next Jt digits are sampled, with Jt
+    chosen so the dropped tail costs at most 1e-10.  Those digits are drawn
+    in blocks of k, where q**k <= MC_TABLE_CAP: each block has a table of
+    its q**k cross sums (a short last block is padded with zero-weight
+    digits, which repeats its table), and one uniform index into the table
+    is k independent uniform digits.  So the estimator and its distribution
+    are those of drawing digit by digit, at about Jt/k draws per sample.
+    Per-stratum sums and sums of squares are accumulated one 2**16-sample
+    chunk at a time, so memory does not grow with N.  A seed's stream is not
+    that of the earlier digit-by-digit sampler.
+    """
     if N < 2:
         raise ValidationError(f"a standard error needs N >= 2 samples, got {N}")
     if N > 64 * ENUMERATION_BUDGET:
@@ -307,44 +328,48 @@ def _constant_monte_carlo(p, q, etas, rho, N, seed) -> VariationConstant:
         J0 += 1
     heads = _cross_sums([rho ** j * etas for j in range(1, J0 + 1)])
     S = heads.size
+
+    def dropped_bound(jt):
+        return _truncation_bound(p, _sup_partial(rho, eta_sup, 1, J0 + jt),
+                                 _sup_partial(rho, eta_sup, J0 + jt + 1, None))
+
     # digits beyond J0 + Jt are dropped; pick Jt so the leftover is negligible
     Jt = 1
-    while _truncation_bound(
-        p,
-        _sup_partial(rho, eta_sup, 1, J0 + Jt),
-        _sup_partial(rho, eta_sup, J0 + Jt + 1, None),
-    ) > 1e-10 and Jt < 512:
+    while dropped_bound(Jt) > 1e-10 and Jt < 512:
         Jt += 1
+    k = 1   # digits per block: the largest k >= 1 with q**k <= MC_TABLE_CAP
+    while q ** (k + 1) <= MC_TABLE_CAP:
+        k += 1
+    digit_weights = [rho ** j * etas for j in range(J0 + 1, J0 + Jt + 1)]
+    digit_weights += [np.zeros(q)] * (-Jt % k)
+    tables = [_cross_sums(digit_weights[b:b + k]) for b in range(0, len(digit_weights), k)]
+    rng = np.random.default_rng(seed)
+    sums = np.zeros(S)
+    sumsq = np.zeros(S)
+    for start in range(0, N, MC_CHUNK):
+        size = min(N, start + MC_CHUNK) - start
+        strata = np.arange(start, start + size) % S
+        draws = rng.integers(0, q ** k, size=(len(tables), size))
+        z = heads[strata]
+        for table, idx in zip(tables, draws):
+            z += table.take(idx)
+        np.abs(z, out=z)
+        z **= p
+        sums += np.bincount(strata, weights=z, minlength=S)
+        z *= z
+        sumsq += np.bincount(strata, weights=z, minlength=S)
     counts = np.full(S, N // S, dtype=np.int64)
     counts[: N % S] += 1
-    head_per_sample = np.repeat(heads, counts)
-    rho_tail = rho ** np.arange(J0 + 1, J0 + Jt + 1, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    out = np.empty(N, dtype=np.float64)
-    chunk = 1 << 16
-    for start in range(0, N, chunk):
-        stop = min(N, start + chunk)
-        digs = rng.integers(0, q, size=(stop - start, Jt))
-        z = head_per_sample[start:stop] + etas[digs] @ rho_tail
-        out[start:stop] = np.abs(z) ** p
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    sums = np.add.reduceat(out, starts)
-    sumsq = np.add.reduceat(out ** 2, starts)
     means = sums / counts
     # unbiased within-stratum variances; counts >= 2 by construction of S:
     # N < 128 is one stratum, and otherwise every stratum holds >= 64 samples
     variances = np.maximum(sumsq - counts * means ** 2, 0.0) / np.maximum(counts - 1, 1)
     value = float(np.mean(means))
     stderr = float(np.sqrt(np.sum(variances / counts)) / S)
-    trunc = _truncation_bound(
-        p,
-        _sup_partial(rho, eta_sup, 1, J0 + Jt),
-        _sup_partial(rho, eta_sup, J0 + Jt + 1, None),
-    )
     return VariationConstant(
         value=value,
         method="monte-carlo",
-        error_bound=trunc,
+        error_bound=dropped_bound(Jt),
         stderr=stderr,
         details={"N": int(N), "seed": int(seed), "strata": int(S), "tail_digits": int(Jt)},
     )
@@ -395,6 +420,13 @@ def variation_constant(
     estimate by an order of tail); "mc" is a seeded stratified Monte Carlo
     estimator with standard error; "closed" evaluates even moments through
     cumulants of the digit distribution in closed form.
+
+    Monte Carlo draws its sampled digits in blocks of k, one uniform index
+    per block into a table of the block's q**k cross sums (q**k <=
+    MC_TABLE_CAP = 4096), and accumulates per-stratum sums one chunk at a
+    time, so its memory does not depend on N.  The estimator and its
+    distribution are those of digit-by-digit draws, but the values a seed
+    gives differ from those of earlier releases, which drew digit by digit.
     """
     if p <= 1:
         raise ValidationError(f"p must be > 1, got {p}")

@@ -25,8 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
-from .partition import PartitionGrid, frozen_floats, qadic_grid
+from .errors import BudgetError, ValidationError
+from .partition import (
+    MAX_INTERVALS_ENV,
+    PartitionGrid,
+    frozen_floats,
+    interval_budget,
+    qadic_grid,
+)
 
 # ---------------------------------------------------------------------------
 # The sign table gamma and its derived quantities
@@ -52,9 +58,19 @@ def gamma(q: int, l: int, d: int) -> float:
 
 
 def gamma_rows(q: int) -> np.ndarray:
-    """Full (q-1, q) sign table; row index is l-1."""
+    """Full (q-1, q) sign table; row index is l-1.
+
+    Its (q-1)*q entries may hold at most the interval budget, checked before
+    the table is filled.
+    """
     if q < 2:
         raise ValidationError(f"q must be >= 2, got {q}")
+    budget = interval_budget()
+    if (q - 1) * q > budget:
+        raise BudgetError(
+            f"sign table for q={q} needs {(q - 1) * q} entries; "
+            f"budget is {budget} (override with {MAX_INTERVALS_ENV})"
+        )
     out = np.zeros((q - 1, q), dtype=np.float64)
     for l in range(1, q):
         for d in range(q):

@@ -195,6 +195,10 @@ def path_from_dict(d: dict) -> SampledPath:
     if generator == "q-adic":
         grid = qadic_grid(q, level)
     else:
+        if "grid_points" not in meta:
+            raise ValidationError(
+                f"malformed path document: a {generator!r} grid needs meta.grid_points"
+            )
         pts = np.asarray(meta.pop("grid_points"), dtype=np.float64)
         grid = PartitionGrid(q=q, level=level, points=pts, generator=generator)
     return SampledPath(grid=grid, values=values, offset=offset, meta=meta)

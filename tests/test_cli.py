@@ -333,6 +333,25 @@ class TestUsageErrors:
             assert err.count("\n") == 1 and "bogus" in err, argv
             assert list(tmp_path.iterdir()) == [path], argv
 
+    def test_table_path_without_grid_points_rejected(self, tmp_path, capsys):
+        path = tmp_path / "nopoints.json"
+        path.write_text(json.dumps({
+            "q": 2, "level": 2, "values": [0.0, 1.0, 0.0, 1.0, 0.0],
+            "meta": {"grid_generator": "table"}}))
+        out = tmp_path / "prof.csv"
+        assert run(["analyze", str(path), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "malformed path document" in err and "meta.grid_points" in err
+        assert not out.exists()
+
+    def test_sign_table_budget_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert run(["constant", "--q", "100000", "--p", "2", "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "sign table for q=100000" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("generator", ["q-adic", "table"])
     def test_path_artifact_obeys_interval_budget(self, tmp_path, capsys, monkeypatch,
                                                  generator):

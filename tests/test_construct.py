@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from pvarpath import (
     variation_constant,
     xi_profile,
 )
-from pvarpath.construct import weight_patterns
+from pvarpath.construct import MC_CHUNK, _cross_sums, _mean_abs_pow, weight_patterns
 from pvarpath.schauder import SampledPath
 
 
@@ -150,6 +151,69 @@ class TestVariationConstant:
         with pytest.raises(ValidationError, match="N >= 2"):
             variation_constant(2.0, 2, method="mc", N=1)
         assert variation_constant(2.0, 2, method="mc", N=2, seed=0).stderr > 0.0
+
+
+def mean_abs_pow_out_of_place(a, b, p):
+    """Reference for the enumeration kernel: the same blocks, power out of place."""
+    total = 0.0
+    block = max(1, (1 << 21) // max(1, b.size))
+    for start in range(0, a.size, block):
+        chunk = a[start:start + block, None] + b[None, :]
+        np.abs(chunk, out=chunk)
+        total += float(np.sum(chunk ** p))
+    return total / (a.size * b.size)
+
+
+class TestMonteCarloSampler:
+    # exact references: q=3, J=13 certifies 2.9e-7; q=2, p=1.5, J=24 certifies 1.7e-3
+    CASES = {
+        "q3-a12-p3": (dict(p=3.0, q=3, a=(1.0, 2.0)), dict(tol=1e-6)),
+        "q2-p1.5": (dict(p=1.5, q=2), dict(J=24)),
+    }
+
+    @pytest.fixture(scope="class")
+    def exact(self):
+        return {name: variation_constant(**args, method="exact", **opts)
+                for name, (args, opts) in self.CASES.items()}
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_agrees_with_exact_enumeration(self, exact, case, seed):
+        args, _ = self.CASES[case]
+        mc = variation_constant(**args, method="mc", N=400_000, seed=seed)
+        ref = exact[case]
+        assert abs(mc.value - ref.value) <= 4 * mc.stderr + ref.error_bound
+
+    @pytest.mark.parametrize("N", (2, 127, MC_CHUNK + 1))
+    def test_repeats_for_one_seed(self, N):
+        first = variation_constant(1.5, 2, method="mc", N=N, seed=4)
+        second = variation_constant(1.5, 2, method="mc", N=N, seed=4)
+        assert (first.value, first.stderr) == (second.value, second.stderr)
+        assert first.details == second.details
+        assert first.details["strata"] == (1 if N < 128 else 1024)
+        assert math.isfinite(first.value) and first.stderr > 0.0
+
+    def test_memory_does_not_grow_with_samples(self):
+        def peak(N):
+            tracemalloc.start()
+            try:
+                variation_constant(1.5, 2, method="mc", N=N, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4_000_000) <= 1.1 * peak(1_000_000)
+
+
+class TestEnumerationKernel:
+    @pytest.mark.parametrize("p", (1.5, 2.0, 2.5, 3.0, 4.0))
+    def test_in_place_power_keeps_the_bits(self, p):
+        rho = 2.0 ** -(1.0 - 1.0 / p)
+        etas = np.array([1.0, -1.0])
+        a = _cross_sums([rho ** j * etas for j in range(1, 12)])
+        b = _cross_sums([rho ** j * etas for j in range(12, 23)])
+        assert a.size > (1 << 21) // b.size     # 2048 rows of a, 1024 per block
+        assert _mean_abs_pow(a, b, p) == mean_abs_pow_out_of_place(a, b, p)
 
 
 def series_increments(spec, n, ks=None):

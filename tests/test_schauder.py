@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pvarpath import (
+    BudgetError,
     CoefficientArray,
     ValidationError,
     analyze,
@@ -44,6 +45,19 @@ class TestGamma:
         rows = gamma_rows(q)
         assert np.max(np.abs(rows.mean(axis=1))) <= 1e-12
         assert np.max(np.abs(rows @ rows.T / q - np.eye(q - 1))) <= 1e-12
+
+    def test_budget_checked_before_filling(self, monkeypatch):
+        from pvarpath import schauder
+
+        def no_entry(*args):
+            raise AssertionError("the table was filled before the budget check")
+
+        monkeypatch.setattr(schauder, "gamma", no_entry)
+        with pytest.raises(BudgetError, match="q=100000 needs 9999900000 entries"):
+            gamma_rows(100_000)
+        monkeypatch.setenv("PVAR_MAX_INTERVALS", "5")
+        with pytest.raises(BudgetError, match="budget is 5"):
+            gamma_rows(3)
 
     def test_index_errors(self):
         with pytest.raises(ValidationError):
