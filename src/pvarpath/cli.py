@@ -201,17 +201,14 @@ def _cmd_timechange(args) -> int:
         raise ValidationError(f"--mode {args.mode} needs --path")
     if args.table and args.table_out:
         raise ValidationError("--table-out persists a generated table; it cannot go with --table")
-    if args.table and args.depth is not None:
-        raise ValidationError("--depth sets a generated table's depth; it cannot go with --table")
     inputs, outputs = {}, []
     if args.table:
         table, inputs["table_hash"] = _load(args.table, serialize.table_from_dict)
     else:
-        depth = args.depth if args.depth is not None else args.levels
         makers = {
-            "qadic": lambda: qadic_table(args.q, depth),
-            "power": lambda: power_table(args.q, depth, args.exponent),
-            "random": lambda: random_refining_table(args.q, depth, seed=args.seed),
+            "qadic": lambda: qadic_table(args.q, args.levels),
+            "power": lambda: power_table(args.q, args.levels, args.exponent),
+            "random": lambda: random_refining_table(args.q, args.levels, seed=args.seed),
         }
         table = makers[args.make_table]()
         if args.table_out:
@@ -327,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--mode", choices=("check", "pullback", "recipe"), required=True)
     t.add_argument("--table", default=None, help="refining table JSON")
     t.add_argument("--make-table", choices=("qadic", "power", "random"), default="power",
-                   help="generate the table instead of reading one")
-    t.add_argument("--depth", type=int, default=None, help="generated table depth")
+                   help="generate a --levels deep table instead of reading one")
     t.add_argument("--exponent", type=float, default=2.0, help="power-table exponent")
     t.add_argument("--table-out", default=None, help="persist the generated table")
     t.add_argument("--path", default=None, help="path JSON (check / pullback modes)")

@@ -4,10 +4,9 @@ Grid points are stored as floats but always generated from exact integer
 ratios, and every structural question (membership, nesting) is decided by
 integer index arithmetic.  A refining table to depth N is its level-N
 partition: a ``PartitionGrid`` with generator "table", whose coarser levels
-are strided views (``restrict``) and so nest by construction.  Float
-equality is checked only in :func:`build_homeomorphism`'s nesting check of
-tables from outside the program, where exact equality of the stored floats
-is the contract.
+are strided views (``restrict``) and so nest by construction.  Its q**N + 1
+points fix N (``qadic_level``), so the finest level is all a table read from
+outside the program needs to list.
 """
 
 from __future__ import annotations
@@ -115,6 +114,18 @@ class PartitionGrid:
         return PartitionGrid(self.q, level, self.points[::stride], generator=self.generator)
 
 
+def qadic_level(q: int, intervals: int) -> int:
+    """The level n with ``q**n == intervals``, for an integer q >= 2."""
+    if not (isinstance(q, (int, np.integer)) and q >= 2):
+        raise ValidationError(f"branching factor q must be an integer >= 2, got {q}")
+    level = 0
+    while q ** level < intervals:
+        level += 1
+    if q ** level != intervals:
+        raise ValidationError(f"point count {intervals + 1} is not q**n + 1 for q={q}")
+    return level
+
+
 def qadic_grid(q: int, n: int) -> PartitionGrid:
     """The level-``n`` grid {0, 1/q**n, ..., 1}; points are exact ratios."""
     if q < 2:
@@ -187,27 +198,17 @@ def random_refining_table(q: int, depth: int, seed: int = 0) -> PartitionGrid:
     return PartitionGrid(q, depth, pts, generator="table")
 
 
-def build_homeomorphism(q: int, levels) -> PartitionGrid:
-    """The table whose levels 0..N are the point lists ``levels``.
+def build_homeomorphism(q: int, points) -> PartitionGrid:
+    """The refining table whose finest level holds ``points``.
 
-    This is the check of tables from outside the program (the on-disk
-    format lists every level): level n must hold q**n + 1 points and equal
-    every ``q**(N - n)``-th point of level N exactly, float for float.
+    This is the check of tables from outside the program, which list only
+    level N: the q**N + 1 points fix N, and ``PartitionGrid`` checks the
+    rest.  Coarser levels are strides of level N, so they cannot fail to nest.
     """
-    if not isinstance(levels, (list, tuple)) or not levels:
-        raise ValidationError("refining table levels must be a non-empty list of point lists")
     try:
-        arrays = [np.asarray(pts, dtype=np.float64) for pts in levels]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"refining table levels must hold numbers: {exc}") from exc
-    table = PartitionGrid(q, len(arrays) - 1, arrays[-1], generator="table")
-    violations = []
-    for n, pts in enumerate(arrays[:-1]):
-        if pts.shape != (q ** n + 1,):
-            raise ValidationError(f"level {n} must have {q ** n + 1} points, got {pts.shape}")
-        violations.extend((n, int(i)) for i in np.nonzero(pts != table.restrict(n).points)[0])
-    if violations:
-        raise ValidationError(
-            f"refining table fails nesting at (level, index) {tuple(violations[:5])}"
-        )
-    return table
+        pts = np.asarray(points)
+    except ValueError as exc:
+        raise ValidationError(f"refining table points must be a flat list of numbers: {exc}") from exc
+    if pts.ndim != 1 or pts.dtype.kind not in "iuf":
+        raise ValidationError("refining table points must be a flat list of numbers")
+    return PartitionGrid(q, qadic_level(q, pts.size - 1), pts, generator="table")

@@ -32,6 +32,7 @@ from .partition import (
     frozen_floats,
     interval_budget,
     qadic_grid,
+    qadic_level,
 )
 
 # ---------------------------------------------------------------------------
@@ -60,8 +61,9 @@ def gamma(q: int, l: int, d: int) -> float:
 def gamma_rows(q: int) -> np.ndarray:
     """Full (q-1, q) sign table; row index is l-1.
 
-    Its (q-1)*q entries may hold at most the interval budget, checked before
-    the table is filled.
+    Filled in one pass with the entries of ``gamma`` bit for bit (l, l+1 and
+    q*l are exact in float64).  Its (q-1)*q entries may hold at most the
+    interval budget, checked before the table is filled.
     """
     if q < 2:
         raise ValidationError(f"q must be >= 2, got {q}")
@@ -71,10 +73,9 @@ def gamma_rows(q: int) -> np.ndarray:
             f"sign table for q={q} needs {(q - 1) * q} entries; "
             f"budget is {budget} (override with {MAX_INTERVALS_ENV})"
         )
-    out = np.zeros((q - 1, q), dtype=np.float64)
-    for l in range(1, q):
-        for d in range(q):
-            out[l - 1, d] = gamma(q, l, d)
+    l = np.arange(1, q, dtype=np.float64)
+    out = np.where(np.arange(q) < l[:, None], np.sqrt(q / (l * (l + 1)))[:, None], 0.0)
+    out.ravel()[1::q + 1] = -np.sqrt(q * l / (l + 1))  # the entries (l-1, l)
     return out
 
 
@@ -252,14 +253,10 @@ class SampledPath:
 
 
 def qadic_path(values, q: int = 2, meta: dict | None = None, offset: float = 0.0) -> SampledPath:
-    """Wrap raw values (length q**n + 1) as a path on the q-adic level-n grid."""
+    """Wrap raw values (length q**n + 1) as a path on the q-adic level-n grid;
+    ``qadic_level`` finds n and rejects a q that is not an integer >= 2."""
     values = np.asarray(values, dtype=np.float64)
-    count = values.shape[0] - 1
-    level = 0
-    while q ** level < count:
-        level += 1
-    if q ** level != count:
-        raise ValidationError(f"value count {count + 1} is not q**n + 1 for q={q}")
+    level = qadic_level(q, values.shape[0] - 1)
     return SampledPath(grid=qadic_grid(q, level), values=values, offset=offset, meta=meta or {})
 
 

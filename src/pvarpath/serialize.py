@@ -1,7 +1,8 @@
 """JSON and CSV interchange for paths, tables and reports.
 
 A refining table is its level-N grid with generator "table"; its document
-lists every level 0..N, each a stride of the finest.
+is ``{"q": q, "points": [...]}``, the level-N points, whose count fixes N.
+Documents must give ``q`` (and a path's ``level``) as JSON integers.
 
 JSON artifacts are written with sorted keys and compact separators, so a
 fixed input produces byte-identical output; arrays enter them through
@@ -130,13 +131,6 @@ def _write_value(obj, stream: IO[str]) -> None:
             stream.write(("," if i else "") + _encode_json(key) + ":")
             _write_value(obj[key], stream)
         stream.write("}")
-    elif isinstance(obj, list) and _holds_containers(obj):
-        stream.write("[")
-        for i, item in enumerate(obj):
-            if i:
-                stream.write(",")
-            _write_value(item, stream)
-        stream.write("]")
     else:
         stream.write(_encode_json(obj))
 
@@ -144,10 +138,9 @@ def _write_value(obj, stream: IO[str]) -> None:
 def write_json(obj, stream: IO[str]) -> None:
     """The canonical JSON of ``obj`` (sorted keys, compact separators, one
     closing newline), streamed to ``stream``: a list of two or more chunks
-    goes through ``_write_chunks``, dicts and lists holding containers are
-    walked, and every other value is encoded in one call.  The bytes are
-    those of ``json.dumps(obj, sort_keys=True, separators=(",", ":")) +
-    "\\n"``."""
+    goes through ``_write_chunks``, dicts holding containers are walked, and
+    every other value is encoded in one call.  The bytes are those of
+    ``json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\\n"``."""
     _write_value(obj, stream)
     stream.write("\n")
 
@@ -183,9 +176,17 @@ def path_to_dict(path: SampledPath) -> dict:
     }
 
 
+def _json_int(value, name: str, kind: str) -> int:
+    """``value`` if it is a JSON integer (not a bool, float or string)."""
+    if type(value) is not int:
+        raise ValidationError(
+            f"malformed {kind} document: {name!r} must be an integer, got {value!r}")
+    return value
+
+
 def path_from_dict(d: dict) -> SampledPath:
     try:
-        q, level = int(d["q"]), int(d["level"])
+        q, level = _json_int(d["q"], "q", "path"), _json_int(d["level"], "level", "path")
         values = np.asarray(d["values"], dtype=np.float64)
         meta = dict(d.get("meta", {}))
     except (KeyError, TypeError) as exc:
@@ -210,20 +211,18 @@ def path_from_dict(d: dict) -> SampledPath:
 
 
 def table_to_dict(table: PartitionGrid) -> dict:
-    """Every level 0..N, each a stride of the finest one."""
-    return {
-        "q": int(table.q),
-        "levels": [table.restrict(n).points.tolist() for n in range(table.level + 1)],
-    }
+    """The finest level's points; the coarser levels are its strides."""
+    return {"q": int(table.q), "points": table.points.tolist()}
 
 
 def table_from_dict(d: dict) -> PartitionGrid:
     try:
-        q = int(d["q"])
-        raw_levels = d["levels"]
-    except (KeyError, TypeError) as exc:
+        q, points = _json_int(d["q"], "q", "table"), d["points"]
+    except KeyError as exc:
+        raise ValidationError(f"malformed table document: missing {exc}") from exc
+    except TypeError as exc:
         raise ValidationError(f"malformed table document: {exc}") from exc
-    return build_homeomorphism(q, raw_levels)
+    return build_homeomorphism(q, points)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,21 @@ class TestAnalyze:
         assert run(["analyze", str(tmp_path / "missing.json"),
                     "-o", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"q": 2.9, "level": 2.7, "values": [0, 1, 0, 1, 0]}, "'q' must be an integer, got 2.9"),
+        ({"q": 2, "level": 2.0, "values": [0, 1, 0, 1, 0]}, "'level' must be an integer, got 2.0"),
+        ({"q": "2", "level": 2, "values": [0, 1, 0, 1, 0]}, "'q' must be an integer, got '2'"),
+        ({"q": 2, "level": True, "values": [0, 1, 0]}, "'level' must be an integer, got True"),
+    ], ids=["float-q-and-level", "float-level", "string-q", "bool-level"])
+    def test_non_integer_q_or_level_rejected(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "prof.csv"
+        assert run(["analyze", str(path), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, message", [
         (["--levels", "-1"], "--levels"),
         (["--eval-level", "-3"], "eval_level"),
@@ -165,7 +180,7 @@ class TestTimechange:
         out = tmp_path / "check.json"
         assert run(["build", "--levels", "10", "-o", str(ref)]) == 0
         assert run(["timechange", "--mode", "check", "--make-table", "power",
-                    "--depth", "10", "--path", str(ref), "-o", str(out)]) == 0
+                    "--levels", "10", "--path", str(ref), "-o", str(out)]) == 0
         assert read_json(out)["identity_gap"] == 0.0
 
     def test_pullback_mode(self, tmp_path):
@@ -174,32 +189,54 @@ class TestTimechange:
         tbl = tmp_path / "table.json"
         assert run(["build", "--levels", "8", "-o", str(ref)]) == 0
         assert run(["timechange", "--mode", "pullback", "--make-table", "random",
-                    "--depth", "8", "--seed", "3", "--table-out", str(tbl),
+                    "--levels", "8", "--seed", "3", "--table-out", str(tbl),
                     "--path", str(ref), "-o", str(out)]) == 0
         doc = read_json(out)
         src = read_json(ref)
         assert doc["values"] == src["values"]
         assert doc["meta"]["grid_generator"] == "table"
-        assert read_json(tbl)["q"] == 2
+        table = read_json(tbl)
+        assert set(table) == {"q", "points"} and table["q"] == 2
+        assert len(table["points"]) == 2 ** 8 + 1
+        assert doc["meta"]["grid_points"] == table["points"]
 
     def test_recipe_mode(self, tmp_path):
         out = tmp_path / "ty.json"
         assert run(["timechange", "--mode", "recipe", "--make-table", "power",
-                    "--levels", "12", "--depth", "12", "--target", "linear",
+                    "--levels", "12", "--target", "linear",
                     "-o", str(out)]) == 0
         doc = read_json(out)
         assert doc["manifest"]["config"]["target_sup_gap"] <= 0.04
 
+    # a table document lists only its finest level, as "points"; documents
+    # in the layout that listed every level as "levels" are rejected
     @pytest.mark.parametrize("doc, message", [
-        ({"q": 2, "levels": 5}, "non-empty list"),
-        ({"q": 2, "levels": []}, "non-empty list"),
-        ({"q": 2, "levels": [[0.0, 1.0], [0.0, 1.0]]}, "3 points"),
-        ({"q": 2, "levels": [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]]}, "level 0 must have 2 points"),
-        ({"q": 1, "levels": [[0.0, 1.0]]}, "q must be an integer >= 2"),
-        ({"q": 2, "levels": [[0.0, 1.0], [0.0, 0.25, 1.0], [0.0, 0.25, 0.5, 0.75, 1.0]]},
-         "(level, index) ((1, 1),)"),
-    ], ids=["levels-not-list", "levels-empty", "finest-wrong-length",
-           "coarse-wrong-length", "q-1", "not-nested"])
+        ({"q": 2, "levels": 5}, "missing 'points'"),
+        ({"q": 2, "levels": []}, "missing 'points'"),
+        ({"q": 2, "levels": [[0.0, 1.0], [0.0, 0.5, 1.0]]}, "missing 'points'"),
+        ({"q": 2, "points": [0.0, 0.25, 0.5, 1.0]}, "point count 4 is not q**n + 1"),
+        ({"q": 2, "points": []}, "point count 0 is not q**n + 1"),
+        ({"q": 1, "points": [0.0, 1.0]}, "q must be an integer >= 2"),
+        ({"q": 2, "points": 5}, "flat list of numbers"),
+        ({"q": 2, "points": None}, "flat list of numbers"),
+        ({"q": 2, "points": [[0.0, 1.0], [0.0, 1.0]]}, "flat list of numbers"),
+        ({"q": 2, "points": [[0.0, 0.5, 1.0], [0.0, 1.0]]}, "flat list of numbers"),
+        ({"q": 2, "points": ["0", "0.5", "1"]}, "flat list of numbers"),
+        ({"q": 2, "points": [False, True]}, "flat list of numbers"),
+        ({"q": 2, "points": [0.0, float("nan"), 0.5, 0.75, 1.0]}, "strictly increasing"),
+        ({"q": 2, "points": [0.0, 0.5, 0.25, 0.75, 1.0]}, "strictly increasing"),
+        ({"q": 2, "points": [0.0, 0.5, 0.5, 0.75, 1.0]}, "strictly increasing"),
+        ({"q": 2, "points": [0.1, 0.25, 0.5, 0.75, 1.0]}, "start at 0 and end at 1"),
+        ({"q": 2, "points": [0.0, 0.25, 0.5, 0.75, 2.0]}, "start at 0 and end at 1"),
+        ({"q": 2.0, "points": [0.0, 0.5, 1.0]}, "'q' must be an integer, got 2.0"),
+        ({"q": "2", "points": [0.0, 0.5, 1.0]}, "'q' must be an integer, got '2'"),
+        ({"q": True, "points": [0.0, 0.5, 1.0]}, "'q' must be an integer, got True"),
+        ([0.0, 0.5, 1.0], "malformed table document"),
+    ], ids=["levels-not-list", "levels-empty", "old-layout", "finest-wrong-length",
+           "points-empty", "q-1", "points-number", "points-null", "points-nested",
+           "points-ragged", "points-strings", "points-bools", "nan", "decreasing",
+           "repeated", "start-not-0", "end-not-1", "q-float", "q-string", "q-bool",
+           "not-an-object"])
     def test_malformed_table_exit_2(self, tmp_path, capsys, doc, message):
         tbl = tmp_path / "table.json"
         tbl.write_text(json.dumps(doc))
@@ -215,7 +252,7 @@ class TestTimechange:
         ref = tmp_path / "ref.json"
         out = tmp_path / "check.json"
         assert run(["timechange", "--mode", "recipe", "--make-table", "qadic",
-                    "--levels", "6", "--depth", "6", "--table-out", str(tbl),
+                    "--levels", "6", "--table-out", str(tbl),
                     "-o", str(tmp_path / "tmp.json")]) == 0
         assert run(["build", "--levels", "6", "-o", str(ref)]) == 0
         assert run(["timechange", "--mode", "check", "--table", str(tbl),
@@ -249,7 +286,7 @@ class TestUsageErrors:
     def test_check_without_path(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         for mode in ("check", "pullback"):
-            assert run(["timechange", "--mode", mode, "--depth", "4", "-o", str(out)]) == 2
+            assert run(["timechange", "--mode", mode, "--levels", "4", "-o", str(out)]) == 2
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "--path" in err
         assert not out.exists()
@@ -292,12 +329,6 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--table-out" in err
         assert not copy.exists() and not out.exists()
-        # --depth sizes a generated table only; a read table keeps its own
-        assert run(["timechange", "--mode", "recipe", "--levels", "4", "--table", str(tbl),
-                    "--depth", "9", "-o", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "--depth" in err
-        assert not out.exists()
 
     def test_failed_timechange_leaves_no_table(self, tmp_path, capsys):
         tbl = tmp_path / "t.json"

@@ -15,6 +15,7 @@ from pathlib import Path
 import pvarpath
 
 UNUSED_ALLOWED = {
+    "gamma": "scalar sign-table entry that the tests check gamma_rows against",
     "haar_eval": "pointwise oracle that the tests check the synthesis pyramid against",
     "schauder_eval": "pointwise oracle that the tests check the synthesis pyramid against",
     "qadic_path": "wraps raw samples as a path on the q-adic grid they fit",

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -46,13 +47,16 @@ class TestGamma:
         assert np.max(np.abs(rows.mean(axis=1))) <= 1e-12
         assert np.max(np.abs(rows @ rows.T / q - np.eye(q - 1))) <= 1e-12
 
-    def test_budget_checked_before_filling(self, monkeypatch):
-        from pvarpath import schauder
+    @pytest.mark.parametrize("q", [2, 3, 5, 64, 1024])
+    def test_rows_equal_scalar_table(self, q):
+        table = [[gamma(q, l, d) for d in range(q)] for l in range(1, q)]
+        assert np.array_equal(gamma_rows(q), np.array(table))
 
-        def no_entry(*args):
+    def test_budget_checked_before_filling(self, monkeypatch):
+        def no_fill(*args, **kwargs):
             raise AssertionError("the table was filled before the budget check")
 
-        monkeypatch.setattr(schauder, "gamma", no_entry)
+        monkeypatch.setattr(np, "where", no_fill)
         with pytest.raises(BudgetError, match="q=100000 needs 9999900000 entries"):
             gamma_rows(100_000)
         monkeypatch.setenv("PVAR_MAX_INTERVALS", "5")
@@ -316,3 +320,17 @@ class TestSampledPath:
     def test_qadic_path_rejects_bad_count(self):
         with pytest.raises(ValidationError):
             qadic_path(np.zeros(6), q=2)
+
+    @pytest.mark.parametrize("q", [1, 0])
+    def test_qadic_path_rejects_q_below_two(self, q):
+        # for q < 2 the search for n would never end
+        def expire(signum, frame):
+            pytest.fail("qadic_path still running after 10 s")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(10)
+        try:
+            with pytest.raises(ValidationError, match="integer >= 2"):
+                qadic_path([0.0, 1.0, 0.0], q=q)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)

@@ -67,18 +67,22 @@ class TestTableRoundTrip:
         assert (back.q, back.level) == (3, 3)
         np.testing.assert_array_equal(back.points, table.points)
 
-    # sha256[:16] of the canonical document: the on-disk table format lists
-    # every level, and these digests pin its bytes
-    @pytest.mark.parametrize("make, digest", [
-        (lambda: qadic_table(2, 6), "32851673d04e12a2"),
-        (lambda: power_table(3, 5, 2.0), "7d34eb741d0af3e5"),
-        (lambda: power_table(2, 8, 1.5), "199ac242cbe7d254"),
-        (lambda: random_refining_table(3, 6, seed=9), "fe19fd46bd2595d5"),
+    # sha256[:16] of the canonical document, which lists the finest level
+    # only, and of that level's float64 bytes: the second digests are those of
+    # the finest level in the earlier format that listed every level, so the
+    # table content is unchanged
+    @pytest.mark.parametrize("make, digest, points_digest", [
+        (lambda: qadic_table(2, 6), "a185bb05b9a8b27b", "932f4d3c831e88a5"),
+        (lambda: power_table(3, 5, 2.0), "4942262fdc2e5535", "0b7321ea7a3a6ae3"),
+        (lambda: power_table(2, 8, 1.5), "3f4acc1b7a069187", "815a7c449e9a0ab9"),
+        (lambda: random_refining_table(3, 6, seed=9), "0fa1c3cce0533aab", "47c37013f4c969cf"),
     ], ids=["qadic-2-6", "power-3-5", "power-2-8", "random-3-6"])
-    def test_writer_bytes(self, make, digest):
+    def test_writer_bytes(self, make, digest, points_digest):
         table = make()
         text = serialize.canonical_dumps(serialize.table_to_dict(table))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+        points = np.asarray(json.loads(text)["points"], dtype=np.float64)
+        assert hashlib.sha256(points.tobytes()).hexdigest()[:16] == points_digest
         back = serialize.table_from_dict(json.loads(text))
         assert (back.q, back.level) == (table.q, table.level)
         np.testing.assert_array_equal(back.points, table.points)
@@ -193,7 +197,7 @@ def _pulled_document():
 
 
 def _table_document():
-    """Nested levels; the finest (3**11 + 1 points) spans three chunks."""
+    """A table's 3**11 + 1 points span three chunks."""
     return serialize.table_to_dict(power_table(3, 11, 2.0))
 
 
