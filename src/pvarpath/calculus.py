@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import cumsum_stable
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, check_exponent
 from .partition import MAX_INTERVALS_ENV, interval_budget
 from .schauder import SampledPath
 from .variation import pvar_profile, stieltjes_against_profile
@@ -277,8 +277,7 @@ def stability_bound(
     """
     if not g1.grid.same_as(g2.grid):
         raise ValidationError("g1 and g2 must share one grid")
-    if p <= 1:
-        raise ValidationError(f"p must be > 1, got {p}")
+    check_exponent(p)
     if selector is None:
         selector = NormSelector.sup()
     dens = np.abs(g1.samples) ** p - np.abs(g2.samples) ** p

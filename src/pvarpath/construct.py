@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, check_exponent
 from .partition import (
     MAX_INTERVALS_ENV,
     PartitionGrid,
@@ -87,8 +87,7 @@ class UniformMagnitudeSpec:
     def __post_init__(self):
         if self.q < 2:
             raise ValidationError(f"q must be >= 2, got {self.q}")
-        if self.p <= 1:
-            raise ValidationError(f"p must be > 1, got {self.p}")
+        check_exponent(self.p)
         if self.levels < 1:
             raise ValidationError(f"levels must be >= 1, got {self.levels}")
         if not (isinstance(self.signs, (int, np.integer))
@@ -428,8 +427,9 @@ def variation_constant(
     distribution are those of digit-by-digit draws, but the values a seed
     gives differ from those of earlier releases, which drew digit by digit.
     """
-    if p <= 1:
-        raise ValidationError(f"p must be > 1, got {p}")
+    check_exponent(p)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError(f"tolerance tol must be finite and > 0, got {tol}")
     if q < 2:
         raise ValidationError(f"q must be >= 2, got {q}")
     if J is not None and J < 1:

@@ -5,8 +5,8 @@ ratios, and every structural question (membership, nesting) is decided by
 integer index arithmetic.  A refining table to depth N is its level-N
 partition: a ``PartitionGrid`` with generator "table", whose coarser levels
 are strided views (``restrict``) and so nest by construction.  Its q**N + 1
-points fix N (``qadic_level``), so the finest level is all a table read from
-outside the program needs to list.
+points fix N (``qadic_level``), so the finest level alone determines the
+table (``build_homeomorphism``).
 """
 
 from __future__ import annotations
@@ -198,17 +198,10 @@ def random_refining_table(q: int, depth: int, seed: int = 0) -> PartitionGrid:
     return PartitionGrid(q, depth, pts, generator="table")
 
 
-def build_homeomorphism(q: int, points) -> PartitionGrid:
+def build_homeomorphism(q: int, points: np.ndarray) -> PartitionGrid:
     """The refining table whose finest level holds ``points``.
 
-    This is the check of tables from outside the program, which list only
-    level N: the q**N + 1 points fix N, and ``PartitionGrid`` checks the
-    rest.  Coarser levels are strides of level N, so they cannot fail to nest.
+    The q**N + 1 points fix N, and ``PartitionGrid`` checks the rest.
+    Coarser levels are strides of level N, so they cannot fail to nest.
     """
-    try:
-        pts = np.asarray(points)
-    except ValueError as exc:
-        raise ValidationError(f"refining table points must be a flat list of numbers: {exc}") from exc
-    if pts.ndim != 1 or pts.dtype.kind not in "iuf":
-        raise ValidationError("refining table points must be a flat list of numbers")
-    return PartitionGrid(q, qadic_level(q, pts.size - 1), pts, generator="table")
+    return PartitionGrid(q, qadic_level(q, len(points) - 1), points, generator="table")

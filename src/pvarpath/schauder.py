@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, check_exponent
 from .partition import (
     MAX_INTERVALS_ENV,
     PartitionGrid,
@@ -217,6 +217,8 @@ class SampledPath:
             )
         if not np.all(np.isfinite(v)):
             raise ValidationError("path values must be finite")
+        if not math.isfinite(self.offset):
+            raise ValidationError(f"path offset must be finite, got {self.offset}")
         object.__setattr__(self, "values", v)
 
     @property
@@ -347,8 +349,7 @@ def xi(coeffs: CoefficientArray, p: float, m: int) -> float:
     generalization beyond uniform-magnitude arrays is this library's
     convention.
     """
-    if p <= 1:
-        raise ValidationError(f"exponent p must be > 1, got {p}")
+    check_exponent(p)
     return float(coeffs.q ** (-m * p / 2.0) * np.sum(np.abs(coeffs.levels[m]) ** p))
 
 

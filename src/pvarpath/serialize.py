@@ -2,7 +2,15 @@
 
 A refining table is its level-N grid with generator "table"; its document
 is ``{"q": q, "points": [...]}``, the level-N points, whose count fixes N.
-Documents must give ``q`` (and a path's ``level``) as JSON integers.
+
+Every number a path or table document carries is read by one rule, here:
+``q`` and a path's ``level`` must be JSON integers (``_json_int``); a path's
+``values`` and ``meta.grid_points`` and a table's ``points`` must be flat
+lists of JSON numbers, ``int`` or ``float`` items only (``_json_floats``);
+a path's ``meta`` must be an object, and its ``meta.offset`` a finite JSON
+number (``_json_number``).  Bools, strings, ``null``, nested lists and
+integers beyond float range are refused with one line naming the document
+kind and the field; a valid document reads back bit for bit.
 
 JSON artifacts are written with sorted keys and compact separators, so a
 fixed input produces byte-identical output; arrays enter them through
@@ -23,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 from typing import IO, Callable
 
@@ -184,14 +193,37 @@ def _json_int(value, name: str, kind: str) -> int:
     return value
 
 
+def _json_floats(value, name: str, kind: str) -> np.ndarray:
+    """``value`` as a float64 array if it is a flat list of JSON numbers."""
+    if type(value) is list and set(map(type, value)) <= {int, float}:
+        try:
+            return np.asarray(value, dtype=np.float64)
+        except OverflowError:
+            pass  # an integer beyond float range
+    raise ValidationError(
+        f"malformed {kind} document: {name!r} must be a flat list of numbers")
+
+
+def _json_number(value, name: str, kind: str) -> float:
+    """``value`` as a float if it is a finite JSON number."""
+    try:
+        if type(value) in (int, float) and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass  # an integer beyond float range
+    raise ValidationError(f"malformed {kind} document: {name!r} must be a finite number")
+
+
 def path_from_dict(d: dict) -> SampledPath:
     try:
         q, level = _json_int(d["q"], "q", "path"), _json_int(d["level"], "level", "path")
-        values = np.asarray(d["values"], dtype=np.float64)
-        meta = dict(d.get("meta", {}))
+        values, meta = _json_floats(d["values"], "values", "path"), d.get("meta", {})
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed path document: {exc}") from exc
-    offset = float(meta.pop("offset", 0.0))
+    if type(meta) is not dict:
+        raise ValidationError("malformed path document: 'meta' must be an object")
+    meta = dict(meta)
+    offset = _json_number(meta.pop("offset", 0.0), "meta.offset", "path")
     generator = meta.pop("grid_generator", "q-adic")
     if generator == "q-adic":
         grid = qadic_grid(q, level)
@@ -200,7 +232,7 @@ def path_from_dict(d: dict) -> SampledPath:
             raise ValidationError(
                 f"malformed path document: a {generator!r} grid needs meta.grid_points"
             )
-        pts = np.asarray(meta.pop("grid_points"), dtype=np.float64)
+        pts = _json_floats(meta.pop("grid_points"), "meta.grid_points", "path")
         grid = PartitionGrid(q=q, level=level, points=pts, generator=generator)
     return SampledPath(grid=grid, values=values, offset=offset, meta=meta)
 
@@ -217,7 +249,8 @@ def table_to_dict(table: PartitionGrid) -> dict:
 
 def table_from_dict(d: dict) -> PartitionGrid:
     try:
-        q, points = _json_int(d["q"], "q", "table"), d["points"]
+        q = _json_int(d["q"], "q", "table")
+        points = _json_floats(d["points"], "points", "table")
     except KeyError as exc:
         raise ValidationError(f"malformed table document: missing {exc}") from exc
     except TypeError as exc:

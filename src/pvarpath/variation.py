@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import cumsum_stable
-from .errors import ValidationError
+from .errors import ValidationError, check_exponent
 from .partition import PartitionGrid
 from .schauder import CoefficientArray, SampledPath, xi_profile
 
@@ -92,8 +92,7 @@ def pvar_profile(
     (level 10 by default, to bound output size); ``eval_level=path.level``
     reports every grid point and ``eval_level=0`` only t = 0 and t = 1.
     """
-    if p <= 1:
-        raise ValidationError(f"exponent p must be > 1, got {p}")
+    check_exponent(p)
     terms = np.abs(path.increments()) ** p
     cum = np.concatenate(([0.0], cumsum_stable(terms)))
     stride = path.q ** max(path.level - eval_level, 0)

@@ -15,6 +15,23 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+def table_path_doc():
+    """A valid level-2 path document on a "table" grid."""
+    return {"q": 2, "level": 2, "values": [0.0, 1.0, 0.0, 1.0, 0.0],
+            "meta": {"grid_generator": "table", "grid_points": [0.0, 0.1, 0.5, 0.75, 1.0]}}
+
+
+def assert_rejected(tmp_path, capsys, command, doc, message):
+    """``command`` run on the path document ``doc`` exits 2, prints one line
+    holding ``message`` and writes no output."""
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(doc))
+    assert run([*command, str(path), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err, err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 class TestBuild:
     def test_build_writes_path_with_manifest(self, tmp_path):
         out = tmp_path / "ref.json"
@@ -82,6 +99,33 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
         assert not out.exists()
+
+    # each bad item replaces the last entry, where a 1 would be valid
+    @pytest.mark.parametrize("item", ["1", True, None, [1.0], 10 ** 400],
+                             ids=["string", "bool", "null", "nested", "huge-int"])
+    @pytest.mark.parametrize("field", ["values", "meta.grid_points"])
+    def test_malformed_path_array_exit_2(self, tmp_path, capsys, field, item):
+        doc = table_path_doc()
+        (doc["values"] if field == "values" else doc["meta"]["grid_points"])[-1] = item
+        assert_rejected(tmp_path, capsys, ["analyze"], doc,
+                        f"malformed path document: {field!r} must be a flat list of numbers")
+
+    @pytest.mark.parametrize("offset", ["2", True, float("inf"), 10 ** 400],
+                             ids=["string", "bool", "infinity", "huge-int"])
+    @pytest.mark.parametrize("command", [
+        ["analyze"],
+        ["timechange", "--mode", "pullback", "--make-table", "qadic", "--levels", "2",
+         "--path"],
+    ], ids=["analyze", "pullback"])
+    def test_malformed_path_offset_exit_2(self, tmp_path, capsys, command, offset):
+        doc = {**table_path_doc(), "meta": {"offset": offset}}  # pullback needs a q-adic grid
+        assert_rejected(tmp_path, capsys, command, doc,
+                        "malformed path document: 'meta.offset' must be a finite number")
+
+    def test_meta_not_an_object_exit_2(self, tmp_path, capsys):
+        doc = {**table_path_doc(), "meta": "ab"}
+        assert_rejected(tmp_path, capsys, ["analyze"], doc,
+                        "malformed path document: 'meta' must be an object")
 
     @pytest.mark.parametrize("flags, message", [
         (["--levels", "-1"], "--levels"),
@@ -223,6 +267,8 @@ class TestTimechange:
         ({"q": 2, "points": [[0.0, 0.5, 1.0], [0.0, 1.0]]}, "flat list of numbers"),
         ({"q": 2, "points": ["0", "0.5", "1"]}, "flat list of numbers"),
         ({"q": 2, "points": [False, True]}, "flat list of numbers"),
+        ({"q": 2, "points": [0, 0.25, 0.5, 0.75, True]}, "flat list of numbers"),
+        ({"q": 2, "points": [0.0, 0.25, 0.5, 0.75, 10 ** 400]}, "flat list of numbers"),
         ({"q": 2, "points": [0.0, float("nan"), 0.5, 0.75, 1.0]}, "strictly increasing"),
         ({"q": 2, "points": [0.0, 0.5, 0.25, 0.75, 1.0]}, "strictly increasing"),
         ({"q": 2, "points": [0.0, 0.5, 0.5, 0.75, 1.0]}, "strictly increasing"),
@@ -234,7 +280,8 @@ class TestTimechange:
         ([0.0, 0.5, 1.0], "malformed table document"),
     ], ids=["levels-not-list", "levels-empty", "old-layout", "finest-wrong-length",
            "points-empty", "q-1", "points-number", "points-null", "points-nested",
-           "points-ragged", "points-strings", "points-bools", "nan", "decreasing",
+           "points-ragged", "points-strings", "points-bools", "points-mixed-bool",
+           "points-huge-int", "nan", "decreasing",
            "repeated", "start-not-0", "end-not-1", "q-float", "q-string", "q-bool",
            "not-an-object"])
     def test_malformed_table_exit_2(self, tmp_path, capsys, doc, message):
@@ -375,6 +422,24 @@ class TestUsageErrors:
         assert err.count("\n") == 1
         assert "malformed path document" in err and "meta.grid_points" in err
         assert not out.exists()
+
+    # NaN passes the test p <= 1; each case used to exit 0 (or 3 for tol -1)
+    @pytest.mark.parametrize("argv", [
+        ["constant", "--p", "nan"],
+        ["analyze", "x.json", "--p", "nan"],
+        ["analyze", "x.json", "--p", "inf"],
+        ["build", "--p", "inf", "--levels", "2"],
+        ["constant", "--p", "2", "--tol", "nan"],
+        ["constant", "--p", "2", "--tol", "-1"],
+    ], ids=["constant-p-nan", "analyze-p-nan", "analyze-p-inf", "build-p-inf",
+           "constant-tol-nan", "constant-tol-negative"])
+    def test_nonfinite_exponent_or_tolerance_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(["build", "--levels", "2", "-o", "x.json"]) == 0
+        assert run([*argv, "-o", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be finite and > " in err, err
+        assert list(tmp_path.iterdir()) == [tmp_path / "x.json"]
 
     def test_sign_table_budget_exit_3(self, tmp_path, capsys):
         out = tmp_path / "c.json"

@@ -14,14 +14,17 @@ from pvarpath import (
     holder_quotient,
     pvar_profile,
     qadic_grid,
+    qadic_path,
     recipe,
     reference_path,
     shifted_reference,
     sign_matrix,
     splice,
+    stability_bound,
     synthesize,
     transport_multiply,
     variation_constant,
+    xi,
     xi_profile,
 )
 from pvarpath.construct import MC_CHUNK, _cross_sums, _mean_abs_pow, weight_patterns
@@ -151,6 +154,30 @@ class TestVariationConstant:
         with pytest.raises(ValidationError, match="N >= 2"):
             variation_constant(2.0, 2, method="mc", N=1)
         assert variation_constant(2.0, 2, method="mc", N=2, seed=0).stderr > 0.0
+
+    # a NaN tolerance used to stop the search at J = 1, and tol = -1 to
+    # report a budget overrun
+    @pytest.mark.parametrize("tol", (math.nan, math.inf, 0.0, -1.0))
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValidationError, match="tol must be finite and > 0"):
+            variation_constant(2.0, 2, tol=tol)
+
+
+_G = qadic_path([0.0, 1.0, 0.0])
+
+
+# every function taking a variation exponent refuses NaN, which passes p <= 1
+@pytest.mark.parametrize("p", (1.0, math.nan, math.inf))
+@pytest.mark.parametrize("call", [
+    lambda p: UniformMagnitudeSpec(p=p),
+    lambda p: variation_constant(p),
+    lambda p: pvar_profile(_G, p),
+    lambda p: xi(CoefficientArray(q=2, boundary=(0.0, 0.0), levels=(np.zeros(1),)), p, 0),
+    lambda p: stability_bound(_G, _G, p, 1.0),
+], ids=["spec", "variation_constant", "pvar_profile", "xi", "stability_bound"])
+def test_exponent_must_be_finite_above_one(call, p):
+    with pytest.raises(ValidationError, match="exponent p must be finite and > 1"):
+        call(p)
 
 
 def mean_abs_pow_out_of_place(a, b, p):

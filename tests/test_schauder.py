@@ -298,6 +298,12 @@ class TestSampledPath:
         np.testing.assert_array_equal(path.samples, [3.0, 4.0, 3.0])
         np.testing.assert_array_equal(path.increments(), [1.0, -1.0])
 
+    @pytest.mark.parametrize("offset", (math.nan, math.inf, -math.inf))
+    def test_offset_must_be_finite(self, offset):
+        # a NaN offset used to make every sample NaN
+        with pytest.raises(ValidationError, match="offset must be finite"):
+            qadic_path([0.0, 1.0, 0.0], offset=offset)
+
     def test_restrict_strides(self):
         vals = np.arange(9.0)
         path = qadic_path(vals, q=2)

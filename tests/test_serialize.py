@@ -51,6 +51,13 @@ class TestPathRoundTrip:
         np.testing.assert_array_equal(back.grid.points, pulled.grid.points)
         assert back.grid.generator == "table"
 
+    def test_signed_zero_and_subnormal_read_back_bit_for_bit(self):
+        x = qadic_path([0.0, -0.0, 5e-324, -5e-324, 1.0])
+        back = serialize.path_from_dict(json.loads(serialize.canonical_dumps(
+            serialize.path_to_dict(x))))
+        assert back.values.tobytes() == x.values.tobytes()
+        assert math.copysign(1.0, back.values[1]) == -1.0
+
     def test_malformed(self):
         with pytest.raises(ValidationError):
             serialize.path_from_dict({"q": 2})
