@@ -1,14 +1,24 @@
-"""The one extended-precision helper.
+"""The one exact prefix sum.
 
-Two sums run in extended precision (80-bit ``longdouble`` on x86 Linux):
-the p-th variation profile and the compensated sum.  Both feed the exact
-change-of-variable identity for y**2, whose residual is their difference.
-Measured on a q=2, n=20 reference path with random signs, plain float64
-there leaves 0.4% of the residuals exactly zero instead of 66%, raises
-their sup from 2.2e-16 to 4.6e-14, and grows the residual CSV from 30.6 MB
-to 45.2 MB.  Every other sum in the package is plain float64, where
-measurement showed no difference.  The order is strictly sequential, hence
-deterministic.
+Two sums need more than plain float64 accumulation: the p-th variation
+profile and the compensated sum.  Both feed the exact change-of-variable
+identity for y**2, whose residual is their difference.  ``cumsum_stable``
+gives every prefix as the float64 rounding of a sum accurate to twice the
+working precision (Ogita, Rump & Oishi, "Accurate sum and dot product",
+2005): a sequential float64 cumsum, the exact rounding error of each of its
+additions by TwoSum, and the cumsum of those errors added back.  numpy's
+1-D cumsum is a sequential ``add.accumulate``, so each partial sum is the
+rounded sum of the previous one and one term, and TwoSum recovers that
+rounding exactly.  Only float64 is used, so the bits are the same on every
+IEEE platform.
+
+Measured against ``math.fsum`` at every 4096th prefix of 2**20 terms
+(mixed-sign and squared), it is off by 0 ulp, and plain float64 by up to
+5335 ulp.  On a q=2 reference path with random signs (seed 1), the y**2
+residual at n=16 keeps 60.8% of its entries exactly zero and a sup of
+2.2e-16, where plain float64 leaves 1.5% zero and a sup of 8.5e-15; at n=20
+the residual CSV is 32.2 MB instead of 45.2 MB.  Every other sum in the
+package is plain float64, where measurement showed no difference.
 """
 
 from __future__ import annotations
@@ -17,6 +27,22 @@ import numpy as np
 
 
 def cumsum_stable(terms: np.ndarray) -> np.ndarray:
-    """Sequential cumulative sum in extended precision, returned as float64."""
-    acc = np.cumsum(np.asarray(terms, dtype=np.longdouble))
-    return acc.astype(np.float64)
+    """Prefix sums of the 1-D ``terms``, from the empty sum on: entry i is the
+    sum of the first i terms, so the result has one entry more than ``terms``.
+
+    Past an overflow to inf or a NaN term, the entries are those of the plain
+    float64 cumsum.
+    """
+    t = np.asarray(terms, dtype=np.float64)
+    s = np.zeros(t.size + 1)
+    np.cumsum(t, out=s[1:])             # s_k = fl(s_{k-1} + t_k), in order
+    # past an overflow the corrections are NaN and are not applied
+    with np.errstate(invalid="ignore"):
+        b = np.subtract(s[1:], s[:-1])  # b_k = s_k - s_{k-1}
+        e = np.subtract(s[1:], b)
+        np.subtract(s[:-1], e, out=e)   # s_{k-1} - (s_k - b_k)
+        np.subtract(t, b, out=b)        # t_k - b_k
+        e += b                          # e_k = s_{k-1} + t_k - s_k exactly (TwoSum)
+        np.cumsum(e, out=e)
+    np.add(s[1:], e, out=s[1:], where=np.isfinite(s[1:]))
+    return s

@@ -70,8 +70,11 @@ class FunctionWithDerivatives:
 
     @classmethod
     def polynomial(cls, coefficients) -> "FunctionWithDerivatives":
-        """All derivatives of a polynomial given ascending coefficients."""
+        """All derivatives of a polynomial given finite ascending coefficients."""
         coeffs = np.asarray(coefficients, dtype=np.float64)
+        if not np.all(np.isfinite(coeffs)):
+            raise ValidationError(
+                f"polynomial coefficients must be finite, got {coeffs.tolist()}")
         if coeffs.size == 0:
             coeffs = np.zeros(1)
         chains = [coeffs]
@@ -103,9 +106,9 @@ def follmer_sum(f: FunctionWithDerivatives, y: SampledPath, p) -> np.ndarray:
     """Level-n compensated sum of f'(y) dy at every grid point.
 
     Entry i is the sum over grid intervals strictly before point i of
-    sum_{k=1}^{p-1} f^(k)(y(t_j)) / k! * (increment)^k, accumulated in a
-    fixed sequential order in extended precision, like the variation
-    profile it is compared against (see ``_util`` for the measurement).
+    sum_{k=1}^{p-1} f^(k)(y(t_j)) / k! * (increment)^k, summed by
+    ``_util.cumsum_stable`` like the variation profile it is compared
+    against (``_util`` states the precision rule).
     """
     p = _check_even_order(p)
     if f.order < p - 1 and not f.exhaustive:
@@ -117,7 +120,7 @@ def follmer_sum(f: FunctionWithDerivatives, y: SampledPath, p) -> np.ndarray:
     for k in range(1, p):
         dk = dk * d
         terms = terms + f.deriv(k)(left) * dk / math.factorial(k)
-    return np.concatenate(([0.0], cumsum_stable(terms)))
+    return cumsum_stable(terms)
 
 
 @dataclass(frozen=True, eq=False)

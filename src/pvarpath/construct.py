@@ -97,10 +97,7 @@ class UniformMagnitudeSpec:
             raise ValidationError("branch weights apply only to q >= 3")
         if self.q >= 3:
             a = tuple(float(v) for v in (self.a if self.a is not None else np.ones(self.q - 1)))
-            if len(a) != self.q - 1:
-                raise ValidationError(f"branch weights must have length {self.q - 1}")
-            if not any(v != 0.0 for v in a):
-                raise ValidationError("branch weights must not be all zero")
+            eta_all(a, self.q)
             object.__setattr__(self, "a", a)
             if self.signs != "plus":
                 raise ValidationError("random signs apply only to q = 2")

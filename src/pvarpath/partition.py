@@ -11,6 +11,7 @@ table (``build_homeomorphism``).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -165,12 +166,12 @@ def qadic_table(q: int, depth: int) -> PartitionGrid:
 
 
 def power_table(q: int, depth: int, exponent: float = 2.0) -> PartitionGrid:
-    """Refining table with points (i/q**n)**exponent (exponent > 0).
+    """Refining table with points (i/q**n)**exponent (exponent finite and > 0).
 
     For exponent 2 the associated time change is the square root map.
     """
-    if exponent <= 0:
-        raise ValidationError("exponent must be positive")
+    if not (math.isfinite(exponent) and exponent > 0):
+        raise ValidationError(f"power-table exponent must be finite and > 0, got {exponent}")
     return PartitionGrid(q, depth, qadic_grid(q, depth).points ** exponent, generator="table")
 
 

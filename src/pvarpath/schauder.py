@@ -91,13 +91,22 @@ def gamma_cumulative(q: int) -> np.ndarray:
 
 
 def eta_all(a, q: int) -> np.ndarray:
-    """All q child values of the branch combination defined by weights ``a``."""
+    """All q child values of the branch combination defined by weights ``a``.
+
+    This is the one rule for branch weights: q-1 finite values, not all zero,
+    whose child values are finite too (1e308 weights overflow them).
+    """
     a = np.asarray(a, dtype=np.float64)
     if a.shape != (q - 1,):
         raise ValidationError(f"branch weights must have length q-1={q - 1}, got {a.shape}")
     if not np.any(a != 0.0):
         raise ValidationError("branch weights must not be all zero")
-    return a @ gamma_rows(q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = a @ gamma_rows(q)
+    if not np.all(np.isfinite(eta)):
+        raise ValidationError(
+            f"branch weights must be finite, with finite child values, got {a.tolist()}")
+    return eta
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,9 @@
 A level-n profile is t -> sum_j |x(t_{j+1} ^ t) - x(t_j ^ t)|^p along the
 level-n grid; clamping at t means intervals beyond t contribute exactly
 zero, so on grid points the profile is a prefix sum of |increment|^p terms.
-That prefix sum runs in extended precision with a fixed sequential order:
-it is one side of the exact y**2 change-of-variable identity, and in plain
-float64 the identity's residuals at n=20 stop being exactly zero (0.4% zero
-instead of 66%, sup 4.6e-14 instead of 2.2e-16; see ``_util``).  Every other
-sum here is plain float64.
+That prefix sum is ``_util.cumsum_stable``, because it is one side of the
+exact y**2 change-of-variable identity (``_util`` states the precision rule
+and its measurement).  Every other sum here is plain float64.
 
 A profile is read on its path's own grid, at the points of one coarser
 level m of the same partition sequence (every q**(n - m)-th point): where
@@ -94,7 +92,7 @@ def pvar_profile(
     """
     check_exponent(p)
     terms = np.abs(path.increments()) ** p
-    cum = np.concatenate(([0.0], cumsum_stable(terms)))
+    cum = cumsum_stable(terms)
     stride = path.q ** max(path.level - eval_level, 0)
     # a compact copy, so a coarse profile does not keep the full sum alive
     return VariationProfile(p=p, grid=path.grid, eval_level=eval_level,

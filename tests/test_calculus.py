@@ -44,6 +44,11 @@ class TestFunctionWithDerivatives:
         assert f.deriv(2)(2.0) == 6.0
         assert f.deriv(5)(2.0) == 0.0  # exhausted polynomials keep answering
 
+    @pytest.mark.parametrize("coefficients", [[0.0, np.nan], [0.0, np.inf, 1.0]])
+    def test_nonfinite_coefficients_rejected(self, coefficients):
+        with pytest.raises(ValidationError, match="coefficients must be finite"):
+            FunctionWithDerivatives.polynomial(coefficients)
+
     def test_explicit_derivatives_bounded(self):
         f = FunctionWithDerivatives(funcs=(np.sin, np.cos))
         with pytest.raises(ValidationError):
@@ -87,6 +92,14 @@ class TestChangeOfVariableResidual:
         for seed in range(5):
             rep = change_of_variable_residual(SQUARE, random_path(seed=seed), 2)
             assert rep.sup <= 1e-12
+
+    def test_square_p2_residual_at_rounding_level(self):
+        # both sides of the y**2 identity are exact prefix sums; with a plain
+        # float64 cumsum the sup is 8.5e-15 and 1.5% of entries are zero
+        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=16, signs=1), 16)
+        rep = change_of_variable_residual(SQUARE, x, 2)
+        assert rep.sup <= 4.5e-16
+        assert np.mean(rep.residuals == 0.0) >= 0.5
 
     def test_fourth_power_residual_shrinks(self):
         x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=12), 12)

@@ -441,6 +441,30 @@ class TestUsageErrors:
         assert err.count("\n") == 1 and "must be finite and > " in err, err
         assert list(tmp_path.iterdir()) == [tmp_path / "x.json"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["constant", "--q", "3", "--a", "nan,1", "--p", "2"], "branch weights must be finite"),
+        (["constant", "--q", "3", "--a", "inf,1", "--p", "2"], "branch weights must be finite"),
+        (["build", "--q", "3", "--a", "nan,1", "--levels", "2"], "branch weights must be finite"),
+        (["recipe", "--q", "3", "--a", "1,inf", "--levels", "4"], "branch weights must be finite"),
+        (["constant", "--q", "3", "--a", "1e308,1e308", "--p", "2"],
+         "branch weights must be finite"),
+        (["timechange", "--mode", "recipe", "--exponent", "nan", "--levels", "4"],
+         "exponent must be finite and > 0"),
+        (["timechange", "--mode", "recipe", "--exponent", "inf", "--levels", "4"],
+         "exponent must be finite and > 0"),
+        (["ito", "x.json", "--f", "0,nan"], "coefficients must be finite"),
+        (["ito", "x.json", "--f", "0,inf,1"], "coefficients must be finite"),
+    ], ids=["constant-a-nan", "constant-a-inf", "build-a-nan", "recipe-a-inf", "constant-a-huge",
+           "power-exponent-nan", "power-exponent-inf", "ito-f-nan", "ito-f-inf"])
+    def test_nonfinite_weight_exponent_or_coefficient_exit_2(self, tmp_path, capsys,
+                                                             monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run(["build", "--levels", "2", "-o", "x.json"]) == 0
+        assert run([*argv, "-o", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err, err
+        assert list(tmp_path.iterdir()) == [tmp_path / "x.json"]
+
     def test_sign_table_budget_exit_3(self, tmp_path, capsys):
         out = tmp_path / "c.json"
         assert run(["constant", "--q", "100000", "--p", "2", "-o", str(out)]) == 3

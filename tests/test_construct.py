@@ -57,6 +57,10 @@ class TestSpec:
         with pytest.raises(ValidationError):
             UniformMagnitudeSpec(q=3, p=2.0, a=(0.0, 0.0))
         with pytest.raises(ValidationError):
+            UniformMagnitudeSpec(q=3, p=2.0, a=(1.0,))
+        with pytest.raises(ValidationError):
+            UniformMagnitudeSpec(q=3, p=2.0, a=(float("nan"), 1.0))
+        with pytest.raises(ValidationError):
             UniformMagnitudeSpec(q=3, p=2.0, signs=4)
         with pytest.raises(ValidationError):
             UniformMagnitudeSpec(q=2, p=2.0, a=(1.0,))

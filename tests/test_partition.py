@@ -108,6 +108,11 @@ class TestRefining:
         assert back.level == 6
         np.testing.assert_array_equal(back.points, table.points)
 
+    @pytest.mark.parametrize("exponent", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_power_table_exponent_finite_and_positive(self, exponent):
+        with pytest.raises(ValidationError, match="exponent must be finite and > 0"):
+            power_table(2, 3, exponent)
+
 
 class TestHomeomorphism:
     def test_rejects_broken_table(self):

@@ -89,6 +89,9 @@ class TestEta:
             eta_all((1.0, 1.0, 1.0), 3)
         with pytest.raises(ValidationError):
             eta_all((0.0, 0.0), 3)
+        for a in ((np.nan, 1.0), (1.0, np.inf), (1e308, 1e308)):
+            with pytest.raises(ValidationError, match="must be finite"):
+                eta_all(a, 3)
 
 
 class TestCoefficientArray:
