@@ -18,6 +18,7 @@ import numpy as np
 from .calculus import FunctionWithDerivatives, change_of_variable_residual, grid_norm
 from .calculus import NormSelector, holder_quotient, stability_bound
 from .construct import (
+    TARGET_DENSITIES,
     UniformMagnitudeSpec,
     bernstein,
     recipe,
@@ -74,12 +75,8 @@ def _reference16(p: float) -> SampledPath:
 
 @lru_cache(maxsize=None)
 def _recipe_path(target: str):
-    grids = {
-        "linear": lambda t: np.ones_like(t),
-        "exp": np.exp,
-        "log": lambda t: 1.0 / (1.0 + t),
-    }
-    return recipe(grids[target], _default_spec(), 16)
+    hprime = TARGET_DENSITIES[target][0]
+    return recipe(lambda t: hprime(t, 1.0), _default_spec(), 16)
 
 
 def criterion_1() -> CriterionResult:
@@ -177,18 +174,13 @@ def criterion_5() -> CriterionResult:
 def criterion_6() -> CriterionResult:
     """Prescribed-variation recipe reproduces h on [0,1] within 2 percent."""
     t0 = time.perf_counter()
-    targets = {
-        "linear": lambda t: t,
-        "exp": lambda t: np.exp(t) - 1.0,
-        "log": lambda t: np.log1p(t),
-    }
     ok = True
     parts = []
-    for name, h in targets.items():
+    for name, (_, h) in TARGET_DENSITIES.items():
         res = _recipe_path(name)
         prof = pvar_profile(res.y, 2.0, eval_level=res.y.level)
-        gap = float(np.max(np.abs(prof.values - h(prof.eval_points))))
-        tol = 0.02 * (1.0 + float(h(np.array(1.0))))
+        gap = float(np.max(np.abs(prof.values - h(prof.eval_points, 1.0))))
+        tol = 0.02 * (1.0 + float(h(1.0, 1.0)))
         ok &= gap <= tol
         parts.append(f"{name}: sup gap {gap:.2e} (tol {tol:.3f})")
     return _result(6, "prescribed-variation recipe", 20.0, t0, ok, "; ".join(parts))
@@ -270,7 +262,7 @@ def criterion_11() -> CriterionResult:
             nodes = np.arange(degree + 1) / degree
             poly = bernstein(lambda t, zv=zv, nodes=nodes: np.interp(t, nodes, zv),
                              degree, grid)
-            quot = holder_quotient(grid.points, poly.samples, 0.5)
+            quot = holder_quotient(grid.points, poly.values, 0.5)
             bound = (2 * degree + 1) * float(np.max(np.abs(zv)))
             ok &= quot <= bound
             worst_ratio = max(worst_ratio, quot / bound)

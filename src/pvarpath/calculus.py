@@ -70,7 +70,8 @@ class FunctionWithDerivatives:
 
     @classmethod
     def polynomial(cls, coefficients) -> "FunctionWithDerivatives":
-        """All derivatives of a polynomial given finite ascending coefficients."""
+        """All derivatives of a polynomial given finite ascending coefficients,
+        whose derivative coefficients must be finite too."""
         coeffs = np.asarray(coefficients, dtype=np.float64)
         if not np.all(np.isfinite(coeffs)):
             raise ValidationError(
@@ -78,9 +79,14 @@ class FunctionWithDerivatives:
         if coeffs.size == 0:
             coeffs = np.zeros(1)
         chains = [coeffs]
-        while chains[-1].size > 1:
-            c = chains[-1]
-            chains.append(c[1:] * np.arange(1, c.size))
+        with np.errstate(over="ignore"):
+            while chains[-1].size > 1:
+                c = chains[-1]
+                chains.append(c[1:] * np.arange(1, c.size))
+        if not all(np.all(np.isfinite(c)) for c in chains):
+            raise ValidationError(
+                f"derivatives of the polynomial with coefficients {coeffs.tolist()} "
+                "overflow float64")
         funcs = [
             (lambda cc: (lambda v: np.polynomial.polynomial.polyval(v, cc)))(c)
             for c in chains
@@ -114,7 +120,7 @@ def follmer_sum(f: FunctionWithDerivatives, y: SampledPath, p) -> np.ndarray:
     if f.order < p - 1 and not f.exhaustive:
         raise ValidationError(f"need derivatives up to order {p - 1}")
     d = y.increments()
-    left = y.samples[:-1]
+    left = y.values[:-1]
     terms = np.zeros_like(d)
     dk = np.ones_like(d)
     for k in range(1, p):
@@ -130,6 +136,13 @@ class ResidualReport:
     sup: float
 
 
+def _finite_evaluation(values: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(
+            "the function f or one of its derivatives overflows float64 on this path")
+    return values
+
+
 def change_of_variable_residual(f: FunctionWithDerivatives, y: SampledPath, p) -> ResidualReport:
     """Defect of the discrete change-of-variable identity at every grid point.
 
@@ -138,17 +151,20 @@ def change_of_variable_residual(f: FunctionWithDerivatives, y: SampledPath, p) -
                   level-n variation profile of y.
 
     The correction uses the discrete level-n profile, so for f(y) = y**2 and
-    p = 2 the residual is zero in exact arithmetic at every grid point.
+    p = 2 the residual is zero in exact arithmetic at every grid point.  If
+    f or one of its derivatives overflows float64 on the path's values,
+    ``ValidationError`` is raised.
     """
     p = _check_even_order(p)
     if f.order < p and not f.exhaustive:
         raise ValidationError(f"need derivatives up to order {p}")
     profile = pvar_profile(y, p, eval_level=y.level)
-    comp = follmer_sum(f, y, p)
-    w = SampledPath(grid=y.grid, values=f.deriv(p)(y.samples))
-    corr = stieltjes_against_profile(w, profile) / math.factorial(p)
-    sam = y.samples
-    resid = f(sam) - f(sam[0]) - comp - corr
+    sam = y.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        comp = follmer_sum(f, y, p)
+        w = SampledPath(grid=y.grid, values=_finite_evaluation(f.deriv(p)(sam)))
+        corr = stieltjes_against_profile(w, profile) / math.factorial(p)
+        resid = _finite_evaluation(f(sam) - f(sam[0]) - comp - corr)
     return ResidualReport(
         eval_points=y.grid.points,
         residuals=resid,
@@ -227,7 +243,7 @@ def grid_norm(g: SampledPath, selector: NormSelector) -> float:
     sup and total variation run over grid points; the Holder quotient over
     all grid pairs; L^p uses left-endpoint quadrature on the grid.
     """
-    v = g.samples
+    v = g.values
     if selector.kind == "sup":
         return float(np.max(np.abs(v)))
     if selector.kind == "tv_plus_sup":
@@ -242,10 +258,10 @@ def transported_norm(y: SampledPath, xbar: SampledPath, selector: NormSelector) 
     """Norm of the multiplier y / xbar, the transported-space norm of y."""
     if not y.grid.same_as(xbar.grid):
         raise ValidationError("y and xbar must share one grid")
-    ref = xbar.samples
+    ref = xbar.values
     if np.min(ref) <= 0:
         raise ValidationError("reference path must be strictly positive")
-    ratio = SampledPath(grid=y.grid, values=y.samples / ref)
+    ratio = SampledPath(grid=y.grid, values=y.values / ref)
     return grid_norm(ratio, selector)
 
 
@@ -283,14 +299,14 @@ def stability_bound(
     check_exponent(p)
     if selector is None:
         selector = NormSelector.sup()
-    dens = np.abs(g1.samples) ** p - np.abs(g2.samples) ** p
+    dens = np.abs(g1.values) ** p - np.abs(g2.values) ** p
     dt = np.diff(g1.grid.points)
     prefix = np.concatenate(([0.0], np.cumsum(dens[:-1] * dt)))
     lhs = c_p * float(np.max(np.abs(prefix)))
     rhs_l1 = c_p * float(np.sum(np.abs(dens[:-1]) * dt))
     n1 = grid_norm(g1, selector)
     n2 = grid_norm(g2, selector)
-    diff = SampledPath(grid=g1.grid, values=g1.samples - g2.samples)
+    diff = SampledPath(grid=g1.grid, values=g1.values - g2.values)
     ndiff = grid_norm(diff, selector)
     rhs_lip = p * c_p * K ** p * (n1 ** (p - 1) + n2 ** (p - 1)) * ndiff
     slack = 1e-9 * (1.0 + abs(lhs) + abs(rhs_l1) + abs(rhs_lip))

@@ -30,6 +30,7 @@ import numpy as np
 from . import acceptance, serialize
 from .calculus import FunctionWithDerivatives, change_of_variable_residual
 from .construct import (
+    TARGET_DENSITIES,
     UniformMagnitudeSpec,
     recipe,
     reference_path,
@@ -39,13 +40,6 @@ from .errors import BudgetError, ValidationError
 from .partition import power_table, qadic_table, random_refining_table
 from .timechange import pullback_path, transported_pvar_check, transported_recipe
 from .variation import pvar_profile
-
-TARGET_DENSITIES = {
-    # name -> (hprime(t, rate), h(t, rate))  with h(0) = 0
-    "linear": (lambda t, r: np.full_like(t, r), lambda t, r: r * t),
-    "exp": (lambda t, r: r * np.exp(r * t), lambda t, r: np.exp(r * t) - 1.0),
-    "log": (lambda t, r: r / (1.0 + r * t), lambda t, r: np.log1p(r * t)),
-}
 
 
 def _write_all(outputs) -> None:

@@ -536,14 +536,23 @@ def transport_multiply(
         raise ValidationError("g and x must share one grid")
     y = SampledPath(
         grid=x.grid,
-        values=g.samples * x.samples,
+        values=g.values * x.values,
         meta={"source": "transport_multiply"},
     )
-    gp = SampledPath(grid=g.grid, values=np.abs(g.samples) ** p)
+    gp = SampledPath(grid=g.grid, values=np.abs(g.values) ** p)
     pred = stieltjes_against_profile(gp, x_profile)
     predicted = VariationProfile(p=p, grid=x_profile.grid, eval_level=x_profile.eval_level,
                                  values=pred)
     return TransportResult(y=y, predicted=predicted)
+
+
+# The target variations the CLI and the acceptance checks prescribe:
+# name -> (hprime(t, rate), h(t, rate)), with h(0) = 0 and h' = hprime.
+TARGET_DENSITIES = {
+    "linear": (lambda t, r: np.full_like(t, r), lambda t, r: r * t),
+    "exp": (lambda t, r: r * np.exp(r * t), lambda t, r: np.exp(r * t) - 1.0),
+    "log": (lambda t, r: r / (1.0 + r * t), lambda t, r: np.log1p(r * t)),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -607,9 +616,12 @@ def recipe(
 def shifted_reference(x: SampledPath, shift: float) -> SampledPath:
     """Strictly positive shift x + shift with shift > sup |x|.
 
-    The shift is stored as the path's offset, so increments (hence every
-    variation profile) of the shifted path are computed from the same raw
-    values and are literally identical to those of ``x``.
+    The shifted values are stored like any path's, so variation profiles of
+    the shifted path agree with those of ``x`` to rounding, not bit for bit.
+    On q=2 (n=20, random signs seed 1) and q=3 (n=12, a=(1, 1)) reference
+    paths, for p in {1.5, 2, 3.5, 4} and shift sup|x| + 1 or + 2, the full
+    profiles differ by at most 15 ulp of the terminal value (2.6e-15
+    relative), and by 4.2e-14 relative at shift sup|x| + 100.
     """
     if shift <= x.sup_norm():
         raise ValidationError(
@@ -617,8 +629,7 @@ def shifted_reference(x: SampledPath, shift: float) -> SampledPath:
         )
     return SampledPath(
         grid=x.grid,
-        values=x.values,
-        offset=x.offset + shift,
+        values=x.values + shift,
         meta={**x.meta, "shifted_by": float(shift)},
     )
 
@@ -628,7 +639,7 @@ def shifted_reference(x: SampledPath, shift: float) -> SampledPath:
 # ---------------------------------------------------------------------------
 
 
-def bernstein(z, degree: int, grid: PartitionGrid | None = None) -> SampledPath:
+def bernstein(z, degree: int, grid: PartitionGrid) -> SampledPath:
     """Degree-``degree`` Bernstein polynomial of ``z`` sampled on ``grid``.
 
     ``z`` may be a callable or a SampledPath (linearly interpolated at the
@@ -639,8 +650,6 @@ def bernstein(z, degree: int, grid: PartitionGrid | None = None) -> SampledPath:
     """
     if degree < 1:
         raise ValidationError(f"degree must be >= 1, got {degree}")
-    if grid is None:
-        grid = qadic_grid(2, 10)
     work = (degree + 1) * grid.points.size
     budget = interval_budget()
     if work > budget:
@@ -652,7 +661,7 @@ def bernstein(z, degree: int, grid: PartitionGrid | None = None) -> SampledPath:
     if callable(z):
         zv = np.asarray(z(nodes), dtype=np.float64)
     else:
-        zv = np.interp(nodes, z.grid.points, z.samples)
+        zv = np.interp(nodes, z.grid.points, z.values)
     t = grid.points
     b = np.repeat(zv[:, None], t.size, axis=1)
     for _ in range(degree):

@@ -166,13 +166,19 @@ def qadic_table(q: int, depth: int) -> PartitionGrid:
 
 
 def power_table(q: int, depth: int, exponent: float = 2.0) -> PartitionGrid:
-    """Refining table with points (i/q**n)**exponent (exponent finite and > 0).
+    """Refining table with points (i/q**n)**exponent (exponent finite and > 0,
+    and small enough that no two points round to the same float).
 
     For exponent 2 the associated time change is the square root map.
     """
     if not (math.isfinite(exponent) and exponent > 0):
         raise ValidationError(f"power-table exponent must be finite and > 0, got {exponent}")
-    return PartitionGrid(q, depth, qadic_grid(q, depth).points ** exponent, generator="table")
+    points = qadic_grid(q, depth).points ** exponent
+    if not np.all(np.diff(points) > 0):
+        raise ValidationError(
+            f"power-table exponent {exponent} makes neighbouring level-{depth} points "
+            "equal in float64")
+    return PartitionGrid(q, depth, points, generator="table")
 
 
 def random_refining_table(q: int, depth: int, seed: int = 0) -> PartitionGrid:

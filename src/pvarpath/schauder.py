@@ -207,15 +207,12 @@ class CoefficientArray:
 class SampledPath:
     """Values of a continuous path on one partition grid.
 
-    ``values`` are stored raw; ``offset`` is an additive constant applied on
-    materialization.  Increment-based quantities read the raw values, so a
-    constant shift provably cannot change them -- this is what makes profiles
-    of shifted paths literally identical, not merely close.
+    A path is its ``values``: read-only, finite, one per grid point.  A
+    shifted path stores its shifted values, like any other path.
     """
 
     grid: PartitionGrid
     values: np.ndarray
-    offset: float = 0.0
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -226,8 +223,6 @@ class SampledPath:
             )
         if not np.all(np.isfinite(v)):
             raise ValidationError("path values must be finite")
-        if not math.isfinite(self.offset):
-            raise ValidationError(f"path offset must be finite, got {self.offset}")
         object.__setattr__(self, "values", v)
 
     @property
@@ -238,37 +233,29 @@ class SampledPath:
     def level(self) -> int:
         return self.grid.level
 
-    @property
-    def samples(self) -> np.ndarray:
-        """Materialized values (raw + offset)."""
-        if self.offset == 0.0:
-            return self.values
-        return self.values + self.offset
-
     def increments(self) -> np.ndarray:
-        """Consecutive differences; independent of ``offset`` by construction."""
+        """Consecutive differences of the values."""
         return np.diff(self.values)
 
     def restrict(self, level: int) -> "SampledPath":
-        """Samples on the coarser level-``level`` subgrid of the same sequence."""
+        """Values on the coarser level-``level`` subgrid of the same sequence."""
         stride = self.q ** (self.level - level)
         return SampledPath(
             grid=self.grid.restrict(level),
             values=self.values[::stride],
-            offset=self.offset,
             meta={**self.meta, "restricted_from": self.level},
         )
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.samples)))
+        return float(np.max(np.abs(self.values)))
 
 
-def qadic_path(values, q: int = 2, meta: dict | None = None, offset: float = 0.0) -> SampledPath:
-    """Wrap raw values (length q**n + 1) as a path on the q-adic level-n grid;
+def qadic_path(values, q: int = 2) -> SampledPath:
+    """Wrap values (length q**n + 1) as a path on the q-adic level-n grid;
     ``qadic_level`` finds n and rejects a q that is not an integer >= 2."""
     values = np.asarray(values, dtype=np.float64)
     level = qadic_level(q, values.shape[0] - 1)
-    return SampledPath(grid=qadic_grid(q, level), values=values, offset=offset, meta=meta or {})
+    return SampledPath(grid=qadic_grid(q, level), values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +274,7 @@ def _refinement(values: np.ndarray, q: int, n: int, m: int):
     return interior, base
 
 
-def synthesize(coeffs: CoefficientArray, n: int, meta: dict | None = None) -> SampledPath:
+def synthesize(coeffs: CoefficientArray, n: int) -> SampledPath:
     """Evaluate the expansion at every level-``n`` grid point.
 
     Level by level, the new interior points are filled by linear
@@ -311,12 +298,11 @@ def synthesize(coeffs: CoefficientArray, n: int, meta: dict | None = None) -> Sa
     return SampledPath(
         grid=grid,
         values=values,
-        meta={**(meta or {}), "source": "synthesize", "level": n,
-              "coefficient_levels": coeffs.num_levels},
+        meta={"source": "synthesize", "level": n, "coefficient_levels": coeffs.num_levels},
     )
 
 
-def analyze(path: SampledPath, levels: int | None = None) -> CoefficientArray:
+def analyze(path: SampledPath) -> CoefficientArray:
     """Recover coefficients of levels 0..n-1 from level-n grid samples.
 
     Inverts the synthesis step at each level: the interior-child details
@@ -330,15 +316,11 @@ def analyze(path: SampledPath, levels: int | None = None) -> CoefficientArray:
     n = path.level
     if n < 1:
         raise ValidationError("analysis needs grid level >= 1")
-    if levels is None:
-        levels = n
-    if not 1 <= levels <= n:
-        raise ValidationError(f"levels must lie in [1, {n}], got {levels}")
     q = path.q
-    vals = path.samples
+    vals = path.values
     inv = np.linalg.inv(gamma_cumulative(q)[:, 1:q])
     out = []
-    for m in range(levels):
+    for m in range(n):
         interior, base = _refinement(vals, q, n, m)
         detail = interior - base
         out.append(q ** (0.5 * m + 1) * detail @ inv)

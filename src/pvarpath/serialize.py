@@ -7,10 +7,11 @@ Every number a path or table document carries is read by one rule, here:
 ``q`` and a path's ``level`` must be JSON integers (``_json_int``); a path's
 ``values`` and ``meta.grid_points`` and a table's ``points`` must be flat
 lists of JSON numbers, ``int`` or ``float`` items only (``_json_floats``);
-a path's ``meta`` must be an object, and its ``meta.offset`` a finite JSON
-number (``_json_number``).  Bools, strings, ``null``, nested lists and
-integers beyond float range are refused with one line naming the document
-kind and the field; a valid document reads back bit for bit.
+a path's ``meta`` must be an object.  Bools, strings, ``null``, nested
+lists and integers beyond float range are refused with one line naming the
+document kind and the field; a valid document reads back bit for bit.  A
+path's numbers are its ``values`` alone: a ``meta.offset`` shift is refused,
+not read and dropped.
 
 JSON artifacts are written with sorted keys and compact separators, so a
 fixed input produces byte-identical output; arrays enter them through
@@ -31,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import math
 import os
 from typing import IO, Callable
 
@@ -172,8 +172,6 @@ def config_hash(config: dict) -> str:
 
 def path_to_dict(path: SampledPath) -> dict:
     meta = dict(path.meta)
-    if path.offset != 0.0:
-        meta["offset"] = float(path.offset)
     meta["grid_generator"] = path.grid.generator
     if path.grid.generator != "q-adic":
         meta["grid_points"] = path.grid.points.tolist()
@@ -204,16 +202,6 @@ def _json_floats(value, name: str, kind: str) -> np.ndarray:
         f"malformed {kind} document: {name!r} must be a flat list of numbers")
 
 
-def _json_number(value, name: str, kind: str) -> float:
-    """``value`` as a float if it is a finite JSON number."""
-    try:
-        if type(value) in (int, float) and math.isfinite(value):
-            return float(value)
-    except OverflowError:
-        pass  # an integer beyond float range
-    raise ValidationError(f"malformed {kind} document: {name!r} must be a finite number")
-
-
 def path_from_dict(d: dict) -> SampledPath:
     try:
         q, level = _json_int(d["q"], "q", "path"), _json_int(d["level"], "level", "path")
@@ -222,8 +210,11 @@ def path_from_dict(d: dict) -> SampledPath:
         raise ValidationError(f"malformed path document: {exc}") from exc
     if type(meta) is not dict:
         raise ValidationError("malformed path document: 'meta' must be an object")
+    if "offset" in meta:
+        raise ValidationError(
+            "malformed path document: 'meta.offset' is not supported; "
+            "'values' must hold the shifted values")
     meta = dict(meta)
-    offset = _json_number(meta.pop("offset", 0.0), "meta.offset", "path")
     generator = meta.pop("grid_generator", "q-adic")
     if generator == "q-adic":
         grid = qadic_grid(q, level)
@@ -234,7 +225,7 @@ def path_from_dict(d: dict) -> SampledPath:
             )
         pts = _json_floats(meta.pop("grid_points"), "meta.grid_points", "path")
         grid = PartitionGrid(q=q, level=level, points=pts, generator=generator)
-    return SampledPath(grid=grid, values=values, offset=offset, meta=meta)
+    return SampledPath(grid=grid, values=values, meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ def pullback_path(x: SampledPath, table: PartitionGrid) -> SampledPath:
     return SampledPath(
         grid=grid,
         values=x.values,
-        offset=x.offset,
         meta={**x.meta, "timechange": {"table_hash": table_hash, "N": table.level}},
     )
 
@@ -78,6 +77,8 @@ def transported_recipe(
 ) -> TransportedRecipeResult:
     """Prescribe the variation H along a refining sequence via pullback.
 
+    ``H`` is a callable, evaluated at the level-``n`` points of ``table``.
+
     The target is pulled to the q-adic side as h = H o phi^{-1} (exact at
     grid points by index pairing), differentiated there by central finite
     differences, run through the multiplicative recipe, and composed back.
@@ -85,12 +86,7 @@ def transported_recipe(
     if spec.q != table.q:
         raise ValidationError(f"spec q={spec.q} does not match table q={table.q}")
     s_grid = table.restrict(n)  # rejects a level finer than the table
-    if callable(H):
-        h_vals = np.asarray(H(s_grid.points), dtype=np.float64)
-    else:
-        h_vals = np.asarray(H, dtype=np.float64)
-        if h_vals.shape != s_grid.points.shape:
-            raise ValidationError(f"H must provide {s_grid.points.size} samples")
+    h_vals = np.asarray(H(s_grid.points), dtype=np.float64)
     if h_vals[0] != 0.0:
         raise ValidationError("target variation must start at 0")
     if np.any(np.diff(h_vals) < 0):

@@ -89,10 +89,13 @@ def pvar_profile(
     The profile is reported on the level-min(n, ``eval_level``) subgrid
     (level 10 by default, to bound output size); ``eval_level=path.level``
     reports every grid point and ``eval_level=0`` only t = 0 and t = 1.
+    A sum that overflows float64 raises ``ValidationError``.
     """
     check_exponent(p)
-    terms = np.abs(path.increments()) ** p
-    cum = cumsum_stable(terms)
+    with np.errstate(over="ignore"):
+        cum = cumsum_stable(np.abs(path.increments()) ** p)
+    if not np.isfinite(cum[-1]):
+        raise ValidationError(f"the p={p} variation of this path overflows float64")
     stride = path.q ** max(path.level - eval_level, 0)
     # a compact copy, so a coarse profile does not keep the full sum alive
     return VariationProfile(p=p, grid=path.grid, eval_level=eval_level,
@@ -146,6 +149,6 @@ def stieltjes_against_profile(w: SampledPath, profile: VariationProfile) -> np.n
     """
     if not w.grid.same_as(profile.grid):
         raise ValidationError("the weight must be sampled on the profile's grid")
-    wv = w.samples[:: profile.stride]
+    wv = w.values[:: profile.stride]
     dF = np.diff(profile.values)
     return np.concatenate(([0.0], np.cumsum(wv[:-1] * dF)))

@@ -59,19 +59,19 @@ class TestFollmerSum:
     def test_identity_telescopes(self):
         y = random_path(seed=1)
         got = follmer_sum(IDENTITY, y, 2)
-        np.testing.assert_allclose(got, y.samples - y.samples[0], atol=1e-13)
+        np.testing.assert_allclose(got, y.values - y.values[0], atol=1e-13)
 
     def test_square_p2_compensates_quadratic_variation(self):
         y = random_path(seed=2)
         got = follmer_sum(SQUARE, y, 2)
         prof = pvar_profile(y, 2.0, eval_level=y.level)
-        target = y.samples ** 2 - y.samples[0] ** 2 - prof.values
+        target = y.values ** 2 - y.values[0] ** 2 - prof.values
         np.testing.assert_allclose(got, target, atol=1e-12)
 
     def test_square_p4_telescopes_exactly(self):
         y = random_path(seed=3)
         got = follmer_sum(SQUARE, y, 4)
-        np.testing.assert_allclose(got, y.samples ** 2 - y.samples[0] ** 2, atol=1e-12)
+        np.testing.assert_allclose(got, y.values ** 2 - y.values[0] ** 2, atol=1e-12)
 
     def test_odd_order_rejected(self):
         y = random_path()
@@ -161,14 +161,14 @@ class TestTransportedNorm:
 
     def test_reference_itself_has_unit_norm(self):
         xbar = self.make_xbar()
-        y = SampledPath(grid=xbar.grid, values=xbar.samples)
+        y = SampledPath(grid=xbar.grid, values=xbar.values)
         assert transported_norm(y, xbar, NormSelector.holder(0.6)) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_homogeneity(self):
         xbar = self.make_xbar()
-        y = SampledPath(grid=xbar.grid, values=-2.5 * xbar.samples)
+        y = SampledPath(grid=xbar.grid, values=-2.5 * xbar.values)
         for sel in (NormSelector.sup(), NormSelector.tv_plus_sup(), NormSelector.lp(2.0)):
             assert transported_norm(y, xbar, sel) == pytest.approx(2.5, rel=1e-12)
 
@@ -176,7 +176,7 @@ class TestTransportedNorm:
         xbar = self.make_xbar()
         rng = np.random.default_rng(11)
         g = SampledPath(grid=xbar.grid, values=rng.normal(size=xbar.values.size))
-        y = SampledPath(grid=xbar.grid, values=g.values * xbar.samples)
+        y = SampledPath(grid=xbar.grid, values=g.values * xbar.values)
         for sel in (
             NormSelector.sup(),
             NormSelector.tv_plus_sup(),
@@ -189,7 +189,7 @@ class TestTransportedNorm:
 
     def test_positivity_required(self):
         xbar = self.make_xbar()
-        bad = SampledPath(grid=xbar.grid, values=xbar.samples - np.max(xbar.samples))
+        bad = SampledPath(grid=xbar.grid, values=xbar.values - np.max(xbar.values))
         with pytest.raises(ValidationError):
             transported_norm(xbar, bad, NormSelector.sup())
 

@@ -110,17 +110,19 @@ class TestAnalyze:
         assert_rejected(tmp_path, capsys, ["analyze"], doc,
                         f"malformed path document: {field!r} must be a flat list of numbers")
 
-    @pytest.mark.parametrize("offset", ["2", True, float("inf"), 10 ** 400],
-                             ids=["string", "bool", "infinity", "huge-int"])
+    # a path is its values: any offset, a finite one too, would be dropped
+    @pytest.mark.parametrize("offset", ["2", True, float("inf"), 10 ** 400, 3.0],
+                             ids=["string", "bool", "infinity", "huge-int", "finite"])
     @pytest.mark.parametrize("command", [
         ["analyze"],
+        ["ito", "--f", "0,0,1"],
         ["timechange", "--mode", "pullback", "--make-table", "qadic", "--levels", "2",
          "--path"],
-    ], ids=["analyze", "pullback"])
+    ], ids=["analyze", "ito", "pullback"])
     def test_malformed_path_offset_exit_2(self, tmp_path, capsys, command, offset):
         doc = {**table_path_doc(), "meta": {"offset": offset}}  # pullback needs a q-adic grid
         assert_rejected(tmp_path, capsys, command, doc,
-                        "malformed path document: 'meta.offset' must be a finite number")
+                        "malformed path document: 'meta.offset' is not supported")
 
     def test_meta_not_an_object_exit_2(self, tmp_path, capsys):
         doc = {**table_path_doc(), "meta": "ab"}
@@ -464,6 +466,35 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err, err
         assert list(tmp_path.iterdir()) == [tmp_path / "x.json"]
+
+    # a float64 overflow is refused with one line naming its cause (the
+    # exponent, the polynomial or the function) and no RuntimeWarning
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "huge.json"], "the p=2.0 variation of this path overflows float64"),
+        (["analyze", "wide.json", "--p", "4"], "the p=4.0 variation of this path overflows"),
+        (["ito", "x.json", "--f", "0,1e308,1e308"],
+         "polynomial with coefficients [0.0, 1e+308, 1e+308] overflow float64"),
+        (["ito", "wide.json", "--f", "0,0,0,0,1"],
+         "the function f or one of its derivatives overflows float64"),
+        (["timechange", "--mode", "recipe", "--exponent", "2000", "--levels", "4"],
+         "power-table exponent 2000.0 makes neighbouring level-4 points equal"),
+    ], ids=["analyze-value-1e200", "analyze-p4-values-1e100", "ito-f-chain",
+           "ito-f-evaluation", "power-exponent-2000"])
+    def test_float_overflow_exit_2(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run(["build", "--levels", "4", "-o", "x.json"]) == 0
+        doc = read_json(tmp_path / "x.json")
+        values = doc["values"]
+        (tmp_path / "huge.json").write_text(json.dumps({**doc, "values": [
+            1e200 if i == 5 else v for i, v in enumerate(values)]}))
+        (tmp_path / "wide.json").write_text(json.dumps({**doc, "values": [
+            1e100 * v for v in values]}))
+        inputs = sorted(tmp_path.iterdir())
+        assert run([*argv, "-o", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err, err
+        assert sorted(tmp_path.iterdir()) == inputs
 
     def test_sign_table_budget_exit_3(self, tmp_path, capsys):
         out = tmp_path / "c.json"

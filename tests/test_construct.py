@@ -403,21 +403,24 @@ class TestShiftedReference:
         x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=8), 8)
         shift = x.sup_norm() + 1.0
         xb = shifted_reference(x, shift)
-        assert np.min(xb.samples) >= shift - x.sup_norm() - 1e-12
-        assert np.min(xb.samples) >= 1.0 - 1e-12
+        assert np.min(xb.values) >= shift - x.sup_norm() - 1e-12
+        assert np.min(xb.values) >= 1.0 - 1e-12
 
     def test_equal_shift_rejected(self):
         x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=6), 6)
         with pytest.raises(ValidationError):
             shifted_reference(x, x.sup_norm())
 
-    def test_profiles_bitwise_identical(self):
+    def test_shift_keeps_profiles(self):
+        # shifted values round their increments, so profiles agree to
+        # rounding, not bit for bit
         x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=8, signs=3), 8)
         xb = shifted_reference(x, x.sup_norm() + 2.0)
+        np.testing.assert_array_equal(xb.values, x.values + xb.meta["shifted_by"])
         for p in (2.0, 3.5):
-            a = pvar_profile(x, p, eval_level=8).values
-            b = pvar_profile(xb, p, eval_level=8).values
-            assert np.array_equal(a, b)
+            a = pvar_profile(x, p, eval_level=8)
+            b = pvar_profile(xb, p, eval_level=8)
+            assert np.max(np.abs(b.values - a.values)) <= 1e-13 * a.terminal
 
 
 class TestBernstein:

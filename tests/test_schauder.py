@@ -296,17 +296,6 @@ class TestSampledPath:
         with pytest.raises(ValidationError):
             SampledPath(grid=qadic_grid(2, 2), values=np.zeros(4))
 
-    def test_offset_materialization(self):
-        path = qadic_path(np.array([0.0, 1.0, 0.0]), q=2, offset=3.0)
-        np.testing.assert_array_equal(path.samples, [3.0, 4.0, 3.0])
-        np.testing.assert_array_equal(path.increments(), [1.0, -1.0])
-
-    @pytest.mark.parametrize("offset", (math.nan, math.inf, -math.inf))
-    def test_offset_must_be_finite(self, offset):
-        # a NaN offset used to make every sample NaN
-        with pytest.raises(ValidationError, match="offset must be finite"):
-            qadic_path([0.0, 1.0, 0.0], offset=offset)
-
     def test_restrict_strides(self):
         vals = np.arange(9.0)
         path = qadic_path(vals, q=2)
