@@ -86,6 +86,22 @@ def _spec_from_args(args: argparse.Namespace) -> UniformMagnitudeSpec:
     )
 
 
+def _target_from_args(args: argparse.Namespace):
+    """The density and the target variation of ``--target`` at ``--rate``,
+    as functions of t.  Each density is monotone in t, so its values at
+    t = 0 and t = 1 bound it on [0, 1]; a rate that makes either the density
+    or the target non-finite there, or the density negative, is refused."""
+    hprime, h = TARGET_DENSITIES[args.target]
+    ends = np.array([0.0, 1.0])
+    with np.errstate(all="ignore"):
+        dens, target = hprime(ends, args.rate), h(ends, args.rate)
+    if not (np.all(np.isfinite(dens)) and np.all(np.isfinite(target)) and np.all(dens >= 0)):
+        raise ValidationError(
+            f"--rate {args.rate:g} is out of range for --target {args.target}: on [0, 1] its "
+            "density must be finite and nonnegative, and its target variation finite")
+    return (lambda t: hprime(t, args.rate)), (lambda t: h(t, args.rate))
+
+
 def _load(path: str, from_dict):
     """The object ``from_dict`` builds from the JSON document at ``path``, and
     the first 16 hex digits of the sha256 of the file's bytes (for a
@@ -152,10 +168,10 @@ def _cmd_constant(args) -> int:
 
 def _cmd_recipe(args) -> int:
     spec = _spec_from_args(args)
-    hprime, h = TARGET_DENSITIES[args.target]
-    result = recipe(lambda t: hprime(t, args.rate), spec, args.levels)
+    hprime, h = _target_from_args(args)
+    result = recipe(hprime, spec, args.levels)
     prof = pvar_profile(result.y, args.p, eval_level=args.eval_level)
-    target_vals = h(prof.eval_points, args.rate)
+    target_vals = h(prof.eval_points)
     gap = float(np.max(np.abs(prof.values - target_vals)))
     doc = serialize.path_to_dict(result.y)
     doc["manifest"] = _manifest(args, {
@@ -220,10 +236,8 @@ def _cmd_timechange(args) -> int:
         return 0
     # mode == "recipe"
     spec = _spec_from_args(args)
-    _, h = TARGET_DENSITIES[args.target]
-    result = transported_recipe(
-        lambda s: h(s, args.rate), spec, table, args.levels
-    )
+    _, h = _target_from_args(args)
+    result = transported_recipe(h, spec, table, args.levels)
     doc = serialize.path_to_dict(result.y)
     doc["manifest"] = _manifest(args, {"target_sup_gap": result.sup_gap, **inputs})
     _write_all(outputs + [(args.output, doc)])

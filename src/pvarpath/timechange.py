@@ -77,7 +77,8 @@ def transported_recipe(
 ) -> TransportedRecipeResult:
     """Prescribe the variation H along a refining sequence via pullback.
 
-    ``H`` is a callable, evaluated at the level-``n`` points of ``table``.
+    ``H`` is a callable, evaluated at the level-``n`` points of ``table``;
+    it must return one finite value per point.
 
     The target is pulled to the q-adic side as h = H o phi^{-1} (exact at
     grid points by index pairing), differentiated there by central finite
@@ -87,6 +88,11 @@ def transported_recipe(
         raise ValidationError(f"spec q={spec.q} does not match table q={table.q}")
     s_grid = table.restrict(n)  # rejects a level finer than the table
     h_vals = np.asarray(H(s_grid.points), dtype=np.float64)
+    if h_vals.shape != s_grid.points.shape:
+        raise ValidationError(f"H must return one value per level-{n} point "
+                              f"({s_grid.points.size}), got shape {h_vals.shape}")
+    if not np.all(np.isfinite(h_vals)):
+        raise ValidationError("target variation must be finite")
     if h_vals[0] != 0.0:
         raise ValidationError("target variation must start at 0")
     if np.any(np.diff(h_vals) < 0):

@@ -201,6 +201,27 @@ class TestRecipe:
         assert err.count("\n") == 1 and "eval_level" in err
         assert not out.exists() and not csv.exists()
 
+    # a rate outside a target's range used to print a RuntimeWarning or a
+    # message about the path or the target variation instead of the rate
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, rate, target", [
+        (["recipe", "--target", "exp", "--rate", "1000", "--levels", "4"], "1000", "exp"),
+        (["recipe", "--target", "exp", "--rate", "nan", "--levels", "4"], "nan", "exp"),
+        (["recipe", "--target", "linear", "--rate", "-1", "--levels", "4"], "-1", "linear"),
+        (["timechange", "--mode", "recipe", "--target", "log", "--rate", "-5", "--levels", "4"],
+         "-5", "log"),
+        (["timechange", "--mode", "recipe", "--target", "exp", "--rate", "inf", "--levels", "4"],
+         "inf", "exp"),
+    ], ids=["exp-1000", "exp-nan", "linear-negative", "timechange-log-negative",
+           "timechange-exp-inf"])
+    def test_rate_out_of_range_exit_2(self, tmp_path, capsys, argv, rate, target):
+        out = tmp_path / "y.json"
+        assert run([*argv, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert f"--rate {rate} is out of range for --target {target}" in err
+        assert not out.exists()
+
 
 class TestIto:
     def test_square_residual_is_tiny(self, tmp_path):

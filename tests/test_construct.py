@@ -27,7 +27,15 @@ from pvarpath import (
     xi,
     xi_profile,
 )
-from pvarpath.construct import MC_CHUNK, _cross_sums, _mean_abs_pow, weight_patterns
+from pvarpath import construct
+from pvarpath.construct import (
+    MC_CHUNK,
+    _cross_sums,
+    _mean_abs_pow,
+    _mean_abs_pow_binomial,
+    _series_weights,
+    weight_patterns,
+)
 from pvarpath.schauder import SampledPath
 
 
@@ -159,6 +167,35 @@ class TestVariationConstant:
             variation_constant(2.0, 2, method="mc", N=1)
         assert variation_constant(2.0, 2, method="mc", N=2, seed=0).stderr > 0.0
 
+    @pytest.mark.parametrize("q, a", [(2, None), (3, (1.0, -0.5))])
+    @pytest.mark.parametrize("p", (2.0, 3.0, 4.0))
+    def test_power_sums_keep_the_pairwise_accounting(self, monkeypatch, p, q, a):
+        fast = variation_constant(p, q, a, method="exact")
+        monkeypatch.setattr(construct, "_mean_abs_pow_binomial", construct._mean_abs_pow)
+        pairwise = variation_constant(p, q, a, method="exact")
+        assert (fast.method, fast.error_bound, fast.details) == \
+            (pairwise.method, pairwise.error_bound, pairwise.details)
+        assert fast.value == pytest.approx(pairwise.value, rel=1e-15)
+
+    def test_integer_p_never_pairs_every_string(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the O(q**J) pairwise kernel ran for an integer p")
+
+        monkeypatch.setattr(construct, "_mean_abs_pow", refuse)
+        for p in (2.0, 3.0, 4.0):
+            variation_constant(p, 2)
+            variation_constant(p, 3, a=(1.0, 2.0))
+        res = recipe(lambda t: np.ones_like(t), UniformMagnitudeSpec(q=2, p=2.0, levels=6), 6)
+        assert res.constant.details["terms"] == 2 ** 23
+
+    # beyond float64 the moment is refused, whichever kernel sums it
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p, a", [(4.0, (1e100, 1.0)), (3.0, (1e110, 1.0)),
+                                      (2.5, (1e130, 1.0))])
+    def test_overflowing_moment_rejected(self, p, a):
+        with pytest.raises(ValidationError, match=f"the p={p} moment .* overflows float64"):
+            variation_constant(p, 3, a, method="exact", J=5)
+
     # a NaN tolerance used to stop the search at J = 1, and tol = -1 to
     # report a budget overrun
     @pytest.mark.parametrize("tol", (math.nan, math.inf, 0.0, -1.0))
@@ -245,6 +282,28 @@ class TestEnumerationKernel:
         b = _cross_sums([rho ** j * etas for j in range(12, 23)])
         assert a.size > (1 << 21) // b.size     # 2048 rows of a, 1024 per block
         assert _mean_abs_pow(a, b, p) == mean_abs_pow_out_of_place(a, b, p)
+
+    # (q, branch weights, J): unit and non-unit weights, one of them negative
+    SPLITS = [(2, None, 9), (3, None, 6), (3, (1.0, 2.5), 6), (3, (1.0, -0.5), 7),
+              (4, None, 5), (4, (1.0, -0.5, 2.0), 5)]
+
+    @pytest.mark.parametrize("p", (2, 3, 4, 5, 7, 8, 15))
+    @pytest.mark.parametrize("q, a, J", SPLITS, ids=[f"q{q}-a{a}" for q, a, _ in SPLITS])
+    def test_power_sums_match_an_fsum_of_all_pairs(self, p, q, a, J):
+        etas, rho = _series_weights(float(p), q, a)
+        head = _cross_sums([rho ** j * etas for j in range(1, J // 2 + 1)])
+        tail = _cross_sums([rho ** j * etas for j in range(J // 2 + 1, J + 1)])
+        pairs = np.abs(head[:, None] + tail[None, :]).ravel() ** p
+        reference = math.fsum(pairs) / pairs.size
+        assert _mean_abs_pow_binomial(head, tail, p) == pytest.approx(reference, rel=1e-15)
+
+    @pytest.mark.parametrize("p", (3, 5))
+    def test_power_sums_with_exact_ties(self, p):
+        # a_i + b_j = 0 for three pairs; every partial sum is an exact integer
+        a = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+        b = np.array([1.0, -1.0, 0.0, 3.0])
+        direct = math.fsum(np.abs(a[:, None] + b[None, :]).ravel() ** p) / (a.size * b.size)
+        assert _mean_abs_pow_binomial(a, b, p) == direct
 
 
 def series_increments(spec, n, ks=None):
@@ -378,6 +437,15 @@ class TestRecipe:
         bad[5] = -1e-9
         with pytest.raises(ValidationError):
             recipe(bad, spec, 6)
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_nonfinite_density_rejected(self, bad):
+        # NaN used to pass the sign check and fail later on the path values
+        spec = UniformMagnitudeSpec(q=2, p=2.0, levels=6)
+        density = np.ones(2 ** 6 + 1)
+        density[7] = bad
+        with pytest.raises(ValidationError, match="hprime samples must be finite"):
+            recipe(density, spec, 6)
 
     def test_zero_touching_density_allowed(self):
         spec = UniformMagnitudeSpec(q=2, p=2.0, levels=8)

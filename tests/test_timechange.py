@@ -121,6 +121,17 @@ class TestTransportedRecipe:
         with pytest.raises(ValidationError):
             transported_recipe(lambda s: s + 1.0, spec, sqrt_table(6), 6)
 
+    # a scalar H used to raise a bare IndexError from its first entry
+    @pytest.mark.parametrize("H, message", [
+        (lambda s: 0.0, r"one value per level-6 point \(65\), got shape \(\)"),
+        (lambda s: s[:-1], r"one value per level-6 point \(65\), got shape \(64,\)"),
+        (lambda s: np.where(s > 0.5, np.nan, s), "target variation must be finite"),
+    ], ids=["scalar", "short", "nan"])
+    def test_malformed_target_rejected(self, H, message):
+        spec = UniformMagnitudeSpec(q=2, p=2.0, levels=6)
+        with pytest.raises(ValidationError, match=message):
+            transported_recipe(H, spec, sqrt_table(6), 6)
+
     def test_smooth_power_table_tracks_target(self):
         spec = UniformMagnitudeSpec(q=2, p=2.0, levels=14)
         table = power_table(2, 14, 1.5)
