@@ -39,7 +39,6 @@ from .variation import (
 )
 from .construct import (
     UniformMagnitudeSpec,
-    VariationConstant,
     bernstein,
     build_reference,
     recipe,
@@ -48,8 +47,8 @@ from .construct import (
     sign_matrix,
     splice,
     transport_multiply,
-    variation_constant,
 )
+from .oracle import VariationConstant, variation_constant
 from .calculus import (
     FunctionWithDerivatives,
     NormSelector,

@@ -25,9 +25,9 @@ from .construct import (
     reference_path,
     sign_matrix,
     splice,
-    variation_constant,
     weight_patterns,
 )
+from .oracle import variation_constant
 from .partition import power_table, random_refining_table
 from .schauder import CoefficientArray, SampledPath, synthesize, xi_profile
 from .timechange import transported_pvar_check

@@ -123,7 +123,8 @@ def follmer_sum(f: FunctionWithDerivatives, y: SampledPath, p) -> np.ndarray:
     left = y.values[:-1]
     terms = np.zeros_like(d)
     dk = np.ones_like(d)
-    for k in range(1, p):
+    # past a polynomial's degree (f.order) every Taylor term is exactly zero
+    for k in range(1, min(p, f.order + 1)):
         dk = dk * d
         terms = terms + f.deriv(k)(left) * dk / math.factorial(k)
     return cumsum_stable(terms)
@@ -152,19 +153,22 @@ def change_of_variable_residual(f: FunctionWithDerivatives, y: SampledPath, p) -
 
     The correction uses the discrete level-n profile, so for f(y) = y**2 and
     p = 2 the residual is zero in exact arithmetic at every grid point.  If
-    f or one of its derivatives overflows float64 on the path's values,
-    ``ValidationError`` is raised.
+    p exceeds a polynomial's degree, f^(p) and the correction vanish and are
+    not computed, so any even p runs.  If f or one of its derivatives
+    overflows float64 on the path's values, ``ValidationError`` is raised.
     """
     p = _check_even_order(p)
     if f.order < p and not f.exhaustive:
         raise ValidationError(f"need derivatives up to order {p}")
-    profile = pvar_profile(y, p, eval_level=y.level)
     sam = y.values
     with np.errstate(over="ignore", invalid="ignore"):
         comp = follmer_sum(f, y, p)
-        w = SampledPath(grid=y.grid, values=_finite_evaluation(f.deriv(p)(sam)))
-        corr = stieltjes_against_profile(w, profile) / math.factorial(p)
-        resid = _finite_evaluation(f(sam) - f(sam[0]) - comp - corr)
+        resid = f(sam) - f(sam[0]) - comp
+        if p <= f.order:  # else f^(p) of a polynomial, and the correction, vanish
+            profile = pvar_profile(y, p, eval_level=y.level)
+            w = SampledPath(grid=y.grid, values=_finite_evaluation(f.deriv(p)(sam)))
+            resid = resid - stieltjes_against_profile(w, profile) / math.factorial(p)
+        resid = _finite_evaluation(resid)
     return ResidualReport(
         eval_points=y.grid.points,
         residuals=resid,

@@ -34,9 +34,9 @@ from .construct import (
     UniformMagnitudeSpec,
     recipe,
     reference_path,
-    variation_constant,
 )
 from .errors import BudgetError, ValidationError
+from .oracle import variation_constant
 from .partition import power_table, qadic_table, random_refining_table
 from .timechange import pullback_path, transported_pvar_check, transported_recipe
 from .variation import pvar_profile

@@ -39,12 +39,25 @@ def interval_budget() -> int:
     return value
 
 
+def digits_within(q: int, cap: int) -> int:
+    """The largest n with ``q**n <= cap``, for q >= 2 and cap >= 1: the most
+    base-q digits a budget of ``cap`` strings holds.  It never forms q**n
+    beyond ``q * cap``, so a huge requested level is compared against it
+    at once."""
+    q = int(q)  # a numpy integer would wrap past 2**63
+    n, power = 0, q
+    while power <= cap:
+        n, power = n + 1, power * q
+    return n
+
+
 def check_interval_budget(q: int, level: int) -> None:
     budget = interval_budget()
-    if q ** level > budget:
+    level_max = digits_within(q, budget)
+    if level > level_max:
         raise BudgetError(
-            f"grid with q={q}, level={level} needs {q ** level} intervals; "
-            f"budget is {budget} (override with {MAX_INTERVALS_ENV})"
+            f"grid with q={q}, level={level} exceeds the budget of {budget} intervals; "
+            f"the largest level allowed is {level_max} (override with {MAX_INTERVALS_ENV})"
         )
 
 
@@ -119,9 +132,7 @@ def qadic_level(q: int, intervals: int) -> int:
     """The level n with ``q**n == intervals``, for an integer q >= 2."""
     if not (isinstance(q, (int, np.integer)) and q >= 2):
         raise ValidationError(f"branching factor q must be an integer >= 2, got {q}")
-    level = 0
-    while q ** level < intervals:
-        level += 1
+    level = digits_within(q, max(intervals, 1))
     if q ** level != intervals:
         raise ValidationError(f"point count {intervals + 1} is not q**n + 1 for q={q}")
     return level

@@ -37,7 +37,7 @@ from typing import IO, Callable
 
 import numpy as np
 
-from .construct import VariationConstant
+from .oracle import VariationConstant
 from .errors import ValidationError
 from .partition import PartitionGrid, build_homeomorphism, qadic_grid
 from .schauder import SampledPath

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construct import RecipeResult, UniformMagnitudeSpec, VariationConstant, recipe
+from .construct import RecipeResult, UniformMagnitudeSpec, recipe
 from .errors import ValidationError
+from .oracle import VariationConstant
 from .partition import PartitionGrid
 from .schauder import SampledPath
 from .variation import VariationProfile, pvar_profile
@@ -98,12 +99,14 @@ def transported_recipe(
     if np.any(np.diff(h_vals) < 0):
         raise ValidationError("target variation must be non-decreasing")
     # h = H o phi^{-1} lives on the uniform grid; centered differences are
-    # nonnegative automatically because h is non-decreasing
+    # nonnegative automatically because h is non-decreasing, and ``recipe``
+    # refuses any that overflow float64
     dt = 1.0 / spec.q ** n
     hp = np.empty_like(h_vals)
-    hp[1:-1] = (h_vals[2:] - h_vals[:-2]) / (2 * dt)
-    hp[0] = (h_vals[1] - h_vals[0]) / dt
-    hp[-1] = (h_vals[-1] - h_vals[-2]) / dt
+    with np.errstate(over="ignore"):
+        hp[1:-1] = (h_vals[2:] - h_vals[:-2]) / (2 * dt)
+        hp[0] = (h_vals[1] - h_vals[0]) / dt
+        hp[-1] = (h_vals[-1] - h_vals[-2]) / dt
     built = recipe(hp, spec, n, constant=constant)
     pulled = pullback_path(built.y, table)
     pulled.meta["hprime_rule"] = "central-differences"

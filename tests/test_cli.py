@@ -561,6 +561,57 @@ class TestUsageErrors:
             os.waitpid(-1, os.WNOHANG)
 
 
+def _refuse_nonfinite(token):
+    raise AssertionError(f"non-finite number {token} in a JSON output")
+
+
+# extreme sizes and exponents end at once: a budget check compares the level
+# (or J) with the largest one the budget holds and never forms q**level; a
+# bound, a constant or a density that overflows or underflows float64 is
+# refused; past a polynomial's degree the Ito correction is zero
+EDGE_CASES = [
+    (["constant", "--p", "3000"], 0, None),
+    (["recipe", "--p", "3000", "--levels", "4"], 0, None),
+    (["timechange", "--mode", "recipe", "--p", "3000", "--levels", "4"], 0, None),
+    (["constant", "--a", "1e308", "--p", "3"], 2, "the p=3.0 truncation bound overflows float64"),
+    (["constant", "--p", "1e308"], 2, "truncation bound overflows float64"),
+    (["recipe", "--q", "3", "--p", "3000", "--levels", "4"], 2,
+     "the variation constant must be > 0, got 0.0"),
+    *[([*command, "--levels", levels], 3,
+       f"grid with q=2, level={levels} exceeds the budget of 16777216 intervals; "
+       "the largest level allowed is 24")
+      for command in (["build"], ["recipe"], ["timechange", "--mode", "recipe"])
+      for levels in ("100000", "99999999999999999999")],
+    *[(["constant", "--p", "2", "--J", J], 3,
+       f"J={J} exceeds the enumeration budget of 67108864 digit strings for q=2; "
+       "the largest J allowed is 26")
+      for J in ("100000", "99999999999999999999")],
+    (["recipe", "--levels", "6", "--rate", "1e308"], 0, None),
+    (["timechange", "--mode", "recipe", "--levels", "6", "--rate", "1e308"], 2,
+     "hprime samples must be finite and nonnegative"),
+    *[(["ito", "x.json", "--f", "0,0,1", "--p", p], 0, None) for p in ("3000", "1e20", "1e308")],
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code, message", EDGE_CASES,
+                         ids=[" ".join(argv) for argv, _, _ in EDGE_CASES])
+def test_edge_values_end_at_once(tmp_path, capsys, monkeypatch, argv, code, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(["build", "--levels", "6", "-o", "x.json"]) == 0
+    assert run([*argv, "-o", "out"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.count("\n") == 1 and message in err, err
+        assert list(tmp_path.iterdir()) == [tmp_path / "x.json"]
+        return
+    assert err == ""
+    doc = json.loads(Path("out.manifest.json" if argv[0] == "ito" else "out").read_text(),
+                     parse_constant=_refuse_nonfinite)
+    if argv[0] == "constant":
+        assert doc["error_bound"] <= doc["manifest"]["config"]["tol"]
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
         src = str(Path(pvarpath.__file__).resolve().parents[1])

@@ -27,14 +27,14 @@ from pvarpath import (
     xi,
     xi_profile,
 )
-from pvarpath import construct
-from pvarpath.construct import (
+from pvarpath import construct, oracle
+from pvarpath.construct import weight_patterns
+from pvarpath.oracle import (
     MC_CHUNK,
     _cross_sums,
     _mean_abs_pow,
     _mean_abs_pow_binomial,
     _series_weights,
-    weight_patterns,
 )
 from pvarpath.schauder import SampledPath
 
@@ -146,6 +146,27 @@ class TestVariationConstant:
         with pytest.raises(BudgetError):
             variation_constant(1.05, 2, method="exact", tol=1e-12)
 
+    # the enumeration budget of 2**26 strings holds J <= 26 digits at q = 2
+    # and J <= 16 at q = 3
+    @pytest.mark.parametrize("q, J_max", [(2, 26), (3, 16)])
+    def test_budget_allows_exactly_J_max(self, q, J_max):
+        assert variation_constant(2.0, q, J=J_max).details["terms"] == q ** J_max
+        with pytest.raises(BudgetError, match=f"largest J allowed is {J_max}"):
+            variation_constant(2.0, q, J=J_max + 1)
+
+    # the default tol is out of reach at p = 1.5 (best bounds 8.7e-4 at q = 2
+    # and 1.3e-3 at q = 3)
+    @pytest.mark.parametrize("q", (2, 3))
+    @pytest.mark.parametrize("p, tol", [(1.5, 1e-2), (2.0, 1e-6), (2.5, 1e-6), (3.0, 1e-6)])
+    def test_reported_J_is_the_smallest_meeting_tol(self, p, q, tol):
+        rep = variation_constant(p, q, tol=tol)
+        J = rep.details["J"]
+        assert rep.error_bound <= tol and J > 1
+        assert variation_constant(p, q, J=J - 1).error_bound > tol
+
+    def test_construct_reexports_the_oracle(self):
+        assert construct.variation_constant is oracle.variation_constant
+
     def test_closed_form_requires_even_p(self):
         with pytest.raises(ValidationError):
             variation_constant(3.0, 2, method="closed")
@@ -171,7 +192,7 @@ class TestVariationConstant:
     @pytest.mark.parametrize("p", (2.0, 3.0, 4.0))
     def test_power_sums_keep_the_pairwise_accounting(self, monkeypatch, p, q, a):
         fast = variation_constant(p, q, a, method="exact")
-        monkeypatch.setattr(construct, "_mean_abs_pow_binomial", construct._mean_abs_pow)
+        monkeypatch.setattr(oracle, "_mean_abs_pow_binomial", oracle._mean_abs_pow)
         pairwise = variation_constant(p, q, a, method="exact")
         assert (fast.method, fast.error_bound, fast.details) == \
             (pairwise.method, pairwise.error_bound, pairwise.details)
@@ -181,7 +202,7 @@ class TestVariationConstant:
         def refuse(*args):
             raise AssertionError("the O(q**J) pairwise kernel ran for an integer p")
 
-        monkeypatch.setattr(construct, "_mean_abs_pow", refuse)
+        monkeypatch.setattr(oracle, "_mean_abs_pow", refuse)
         for p in (2.0, 3.0, 4.0):
             variation_constant(p, 2)
             variation_constant(p, 3, a=(1.0, 2.0))
@@ -458,12 +479,6 @@ class TestRecipe:
         density = (rough.values + 2.0) ** 2
         with pytest.warns(UserWarning, match="vanishing"):
             recipe(density, spec, 8)
-
-    def test_target_is_cumulative_integral(self):
-        spec = UniformMagnitudeSpec(q=2, p=2.0, levels=10)
-        res = recipe(lambda t: np.exp(t), spec, 10)
-        target = np.exp(res.y.grid.points) - 1
-        assert np.max(np.abs(res.target - target)) <= 1e-6
 
 
 class TestShiftedReference:

@@ -11,7 +11,7 @@ from pvarpath import (
     qadic_table,
     random_refining_table,
 )
-from pvarpath.partition import PartitionGrid, digits_matrix
+from pvarpath.partition import PartitionGrid, digits_matrix, digits_within
 
 
 class TestQadicGrid:
@@ -42,6 +42,13 @@ class TestQadicGrid:
             qadic_grid(1, 3)
         with pytest.raises(ValidationError):
             qadic_grid(2, -1)
+
+
+@pytest.mark.parametrize("q", range(2, 11))
+def test_digits_within_matches_brute_force(q):
+    for k in range(1, 8):
+        for cap in (1, q ** k - 1, q ** k, q ** k + 1):
+            assert digits_within(q, cap) == max(n for n in range(64) if q ** n <= cap), cap
 
 
 class TestPartitionGrid:
