@@ -22,6 +22,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,7 +39,7 @@ from .construct import (
 from .errors import BudgetError, ValidationError
 from .oracle import variation_constant
 from .partition import power_table, qadic_table, random_refining_table
-from .timechange import pullback_path, transported_pvar_check, transported_recipe
+from .timechange import HPRIME_RULE, pullback_path, transported_pvar_check, transported_recipe
 from .variation import pvar_profile
 
 
@@ -68,10 +69,16 @@ _FILE_ARGS = frozenset({"output", "input", "path", "table", "table_out", "profil
 
 
 def _manifest(args: argparse.Namespace, extra: dict | None = None) -> dict:
+    """The run's configuration and its hash.  A flag the command does not use
+    is recorded too, so a non-finite one (``timechange --mode pullback --p
+    nan``) is refused here rather than written as NaN."""
     config = {k: v for k, v in sorted(vars(args).items())
               if k != "func" and k not in _FILE_ARGS}
     if extra:
         config.update(extra)
+    for key, value in config.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{key} must be finite to be recorded, got {value}")
     return {"config": config, "config_hash": serialize.config_hash(config)}
 
 
@@ -239,7 +246,8 @@ def _cmd_timechange(args) -> int:
     _, h = _target_from_args(args)
     result = transported_recipe(h, spec, table, args.levels)
     doc = serialize.path_to_dict(result.y)
-    doc["manifest"] = _manifest(args, {"target_sup_gap": result.sup_gap, **inputs})
+    doc["manifest"] = _manifest(args, {"target_sup_gap": result.sup_gap,
+                                       "hprime_rule": HPRIME_RULE, **inputs})
     _write_all(outputs + [(args.output, doc)])
     return 0
 
@@ -277,8 +285,16 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
                    help="comma-separated branch weights for q >= 3 (default all ones)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors print one line, like every other
+    error, instead of the usage block; its subparsers are of this class too."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pvarpath",
         description="Paths with prescribed p-th variation along refining partitions",
     )

@@ -24,8 +24,6 @@ g itself has vanishing p-th variation.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -146,22 +144,6 @@ class UniformMagnitudeSpec:
             for m in range(self.levels)
         ]
 
-    def to_config(self) -> dict:
-        signs = self.signs if self.signs == "plus" else {"seed": int(self.signs)}
-        c_rule = self.c_rule if isinstance(self.c_rule, str) else list(self.c_rule)
-        return {
-            "q": int(self.q),
-            "p": float(self.p),
-            "levels": int(self.levels),
-            "c_rule": c_rule,
-            "signs": signs,
-            "a": None if self.a is None else list(self.a),
-        }
-
-    def digest(self) -> str:
-        blob = json.dumps(self.to_config(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
 
 def build_reference(spec: UniformMagnitudeSpec) -> CoefficientArray:
     """Coefficient array of the reference path: theta_m[k, l] = c_m * sigma_m[k] * a_l."""
@@ -177,10 +159,7 @@ def reference_path(spec: UniformMagnitudeSpec, n: int) -> SampledPath:
         raise ValidationError(
             f"target level {n} exceeds the spec truncation level {spec.levels}"
         )
-    path = synthesize(build_reference(spec), n)
-    path.meta.update({"spec": spec.to_config(), "spec_digest": spec.digest(),
-                      "truncation_level": spec.levels})
-    return path
+    return synthesize(build_reference(spec), n)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +257,7 @@ def transport_multiply(
     """
     if not g.grid.same_as(x.grid):
         raise ValidationError("g and x must share one grid")
-    y = SampledPath(
-        grid=x.grid,
-        values=g.values * x.values,
-        meta={"source": "transport_multiply"},
-    )
+    y = SampledPath(grid=x.grid, values=g.values * x.values)
     gp = SampledPath(grid=g.grid, values=np.abs(g.values) ** p)
     pred = stieltjes_against_profile(gp, x_profile)
     predicted = VariationProfile(p=p, grid=x_profile.grid, eval_level=x_profile.eval_level,
@@ -333,17 +308,10 @@ def recipe(
         raise ValidationError("hprime samples must be finite and nonnegative")
     if constant is None:
         constant = variation_constant(spec.p, spec.q, spec.a, method="exact")
-    if not constant.value > 0:
-        raise ValidationError(f"the variation constant must be > 0, got {constant.value} "
-                              f"(at p={spec.p} the moment may underflow float64)")
     g_vals = (hp / constant.value) ** (1.0 / spec.p)
-    g = SampledPath(grid=grid, values=g_vals, meta={"source": "recipe-multiplier"})
+    g = SampledPath(grid=grid, values=g_vals)
     x = reference_path(spec, n)
-    y = SampledPath(
-        grid=grid,
-        values=g_vals * x.values,
-        meta={"source": "recipe", "spec_digest": spec.digest(), "level": n},
-    )
+    y = SampledPath(grid=grid, values=g_vals * x.values)
     trend = None
     if n >= 4:
         trend = variation_index_estimate(analyze(g), [spec.p])[0]
@@ -371,11 +339,7 @@ def shifted_reference(x: SampledPath, shift: float) -> SampledPath:
         raise ValidationError(
             f"shift {shift} must exceed the sup norm {x.sup_norm():.6g} strictly"
         )
-    return SampledPath(
-        grid=x.grid,
-        values=x.values + shift,
-        meta={**x.meta, "shifted_by": float(shift)},
-    )
+    return SampledPath(grid=x.grid, values=x.values + shift)
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +374,7 @@ def bernstein(z, degree: int, grid: PartitionGrid) -> SampledPath:
     b = np.repeat(zv[:, None], t.size, axis=1)
     for _ in range(degree):
         b = b[:-1] + t[None, :] * (b[1:] - b[:-1])
-    return SampledPath(
-        grid=grid,
-        values=b[0],
-        meta={"source": "bernstein", "degree": int(degree), "node_sup": float(np.max(np.abs(zv)))},
-    )
+    return SampledPath(grid=grid, values=b[0])
 
 
 def splice(x_coeffs: CoefficientArray, y_coeffs: CoefficientArray, n: int) -> CoefficientArray:

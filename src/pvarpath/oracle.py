@@ -5,7 +5,14 @@ independent uniform digits, so the limiting slope of its variation is the
 p-th absolute moment of the full series Z = sum_{j>=1} rho^j W_j, with W_j
 uniform over the q per-child values eta_d.  That moment is computed here by
 three independent routes: truncated exact enumeration with a certified tail
-bound, stratified Monte Carlo, and a cumulant-based closed form for even p.
+bound, stratified Monte Carlo, and a closed form for even p.  The closed
+form is one recursion over raw moments: Z = rho (W + Z') with Z' an
+independent copy of Z, so m_n = E Z**n obeys
+
+    m_n (1 - rho**n) = rho**n sum_{k=1..n} C(n, k) mu_k m_{n-k},
+
+with mu_k = E W**k and m_0 = 1.  Every route refuses a moment that is not a
+finite float64 > 0: one that overflows, or underflows to 0.0.
 
 Enumeration splits the J digits into head and tail cross sums a and b, of
 q**(J//2) and q**(J - J//2) entries, and averages |a_i + b_j|**p over all
@@ -13,7 +20,7 @@ q**J pairs.  For integer p <= POWER_SUM_MAX_P it expands (a_i + b_j)**p
 binomially instead and needs only power sums of the sorted b, prefix sums
 up to -a_i where odd p flips the sign: O(p q**(J/2)) work, not O(q**J).
 That expansion works on power sums of the enumerated sets, not on
-cumulants of the digit distribution, so the closed form and enumeration
+moments of the digit distribution, so the closed form and enumeration
 still check each other through two different algebras.
 """
 
@@ -32,6 +39,7 @@ ENUMERATION_BUDGET = 2 ** 26
 MC_TABLE_CAP = 4096      # entries in one Monte Carlo digit-block table
 MC_CHUNK = 1 << 16       # samples drawn and accumulated at a time
 POWER_SUM_MAX_P = 16     # largest integer p enumerated by binomial power sums
+CLOSED_FORM_MAX_P = 1028  # largest even p whose C(p, p/2) is within float64
 
 
 @dataclass(frozen=True)
@@ -90,6 +98,16 @@ def _dropped_bound(p: float, rho: float, eta_sup: float, J: int) -> float:
     head = eta_sup * rho * (1.0 - rho ** J) / (1.0 - rho)
     tail = eta_sup * rho ** (J + 1) / (1.0 - rho)
     return _truncation_bound(p, head, tail)
+
+
+def _checked_moment(value: float, p: float, method: str) -> float:
+    """``value`` if it is a finite float64 > 0, the only kind of moment a
+    route reports; one that overflows or underflows to 0.0 raises."""
+    if not math.isfinite(value):
+        raise ValidationError(f"the p={p} moment by {method} overflows float64")
+    if not value > 0:
+        raise ValidationError(f"the p={p} moment by {method} underflows float64 to {value}")
+    return value
 
 
 def _cross_sums(weights: list) -> np.ndarray:
@@ -165,8 +183,7 @@ def _constant_exact(p, q, etas, rho, J, tol) -> VariationConstant:
             value = _mean_abs_pow_binomial(head, tail, int(p))
         else:
             value = _mean_abs_pow(head, tail, p)
-    if not math.isfinite(value):
-        raise ValidationError(f"the p={p} moment of the J={J} enumeration overflows float64")
+    value = _checked_moment(value, p, "exact-enumeration")
     return VariationConstant(
         value=value,
         method="exact-enumeration",
@@ -175,6 +192,7 @@ def _constant_exact(p, q, etas, rho, J, tol) -> VariationConstant:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused as a non-finite result
 def _constant_monte_carlo(p, q, etas, rho, N, seed) -> VariationConstant:
     """Stratified Monte Carlo estimate of E|sum_j rho^j W_j|^p.
 
@@ -231,8 +249,10 @@ def _constant_monte_carlo(p, q, etas, rho, N, seed) -> VariationConstant:
     # unbiased within-stratum variances; counts >= 2 by construction of S:
     # N < 128 is one stratum, and otherwise every stratum holds >= 64 samples
     variances = np.maximum(sumsq - counts * means ** 2, 0.0) / np.maximum(counts - 1, 1)
-    value = float(np.mean(means))
+    value = _checked_moment(float(np.mean(means)), p, "monte-carlo")
     stderr = float(np.sqrt(np.sum(variances / counts)) / S)
+    if not math.isfinite(stderr):
+        raise ValidationError(f"the p={p} Monte Carlo standard error overflows float64")
     return VariationConstant(
         value=value,
         method="monte-carlo",
@@ -243,29 +263,27 @@ def _constant_monte_carlo(p, q, etas, rho, N, seed) -> VariationConstant:
 
 
 def _constant_closed_form(p, q, etas, rho) -> VariationConstant:
-    if not (float(p).is_integer() and int(p) % 2 == 0 and p >= 2):
+    """E Z**p for even p by the raw-moment recursion of the module docstring."""
+    if not (float(p).is_integer() and int(p) % 2 == 0):
         raise ValidationError(
             "closed-form moments require an even integer p; use exact or monte-carlo"
         )
+    if p > CLOSED_FORM_MAX_P:
+        raise ValidationError(
+            f"closed-form moments need C(p, p/2) within float64, so p <= "
+            f"{CLOSED_FORM_MAX_P}; got p={p:g}")
     p = int(p)
-    # raw moments of the per-digit value, exact up to float rounding
-    mu = [float(np.mean(etas ** r)) for r in range(p + 1)]
-    # cumulants of the per-digit value
-    kappa = [0.0] * (p + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = [float(np.mean(etas ** k)) for k in range(p + 1)]
+    m = [1.0]
+    row = [1]  # C(n, 0..n) as exact integers, rounded once each to float
     for n in range(1, p + 1):
-        acc = mu[n]
-        for k in range(1, n):
-            acc -= math.comb(n - 1, k - 1) * kappa[k] * mu[n - k]
-        kappa[n] = acc
-    # cumulants add over the independent scaled terms: geometric factors
-    big_k = [0.0] * (p + 1)
-    for r in range(1, p + 1):
-        big_k[r] = kappa[r] * rho ** r / (1.0 - rho ** r)
-    # moments of the series from its cumulants
-    mom = [1.0] + [0.0] * p
-    for n in range(1, p + 1):
-        mom[n] = sum(math.comb(n - 1, k - 1) * big_k[k] * mom[n - k] for k in range(1, n + 1))
-    return VariationConstant(value=float(mom[p]), method="closed-form", error_bound=0.0,
+        row = [1, *(row[k - 1] + row[k] for k in range(1, n)), 1]
+        c = list(map(float, row))
+        rho_n = rho ** n
+        m.append(rho_n * sum(c[k] * mu[k] * m[n - k] for k in range(1, n + 1)) / (1.0 - rho_n))
+    return VariationConstant(value=_checked_moment(m[p], p, "closed-form"), method="closed-form",
+                             error_bound=0.0,
                              details={"p": p})
 
 
@@ -286,7 +304,9 @@ def variation_constant(
     (the bound uses that the omitted tail has mean zero, which beats the raw
     Lipschitz estimate by an order of tail); "mc" is a seeded stratified
     Monte Carlo estimator with standard error; "closed" evaluates even
-    moments through cumulants of the digit distribution in closed form.
+    moments by the recursion m_n (1 - rho**n) = rho**n sum_{k=1..n}
+    C(n, k) mu_k m_{n-k} over the raw moments mu_k of one digit's value, for
+    even p <= CLOSED_FORM_MAX_P = 1028 (past it C(p, p/2) overflows float64).
     "exact" enumerates at most ENUMERATION_BUDGET = 2**26 strings, so J is
     at most 26 for q = 2 and 16 for q = 3; a larger J, or a ``tol`` no
     allowed J meets, raises ``BudgetError``.
@@ -301,9 +321,10 @@ def variation_constant(
     and past p = 1029 the binomial coefficients overflow float64, hence the
     cap; for 16 < p <= 100 the default ``tol`` needs J <= 18 at q = 2 (and
     less at larger q), so pairing there costs milliseconds.  The expansion
-    is of power sums of the enumerated cross sums, not of cumulants, so
+    is of power sums of the enumerated cross sums, not of digit moments, so
     "exact" and "closed" still check each other through two different
-    algebras.  A moment or a truncation bound that overflows float64 raises
+    algebras.  A moment that overflows float64 or underflows to 0.0, a
+    truncation bound or a Monte Carlo standard error that overflows raises
     ``ValidationError``.
 
     Monte Carlo draws its sampled digits in blocks of k, one uniform index

@@ -21,7 +21,7 @@ receive contributions from levels >= m (exact zeros, not small floats).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,13 +207,14 @@ class CoefficientArray:
 class SampledPath:
     """Values of a continuous path on one partition grid.
 
-    A path is its ``values``: read-only, finite, one per grid point.  A
-    shifted path stores its shifted values, like any other path.
+    A path is its grid and its ``values``: read-only, finite, one per grid
+    point.  A shifted path stores its shifted values, like any other path.
+    How a path was made is recorded in the manifest of the artifact that
+    holds it, not on the path.
     """
 
     grid: PartitionGrid
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         v = frozen_floats(self.values)
@@ -240,11 +241,7 @@ class SampledPath:
     def restrict(self, level: int) -> "SampledPath":
         """Values on the coarser level-``level`` subgrid of the same sequence."""
         stride = self.q ** (self.level - level)
-        return SampledPath(
-            grid=self.grid.restrict(level),
-            values=self.values[::stride],
-            meta={**self.meta, "restricted_from": self.level},
-        )
+        return SampledPath(grid=self.grid.restrict(level), values=self.values[::stride])
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -294,12 +291,7 @@ def synthesize(coeffs: CoefficientArray, n: int) -> SampledPath:
         interior[...] = base
         if m < coeffs.num_levels:
             interior += q ** (-0.5 * m - 1) * coeffs.levels[m] @ cum
-
-    return SampledPath(
-        grid=grid,
-        values=values,
-        meta={"source": "synthesize", "level": n, "coefficient_levels": coeffs.num_levels},
-    )
+    return SampledPath(grid=grid, values=values)
 
 
 def analyze(path: SampledPath) -> CoefficientArray:

@@ -13,6 +13,11 @@ document kind and the field; a valid document reads back bit for bit.  A
 path's numbers are its ``values`` alone: a ``meta.offset`` shift is refused,
 not read and dropped.
 
+A path document's ``meta`` is its grid's layout only: ``grid_generator``,
+plus ``grid_points`` for a grid that is not q-adic.  Any other key is
+ignored, so documents that still carry provenance keys read as before; how
+an artifact was made is recorded in its manifest.
+
 JSON artifacts are written with sorted keys and compact separators, so a
 fixed input produces byte-identical output; arrays enter them through
 ``ndarray.tolist()``.  CSV floats are written in one format, ``_CSV_FLOAT``
@@ -171,8 +176,7 @@ def config_hash(config: dict) -> str:
 
 
 def path_to_dict(path: SampledPath) -> dict:
-    meta = dict(path.meta)
-    meta["grid_generator"] = path.grid.generator
+    meta = {"grid_generator": path.grid.generator}
     if path.grid.generator != "q-adic":
         meta["grid_points"] = path.grid.points.tolist()
     return {
@@ -214,8 +218,7 @@ def path_from_dict(d: dict) -> SampledPath:
         raise ValidationError(
             "malformed path document: 'meta.offset' is not supported; "
             "'values' must hold the shifted values")
-    meta = dict(meta)
-    generator = meta.pop("grid_generator", "q-adic")
+    generator = meta.get("grid_generator", "q-adic")
     if generator == "q-adic":
         grid = qadic_grid(q, level)
     else:
@@ -223,9 +226,9 @@ def path_from_dict(d: dict) -> SampledPath:
             raise ValidationError(
                 f"malformed path document: a {generator!r} grid needs meta.grid_points"
             )
-        pts = _json_floats(meta.pop("grid_points"), "meta.grid_points", "path")
+        pts = _json_floats(meta["grid_points"], "meta.grid_points", "path")
         grid = PartitionGrid(q=q, level=level, points=pts, generator=generator)
-    return SampledPath(grid=grid, values=values, meta=meta)
+    return SampledPath(grid=grid, values=values)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ level-N ``PartitionGrid`` with generator "table", and level n is its
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +24,10 @@ from .oracle import VariationConstant
 from .partition import PartitionGrid
 from .schauder import SampledPath
 from .variation import VariationProfile, pvar_profile
+
+# How ``transported_recipe`` differentiates the pulled-back target; the CLI
+# records it in the artifact's manifest.
+HPRIME_RULE = "central-differences"
 
 
 def pullback_path(x: SampledPath, table: PartitionGrid) -> SampledPath:
@@ -38,13 +41,8 @@ def pullback_path(x: SampledPath, table: PartitionGrid) -> SampledPath:
         raise ValidationError("pullback expects a path sampled on a q-adic grid")
     if x.q != table.q:
         raise ValidationError(f"path q={x.q} does not match table q={table.q}")
-    grid = table.restrict(x.level)  # rejects a path finer than the table
-    table_hash = hashlib.sha256(table.points.tobytes()).hexdigest()[:16]
-    return SampledPath(
-        grid=grid,
-        values=x.values,
-        meta={**x.meta, "timechange": {"table_hash": table_hash, "N": table.level}},
-    )
+    # table.restrict rejects a path finer than the table
+    return SampledPath(grid=table.restrict(x.level), values=x.values)
 
 
 def transported_pvar_check(x: SampledPath, table: PartitionGrid, p: float) -> float:
@@ -109,7 +107,6 @@ def transported_recipe(
         hp[-1] = (h_vals[-1] - h_vals[-2]) / dt
     built = recipe(hp, spec, n, constant=constant)
     pulled = pullback_path(built.y, table)
-    pulled.meta["hprime_rule"] = "central-differences"
     empirical = pvar_profile(pulled, spec.p)
     target = h_vals[:: empirical.stride]
     gap = float(np.max(np.abs(empirical.values - target)))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -142,6 +143,38 @@ class TestAnalyze:
         assert not out.exists() and not (tmp_path / "x.csv.manifest.json").exists()
 
 
+# a path document written when a path still carried provenance in its meta;
+# readers take the grid layout from meta and ignore every other key
+_PROVENANCE_META = {
+    "source": "recipe", "level": 6, "coefficient_levels": 6, "truncation_level": 6,
+    "spec": {"a": None, "c_rule": "default", "levels": 6, "p": 2.0, "q": 2, "signs": "plus"},
+    "spec_digest": "0d655b3e741906c9", "hprime_rule": "central-differences",
+    "timechange": {"N": 6, "table_hash": "96b725ec48da5291"},
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze"],
+    ["ito", "--f", "0,0,1"],
+    ["timechange", "--mode", "check", "--levels", "6", "--path"],
+    ["timechange", "--mode", "pullback", "--levels", "6", "--path"],
+], ids=["analyze", "ito", "check", "pullback"])
+def test_provenance_meta_keys_are_ignored(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert run(["build", "--levels", "6", "-o", "x.json"]) == 0
+    doc = read_json(tmp_path / "x.json")
+    assert doc["meta"] == {"grid_generator": "q-adic"}
+    Path("old.json").write_text(json.dumps({**doc, "meta": {**doc["meta"], **_PROVENANCE_META}}))
+    assert run([*command, "x.json", "-o", "new.out"]) == 0
+    assert run([*command, "old.json", "-o", "old.out"]) == 0
+    if command[0] == "timechange":
+        new, old = read_json(tmp_path / "new.out"), read_json(tmp_path / "old.out")
+        assert new.pop("manifest") != old.pop("manifest")  # the input digests differ
+        assert new == old
+    else:
+        assert Path("new.out").read_bytes() == Path("old.out").read_bytes()
+
+
 class TestConstant:
     def test_exact_with_pinned_depth(self, tmp_path, capsys):
         assert run(["constant", "--p", "2", "--q", "2", "--method", "exact",
@@ -274,6 +307,8 @@ class TestTimechange:
                     "-o", str(out)]) == 0
         doc = read_json(out)
         assert doc["manifest"]["config"]["target_sup_gap"] <= 0.04
+        assert doc["manifest"]["config"]["hprime_rule"] == "central-differences"
+        assert set(doc["meta"]) == {"grid_generator", "grid_points"}
 
     # a table document lists only its finest level, as "points"; documents
     # in the layout that listed every level as "levels" are rejected
@@ -576,7 +611,18 @@ EDGE_CASES = [
     (["constant", "--a", "1e308", "--p", "3"], 2, "the p=3.0 truncation bound overflows float64"),
     (["constant", "--p", "1e308"], 2, "truncation bound overflows float64"),
     (["recipe", "--q", "3", "--p", "3000", "--levels", "4"], 2,
-     "the variation constant must be > 0, got 0.0"),
+     "the p=3000.0 moment by exact-enumeration underflows float64 to 0.0"),
+    (["constant", "--q", "3", "--p", "3000"], 2,
+     "the p=3000.0 moment by exact-enumeration underflows float64 to 0.0"),
+    (["constant", "--method", "closed", "--p", "200"], 0, None),
+    (["constant", "--method", "closed", "--p", "1100"], 2,
+     "so p <= 1028; got p=1100"),
+    (["constant", "--method", "mc", "--q", "3", "--a", "1e60,1", "--p", "3", "--N", "1000"], 2,
+     "the p=3.0 Monte Carlo standard error overflows float64"),
+    (["timechange", "--mode", "recipe", "--levels", "4", "--seed", "inf"], 2,
+     "error: pvarpath timechange: argument --seed: invalid int value: 'inf'"),
+    (["constant", "--q", "3", "--a", "-1,1", "--p", "2"], 2,
+     "error: pvarpath constant: argument --a: expected one argument"),
     *[([*command, "--levels", levels], 3,
        f"grid with q=2, level={levels} exceeds the budget of 16777216 intervals; "
        "the largest level allowed is 24")
@@ -610,6 +656,67 @@ def test_edge_values_end_at_once(tmp_path, capsys, monkeypatch, argv, code, mess
                      parse_constant=_refuse_nonfinite)
     if argv[0] == "constant":
         assert doc["error_bound"] <= doc["manifest"]["config"]["tol"]
+
+
+# every numeric flag of every command, one edge value at a time (ROADMAP item
+# 12's sweep): each case ends in exit 0, 2 or 3 with no exception and no
+# warning; a failure prints one stderr line and writes nothing, and a success
+# writes only finite numbers
+_SWEEP_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e-320", "1.0000001", "3000", "1e20", "1e308",
+                 "99999999999999999999")
+_SWEEP_LISTS = ("nan,1", "1e308,1", "1,-1", "-1,1")
+# each command's base argv and its numeric flags, with the flags each needs
+# beside it to act: weights need q >= 3, and a seed random signs or a
+# random table
+_Q3, _SIGNS, _TABLE = ["--q", "3"], ["--signs", "random"], ["--make-table", "random"]
+_SPEC_FLAGS = {"--q": [], "--p": [], "--levels": [], "--seed": _SIGNS, "--a": _Q3}
+_SWEEP_COMMANDS = [
+    (["build", "--levels", "4"], _SPEC_FLAGS),
+    (["recipe", "--levels", "4"], {**_SPEC_FLAGS, "--rate": [], "--eval-level": []}),
+    *[(["constant", "--method", method, "--p", "2", "--N", "1000"],
+       {"--p": [], "--q": [], "--a": _Q3, "--J": [], "--N": [], "--seed": [], "--tol": []})
+      for method in ("exact", "mc", "closed")],
+    (["analyze", "x.json"], {"--p": [], "--q": [], "--levels": [], "--eval-level": []}),
+    (["ito", "x.json", "--f", "0,0,1"], {"--f": [], "--p": [], "--level": []}),
+    *[(["timechange", "--mode", mode, "--levels", "6", "--path", "x.json"],
+       {"--q": [], "--p": [], "--levels": [], "--seed": _TABLE, "--exponent": []})
+      for mode in ("check", "pullback")],
+    (["timechange", "--mode", "recipe", "--levels", "4"],
+     {**_SPEC_FLAGS, "--seed": _TABLE, "--exponent": [], "--rate": []}),
+]
+_SWEEP = [[*base, *context, flag, value]
+          for base, flags in _SWEEP_COMMANDS for flag, context in flags.items()
+          for value in _SWEEP_VALUES + (_SWEEP_LISTS if flag in ("--a", "--f") else ())]
+
+
+def _assert_finite_output(path):
+    text = path.read_text()
+    if path.suffix == ".json":
+        json.loads(text, parse_constant=_refuse_nonfinite)
+    else:
+        assert all(math.isfinite(float(v)) for row in text.splitlines()[1:]
+                   for v in row.split(","))
+
+
+# the recipe's own diagnostic on a rough multiplier is the one warning let through
+@pytest.mark.filterwarnings("ignore:multiplier variation diagnostic:UserWarning")
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", _SWEEP, ids=[" ".join(argv) for argv in _SWEEP])
+def test_sweep_every_numeric_flag(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    if "x.json" in argv:
+        assert run(["build", "--levels", "6", "-o", "x.json"]) == 0
+    code = run([*argv, "-o", "out.csv" if argv[0] in ("analyze", "ito") else "out.json"])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    written = sorted(set(tmp_path.iterdir()) - {tmp_path / "x.json"})
+    if code:
+        assert err.count("\n") == 1, err
+        assert written == []
+        return
+    assert err == ""
+    for path in written:
+        _assert_finite_output(path)
 
 
 class TestModuleEntryPoint:

@@ -78,8 +78,8 @@ class TestSpec:
                       np.ones(1), "minus", 1.5):
             with pytest.raises(ValidationError, match="'plus' or an integer seed"):
                 UniformMagnitudeSpec(q=2, p=2.0, levels=4, signs=signs)
-        assert UniformMagnitudeSpec(q=2, levels=4, signs=3).to_config()["signs"] == {"seed": 3}
-        assert UniformMagnitudeSpec(q=2, levels=4).to_config()["signs"] == "plus"
+        assert UniformMagnitudeSpec(q=2, levels=4, signs=3).signs == 3
+        assert UniformMagnitudeSpec(q=2, levels=4).signs == "plus"
 
 
 class TestBuildReference:
@@ -170,6 +170,32 @@ class TestVariationConstant:
     def test_closed_form_requires_even_p(self):
         with pytest.raises(ValidationError):
             variation_constant(3.0, 2, method="closed")
+
+    # the raw-moment recursion keeps its digits where the cumulant route it
+    # replaced cancelled: at q = 2 that was off by 1.6e-4 relative at p = 24,
+    # gave 0.1875 for 0.1255 at p = 28 and -196608 at p = 34
+    @pytest.mark.parametrize("q, a", [(2, None), (5, None), (3, (1.0, -2.0)),
+                                      (4, (1.0, 2.0, -0.5))])
+    @pytest.mark.parametrize("p", (8.0, 16.0, 24.0, 28.0, 34.0))
+    def test_closed_form_within_the_exact_bound(self, p, q, a):
+        closed = variation_constant(p, q, a, method="closed")
+        exact = variation_constant(p, q, a, method="exact", tol=1e-6 * closed.value)
+        assert abs(closed.value - exact.value) <= exact.error_bound
+
+    # C(p, p/2) is within float64 up to p = 1028 and overflows from p = 1030
+    def test_closed_form_stops_where_the_binomials_overflow(self):
+        p = oracle.CLOSED_FORM_MAX_P
+        assert math.isfinite(float(math.comb(p, p // 2)))
+        with pytest.raises(OverflowError):
+            float(math.comb(p + 2, p // 2 + 1))
+        assert variation_constant(float(p), 2, method="closed").value > 0
+        with pytest.raises(ValidationError, match=f"so p <= {p}; got p={p + 2}"):
+            variation_constant(p + 2.0, 2, method="closed")
+
+    @pytest.mark.parametrize("method", ("exact", "mc", "closed"))
+    def test_moment_underflowing_to_zero_rejected(self, method):
+        with pytest.raises(ValidationError, match="moment by .* underflows float64 to 0.0"):
+            variation_constant(2.0, 3, (1e-200, 1e-200), method=method, N=1000)
 
     @pytest.mark.parametrize("J", (0, -3))
     def test_truncation_depth_below_one_rejected(self, J):
@@ -498,8 +524,9 @@ class TestShiftedReference:
         # shifted values round their increments, so profiles agree to
         # rounding, not bit for bit
         x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=8, signs=3), 8)
-        xb = shifted_reference(x, x.sup_norm() + 2.0)
-        np.testing.assert_array_equal(xb.values, x.values + xb.meta["shifted_by"])
+        shift = x.sup_norm() + 2.0
+        xb = shifted_reference(x, shift)
+        np.testing.assert_array_equal(xb.values, x.values + shift)
         for p in (2.0, 3.5):
             a = pvar_profile(x, p, eval_level=8)
             b = pvar_profile(xb, p, eval_level=8)
