@@ -88,9 +88,7 @@ def _weights_from_args(args: argparse.Namespace):
 
 def _spec_from_args(args: argparse.Namespace) -> UniformMagnitudeSpec:
     signs = "plus" if args.signs == "plus" else int(args.seed)
-    return UniformMagnitudeSpec(
-        q=args.q, p=args.p, levels=args.levels, signs=signs, a=_weights_from_args(args)
-    )
+    return UniformMagnitudeSpec(q=args.q, p=args.p, signs=signs, a=_weights_from_args(args))
 
 
 def _target_from_args(args: argparse.Namespace):
@@ -107,6 +105,13 @@ def _target_from_args(args: argparse.Namespace):
             f"--rate {args.rate:g} is out of range for --target {args.target}: on [0, 1] its "
             "density must be finite and nonnegative, and its target variation finite")
     return (lambda t: hprime(t, args.rate)), (lambda t: h(t, args.rate))
+
+
+def _trend_verdict(trend) -> str | None:
+    """The recipe's multiplier-trend verdict as the manifest records it, or
+    None below level 4.  The slope stays out: a constant multiplier has
+    slope -inf, which a manifest cannot hold."""
+    return None if trend is None else trend.trend
 
 
 def _load(path: str, from_dict):
@@ -184,6 +189,7 @@ def _cmd_recipe(args) -> int:
     doc["manifest"] = _manifest(args, {
         "constant": result.constant.value,
         "target_sup_gap": gap,
+        "multiplier_trend": _trend_verdict(result.multiplier_trend),
     })
     outputs = [(args.output, doc)]
     if args.profile_csv:
@@ -246,8 +252,12 @@ def _cmd_timechange(args) -> int:
     _, h = _target_from_args(args)
     result = transported_recipe(h, spec, table, args.levels)
     doc = serialize.path_to_dict(result.y)
-    doc["manifest"] = _manifest(args, {"target_sup_gap": result.sup_gap,
-                                       "hprime_rule": HPRIME_RULE, **inputs})
+    doc["manifest"] = _manifest(args, {
+        "target_sup_gap": result.sup_gap,
+        "multiplier_trend": _trend_verdict(result.qadic.multiplier_trend),
+        "hprime_rule": HPRIME_RULE,
+        **inputs,
+    })
     _write_all(outputs + [(args.output, doc)])
     return 0
 
@@ -277,7 +287,7 @@ def _cmd_selftest(args) -> int:
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=int, default=2, help="branching factor (default 2)")
     p.add_argument("--p", type=float, default=2.0, help="variation exponent (default 2)")
-    p.add_argument("--levels", type=int, default=16, help="grid / truncation level")
+    p.add_argument("--levels", type=int, default=16, help="grid level")
     p.add_argument("--signs", choices=("plus", "random"), default="plus",
                    help="dyadic coefficient signs")
     p.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")

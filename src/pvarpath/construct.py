@@ -1,15 +1,16 @@
 """Reference paths with linear p-th variation and constructions on top.
 
-The reference construction fixes one magnitude per level (default
-c_m = q**(m(1/2 - 1/p)), which normalizes the level diagnostic to 1) and
+The reference construction fixes one magnitude per level,
+c_m = q**(m(1/2 - 1/p)), which normalizes the level diagnostic to 1, and
 spreads it over all positions: theta_m[k, l] = c_m * sigma_m[k] * a_l, with
 branch weights a (a = (1,) for q = 2) and per-position signs sigma (free
-for q = 2, all +1 for q >= 3).  Scaled increments of such a path are
-partial sums of a geometric series with sign/digit-dependent terms:
+for q = 2, all +1 for q >= 3).  Read at grid level n, only the levels
+m < n count.  Scaled increments of such a path are partial sums of a
+geometric series with sign/digit-dependent terms:
 
-    q**(n/p) * (x((k+1)/q**n) - x(k/q**n)) = sum_{j=1..n} rho**j y_{n-j} w_j(k)
+    q**(n/p) * (x((k+1)/q**n) - x(k/q**n)) = sum_{j=1..n} rho**j w_j(k)
 
-with rho = q**-(1-1/p), y_m the normalized magnitude, and the single weight
+with rho = q**-(1-1/p) and the single weight
 formula w_j(k) = sigma_{n-j}[k // q**j] * eta_{d_j(k)}, where d_j(k) is the
 j-th base-q digit of k and eta_d = sum_l a_l gamma[l, d] (eta = (1, -1) for
 q = 2).  Because k -> (w_1(k), ..., w_n(k)) enumerates all possibilities
@@ -24,12 +25,11 @@ g itself has vanishing p-th variation.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError, check_exponent
+from .errors import BudgetError, ValidationError, check_branching, check_exponent
 from .oracle import VariationConstant, _branch_weights, _cross_sums, variation_constant
 from .partition import (
     MAX_INTERVALS_ENV,
@@ -64,11 +64,12 @@ SIGN_MATRIX_BUDGET = 2 ** 20
 
 @dataclass(frozen=True)
 class UniformMagnitudeSpec:
-    """Parameters of a uniform-magnitude reference path.
+    """The coefficient law theta_m[k, l] = c_m * sigma_m[k] * a_l of a
+    uniform-magnitude reference path, with c_m = q**(m(1/2 - 1/p)).
 
-    c_rule "default" means c_m = q**(m(1/2 - 1/p)); an explicit sequence may
-    be supplied for convergence studies.  ``signs`` is "plus" or an integer
-    seed of random per-position signs; ``a`` holds the q-1 branch
+    It holds no level: ``build_reference`` and ``reference_path`` take the
+    grid level n and build the levels m < n only.  ``signs`` is "plus" or an
+    integer seed of random per-position signs; ``a`` holds the q-1 branch
     weights (default all ones).  q = 2 takes no weights (a = (1,)), and
     q >= 3 takes no signs: a sign flip permutes the two dyadic child values
     but not the q >= 3 ones, and the bijection behind the variation constant
@@ -77,17 +78,12 @@ class UniformMagnitudeSpec:
 
     q: int = 2
     p: float = 2.0
-    levels: int = 16
-    c_rule: object = "default"
     signs: object = "plus"
     a: tuple | None = None
 
     def __post_init__(self):
-        if self.q < 2:
-            raise ValidationError(f"q must be >= 2, got {self.q}")
+        check_branching(self.q)
         check_exponent(self.p)
-        if self.levels < 1:
-            raise ValidationError(f"levels must be >= 1, got {self.levels}")
         if not (isinstance(self.signs, (int, np.integer))
                 or isinstance(self.signs, str) and self.signs == "plus"):
             raise ValidationError("signs must be 'plus' or an integer seed")
@@ -99,67 +95,47 @@ class UniformMagnitudeSpec:
             object.__setattr__(self, "a", a)
             if self.signs != "plus":
                 raise ValidationError("random signs apply only to q = 2")
-        if isinstance(self.c_rule, str):
-            if self.c_rule != "default":
-                raise ValidationError(f"unknown c_rule {self.c_rule!r}")
-        else:
-            rule = tuple(float(v) for v in self.c_rule)
-            if len(rule) < self.levels:
-                raise ValidationError("explicit c_rule must cover all levels")
-            if any(v < 0 for v in rule):
-                raise ValidationError("magnitudes must be nonnegative")
-            object.__setattr__(self, "c_rule", rule)
 
     @property
     def rho(self) -> float:
         return self.q ** -(1.0 - 1.0 / self.p)
 
     def c(self, m: int) -> float:
-        if self.c_rule == "default":
-            return self.q ** (m * (0.5 - 1.0 / self.p))
-        return self.c_rule[m]
-
-    def y(self, m: int) -> float:
-        """Normalized magnitude q**(m(1/p - 1/2)) c_m (exactly 1 by default)."""
-        if self.c_rule == "default":
-            return 1.0
-        return self.q ** (m * (1.0 / self.p - 0.5)) * self.c(m)
+        return self.q ** (m * (0.5 - 1.0 / self.p))
 
     def eta_values(self) -> np.ndarray:
         """The q per-child values eta_d driven by digits; (1, -1) when q = 2."""
         return eta_all(_branch_weights(self.q, self.a), self.q)
 
-    def sign_arrays(self) -> list:
-        """Per-level +-1 arrays sigma_m of length q**m; deterministic in the seed.
+    def sign_arrays(self, n: int) -> list:
+        """Per-level +-1 arrays sigma_m of length q**m for m < n; deterministic
+        in the seed.  Seeded levels are drawn in order from one generator, so
+        the arrays for n are a prefix of those for any larger n.
 
         "plus" arrays are read-only broadcast views, so they cost no memory
         at any level count.
         """
         if self.signs == "plus":
             one = np.ones(1, dtype=np.int8)
-            return [np.broadcast_to(one, (self.q ** m,)) for m in range(self.levels)]
+            return [np.broadcast_to(one, (self.q ** m,)) for m in range(n)]
         rng = np.random.default_rng(int(self.signs))
         return [
             (rng.integers(0, 2, size=self.q ** m, dtype=np.int8) * 2 - 1).astype(np.int8)
-            for m in range(self.levels)
+            for m in range(n)
         ]
 
 
-def build_reference(spec: UniformMagnitudeSpec) -> CoefficientArray:
-    """Coefficient array of the reference path: theta_m[k, l] = c_m * sigma_m[k] * a_l."""
-    check_interval_budget(spec.q, spec.levels)
+def build_reference(spec: UniformMagnitudeSpec, n: int) -> CoefficientArray:
+    """Coefficient levels m < n of the reference path: theta_m[k, l] = c_m * sigma_m[k] * a_l."""
+    check_interval_budget(spec.q, n)
     a = _branch_weights(spec.q, spec.a)
-    levels = [spec.c(m) * np.outer(signs, a) for m, signs in enumerate(spec.sign_arrays())]
+    levels = [spec.c(m) * np.outer(signs, a) for m, signs in enumerate(spec.sign_arrays(n))]
     return CoefficientArray(q=spec.q, boundary=(0.0, 0.0), levels=tuple(levels))
 
 
 def reference_path(spec: UniformMagnitudeSpec, n: int) -> SampledPath:
-    """Reference path sampled on the level-``n`` grid (requires n <= levels)."""
-    if n > spec.levels:
-        raise ValidationError(
-            f"target level {n} exceeds the spec truncation level {spec.levels}"
-        )
-    return synthesize(build_reference(spec), n)
+    """Reference path sampled on the level-``n`` grid."""
+    return synthesize(build_reference(spec, n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +153,7 @@ def weight_patterns(spec: UniformMagnitudeSpec, n: int, ks=None) -> tuple[np.nda
     """
     q = spec.q
     ks = np.arange(q ** n, dtype=np.int64) if ks is None else np.asarray(ks, dtype=np.int64)
-    signs = spec.sign_arrays()
+    signs = spec.sign_arrays(n)
     sigma = np.stack([signs[n - j][ks // q ** j] for j in range(1, n + 1)], axis=1)
     return digits_matrix(n, q, ks), sigma
 
@@ -198,7 +174,7 @@ def sign_matrix(spec: UniformMagnitudeSpec, n: int) -> SignMatrixReport:
 
     Checks that k -> (w_1(k), ..., w_n(k)) hits every pattern exactly once,
     and that the level-n variation of the synthesized path equals the
-    average of |sum_j rho^j y_{n-j} w_j|^p over all enumerated patterns.
+    average of |sum_j rho^j w_j|^p over all enumerated patterns.
     """
     n_max = digits_within(spec.q, SIGN_MATRIX_BUDGET)
     if n > n_max:
@@ -206,8 +182,8 @@ def sign_matrix(spec: UniformMagnitudeSpec, n: int) -> SignMatrixReport:
             f"sign matrix at level {n} for q={spec.q} exceeds the budget of "
             f"{SIGN_MATRIX_BUDGET} rows; the largest level allowed is {n_max}"
         )
-    if not 1 <= n <= spec.levels:
-        raise ValidationError(f"level n must lie in [1, {spec.levels}]")
+    if n < 1:
+        raise ValidationError(f"level n must be >= 1, got {n}")
     q = spec.q
     D, sigma = weight_patterns(spec, n)
     # sigma * eta_d = eta_{q-1-d} when sigma = -1 (q = 2, eta = (1, -1));
@@ -218,7 +194,7 @@ def sign_matrix(spec: UniformMagnitudeSpec, n: int) -> SignMatrixReport:
     bijection = bool(np.array_equal(order, np.arange(q ** n)))
     distinct = int(np.unique(codes).size)
 
-    weights = [spec.rho ** j * spec.y(n - j) * spec.eta_values() for j in range(1, n + 1)]
+    weights = [spec.rho ** j * spec.eta_values() for j in range(1, n + 1)]
     sums = _cross_sums(weights)
     expected = float(np.mean(np.abs(sums) ** spec.p))
     path = reference_path(spec, n)
@@ -283,46 +259,31 @@ class RecipeResult:
     multiplier_trend: object    # TrendRow for the multiplier, or None
 
 
-def recipe(
-    hprime,
-    spec: UniformMagnitudeSpec,
-    n: int,
-    constant: VariationConstant | None = None,
-) -> RecipeResult:
-    """Build y with prescribed variation t -> integral of ``hprime``.
+def recipe(hprime, spec: UniformMagnitudeSpec, n: int) -> RecipeResult:
+    """Build y with prescribed variation t -> integral of ``hprime`` on the
+    level-``n`` grid.
 
     ``hprime`` is a callable or an array of q**n + 1 finite nonnegative
-    samples.
+    samples.  C is the exact constant of ``variation_constant`` for the
+    spec's p, q and branch weights.
     The multiplier g = (hprime / C)^(1/p) must itself have vanishing p-th
     variation for the construction to be exact in the limit; that hypothesis
-    is not checkable from samples, so the coefficient-trend diagnostic is
-    run on g and a warning is issued if it does not look vanishing.
+    is not checkable from samples, so from level 4 on the coefficient-trend
+    diagnostic is run on g and reported as ``multiplier_trend``.
     """
-    if n > spec.levels:
-        raise ValidationError(f"grid level {n} exceeds spec truncation {spec.levels}")
     grid = qadic_grid(spec.q, n)
     hp = np.asarray(hprime(grid.points) if callable(hprime) else hprime, dtype=np.float64)
     if hp.shape != grid.points.shape:
         raise ValidationError(f"hprime must provide {grid.points.size} samples")
     if not (np.all(np.isfinite(hp)) and np.all(hp >= 0)):
         raise ValidationError("hprime samples must be finite and nonnegative")
-    if constant is None:
-        constant = variation_constant(spec.p, spec.q, spec.a, method="exact")
-    g_vals = (hp / constant.value) ** (1.0 / spec.p)
+    c = variation_constant(spec.p, spec.q, spec.a, method="exact")
+    g_vals = (hp / c.value) ** (1.0 / spec.p)
     g = SampledPath(grid=grid, values=g_vals)
     x = reference_path(spec, n)
     y = SampledPath(grid=grid, values=g_vals * x.values)
-    trend = None
-    if n >= 4:
-        trend = variation_index_estimate(analyze(g), [spec.p])[0]
-        if trend.trend != "vanishing":
-            warnings.warn(
-                f"multiplier variation diagnostic is {trend.trend!r} "
-                f"(slope {trend.slope:.3g}); the prescribed-variation identity "
-                "assumes a vanishing-variation multiplier",
-                stacklevel=2,
-            )
-    return RecipeResult(y=y, g=g, x=x, constant=constant, multiplier_trend=trend)
+    trend = variation_index_estimate(analyze(g), [spec.p])[0] if n >= 4 else None
+    return RecipeResult(y=y, g=g, x=x, constant=c, multiplier_trend=trend)
 
 
 def shifted_reference(x: SampledPath, shift: float) -> SampledPath:

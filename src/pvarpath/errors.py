@@ -1,6 +1,7 @@
-"""Exception types and the exponent check shared across the package."""
+"""Exception types and the exponent and branching checks shared across the package."""
 
 import math
+import numbers
 
 
 class ValidationError(ValueError):
@@ -16,3 +17,10 @@ def check_exponent(p) -> None:
     (a NaN fails every comparison, so ``p <= 1`` alone lets it through)."""
     if not (math.isfinite(p) and p > 1):
         raise ValidationError(f"exponent p must be finite and > 1, got {p}")
+
+
+def check_branching(q) -> None:
+    """Raise ``ValidationError`` unless the branching factor q is an integer >= 2
+    (a bool is refused, and so is an integral float such as 3.0)."""
+    if isinstance(q, bool) or not isinstance(q, numbers.Integral) or q < 2:
+        raise ValidationError(f"branching factor q must be an integer >= 2, got {q}")

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError, check_exponent
+from .errors import BudgetError, ValidationError, check_branching, check_exponent
 from .partition import digits_within
 from .schauder import eta_all
 
@@ -337,8 +337,7 @@ def variation_constant(
     check_exponent(p)
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError(f"tolerance tol must be finite and > 0, got {tol}")
-    if q < 2:
-        raise ValidationError(f"q must be >= 2, got {q}")
+    check_branching(q)
     if J is not None and J < 1:
         raise ValidationError(f"truncation depth J must be >= 1, got {J}")
     etas, rho = _series_weights(p, q, a)

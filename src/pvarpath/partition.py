@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, check_branching
 
 DEFAULT_MAX_INTERVALS = 2 ** 24
 MAX_INTERVALS_ENV = "PVAR_MAX_INTERVALS"
@@ -88,8 +88,7 @@ class PartitionGrid:
     generator: str = "q-adic"
 
     def __post_init__(self):
-        if not (isinstance(self.q, (int, np.integer)) and self.q >= 2):
-            raise ValidationError(f"branching factor q must be an integer >= 2, got {self.q}")
+        check_branching(self.q)
         if self.level < 0:
             raise ValidationError(f"level must be >= 0, got {self.level}")
         if self.generator not in ("q-adic", "table"):
@@ -130,8 +129,7 @@ class PartitionGrid:
 
 def qadic_level(q: int, intervals: int) -> int:
     """The level n with ``q**n == intervals``, for an integer q >= 2."""
-    if not (isinstance(q, (int, np.integer)) and q >= 2):
-        raise ValidationError(f"branching factor q must be an integer >= 2, got {q}")
+    check_branching(q)
     level = digits_within(q, max(intervals, 1))
     if q ** level != intervals:
         raise ValidationError(f"point count {intervals + 1} is not q**n + 1 for q={q}")
@@ -140,8 +138,7 @@ def qadic_level(q: int, intervals: int) -> int:
 
 def qadic_grid(q: int, n: int) -> PartitionGrid:
     """The level-``n`` grid {0, 1/q**n, ..., 1}; points are exact ratios."""
-    if q < 2:
-        raise ValidationError(f"q must be >= 2, got {q}")
+    check_branching(q)
     if n < 0:
         raise ValidationError(f"level must be >= 0, got {n}")
     check_interval_budget(q, n)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError, check_exponent
+from .errors import BudgetError, ValidationError, check_branching, check_exponent
 from .partition import (
     MAX_INTERVALS_ENV,
     PartitionGrid,
@@ -65,8 +65,7 @@ def gamma_rows(q: int) -> np.ndarray:
     q*l are exact in float64).  Its (q-1)*q entries may hold at most the
     interval budget, checked before the table is filled.
     """
-    if q < 2:
-        raise ValidationError(f"q must be >= 2, got {q}")
+    check_branching(q)
     budget = interval_budget()
     if (q - 1) * q > budget:
         raise BudgetError(
@@ -168,9 +167,8 @@ class CoefficientArray:
     """Ragged tent-coefficient array plus endpoint values.
 
     Level m holds an array of shape (q**m, q-1): one coefficient per parent
-    interval and branch.  A flat (2**m,) dyadic level is read as (2**m, 1),
-    a convenience for q = 2 callers.  ``boundary`` carries (x(0), x(1)),
-    which the expansions represent by an affine part.
+    interval and branch, (2**m, 1) for q = 2.  ``boundary`` carries
+    (x(0), x(1)), which the expansions represent by an affine part.
     """
 
     q: int
@@ -178,8 +176,7 @@ class CoefficientArray:
     levels: tuple
 
     def __post_init__(self):
-        if self.q < 2:
-            raise ValidationError(f"q must be >= 2, got {self.q}")
+        check_branching(self.q)
         b = (float(self.boundary[0]), float(self.boundary[1]))
         object.__setattr__(self, "boundary", b)
         if not all(np.isfinite(b)):
@@ -188,8 +185,6 @@ class CoefficientArray:
         for m, arr in enumerate(self.levels):
             a = np.asarray(arr, dtype=np.float64)
             want = (self.q ** m, self.q - 1)
-            if self.q == 2 and a.shape == want[:1]:
-                a = a.reshape(want)
             if a.shape != want:
                 raise ValidationError(f"level {m} must have shape {want}, got {a.shape}")
             if not np.all(np.isfinite(a)):
@@ -328,8 +323,9 @@ def xi(coeffs: CoefficientArray, p: float, m: int) -> float:
     """Level-m variation diagnostic q**(-mp/2) * sum |theta|^p.
 
     The sum runs over positions and branches, so a uniform-magnitude array
-    gives y_m**p * sum_l |a_l|**p (the branch factor is 1 for q = 2); that
-    generalization beyond uniform-magnitude arrays is this library's
+    with level magnitude c_m gives (q**(m(1/p - 1/2)) c_m)**p * sum_l |a_l|**p,
+    which is sum_l |a_l|**p for the reference magnitudes (and 1 for q = 2);
+    that generalization beyond uniform-magnitude arrays is this library's
     convention.
     """
     check_exponent(p)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .construct import RecipeResult, UniformMagnitudeSpec, recipe
 from .errors import ValidationError
-from .oracle import VariationConstant
 from .partition import PartitionGrid
 from .schauder import SampledPath
 from .variation import VariationProfile, pvar_profile
@@ -68,11 +67,7 @@ class TransportedRecipeResult:
 
 
 def transported_recipe(
-    H,
-    spec: UniformMagnitudeSpec,
-    table: PartitionGrid,
-    n: int,
-    constant: VariationConstant | None = None,
+    H, spec: UniformMagnitudeSpec, table: PartitionGrid, n: int
 ) -> TransportedRecipeResult:
     """Prescribe the variation H along a refining sequence via pullback.
 
@@ -105,7 +100,7 @@ def transported_recipe(
         hp[1:-1] = (h_vals[2:] - h_vals[:-2]) / (2 * dt)
         hp[0] = (h_vals[1] - h_vals[0]) / dt
         hp[-1] = (h_vals[-1] - h_vals[-2]) / dt
-    built = recipe(hp, spec, n, constant=constant)
+    built = recipe(hp, spec, n)
     pulled = pullback_path(built.y, table)
     empirical = pvar_profile(pulled, spec.p)
     target = h_vals[:: empirical.stride]

@@ -96,13 +96,13 @@ class TestChangeOfVariableResidual:
     def test_square_p2_residual_at_rounding_level(self):
         # both sides of the y**2 identity are exact prefix sums; with a plain
         # float64 cumsum the sup is 8.5e-15 and 1.5% of entries are zero
-        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=16, signs=1), 16)
+        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, signs=1), 16)
         rep = change_of_variable_residual(SQUARE, x, 2)
         assert rep.sup <= 4.5e-16
         assert np.mean(rep.residuals == 0.0) >= 0.5
 
     def test_fourth_power_residual_shrinks(self):
-        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=12), 12)
+        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0), 12)
         sups = [
             change_of_variable_residual(FOURTH, x.restrict(n), 2).sup
             for n in (8, 10, 12)
@@ -156,7 +156,7 @@ class TestHolderQuotient:
 
 class TestTransportedNorm:
     def make_xbar(self, n=8):
-        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=n), n)
+        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0), n)
         return shifted_reference(x, x.sup_norm() + 1.0)
 
     def test_reference_itself_has_unit_norm(self):
@@ -199,7 +199,7 @@ class TestEquivalentNorm:
         # the predicted terminal variation and the L^p norm of the
         # multiplier use the same quadrature, so the identity is exact
         n = 10
-        xbar = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=n), n)
+        xbar = reference_path(UniformMagnitudeSpec(q=2, p=2.0), n)
         c2 = variation_constant(2.0, 2, method="closed").value
         grid = xbar.grid
         from pvarpath import VariationProfile
@@ -250,7 +250,7 @@ class TestItoMapContinuity:
         # perturbing the multiplier by 2**-n bumps moves the integral path
         # by a comparable amount: sup distances must decrease in n
         n_level = 14
-        spec = UniformMagnitudeSpec(q=2, p=2.0, levels=n_level)
+        spec = UniformMagnitudeSpec(q=2, p=2.0)
         base = recipe(lambda t: np.exp(t), spec, n_level)
         xbar_vals = base.x.values + 4.0
         grid = base.y.grid

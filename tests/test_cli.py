@@ -203,7 +203,7 @@ class TestConstant:
     @pytest.mark.parametrize("argv, message", [
         (["--J", "-3"], "truncation depth J must be >= 1, got -3"),
         (["--J", "0"], "truncation depth J must be >= 1, got 0"),
-        (["--q", "1"], "q must be >= 2, got 1"),
+        (["--q", "1"], "q must be an integer >= 2, got 1"),
         (["--method", "mc", "--N", "1"], "needs N >= 2 samples, got 1"),
     ], ids=["J-negative", "J-zero", "q-1", "mc-N-1"])
     def test_degenerate_oracle_inputs_exit_2(self, argv, message, tmp_path, capsys):
@@ -215,6 +215,15 @@ class TestConstant:
 
 
 class TestRecipe:
+    @pytest.mark.parametrize("levels, verdict", [("8", "vanishing"), ("3", None)])
+    def test_multiplier_trend_in_manifest(self, tmp_path, capsys, levels, verdict):
+        # a constant multiplier has slope -inf; only its verdict is recorded,
+        # and below level 4 there is none
+        out = tmp_path / "y.json"
+        assert run(["recipe", "--target", "linear", "--levels", levels, "-o", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_json(out)["manifest"]["config"]["multiplier_trend"] == verdict
+
     def test_exp_target(self, tmp_path):
         out = tmp_path / "y.json"
         csv = tmp_path / "prof.csv"
@@ -309,6 +318,15 @@ class TestTimechange:
         assert doc["manifest"]["config"]["target_sup_gap"] <= 0.04
         assert doc["manifest"]["config"]["hprime_rule"] == "central-differences"
         assert set(doc["meta"]) == {"grid_generator", "grid_points"}
+
+    def test_recipe_mode_records_rough_multiplier(self, tmp_path, capsys):
+        # a random table makes the multiplier rough; the verdict goes into
+        # the manifest and nothing is printed
+        out = tmp_path / "ty.json"
+        assert run(["timechange", "--mode", "recipe", "--make-table", "random",
+                    "--levels", "4", "--seed", "0", "-o", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_json(out)["manifest"]["config"]["multiplier_trend"] == "growing"
 
     # a table document lists only its finest level, as "points"; documents
     # in the layout that listed every level as "levels" are rejected
@@ -698,8 +716,6 @@ def _assert_finite_output(path):
                    for v in row.split(","))
 
 
-# the recipe's own diagnostic on a rough multiplier is the one warning let through
-@pytest.mark.filterwarnings("ignore:multiplier variation diagnostic:UserWarning")
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", _SWEEP, ids=[" ".join(argv) for argv in _SWEEP])
 def test_sweep_every_numeric_flag(tmp_path, capsys, monkeypatch, argv):

@@ -41,23 +41,43 @@ from pvarpath.schauder import SampledPath
 
 class TestSpec:
     def test_default_magnitudes(self):
-        spec = UniformMagnitudeSpec(q=2, p=4.0, levels=6)
+        spec = UniformMagnitudeSpec(q=2, p=4.0)
         for m in range(6):
             assert spec.c(m) == pytest.approx(2.0 ** (m / 4), rel=1e-15)
         assert spec.rho == pytest.approx(2.0 ** -0.75, rel=1e-15)
 
     def test_q3_default_weights(self):
-        spec = UniformMagnitudeSpec(q=3, p=2.0, levels=4)
+        spec = UniformMagnitudeSpec(q=3, p=2.0)
         assert spec.a == (1.0, 1.0)
 
     def test_sign_modes(self):
-        plus = UniformMagnitudeSpec(q=2, p=2.0, levels=4).sign_arrays()
-        assert all(np.all(s == 1) for s in plus)
-        seeded = UniformMagnitudeSpec(q=2, p=2.0, levels=6, signs=3)
-        first = [s.copy() for s in seeded.sign_arrays()]
-        second = seeded.sign_arrays()
+        plus = UniformMagnitudeSpec(q=2, p=2.0).sign_arrays(4)
+        assert len(plus) == 4 and all(np.all(s == 1) for s in plus)
+        seeded = UniformMagnitudeSpec(q=2, p=2.0, signs=3)
+        first = [s.copy() for s in seeded.sign_arrays(6)]
+        second = seeded.sign_arrays(6)
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("signs", ["plus", 3])
+    def test_sign_arrays_for_n_are_a_prefix(self, signs):
+        spec = UniformMagnitudeSpec(q=2, p=2.0, signs=signs)
+        short, long = spec.sign_arrays(5), spec.sign_arrays(8)
+        assert [s.shape for s in short] == [(2 ** m,) for m in range(5)]
+        for a, b in zip(short, long):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("spec", [
+        UniformMagnitudeSpec(q=2, p=2.0),
+        UniformMagnitudeSpec(q=2, p=3.0, signs=7),
+        UniformMagnitudeSpec(q=3, p=2.5, a=(1.0, -0.5)),
+    ], ids=["q2-plus", "q2-seeded", "q3"])
+    def test_reference_path_ignores_finer_levels(self, spec):
+        # levels m >= n vanish at every level-n point, so building them
+        # changes no sample
+        n = 6
+        finer = synthesize(build_reference(spec, n + 3), n)
+        np.testing.assert_array_equal(reference_path(spec, n).values, finer.values)
 
     def test_invalid(self):
         with pytest.raises(ValidationError):
@@ -77,34 +97,34 @@ class TestSpec:
         for signs in ([np.ones(2 ** m, dtype=np.int8) for m in range(4)],
                       np.ones(1), "minus", 1.5):
             with pytest.raises(ValidationError, match="'plus' or an integer seed"):
-                UniformMagnitudeSpec(q=2, p=2.0, levels=4, signs=signs)
-        assert UniformMagnitudeSpec(q=2, levels=4, signs=3).signs == 3
-        assert UniformMagnitudeSpec(q=2, levels=4).signs == "plus"
+                UniformMagnitudeSpec(q=2, p=2.0, signs=signs)
+        assert UniformMagnitudeSpec(q=2, signs=3).signs == 3
+        assert UniformMagnitudeSpec(q=2).signs == "plus"
 
 
 class TestBuildReference:
     def test_p2_all_plus_is_ones(self):
-        coeffs = build_reference(UniformMagnitudeSpec(q=2, p=2.0, levels=3))
+        coeffs = build_reference(UniformMagnitudeSpec(q=2, p=2.0), 3)
         for m in range(3):
             np.testing.assert_array_equal(coeffs.levels[m], np.ones((2 ** m, 1)))
         assert coeffs.boundary == (0.0, 0.0)
 
     def test_p4_magnitude_growth(self):
-        coeffs = build_reference(UniformMagnitudeSpec(q=2, p=4.0, levels=4))
+        coeffs = build_reference(UniformMagnitudeSpec(q=2, p=4.0), 4)
         for m in range(4):
             np.testing.assert_allclose(
                 coeffs.levels[m], 2.0 ** (m / 4) * np.ones((2 ** m, 1)), rtol=1e-15
             )
 
     def test_q3_unit_weights(self):
-        coeffs = build_reference(UniformMagnitudeSpec(q=3, p=2.0, levels=3, a=(1.0, 1.0)))
+        coeffs = build_reference(UniformMagnitudeSpec(q=3, p=2.0, a=(1.0, 1.0)), 3)
         for m in range(3):
             np.testing.assert_array_equal(coeffs.levels[m], np.ones((3 ** m, 2)))
 
     def test_budget_checked_before_allocating(self, monkeypatch):
         monkeypatch.setenv("PVAR_MAX_INTERVALS", "100")
         with pytest.raises(BudgetError):
-            build_reference(UniformMagnitudeSpec(q=2, p=2.0, levels=10))
+            build_reference(UniformMagnitudeSpec(q=2, p=2.0), 10)
 
 
 class TestVariationConstant:
@@ -205,7 +225,7 @@ class TestVariationConstant:
 
     @pytest.mark.parametrize("q", (1, 0))
     def test_branching_factor_below_two_rejected(self, q):
-        with pytest.raises(ValidationError, match="q must be >= 2"):
+        with pytest.raises(ValidationError, match="q must be an integer >= 2"):
             variation_constant(2.0, q)
 
     def test_monte_carlo_needs_two_samples(self):
@@ -232,7 +252,7 @@ class TestVariationConstant:
         for p in (2.0, 3.0, 4.0):
             variation_constant(p, 2)
             variation_constant(p, 3, a=(1.0, 2.0))
-        res = recipe(lambda t: np.ones_like(t), UniformMagnitudeSpec(q=2, p=2.0, levels=6), 6)
+        res = recipe(lambda t: np.ones_like(t), UniformMagnitudeSpec(q=2, p=2.0), 6)
         assert res.constant.details["terms"] == 2 ** 23
 
     # beyond float64 the moment is refused, whichever kernel sums it
@@ -260,7 +280,7 @@ _G = qadic_path([0.0, 1.0, 0.0])
     lambda p: UniformMagnitudeSpec(p=p),
     lambda p: variation_constant(p),
     lambda p: pvar_profile(_G, p),
-    lambda p: xi(CoefficientArray(q=2, boundary=(0.0, 0.0), levels=(np.zeros(1),)), p, 0),
+    lambda p: xi(CoefficientArray(q=2, boundary=(0.0, 0.0), levels=(np.zeros((1, 1)),)), p, 0),
     lambda p: stability_bound(_G, _G, p, 1.0),
 ], ids=["spec", "variation_constant", "pvar_profile", "xi", "stability_bound"])
 def test_exponent_must_be_finite_above_one(call, p):
@@ -354,23 +374,19 @@ class TestEnumerationKernel:
 
 
 def series_increments(spec, n, ks=None):
-    """sum_j rho**j y_{n-j} w_j(k) for each k, from the weight patterns."""
+    """sum_j rho**j w_j(k) for each k, from the weight patterns."""
     D, sigma = weight_patterns(spec, n, ks)
-    coef = np.array([spec.rho ** j * spec.y(n - j) for j in range(1, n + 1)])
+    coef = np.array([spec.rho ** j for j in range(1, n + 1)])
     return (sigma * spec.eta_values()[D]) @ coef
 
 
 class TestIncrementDecomposition:
     def test_first_level_all_plus(self):
-        spec = UniformMagnitudeSpec(q=2, p=2.0, levels=4)
+        spec = UniformMagnitudeSpec(q=2, p=2.0)
         assert series_increments(spec, 1, [0])[0] == pytest.approx(2.0 ** 0.5 * 0.5, rel=1e-15)
 
-    def test_zero_magnitudes(self):
-        spec = UniformMagnitudeSpec(q=2, p=2.0, levels=4, c_rule=(0.0,) * 4)
-        assert series_increments(spec, 3, [5])[0] == 0.0
-
     def test_ternary_digits_drive_weights(self):
-        spec = UniformMagnitudeSpec(q=3, p=2.0, levels=6, a=(1.0, 1.0))
+        spec = UniformMagnitudeSpec(q=3, p=2.0, a=(1.0, 1.0))
         D, sigma = weight_patterns(spec, 5, [71])
         assert D.tolist() == [[2, 2, 1, 2, 0]]
         etas = spec.eta_values()
@@ -379,9 +395,9 @@ class TestIncrementDecomposition:
     @pytest.mark.parametrize(
         "spec",
         [
-            UniformMagnitudeSpec(q=2, p=2.0, levels=8),
-            UniformMagnitudeSpec(q=2, p=3.0, levels=8, signs=13),
-            UniformMagnitudeSpec(q=3, p=2.0, levels=8, a=(1.0, -0.5)),
+            UniformMagnitudeSpec(q=2, p=2.0),
+            UniformMagnitudeSpec(q=2, p=3.0, signs=13),
+            UniformMagnitudeSpec(q=3, p=2.0, a=(1.0, -0.5)),
         ],
     )
     def test_matches_synthesized_increments(self, spec):
@@ -393,22 +409,27 @@ class TestIncrementDecomposition:
 
 class TestSignMatrix:
     def test_three_levels_all_plus(self):
-        rep = sign_matrix(UniformMagnitudeSpec(q=2, p=2.0, levels=4), 3)
+        rep = sign_matrix(UniformMagnitudeSpec(q=2, p=2.0), 3)
         assert rep.bijection and rep.distinct == 8
         assert rep.gap <= 1e-12
 
     def test_single_level(self):
-        rep = sign_matrix(UniformMagnitudeSpec(q=2, p=2.0, levels=2), 1)
+        rep = sign_matrix(UniformMagnitudeSpec(q=2, p=2.0), 1)
         assert rep.bijection and rep.distinct == 2
 
+    @pytest.mark.parametrize("n", (0, -2))
+    def test_level_below_one_rejected(self, n):
+        with pytest.raises(ValidationError, match=f"level n must be >= 1, got {n}"):
+            sign_matrix(UniformMagnitudeSpec(q=2, p=2.0), n)
+
     def test_seeded_signs_still_bijective(self):
-        rep = sign_matrix(UniformMagnitudeSpec(q=2, p=2.0, levels=10, signs=21), 10)
+        rep = sign_matrix(UniformMagnitudeSpec(q=2, p=2.0, signs=21), 10)
         assert rep.bijection
         assert rep.gap <= 1e-12
 
     def test_budget(self):
         with pytest.raises(BudgetError):
-            sign_matrix(UniformMagnitudeSpec(q=2, p=2.0, levels=24), 24)
+            sign_matrix(UniformMagnitudeSpec(q=2, p=2.0), 24)
 
 
 class TestSigmaIndependence:
@@ -416,7 +437,7 @@ class TestSigmaIndependence:
         # the pattern multiset is the same for any sign array
         base = None
         for signs in ("plus", 1, 2):
-            spec = UniformMagnitudeSpec(q=2, p=2.0, levels=12, signs=signs)
+            spec = UniformMagnitudeSpec(q=2, p=2.0, signs=signs)
             v = pvar_profile(reference_path(spec, 12), 2.0, eval_level=0).terminal
             base = v if base is None else base
             assert abs(v - base) <= 1e-12
@@ -424,7 +445,7 @@ class TestSigmaIndependence:
 
 class TestTransportMultiply:
     def make_reference(self, n=10):
-        spec = UniformMagnitudeSpec(q=2, p=2.0, levels=n)
+        spec = UniformMagnitudeSpec(q=2, p=2.0)
         x = reference_path(spec, n)
         return x, pvar_profile(x, 2.0, eval_level=n)
 
@@ -471,7 +492,7 @@ class TestTransportMultiply:
 
 class TestRecipe:
     def test_constant_density_matches_linear_target(self):
-        spec = UniformMagnitudeSpec(q=2, p=2.0, levels=12)
+        spec = UniformMagnitudeSpec(q=2, p=2.0)
         res = recipe(lambda t: np.ones_like(t), spec, 12)
         prof = pvar_profile(res.y, 2.0)
         gap = np.max(np.abs(prof.values - prof.eval_points))
@@ -479,7 +500,7 @@ class TestRecipe:
         assert res.multiplier_trend.trend == "vanishing"
 
     def test_negative_density_rejected(self):
-        spec = UniformMagnitudeSpec(q=2, p=2.0, levels=6)
+        spec = UniformMagnitudeSpec(q=2, p=2.0)
         bad = np.ones(2 ** 6 + 1)
         bad[5] = -1e-9
         with pytest.raises(ValidationError):
@@ -488,42 +509,43 @@ class TestRecipe:
     @pytest.mark.parametrize("bad", (math.nan, math.inf))
     def test_nonfinite_density_rejected(self, bad):
         # NaN used to pass the sign check and fail later on the path values
-        spec = UniformMagnitudeSpec(q=2, p=2.0, levels=6)
+        spec = UniformMagnitudeSpec(q=2, p=2.0)
         density = np.ones(2 ** 6 + 1)
         density[7] = bad
         with pytest.raises(ValidationError, match="hprime samples must be finite"):
             recipe(density, spec, 6)
 
     def test_zero_touching_density_allowed(self):
-        spec = UniformMagnitudeSpec(q=2, p=2.0, levels=8)
+        spec = UniformMagnitudeSpec(q=2, p=2.0)
         res = recipe(lambda t: t, spec, 8)  # density vanishes at 0
         assert np.isfinite(res.y.values).all()
 
-    def test_rough_multiplier_warns(self):
-        spec = UniformMagnitudeSpec(q=2, p=2.0, levels=8)
-        rough = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=8, signs=5), 8)
+    # the diagnostic is reported on the result, not as a warning
+    @pytest.mark.filterwarnings("error")
+    def test_rough_multiplier_is_flagged(self):
+        spec = UniformMagnitudeSpec(q=2, p=2.0)
+        rough = reference_path(UniformMagnitudeSpec(q=2, p=2.0, signs=5), 8)
         density = (rough.values + 2.0) ** 2
-        with pytest.warns(UserWarning, match="vanishing"):
-            recipe(density, spec, 8)
+        assert recipe(density, spec, 8).multiplier_trend.trend != "vanishing"
 
 
 class TestShiftedReference:
     def test_shift_gives_positive_floor(self):
-        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=8), 8)
+        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0), 8)
         shift = x.sup_norm() + 1.0
         xb = shifted_reference(x, shift)
         assert np.min(xb.values) >= shift - x.sup_norm() - 1e-12
         assert np.min(xb.values) >= 1.0 - 1e-12
 
     def test_equal_shift_rejected(self):
-        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=6), 6)
+        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0), 6)
         with pytest.raises(ValidationError):
             shifted_reference(x, x.sup_norm())
 
     def test_shift_keeps_profiles(self):
         # shifted values round their increments, so profiles agree to
         # rounding, not bit for bit
-        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=8, signs=3), 8)
+        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, signs=3), 8)
         shift = x.sup_norm() + 2.0
         xb = shifted_reference(x, shift)
         np.testing.assert_array_equal(xb.values, x.values + shift)
@@ -582,11 +604,11 @@ class TestSplice:
         rng = np.random.default_rng(seed)
         cx = CoefficientArray(
             q=2, boundary=(0.2, -0.1),
-            levels=tuple(rng.uniform(-1, 1, 2 ** m) for m in range(depth)),
+            levels=tuple(rng.uniform(-1, 1, (2 ** m, 1)) for m in range(depth)),
         )
         cy = CoefficientArray(
             q=2, boundary=(0.0, 0.4),
-            levels=tuple(rng.uniform(-1, 1, 2 ** m) for m in range(depth)),
+            levels=tuple(rng.uniform(-1, 1, (2 ** m, 1)) for m in range(depth)),
         )
         return cx, cy
 
@@ -619,7 +641,7 @@ class TestSplice:
 
     def test_insufficient_levels(self):
         cx, cy = self.make_pair()
-        short = CoefficientArray(q=2, boundary=(0.0, 0.0), levels=(np.zeros(1),))
+        short = CoefficientArray(q=2, boundary=(0.0, 0.0), levels=(np.zeros((1, 1)),))
         with pytest.raises(ValidationError):
             splice(short, cy, 3)
         with pytest.raises(ValidationError):

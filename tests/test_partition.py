@@ -4,14 +4,43 @@ from hypothesis import given, settings, strategies as st
 
 from pvarpath import (
     BudgetError,
+    CoefficientArray,
+    UniformMagnitudeSpec,
     ValidationError,
     build_homeomorphism,
     power_table,
     qadic_grid,
     qadic_table,
     random_refining_table,
+    variation_constant,
 )
-from pvarpath.partition import PartitionGrid, digits_matrix, digits_within
+from pvarpath.partition import PartitionGrid, digits_matrix, digits_within, qadic_level
+from pvarpath.schauder import gamma_rows
+
+# every place that takes a branching factor q applies the one rule of
+# ``errors.check_branching``
+_Q_SITES = {
+    "PartitionGrid": lambda q: PartitionGrid(q=q, level=0, points=[0.0, 1.0]),
+    "qadic_level": lambda q: qadic_level(q, 9),
+    "qadic_grid": lambda q: qadic_grid(q, 2),
+    "gamma_rows": gamma_rows,
+    "CoefficientArray": lambda q: CoefficientArray(q=q, boundary=(0.0, 0.0), levels=()),
+    "UniformMagnitudeSpec": lambda q: UniformMagnitudeSpec(q=q),
+    "variation_constant": lambda q: variation_constant(2.0, q),
+}
+
+
+@pytest.mark.parametrize("q", (2.5, 3.0, 1, True), ids=("2.5", "3.0", "1", "True"))
+@pytest.mark.parametrize("site", tuple(_Q_SITES))
+def test_branching_factor_is_an_integer_of_two_or_more(site, q):
+    with pytest.raises(ValidationError,
+                       match=f"branching factor q must be an integer >= 2, got {q}$"):
+        _Q_SITES[site](q)
+
+
+@pytest.mark.parametrize("site", tuple(_Q_SITES))
+def test_numpy_integer_branching_factor_accepted(site):
+    _Q_SITES[site](np.int64(3))
 
 
 class TestQadicGrid:

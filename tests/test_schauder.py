@@ -95,10 +95,12 @@ class TestEta:
 
 
 class TestCoefficientArray:
-    def test_flat_dyadic_levels_load(self):
-        coeffs = CoefficientArray(q=2, boundary=(0.0, 0.0), levels=([1.0], [1.0, -1.0]))
+    def test_flat_dyadic_levels_rejected(self):
+        # a dyadic level has one branch column, like every q-adic level
+        with pytest.raises(ValidationError, match=r"level 0 must have shape \(1, 1\), got \(1,\)"):
+            CoefficientArray(q=2, boundary=(0.0, 0.0), levels=([1.0], [1.0, -1.0]))
+        coeffs = CoefficientArray(q=2, boundary=(0.0, 0.0), levels=([[1.0]], [[1.0], [-1.0]]))
         assert [lv.shape for lv in coeffs.levels] == [(1, 1), (2, 1)]
-        np.testing.assert_array_equal(coeffs.levels[1][:, 0], [1.0, -1.0])
 
 
 class TestHaarEval:
@@ -173,7 +175,7 @@ class TestAnalyze:
 
     def test_single_tent_recovered(self):
         base = CoefficientArray(q=2, boundary=(0.0, 0.0),
-                                levels=(np.zeros(1), np.array([1.0, 0.0])))
+                                levels=(np.zeros((1, 1)), np.array([[1.0], [0.0]])))
         path = synthesize(base, 3)
         coeffs = analyze(path)
         assert coeffs.levels[1][0, 0] == pytest.approx(1.0, abs=1e-14)
@@ -192,12 +194,12 @@ class TestAnalyze:
 
 class TestSynthesize:
     def test_single_root_tent(self):
-        coeffs = CoefficientArray(q=2, boundary=(0.0, 0.0), levels=(np.array([1.0]),))
+        coeffs = CoefficientArray(q=2, boundary=(0.0, 0.0), levels=(np.array([[1.0]]),))
         np.testing.assert_array_equal(synthesize(coeffs, 1).values, [0.0, 0.5, 0.0])
 
     def test_zero_coefficients_give_affine(self):
         coeffs = CoefficientArray(q=2, boundary=(2.0, -1.0),
-                                  levels=(np.zeros(1), np.zeros(2)))
+                                  levels=(np.zeros((1, 1)), np.zeros((2, 1))))
         path = synthesize(coeffs, 4)
         np.testing.assert_array_equal(path.values, 2.0 - 3.0 * path.grid.points)
 
@@ -232,7 +234,7 @@ class TestSynthesize:
     def test_round_trip_many_random_arrays(self):
         rng = np.random.default_rng(2024)
         for _ in range(100):
-            levels = tuple(rng.uniform(-3, 3, size=(2 ** m,)) for m in range(5))
+            levels = tuple(rng.uniform(-3, 3, size=(2 ** m, 1)) for m in range(5))
             coeffs = CoefficientArray(
                 q=2, boundary=tuple(rng.uniform(-1, 1, 2)), levels=levels
             )
@@ -248,45 +250,45 @@ class TestXi:
     def test_normalized_magnitudes_give_one(self):
         for p in (1.5, 2.0, 3.0):
             levels = tuple(
-                2 ** (m * (0.5 - 1 / p)) * np.ones(2 ** m) for m in range(6)
+                2 ** (m * (0.5 - 1 / p)) * np.ones((2 ** m, 1)) for m in range(6)
             )
             coeffs = CoefficientArray(q=2, boundary=(0.0, 0.0), levels=levels)
             for m in range(6):
                 assert xi(coeffs, p, m) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_array(self):
-        coeffs = CoefficientArray(q=2, boundary=(0.0, 0.0), levels=(np.zeros(1),))
+        coeffs = CoefficientArray(q=2, boundary=(0.0, 0.0), levels=(np.zeros((1, 1)),))
         assert xi(coeffs, 2.5, 0) == 0.0
 
     def test_direct_formula(self):
         coeffs = CoefficientArray(q=2, boundary=(0.0, 0.0),
-                                  levels=(np.zeros(1), np.array([3.0, 4.0])))
+                                  levels=(np.zeros((1, 1)), np.array([[3.0], [4.0]])))
         assert xi(coeffs, 2.0, 1) == pytest.approx(12.5, abs=1e-14)
 
     def test_requires_p_above_one(self):
-        coeffs = CoefficientArray(q=2, boundary=(0.0, 0.0), levels=(np.zeros(1),))
+        coeffs = CoefficientArray(q=2, boundary=(0.0, 0.0), levels=(np.zeros((1, 1)),))
         with pytest.raises(ValidationError):
             xi(coeffs, 1.0, 0)
 
 
 class TestHolderBound:
     def test_affine(self):
-        coeffs = CoefficientArray(q=2, boundary=(1.0, 5.0), levels=(np.zeros(1),))
+        coeffs = CoefficientArray(q=2, boundary=(1.0, 5.0), levels=(np.zeros((1, 1)),))
         assert holder_bound(coeffs, 0.5) == 0.0
 
     def test_reference_scaling_is_flat(self):
         p = 3.0
-        levels = tuple(2 ** (m * (0.5 - 1 / p)) * np.ones(2 ** m) for m in range(8))
+        levels = tuple(2 ** (m * (0.5 - 1 / p)) * np.ones((2 ** m, 1)) for m in range(8))
         coeffs = CoefficientArray(q=2, boundary=(0.0, 0.0), levels=levels)
         assert holder_bound(coeffs, 1 / p) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_coefficient_at_exponent_half(self):
-        levels = (np.zeros(1), np.zeros(2), np.array([0.0, 2.0, 0.0, 0.0]))
+        levels = (np.zeros((1, 1)), np.zeros((2, 1)), np.array([[0.0], [2.0], [0.0], [0.0]]))
         coeffs = CoefficientArray(q=2, boundary=(0.0, 0.0), levels=levels)
         assert holder_bound(coeffs, 0.5) == 2.0
 
     def test_alpha_range(self):
-        coeffs = CoefficientArray(q=2, boundary=(0.0, 0.0), levels=(np.zeros(1),))
+        coeffs = CoefficientArray(q=2, boundary=(0.0, 0.0), levels=(np.zeros((1, 1)),))
         with pytest.raises(ValidationError):
             holder_bound(coeffs, 1.0)
 

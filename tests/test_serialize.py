@@ -28,13 +28,13 @@ from pvarpath import serialize
 
 class TestPathRoundTrip:
     def test_basic(self):
-        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=6), 6)
+        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0), 6)
         back = serialize.path_from_dict(serialize.path_to_dict(x))
         np.testing.assert_array_equal(back.values, x.values)
         assert back.q == 2 and back.level == 6
 
     def test_shifted_path_is_its_values(self):
-        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=5), 5)
+        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0), 5)
         xb = shifted_reference(x, x.sup_norm() + 1.0)
         doc = serialize.path_to_dict(xb)
         assert "offset" not in doc["meta"]
@@ -44,7 +44,7 @@ class TestPathRoundTrip:
         from pvarpath import pullback_path
 
         table = power_table(2, 6, 2.0)
-        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=6), 6)
+        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0), 6)
         pulled = pullback_path(x, table)
         back = serialize.path_from_dict(serialize.path_to_dict(pulled))
         np.testing.assert_array_equal(back.grid.points, pulled.grid.points)
@@ -115,7 +115,7 @@ class TestCanonicalOutput:
 
 class TestCsvWriters:
     def test_profile_rows(self):
-        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=4), 4)
+        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0), 4)
         prof = pvar_profile(x, 2.0)
         buf = io.StringIO()
         serialize.write_profiles_csv([prof], buf)
@@ -189,7 +189,7 @@ def _path_document():
     """A level-17 path document (three chunks of values) holding NaN, +-inf,
     -0.0 and the smallest subnormal, and a manifest with nested containers
     and integer keys."""
-    doc = serialize.path_to_dict(reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=17), 17))
+    doc = serialize.path_to_dict(reference_path(UniformMagnitudeSpec(q=2, p=2.0), 17))
     doc["values"][1:6] = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
     doc["manifest"] = {"config": {"b": [1, 2.5], "a": None}, "config_hash": "0123",
                        "rows": [{"y": [3], "x": {}}, []], "by_level": {10: [1.5], 2: None}}
@@ -198,7 +198,7 @@ def _path_document():
 
 def _pulled_document():
     """A pulled-back path: its grid_points list is chunked as well."""
-    x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=17), 17)
+    x = reference_path(UniformMagnitudeSpec(q=2, p=2.0), 17)
     return serialize.path_to_dict(pullback_path(x, power_table(2, 17, 2.0)))
 
 

@@ -101,11 +101,11 @@ class TestHolderEmbedding:
         rng = np.random.default_rng(8)
         cx = CoefficientArray(
             q=2, boundary=(0.0, 0.0),
-            levels=tuple(rng.uniform(-1, 1, 2 ** m) for m in range(8)),
+            levels=tuple(rng.uniform(-1, 1, (2 ** m, 1)) for m in range(8)),
         )
         cy = CoefficientArray(
             q=2, boundary=(0.0, 0.0),
-            levels=tuple(rng.uniform(-1, 1, 2 ** m) for m in range(8)),
+            levels=tuple(rng.uniform(-1, 1, (2 ** m, 1)) for m in range(8)),
         )
         n = 3
         spliced = splice(cx, cy, n)
@@ -127,7 +127,7 @@ class TestHolderEmbedding:
 class TestVariationIndexEstimate:
     def test_reference_trends(self):
         p0 = 2.0
-        coeffs = build_reference(UniformMagnitudeSpec(q=2, p=p0, levels=10))
+        coeffs = build_reference(UniformMagnitudeSpec(q=2, p=p0), 10)
         rows = variation_index_estimate(coeffs, [1.5, 2.0, 3.0])
         by_p = {r.p: r for r in rows}
         assert by_p[1.5].trend == "growing"
@@ -137,18 +137,18 @@ class TestVariationIndexEstimate:
     def test_affine_all_vanishing(self):
         coeffs = CoefficientArray(
             q=2, boundary=(0.0, 1.0),
-            levels=tuple(np.zeros(2 ** m) for m in range(6)),
+            levels=tuple(np.zeros((2 ** m, 1)) for m in range(6)),
         )
         rows = variation_index_estimate(coeffs, [1.5, 2.0, 4.0])
         assert all(r.trend == "vanishing" for r in rows)
 
     def test_flat_diagnostic_has_zero_slope(self):
-        coeffs = build_reference(UniformMagnitudeSpec(q=2, p=2.0, levels=8))
+        coeffs = build_reference(UniformMagnitudeSpec(q=2, p=2.0), 8)
         row = variation_index_estimate(coeffs, [2.0])[0]
         assert abs(row.slope) <= 1e-9
 
     def test_needs_levels(self):
-        coeffs = CoefficientArray(q=2, boundary=(0.0, 0.0), levels=(np.zeros(1),))
+        coeffs = CoefficientArray(q=2, boundary=(0.0, 0.0), levels=(np.zeros((1, 1)),))
         with pytest.raises(ValidationError):
             variation_index_estimate(coeffs, [2.0])
 
@@ -160,7 +160,7 @@ def synthetic_linear_profile(n, slope):
 
 class TestStieltjes:
     def test_unit_weight_returns_profile(self):
-        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=8), 8)
+        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0), 8)
         prof = pvar_profile(x, 2.0)
         w = qadic_path(np.ones(2 ** 8 + 1), q=2)
         np.testing.assert_allclose(
@@ -168,7 +168,7 @@ class TestStieltjes:
         )
 
     def test_constant_weight_scales(self):
-        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=8), 8)
+        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0), 8)
         prof = pvar_profile(x, 2.0)
         w = qadic_path(np.full(2 ** 8 + 1, 2.5), q=2)
         np.testing.assert_allclose(
@@ -186,7 +186,7 @@ class TestStieltjes:
         assert np.max(np.abs(got - target)) <= slope * 2.0 ** -n
 
     def test_coarse_profile_reads_weight_at_its_points(self):
-        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, levels=8, signs=2), 8)
+        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, signs=2), 8)
         prof = pvar_profile(x, 2.0, eval_level=3)
         w = SampledPath(grid=x.grid, values=np.exp(x.grid.points))
         expected = np.concatenate(([0.0], np.cumsum(
@@ -208,6 +208,6 @@ class TestBlockEquipartition:
     @pytest.mark.parametrize("p", (2.0, 3.0, 4.0))
     def test_reference_blocks_share_variation(self, p):
         # the 2**4 level-4 blocks carry equal shares of the level-16 variation
-        x = reference_path(UniformMagnitudeSpec(q=2, p=p, levels=16), 16)
+        x = reference_path(UniformMagnitudeSpec(q=2, p=p), 16)
         prof = pvar_profile(x, p, eval_level=4)
         assert np.max(np.abs(np.diff(prof.values) - prof.terminal / 2 ** 4)) <= 1e-2
