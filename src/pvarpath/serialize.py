@@ -1,41 +1,46 @@
 """JSON and CSV interchange for paths, tables and reports.
 
 A refining table is its level-N grid with generator "table"; its document
-is ``{"q": q, "points": [...]}``, the level-N points, whose count fixes N.
+is ``{"q": q, "points": <array>}``, the level-N points, whose count fixes N.
 
-Every number a path or table document carries is read by one rule, here:
-``q`` and a path's ``level`` must be JSON integers (``_json_int``); a path's
-``values`` and ``meta.grid_points`` and a table's ``points`` must be flat
-lists of JSON numbers, ``int`` or ``float`` items only (``_json_floats``);
-a path's ``meta`` must be an object.  Bools, strings, ``null``, nested
-lists and integers beyond float range are refused with one line naming the
-document kind and the field; a valid document reads back bit for bit.  A
-path's numbers are its ``values`` alone: a ``meta.offset`` shift is refused,
-not read and dropped.
+A document's number arrays (a path's ``values`` and ``meta.grid_points``,
+a table's ``points``) are written as ``{"f8le": "<base64 of the
+little-endian float64 bytes>"}`` (``_f8le``): exact to the bit, and the
+same text on every host.
+
+Every number a document carries is read by one rule, here: ``q`` and a
+path's ``level`` must be JSON integers (``_json_int``); an array must be an
+``f8le`` object (that one key, a ``str`` of strict base64 that decodes to a
+multiple of 8 bytes) or, as older and hand-written documents give it, a
+flat list of JSON numbers, ``int`` or ``float`` items only
+(``_json_floats``); a path's ``meta`` must be an object.  Anything else is
+refused with one line naming the document kind and the field; a valid
+document reads back bit for bit, and non-finite values are refused by the
+path or grid they would build.  A path's numbers are its ``values`` alone:
+a ``meta.offset`` shift is refused, not read and dropped.
 
 A path document's ``meta`` is its grid's layout only: ``grid_generator``,
 plus ``grid_points`` for a grid that is not q-adic.  Any other key is
 ignored, so documents that still carry provenance keys read as before; how
 an artifact was made is recorded in its manifest.
 
-JSON artifacts are written with sorted keys and compact separators, so a
-fixed input produces byte-identical output; arrays enter them through
-``ndarray.tolist()``.  CSV floats are written in one format, ``_CSV_FLOAT``
-(``%.17g``: 17 significant digits, enough for any float64 to read back
-exactly).
+JSON artifacts are written in one encode call, with sorted keys and compact
+separators, so a fixed input produces byte-identical output.  CSV floats
+are written in one format, ``_CSV_FLOAT`` (``%.17g``: 17 significant
+digits, enough for any float64 to read back exactly).
 
-Both formats are streamed to the caller's text stream: a long JSON list and
-every CSV are cut into ranges of ``_CSV_CHUNK_ROWS`` items, and the ranges
-are formatted round-robin by this process and forked workers, one per CPU
-it may run on, then written in order (``_write_chunks``).  No process holds
-much more than one range of text, no whole-file string is ever built, and
-the bytes do not depend on how many CPUs there are.
+A CSV is streamed to the caller's text stream: its rows are cut into ranges
+of ``_CSV_CHUNK_ROWS``, and the ranges are formatted round-robin by this
+process and forked workers, one per CPU it may run on, then written in
+order (``_write_chunks``).  No process holds much more than one range of
+text, no whole-file string is ever built, and the bytes do not depend on
+how many CPUs there are.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
-import io
 import json
 import os
 from typing import IO, Callable
@@ -50,7 +55,7 @@ from .variation import VariationProfile
 
 
 _CSV_CHUNK_ROWS = 1 << 16
-_encode_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_JSON_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _cpu_count() -> int:
@@ -128,42 +133,20 @@ def _write_chunks(stream: IO[str], n: int, fmt: Callable[[int, int], str]) -> No
             os.waitpid(pid, 0)
 
 
-def _holds_containers(values) -> bool:
-    return any(isinstance(v, (dict, list)) for v in values)
-
-
-def _write_value(obj, stream: IO[str]) -> None:
-    if isinstance(obj, list) and len(obj) > _CSV_CHUNK_ROWS:
-        stream.write("[")
-        _write_chunks(stream, len(obj), lambda lo, hi: ("," if lo else "")
-                      + _encode_json(obj[lo:hi])[1:-1])
-        stream.write("]")
-    elif (isinstance(obj, dict) and all(isinstance(k, str) for k in obj)
-          and _holds_containers(obj.values())):
-        stream.write("{")
-        for i, key in enumerate(sorted(obj)):
-            stream.write(("," if i else "") + _encode_json(key) + ":")
-            _write_value(obj[key], stream)
-        stream.write("}")
-    else:
-        stream.write(_encode_json(obj))
-
-
 def write_json(obj, stream: IO[str]) -> None:
     """The canonical JSON of ``obj`` (sorted keys, compact separators, one
-    closing newline), streamed to ``stream``: a list of two or more chunks
-    goes through ``_write_chunks``, dicts holding containers are walked, and
-    every other value is encoded in one call.  The bytes are those of
-    ``json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\\n"``."""
-    _write_value(obj, stream)
+    closing newline) written to ``stream``: the bytes of
+    ``json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\\n"``.
+    It is written piece by piece, so the document is never held whole: the
+    largest piece is one ``f8le`` string."""
+    for piece in _JSON_ENCODER.iterencode(obj):
+        stream.write(piece)
     stream.write("\n")
 
 
 def canonical_dumps(obj) -> str:
     """``write_json`` of ``obj`` as one string."""
-    buf = io.StringIO()
-    write_json(obj, buf)
-    return buf.getvalue()
+    return _JSON_ENCODER.encode(obj) + "\n"
 
 
 def config_hash(config: dict) -> str:
@@ -175,14 +158,21 @@ def config_hash(config: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _f8le(values: np.ndarray) -> dict:
+    """``values`` as ``{"f8le": <base64 of their little-endian float64
+    bytes>}``, the same text whatever the host's byte order."""
+    raw = np.asarray(values, dtype="<f8").tobytes()
+    return {"f8le": base64.b64encode(raw).decode("ascii")}
+
+
 def path_to_dict(path: SampledPath) -> dict:
     meta = {"grid_generator": path.grid.generator}
     if path.grid.generator != "q-adic":
-        meta["grid_points"] = path.grid.points.tolist()
+        meta["grid_points"] = _f8le(path.grid.points)
     return {
         "q": int(path.q),
         "level": int(path.level),
-        "values": path.values.tolist(),
+        "values": _f8le(path.values),
         "meta": meta,
     }
 
@@ -196,14 +186,23 @@ def _json_int(value, name: str, kind: str) -> int:
 
 
 def _json_floats(value, name: str, kind: str) -> np.ndarray:
-    """``value`` as a float64 array if it is a flat list of JSON numbers."""
-    if type(value) is list and set(map(type, value)) <= {int, float}:
+    """``value`` as a float64 array if it is an ``_f8le`` object or a flat
+    list of JSON numbers."""
+    if type(value) is dict and value.keys() == {"f8le"} and type(value["f8le"]) is str:
+        try:
+            raw = base64.b64decode(value["f8le"], validate=True)
+            if len(raw) % 8 == 0:
+                return np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False)
+        except ValueError:  # binascii.Error too: not ASCII, not base64, bad padding
+            pass
+    elif type(value) is list and set(map(type, value)) <= {int, float}:
         try:
             return np.asarray(value, dtype=np.float64)
         except OverflowError:
             pass  # an integer beyond float range
     raise ValidationError(
-        f"malformed {kind} document: {name!r} must be a flat list of numbers")
+        f"malformed {kind} document: {name!r} must be a flat list of numbers "
+        'or {"f8le": <base64 of little-endian float64 bytes>}')
 
 
 def path_from_dict(d: dict) -> SampledPath:
@@ -238,7 +237,7 @@ def path_from_dict(d: dict) -> SampledPath:
 
 def table_to_dict(table: PartitionGrid) -> dict:
     """The finest level's points; the coarser levels are its strides."""
-    return {"q": int(table.q), "points": table.points.tolist()}
+    return {"q": int(table.q), "points": _f8le(table.points)}
 
 
 def table_from_dict(d: dict) -> PartitionGrid:

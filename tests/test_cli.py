@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import os
@@ -9,11 +10,43 @@ import numpy as np
 import pytest
 
 import pvarpath
+from pvarpath import serialize
 from pvarpath.cli import run
 
 
 def read_json(path):
     return json.loads(path.read_text())
+
+
+def f8le(values):
+    """The ``f8le`` form of ``values``, encoded here, not by the writer."""
+    return {"f8le": base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()}
+
+
+def f8le_text(values, edit):
+    return {"f8le": edit(f8le(values)["f8le"])}
+
+
+# array fields the reader refuses, each made from the valid list ``v``: a bad
+# last item of the list form, or a bad f8le object
+MALFORMED_ARRAYS = {
+    "string": lambda v: v[:-1] + ["1"],
+    "bool": lambda v: v[:-1] + [True],
+    "null": lambda v: v[:-1] + [None],
+    "nested": lambda v: v[:-1] + [[1.0]],
+    "huge-int": lambda v: v[:-1] + [10 ** 400],
+    "f8le-list": lambda v: {"f8le": v},
+    "f8le-number": lambda v: {"f8le": 0},
+    "f8le-extra-key": lambda v: {**f8le(v), "dtype": "<f8"},
+    "f8le-empty-object": lambda v: {},
+    "f8le-bad-character": lambda v: f8le_text(v, lambda t: "*" + t[1:]),
+    "f8le-whitespace": lambda v: f8le_text(v, lambda t: t[:8] + "\n" + t[8:]),
+    "f8le-non-ascii": lambda v: f8le_text(v, lambda t: "\u00e9" + t[1:]),
+    "f8le-bad-padding": lambda v: f8le_text(v, lambda t: t.rstrip("=")),
+    "f8le-12-bytes": lambda v: {"f8le": base64.b64encode(bytes(12)).decode()},
+}
+ARRAY_MESSAGE = ('must be a flat list of numbers '
+                 'or {"f8le": <base64 of little-endian float64 bytes>}')
 
 
 def table_path_doc():
@@ -33,6 +66,19 @@ def assert_rejected(tmp_path, capsys, command, doc, message):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def assert_table_rejected(tmp_path, capsys, doc, message):
+    """A recipe run on the table document ``doc`` exits 2, prints one line
+    holding ``message`` and writes no output."""
+    tbl = tmp_path / "table.json"
+    tbl.write_text(json.dumps(doc))
+    out = tmp_path / "y.json"
+    assert run(["timechange", "--mode", "recipe", "--levels", "1", "--table", str(tbl),
+                "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err, err
+    assert not out.exists()
+
+
 class TestBuild:
     def test_build_writes_path_with_manifest(self, tmp_path):
         out = tmp_path / "ref.json"
@@ -41,7 +87,7 @@ class TestBuild:
         assert code == 0
         doc = read_json(out)
         assert doc["q"] == 2 and doc["level"] == 8
-        assert len(doc["values"]) == 2 ** 8 + 1
+        assert serialize.path_from_dict(doc).values.shape == (2 ** 8 + 1,)
         assert "config_hash" in doc["manifest"]
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -101,15 +147,28 @@ class TestAnalyze:
         assert err.count("\n") == 1 and message in err
         assert not out.exists()
 
-    # each bad item replaces the last entry, where a 1 would be valid
-    @pytest.mark.parametrize("item", ["1", True, None, [1.0], 10 ** 400],
-                             ids=["string", "bool", "null", "nested", "huge-int"])
+    @pytest.mark.parametrize("malform", MALFORMED_ARRAYS.values(), ids=MALFORMED_ARRAYS)
     @pytest.mark.parametrize("field", ["values", "meta.grid_points"])
-    def test_malformed_path_array_exit_2(self, tmp_path, capsys, field, item):
+    def test_malformed_path_array_exit_2(self, tmp_path, capsys, field, malform):
         doc = table_path_doc()
-        (doc["values"] if field == "values" else doc["meta"]["grid_points"])[-1] = item
+        owner = doc if field == "values" else doc["meta"]
+        key = field.split(".")[-1]
+        owner[key] = malform(owner[key])
         assert_rejected(tmp_path, capsys, ["analyze"], doc,
-                        f"malformed path document: {field!r} must be a flat list of numbers")
+                        f"malformed path document: {field!r} {ARRAY_MESSAGE}")
+
+    # well-formed f8le bytes whose values the path or its grid refuses
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field, message", [
+        ("values", "path values must be finite"),
+        ("meta.grid_points", "grid points must be strictly increasing"),
+    ], ids=["values", "meta.grid_points"])
+    def test_nonfinite_f8le_path_array_exit_2(self, tmp_path, capsys, field, message, bad):
+        doc = table_path_doc()
+        owner = doc if field == "values" else doc["meta"]
+        key = field.split(".")[-1]
+        owner[key] = f8le([owner[key][0], bad, *owner[key][2:]])
+        assert_rejected(tmp_path, capsys, ["analyze"], doc, message)
 
     # a path is its values: any offset, a finite one too, would be dropped
     @pytest.mark.parametrize("offset", ["2", True, float("inf"), 10 ** 400, 3.0],
@@ -301,13 +360,15 @@ class TestTimechange:
                     "--levels", "8", "--seed", "3", "--table-out", str(tbl),
                     "--path", str(ref), "-o", str(out)]) == 0
         doc = read_json(out)
-        src = read_json(ref)
-        assert doc["values"] == src["values"]
+        pulled = serialize.path_from_dict(doc)
+        src = serialize.path_from_dict(read_json(ref))
+        np.testing.assert_array_equal(pulled.values, src.values)
         assert doc["meta"]["grid_generator"] == "table"
         table = read_json(tbl)
         assert set(table) == {"q", "points"} and table["q"] == 2
-        assert len(table["points"]) == 2 ** 8 + 1
-        assert doc["meta"]["grid_points"] == table["points"]
+        points = serialize.table_from_dict(table).points
+        assert points.shape == (2 ** 8 + 1,)
+        np.testing.assert_array_equal(pulled.grid.points, points)
 
     def test_recipe_mode(self, tmp_path):
         out = tmp_path / "ty.json"
@@ -348,6 +409,8 @@ class TestTimechange:
         ({"q": 2, "points": [0.0, float("nan"), 0.5, 0.75, 1.0]}, "strictly increasing"),
         ({"q": 2, "points": [0.0, 0.5, 0.25, 0.75, 1.0]}, "strictly increasing"),
         ({"q": 2, "points": [0.0, 0.5, 0.5, 0.75, 1.0]}, "strictly increasing"),
+        ({"q": 2, "points": f8le([0.0, math.nan, 0.5, 0.75, 1.0])}, "strictly increasing"),
+        ({"q": 2, "points": f8le([0.0, math.inf, 0.5, 0.75, 1.0])}, "strictly increasing"),
         ({"q": 2, "points": [0.1, 0.25, 0.5, 0.75, 1.0]}, "start at 0 and end at 1"),
         ({"q": 2, "points": [0.0, 0.25, 0.5, 0.75, 2.0]}, "start at 0 and end at 1"),
         ({"q": 2.0, "points": [0.0, 0.5, 1.0]}, "'q' must be an integer, got 2.0"),
@@ -357,18 +420,16 @@ class TestTimechange:
     ], ids=["levels-not-list", "levels-empty", "old-layout", "finest-wrong-length",
            "points-empty", "q-1", "points-number", "points-null", "points-nested",
            "points-ragged", "points-strings", "points-bools", "points-mixed-bool",
-           "points-huge-int", "nan", "decreasing",
-           "repeated", "start-not-0", "end-not-1", "q-float", "q-string", "q-bool",
-           "not-an-object"])
+           "points-huge-int", "nan", "decreasing", "repeated", "f8le-nan", "f8le-inf",
+           "start-not-0", "end-not-1", "q-float", "q-string", "q-bool", "not-an-object"])
     def test_malformed_table_exit_2(self, tmp_path, capsys, doc, message):
-        tbl = tmp_path / "table.json"
-        tbl.write_text(json.dumps(doc))
-        out = tmp_path / "y.json"
-        assert run(["timechange", "--mode", "recipe", "--levels", "1", "--table", str(tbl),
-                    "-o", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and message in err
-        assert not out.exists()
+        assert_table_rejected(tmp_path, capsys, doc, message)
+
+    @pytest.mark.parametrize("malform", MALFORMED_ARRAYS.values(), ids=MALFORMED_ARRAYS)
+    def test_malformed_table_points_exit_2(self, tmp_path, capsys, malform):
+        doc = {"q": 2, "points": malform([0.0, 0.25, 0.5, 0.75, 1.0])}
+        assert_table_rejected(tmp_path, capsys, doc,
+                              f"malformed table document: 'points' {ARRAY_MESSAGE}")
 
     def test_reads_persisted_table(self, tmp_path):
         tbl = tmp_path / "table.json"
@@ -542,8 +603,10 @@ class TestUsageErrors:
         assert list(tmp_path.iterdir()) == [tmp_path / "x.json"]
 
     # a float64 overflow is refused with one line naming its cause (the
-    # exponent, the polynomial or the function) and no RuntimeWarning
+    # exponent, the polynomial or the function) and no RuntimeWarning,
+    # whichever form the input documents give their values in
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("form", [list, f8le], ids=["list", "f8le"])
     @pytest.mark.parametrize("argv, message", [
         (["analyze", "huge.json"], "the p=2.0 variation of this path overflows float64"),
         (["analyze", "wide.json", "--p", "4"], "the p=4.0 variation of this path overflows"),
@@ -555,15 +618,15 @@ class TestUsageErrors:
          "power-table exponent 2000.0 makes neighbouring level-4 points equal"),
     ], ids=["analyze-value-1e200", "analyze-p4-values-1e100", "ito-f-chain",
            "ito-f-evaluation", "power-exponent-2000"])
-    def test_float_overflow_exit_2(self, tmp_path, capsys, monkeypatch, argv, message):
+    def test_float_overflow_exit_2(self, tmp_path, capsys, monkeypatch, argv, message, form):
         monkeypatch.chdir(tmp_path)
         assert run(["build", "--levels", "4", "-o", "x.json"]) == 0
         doc = read_json(tmp_path / "x.json")
-        values = doc["values"]
-        (tmp_path / "huge.json").write_text(json.dumps({**doc, "values": [
-            1e200 if i == 5 else v for i, v in enumerate(values)]}))
-        (tmp_path / "wide.json").write_text(json.dumps({**doc, "values": [
-            1e100 * v for v in values]}))
+        values = serialize.path_from_dict(doc).values.tolist()
+        (tmp_path / "huge.json").write_text(json.dumps({**doc, "values": form(
+            [1e200 if i == 5 else v for i, v in enumerate(values)])}))
+        (tmp_path / "wide.json").write_text(json.dumps({**doc, "values": form(
+            [1e100 * v for v in values])}))
         inputs = sorted(tmp_path.iterdir())
         assert run([*argv, "-o", "out"]) == 2
         err = capsys.readouterr().err
@@ -593,8 +656,9 @@ class TestUsageErrors:
         assert not out.exists()
 
     def test_failed_chunk_worker_leaves_no_output(self, tmp_path, capsys, monkeypatch):
-        from pvarpath import serialize
-
+        # the residual CSV of a level-17 path spans three chunks, so a worker forks
+        path = tmp_path / "x.json"
+        assert run(["build", "--levels", "17", "-o", str(path)]) == 0
         write_chunks, parent = serialize._write_chunks, os.getpid()
 
         def failing_in_worker(stream, n, fmt):
@@ -606,10 +670,10 @@ class TestUsageErrors:
 
         monkeypatch.setattr(serialize, "_cpu_count", lambda: 2)
         monkeypatch.setattr(serialize, "_write_chunks", failing_in_worker)
-        out = tmp_path / "x.json"
-        assert run(["build", "--levels", "17", "-o", str(out)]) == 2
-        assert capsys.readouterr().err.count("\n") == 1
-        assert not out.exists()
+        assert run(["ito", str(path), "--f", "0,0,1", "-o", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "formatting worker stopped" in err, err
+        assert list(tmp_path.iterdir()) == [path]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
