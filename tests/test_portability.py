@@ -7,10 +7,13 @@ macOS arm64, so a result computed in it has different bits on each;
 none of these types, not even in a comment.
 
 A document's number arrays are little-endian float64 bytes whatever the
-host's byte order.
+host's byte order, and the CSV kernel's text does not depend on the input
+array's byte order.  The kernel's powers of ten are built from integer
+arithmetic, not from a platform's ``pow``.
 """
 
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -37,3 +40,33 @@ def test_f8le_bytes_do_not_depend_on_byte_order():
     assert serialize._f8le(np.array([1.0]))["f8le"] == "AAAAAAAA8D8="  # 00 .. 00 f0 3f
     back = serialize._json_floats({"f8le": text}, "values", "path")
     assert back.tobytes() == values.tobytes()
+
+
+def test_kernel_powers_of_ten():
+    t = serialize._kernel_tables()
+    for i, e in enumerate(range(serialize._E_MIN, serialize._E_MAX + 2)):
+        exact = Fraction(10) ** (16 - e)
+        assert abs(Fraction(t["hi"][i]) + Fraction(t["lo"][i]) - exact) <= exact / 2 ** 104, e
+        assert t["hi_hi"][i] + t["hi_lo"][i] == t["hi"][i]
+    halves = np.frexp(np.concatenate([t["hi_hi"], t["hi_lo"]]))[0] * 2.0 ** 26
+    assert (halves == np.round(halves)).all()  # 26 bits each: their products are exact
+
+
+def test_kernel_binades():
+    """A live binade [2^u, 2^(u+1)) has E = e0 or e0 + 1, and ``ceil`` is
+    the least float64 at or above 10^(e0 + 1)."""
+    t = serialize._kernel_tables()
+    for b in np.flatnonzero(t["live"]):
+        u, e0 = Fraction(2) ** (int(b) - 1023), int(t["e0"][b])
+        assert Fraction(10) ** e0 <= u and 2 * u <= Fraction(10) ** (e0 + 2)
+        assert serialize._E_MIN <= e0 < serialize._E_MAX
+        ceil = t["ceil"][b]
+        assert Fraction(np.nextafter(ceil, 0.0)) < Fraction(10) ** (e0 + 1) <= Fraction(ceil)
+
+
+def test_kernel_text_does_not_depend_on_byte_order():
+    values = np.array([1.0, -0.0, 5e-324, 1 / 3, -2.5e300, 0.1, 1e16, np.nan])
+    text = serialize._format_rows("", values, values[::-1])
+    assert serialize._format_rows("", values.astype(">f8"), values[::-1].astype(">f8")) == text
+    assert serialize._format_rows("", values.astype("<f8"), values[::-1].astype("<f8")) == text
+    assert text.splitlines()[0] == "1,nan"

@@ -10,10 +10,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pvarpath import (
+    FunctionWithDerivatives,
     UniformMagnitudeSpec,
     ValidationError,
+    change_of_variable_residual,
     power_table,
     pullback_path,
     pvar_profile,
@@ -231,6 +234,61 @@ class TestCsvByteIdentity:
             out = _written(monkeypatch, cpus,
                            lambda buf: serialize.write_profiles_csv(profiles, buf))
             assert out == expected, cpus
+
+
+def _floats(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+# bit patterns: NaNs with payloads and sign, +-inf, +-0, subnormals, the
+# largest float, and the ends of the binades the kernel formats
+SPECIAL_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                0x7FF4DEADBEEF0001, 0xFFFFFFFFFFFFFFFF, 0x7FF0000000000000,
+                0xFFF0000000000000, 0x0, 0x8000000000000000, 0x1, 0x800FFFFFFFFFFFFF,
+                0x0010000000000000, 0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF,
+                0x03C0000000000000, 0x03BFFFFFFFFFFFFF, 0x7E0FFFFFFFFFFFFF, 0x7E10000000000000]
+BITS = st.one_of(st.integers(0, 2 ** 64 - 1), st.sampled_from(SPECIAL_BITS),
+                 st.floats().map(lambda v: int(np.float64(v).view(np.uint64))))
+
+
+class TestFormatKernel:
+    """``_format_rows`` is the ``%.17g`` row formula, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(BITS, BITS), max_size=40))
+    def test_any_bit_pattern(self, pairs):
+        a, b = _floats([p[0] for p in pairs]), _floats([p[1] for p in pairs])
+        assert serialize._format_rows("", a, b) == "".join(map(_row, a, b))
+        assert serialize._format_rows("7,", a, b) == "".join("7," + _row(x, y) for x, y in zip(a, b))
+
+    def test_boundaries(self):
+        near = []
+        for v in (1e-5, 1e-4, 1e16, 1e17):  # where %.17g switches notation
+            for d in (0.0, np.inf):
+                near += [v, np.nextafter(v, d), np.nextafter(np.nextafter(v, d), d)]
+        # 3-digit exponents; then nearest doubles to 10^k just below it,
+        # whose 17-digit rounding carries into the next decade
+        wide = [1e-100, 1e300, 5e-324, np.finfo(np.float64).max, 1e-243, 1e-14, 1e98, 1e220]
+        x = np.array(near + wide)
+        x = np.concatenate([x, -x])
+        assert serialize._format_rows("", x, x[::-1]) == "".join(map(_row, x, x[::-1]))
+        n, e, decided = serialize._decimal(np.array([1e-14, 1e98]))
+        assert decided.all() and (n == 10 ** 16).all() and list(e) == [-14, 98]
+
+    def test_dyadic_ties_are_decided_exactly(self):
+        # m / 2^20 with m = 4 mod 8 above 0.1 is a tie at 17 digits
+        t = np.arange(2 ** 20 + 1) / 2 ** 20
+        assert serialize._decimal(t)[2].all()
+        assert serialize._format_rows("", t) == "".join(map(_row, t))
+
+    def test_fallback_share(self):
+        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, signs=1), 16)
+        report = change_of_variable_residual(FunctionWithDerivatives.polynomial([0, 0, 1]), x, 2.0)
+        prof = pvar_profile(x, 2.0)
+        values = np.concatenate([report.eval_points, report.residuals,
+                                 prof.eval_points, prof.values])
+        undecided = np.count_nonzero(~serialize._decimal(values)[2])
+        assert undecided <= 1e-3 * values.size
 
 
 def _path_document():
