@@ -235,12 +235,12 @@ def criterion_10() -> CriterionResult:
     rng = np.random.default_rng(5)
     ok = True
     for _ in range(100):
-        g1 = SampledPath(grid=grid, values=rng.uniform(-2.0, 2.0, grid.points.size))
-        g2 = SampledPath(grid=grid, values=rng.uniform(-2.0, 2.0, grid.points.size))
+        g1 = SampledPath(grid=grid, values=rng.uniform(-2.0, 2.0, grid.size))
+        g2 = SampledPath(grid=grid, values=rng.uniform(-2.0, 2.0, grid.size))
         rep = stability_bound(g1, g2, 2.0, c2)
         ok &= rep.lhs <= rep.rhs_l1 + 1e-12
-    ones = SampledPath(grid=grid, values=np.ones(grid.points.size))
-    zero = SampledPath(grid=grid, values=np.zeros(grid.points.size))
+    ones = SampledPath(grid=grid, values=np.ones(grid.size))
+    zero = SampledPath(grid=grid, values=np.zeros(grid.size))
     eq = stability_bound(ones, zero, 2.0, c2)
     ok &= abs(eq.lhs - c2) <= 1e-12 and abs(eq.lhs - eq.rhs_l1) <= 1e-12
     return _result(10, "variation stability bounds", 5.0, t0, ok,

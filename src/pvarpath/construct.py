@@ -253,8 +253,6 @@ TARGET_DENSITIES = {
 @dataclass(frozen=True, eq=False)
 class RecipeResult:
     y: SampledPath
-    g: SampledPath
-    x: SampledPath
     constant: VariationConstant
     multiplier_trend: object    # TrendRow for the multiplier, or None
 
@@ -273,17 +271,15 @@ def recipe(hprime, spec: UniformMagnitudeSpec, n: int) -> RecipeResult:
     """
     grid = qadic_grid(spec.q, n)
     hp = np.asarray(hprime(grid.points) if callable(hprime) else hprime, dtype=np.float64)
-    if hp.shape != grid.points.shape:
-        raise ValidationError(f"hprime must provide {grid.points.size} samples")
+    if hp.shape != (grid.size,):
+        raise ValidationError(f"hprime must provide {grid.size} samples")
     if not (np.all(np.isfinite(hp)) and np.all(hp >= 0)):
         raise ValidationError("hprime samples must be finite and nonnegative")
     c = variation_constant(spec.p, spec.q, spec.a, method="exact")
-    g_vals = (hp / c.value) ** (1.0 / spec.p)
-    g = SampledPath(grid=grid, values=g_vals)
-    x = reference_path(spec, n)
-    y = SampledPath(grid=grid, values=g_vals * x.values)
+    g = SampledPath(grid=grid, values=(hp / c.value) ** (1.0 / spec.p))
     trend = variation_index_estimate(analyze(g), [spec.p])[0] if n >= 4 else None
-    return RecipeResult(y=y, g=g, x=x, constant=c, multiplier_trend=trend)
+    y = SampledPath(grid=grid, values=g.values * reference_path(spec, n).values)
+    return RecipeResult(y=y, constant=c, multiplier_trend=trend)
 
 
 def shifted_reference(x: SampledPath, shift: float) -> SampledPath:
@@ -314,16 +310,16 @@ def bernstein(z, degree: int, grid: PartitionGrid) -> SampledPath:
     ``z`` may be a callable or a SampledPath (linearly interpolated at the
     nodes k/degree).  Evaluation folds convex combinations in place, which
     is numerically stable and reproduces constants bitwise.  The work array
-    of ``(degree + 1) * grid.points.size`` entries may hold at most the
+    of ``(degree + 1) * grid.size`` entries may hold at most the
     interval budget.
     """
     if degree < 1:
         raise ValidationError(f"degree must be >= 1, got {degree}")
-    work = (degree + 1) * grid.points.size
+    work = (degree + 1) * grid.size
     budget = interval_budget()
     if work > budget:
         raise BudgetError(
-            f"degree {degree} on {grid.points.size} points needs a {work}-entry work array; "
+            f"degree {degree} on {grid.size} points needs a {work}-entry work array; "
             f"budget is {budget} (override with {MAX_INTERVALS_ENV})"
         )
     nodes = np.arange(degree + 1, dtype=np.float64) / degree

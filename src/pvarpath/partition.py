@@ -1,9 +1,10 @@
 """Dyadic/q-adic grids, q-refining tables and base-q digit tables.
 
-Grid points are stored as floats but always generated from exact integer
-ratios, and every structural question (membership, nesting) is decided by
-integer index arithmetic.  A refining table to depth N is its level-N
-partition: a ``PartitionGrid`` with generator "table", whose coarser levels
+A q-adic grid is its (q, level): its points i / q**level are computed from
+exact integer ratios when they are read, and every structural question
+(membership, nesting) is decided by integer index arithmetic.  Only a
+refining table stores points.  A refining table to depth N is its level-N
+partition: a ``PartitionGrid`` holding those points, whose coarser levels
 are strided views (``restrict``) and so nest by construction.  Its q**N + 1
 points fix N (``qadic_level``), so the finest level alone determines the
 table (``build_homeomorphism``).
@@ -75,56 +76,71 @@ def frozen_floats(a) -> np.ndarray:
 class PartitionGrid:
     """One level of a partition of [0, 1] with ``q**level`` intervals.
 
-    ``generator`` records provenance: "q-adic" grids have points exactly
-    ``i / q**level``; "table" grids carry arbitrary strictly increasing
-    points.  A refining table is the "table" grid of its finest level N:
-    level n is ``restrict(n)``, and the time change phi sends its i-th
-    point to i / q**N.
+    A q-adic grid is its ``(q, level)``: its points i / q**level are
+    computed each time ``points`` is read, and it stores no array.  A grid
+    of a refining table also stores its points, ``table_points``: any
+    strictly increasing q**level + 1 floats from 0 to 1.  A refining table
+    is the table grid of its finest level N: level n is ``restrict(n)``, and
+    the time change phi sends its i-th point to i / q**N.
     """
 
     q: int
     level: int
-    points: np.ndarray
-    generator: str = "q-adic"
+    table_points: np.ndarray | None = None
 
     def __post_init__(self):
         check_branching(self.q)
         if self.level < 0:
             raise ValidationError(f"level must be >= 0, got {self.level}")
-        if self.generator not in ("q-adic", "table"):
-            raise ValidationError(f"grid generator {self.generator!r} is not 'q-adic' or 'table'")
         check_interval_budget(self.q, self.level)
-        pts = frozen_floats(self.points)
-        object.__setattr__(self, "points", pts)
-        n_expected = self.q ** self.level + 1
-        if pts.shape != (n_expected,):
+        if self.table_points is None:
+            return
+        pts = frozen_floats(self.table_points)
+        object.__setattr__(self, "table_points", pts)
+        if pts.shape != (self.size,):
             raise ValidationError(
-                f"grid at level {self.level} must have {n_expected} points, got {pts.shape}"
+                f"grid at level {self.level} must have {self.size} points, got {pts.shape}"
             )
         if pts[0] != 0.0 or pts[-1] != 1.0:
             raise ValidationError("grid must start at 0 and end at 1")
         if not np.all(np.diff(pts) > 0):
             raise ValidationError("grid points must be strictly increasing")
-        if self.generator == "q-adic":
-            denom = float(self.q ** self.level)
-            expected = np.arange(n_expected, dtype=np.float64) / denom
-            if not np.array_equal(pts, expected):
-                raise ValidationError("q-adic grid points must equal i / q**level exactly")
+
+    @property
+    def size(self) -> int:
+        """Number of points, q**level + 1."""
+        return self.q ** self.level + 1
+
+    @property
+    def generator(self) -> str:
+        """The grid's kind: "q-adic", or "table" if it stores its points."""
+        return "q-adic" if self.table_points is None else "table"
+
+    @property
+    def points(self) -> np.ndarray:
+        """The grid points, read-only: a table grid's stored array, or a new
+        ``np.arange(q**level + 1) / float(q**level)``."""
+        if self.table_points is not None:
+            return self.table_points
+        pts = np.arange(self.size, dtype=np.float64) / float(self.q ** self.level)
+        pts.setflags(write=False)
+        return pts
 
     def same_as(self, other: "PartitionGrid") -> bool:
         """Structural equality: identical (q, level, generator) and points."""
         if (self.q, self.level, self.generator) != (other.q, other.level, other.generator):
             return False
-        if self.generator == "q-adic":
-            return True
-        return np.array_equal(self.points, other.points)
+        return self.table_points is None or np.array_equal(self.points, other.points)
 
     def restrict(self, level: int) -> "PartitionGrid":
-        """Coarsen to a lower level by taking every ``q**(n - level)``-th point."""
+        """Coarsen to a lower level; a table grid keeps every
+        ``q**(n - level)``-th point, as a view."""
         if not 0 <= level <= self.level:
             raise ValidationError(f"cannot restrict level-{self.level} grid to level {level}")
+        if self.table_points is None:
+            return PartitionGrid(self.q, level)
         stride = self.q ** (self.level - level)
-        return PartitionGrid(self.q, level, self.points[::stride], generator=self.generator)
+        return PartitionGrid(self.q, level, self.table_points[::stride])
 
 
 def qadic_level(q: int, intervals: int) -> int:
@@ -138,13 +154,7 @@ def qadic_level(q: int, intervals: int) -> int:
 
 def qadic_grid(q: int, n: int) -> PartitionGrid:
     """The level-``n`` grid {0, 1/q**n, ..., 1}; points are exact ratios."""
-    check_branching(q)
-    if n < 0:
-        raise ValidationError(f"level must be >= 0, got {n}")
-    check_interval_budget(q, n)
-    denom = float(q ** n)
-    points = np.arange(q ** n + 1, dtype=np.float64) / denom
-    return PartitionGrid(q=q, level=n, points=points)
+    return PartitionGrid(q, n)
 
 
 def digits_matrix(n: int, q: int, ks: np.ndarray | None = None) -> np.ndarray:
@@ -170,7 +180,7 @@ DIRICHLET_CONCENTRATION = 5.0
 
 def qadic_table(q: int, depth: int) -> PartitionGrid:
     """The q-adic sequence itself: phi is the identity."""
-    return PartitionGrid(q, depth, qadic_grid(q, depth).points, generator="table")
+    return PartitionGrid(q, depth, qadic_grid(q, depth).points)
 
 
 def power_table(q: int, depth: int, exponent: float = 2.0) -> PartitionGrid:
@@ -186,7 +196,7 @@ def power_table(q: int, depth: int, exponent: float = 2.0) -> PartitionGrid:
         raise ValidationError(
             f"power-table exponent {exponent} makes neighbouring level-{depth} points "
             "equal in float64")
-    return PartitionGrid(q, depth, points, generator="table")
+    return PartitionGrid(q, depth, points)
 
 
 def random_refining_table(q: int, depth: int, seed: int = 0) -> PartitionGrid:
@@ -196,6 +206,7 @@ def random_refining_table(q: int, depth: int, seed: int = 0) -> PartitionGrid:
     Dirichlet(``DIRICHLET_CONCENTRATION``) weights, which keeps points
     strictly increasing.
     """
+    check_branching(q)  # before the budget, whose digit count needs q >= 2
     check_interval_budget(q, depth)
     rng = np.random.default_rng(seed)
     pts = qadic_grid(q, 0).points
@@ -210,7 +221,7 @@ def random_refining_table(q: int, depth: int, seed: int = 0) -> PartitionGrid:
         for d in range(1, q):
             fine[d::q] = inner[:, d - 1]
         pts = fine
-    return PartitionGrid(q, depth, pts, generator="table")
+    return PartitionGrid(q, depth, pts)
 
 
 def build_homeomorphism(q: int, points: np.ndarray) -> PartitionGrid:
@@ -219,4 +230,4 @@ def build_homeomorphism(q: int, points: np.ndarray) -> PartitionGrid:
     The q**N + 1 points fix N, and ``PartitionGrid`` checks the rest.
     Coarser levels are strides of level N, so they cannot fail to nest.
     """
-    return PartitionGrid(q, qadic_level(q, len(points) - 1), points, generator="table")
+    return PartitionGrid(q, qadic_level(q, len(points) - 1), points)

@@ -213,9 +213,9 @@ class SampledPath:
 
     def __post_init__(self):
         v = frozen_floats(self.values)
-        if v.shape != self.grid.points.shape:
+        if v.shape != (self.grid.size,):
             raise ValidationError(
-                f"values shape {v.shape} does not match grid with {self.grid.points.shape[0]} points"
+                f"values shape {v.shape} does not match grid with {self.grid.size} points"
             )
         if not np.all(np.isfinite(v)):
             raise ValidationError("path values must be finite")

@@ -1,6 +1,6 @@
 """JSON and CSV interchange for paths, tables and reports.
 
-A refining table is its level-N grid with generator "table"; its document
+A refining table is its level-N grid, which stores its points; its document
 is ``{"q": q, "points": <array>}``, the level-N points, whose count fixes N.
 
 A document's number arrays (a path's ``values`` and ``meta.grid_points``,
@@ -20,7 +20,8 @@ path or grid they would build.  A path's numbers are its ``values`` alone:
 a ``meta.offset`` shift is refused, not read and dropped.
 
 A path document's ``meta`` is its grid's layout only: ``grid_generator``,
-plus ``grid_points`` for a grid that is not q-adic.  Any other key is
+"q-adic" for a grid fixed by q and level or "table" for one that stores its
+points, plus those ``grid_points`` for a "table" grid.  Any other key is
 ignored, so documents that still carry provenance keys read as before; how
 an artifact was made is recorded in its manifest.
 
@@ -229,13 +230,13 @@ def path_from_dict(d: dict) -> SampledPath:
     generator = meta.get("grid_generator", "q-adic")
     if generator == "q-adic":
         grid = qadic_grid(q, level)
+    elif generator != "table":
+        raise ValidationError(f"grid generator {generator!r} is not 'q-adic' or 'table'")
+    elif "grid_points" not in meta:
+        raise ValidationError("malformed path document: a 'table' grid needs meta.grid_points")
     else:
-        if "grid_points" not in meta:
-            raise ValidationError(
-                f"malformed path document: a {generator!r} grid needs meta.grid_points"
-            )
         pts = _json_floats(meta["grid_points"], "meta.grid_points", "path")
-        grid = PartitionGrid(q=q, level=level, points=pts, generator=generator)
+        grid = PartitionGrid(q=q, level=level, table_points=pts)
     return SampledPath(grid=grid, values=values)
 
 

@@ -8,8 +8,8 @@ against different abscissae.  All grid-level transport identities here are
 exact for that reason, and the checks assert them at full float precision.
 
 To depth N, such a sequence is its finest level: a refining table is the
-level-N ``PartitionGrid`` with generator "table", and level n is its
-``restrict(n)``, every q**(N-n)-th point.
+level-N ``PartitionGrid`` that stores its points (a q-adic grid stores
+none), and level n is its ``restrict(n)``, every q**(N-n)-th point.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .construct import RecipeResult, UniformMagnitudeSpec, recipe
 from .errors import ValidationError
 from .partition import PartitionGrid
 from .schauder import SampledPath
-from .variation import VariationProfile, pvar_profile
+from .variation import pvar_profile
 
 # How ``transported_recipe`` differentiates the pulled-back target; the CLI
 # records it in the artifact's manifest.
@@ -61,9 +61,7 @@ def transported_pvar_check(x: SampledPath, table: PartitionGrid, p: float) -> fl
 class TransportedRecipeResult:
     y: SampledPath                 # path on the refined grid
     qadic: RecipeResult            # the underlying q-adic construction
-    empirical: VariationProfile    # profile of y along the refined sequence
-    target_values: np.ndarray      # target variation at the profile's points
-    sup_gap: float
+    sup_gap: float                 # sup of |variation of y - H| at the profile's points
 
 
 def transported_recipe(
@@ -82,9 +80,9 @@ def transported_recipe(
         raise ValidationError(f"spec q={spec.q} does not match table q={table.q}")
     s_grid = table.restrict(n)  # rejects a level finer than the table
     h_vals = np.asarray(H(s_grid.points), dtype=np.float64)
-    if h_vals.shape != s_grid.points.shape:
+    if h_vals.shape != (s_grid.size,):
         raise ValidationError(f"H must return one value per level-{n} point "
-                              f"({s_grid.points.size}), got shape {h_vals.shape}")
+                              f"({s_grid.size}), got shape {h_vals.shape}")
     if not np.all(np.isfinite(h_vals)):
         raise ValidationError("target variation must be finite")
     if h_vals[0] != 0.0:
@@ -103,12 +101,5 @@ def transported_recipe(
     built = recipe(hp, spec, n)
     pulled = pullback_path(built.y, table)
     empirical = pvar_profile(pulled, spec.p)
-    target = h_vals[:: empirical.stride]
-    gap = float(np.max(np.abs(empirical.values - target)))
-    return TransportedRecipeResult(
-        y=pulled,
-        qadic=built,
-        empirical=empirical,
-        target_values=target,
-        sup_gap=gap,
-    )
+    gap = float(np.max(np.abs(empirical.values - h_vals[:: empirical.stride])))
+    return TransportedRecipeResult(y=pulled, qadic=built, sup_gap=gap)

@@ -73,7 +73,7 @@ class VariationProfile:
 
     @property
     def eval_points(self) -> np.ndarray:
-        return self.grid.points[:: self.stride]
+        return self.grid.restrict(self.eval_level).points
 
     @property
     def terminal(self) -> float:

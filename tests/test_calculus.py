@@ -252,9 +252,9 @@ class TestItoMapContinuity:
         n_level = 14
         spec = UniformMagnitudeSpec(q=2, p=2.0)
         base = recipe(lambda t: np.exp(t), spec, n_level)
-        xbar_vals = base.x.values + 4.0
+        xbar_vals = reference_path(spec, n_level).values + 4.0
         grid = base.y.grid
-        g = base.g.values
+        g = (np.exp(grid.points) / base.constant.value) ** (1.0 / spec.p)
 
         def integral(gv):
             y = SampledPath(grid=grid, values=gv * xbar_vals)

@@ -703,6 +703,8 @@ EDGE_CASES = [
      "the p=3.0 Monte Carlo standard error overflows float64"),
     (["timechange", "--mode", "recipe", "--levels", "4", "--seed", "inf"], 2,
      "error: pvarpath timechange: argument --seed: invalid int value: 'inf'"),
+    (["timechange", "--mode", "recipe", "--make-table", "random", "--q", "1", "--levels", "4"],
+     2, "branching factor q must be an integer >= 2, got 1"),
     (["constant", "--q", "3", "--a", "-1,1", "--p", "2"], 2,
      "error: pvarpath constant: argument --a: expected one argument"),
     *[([*command, "--levels", levels], 3,

@@ -598,6 +598,17 @@ class TestBernstein:
             bernstein(z, 3, grid)                           # 4 * 257 > 1000
         assert calls == [3]
 
+    def test_budget_counts_points_without_building_them(self, monkeypatch):
+        monkeypatch.delenv("PVAR_MAX_INTERVALS", raising=False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                bernstein(lambda t: t, 64, qadic_grid(2, 24))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestSplice:
     def make_pair(self, seed=3, depth=8):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,9 +22,10 @@ from pvarpath.schauder import gamma_rows
 # every place that takes a branching factor q applies the one rule of
 # ``errors.check_branching``
 _Q_SITES = {
-    "PartitionGrid": lambda q: PartitionGrid(q=q, level=0, points=[0.0, 1.0]),
+    "PartitionGrid": lambda q: PartitionGrid(q=q, level=0),
     "qadic_level": lambda q: qadic_level(q, 9),
     "qadic_grid": lambda q: qadic_grid(q, 2),
+    "random_refining_table": lambda q: random_refining_table(q, 2),
     "gamma_rows": gamma_rows,
     "CoefficientArray": lambda q: CoefficientArray(q=q, boundary=(0.0, 0.0), levels=()),
     "UniformMagnitudeSpec": lambda q: UniformMagnitudeSpec(q=q),
@@ -88,14 +91,44 @@ class TestPartitionGrid:
     ], ids=["nan", "decreasing", "repeated"])
     def test_rejects_points_not_strictly_increasing(self, points):
         with pytest.raises(ValidationError, match="strictly increasing"):
-            PartitionGrid(q=2, level=2, points=np.array(points), generator="table")
+            PartitionGrid(q=2, level=2, table_points=np.array(points))
 
     def test_writable_points_are_copied(self):
         points = qadic_grid(2, 2).points ** 2
-        grid = PartitionGrid(q=2, level=2, points=points, generator="table")
+        grid = PartitionGrid(q=2, level=2, table_points=points)
         points[1] = 0.1
         assert grid.points[1] == 0.0625
         assert not grid.points.flags.writeable
+
+    def test_generator_follows_from_stored_points(self):
+        assert qadic_grid(3, 2).generator == "q-adic"
+        assert qadic_grid(3, 2).table_points is None
+        assert qadic_table(3, 2).generator == "table"
+        assert qadic_table(3, 2).restrict(1).generator == "table"
+
+
+class TestComputedPoints:
+    @pytest.mark.parametrize("q", (2, 3, 5))
+    def test_points_are_exact_ratios(self, q):
+        for n in range(min(12, digits_within(q, 2 ** 24)) + 1):  # q = 5 stops at 10
+            grid = qadic_grid(q, n)
+            expected = np.arange(q ** n + 1) / float(q ** n)
+            assert grid.size == q ** n + 1
+            assert grid.points.tobytes() == expected.tobytes()
+            assert not grid.points.flags.writeable
+            for m in range(n + 1):
+                assert grid.restrict(m).points.tobytes() == qadic_grid(q, m).points.tobytes()
+
+    def test_restrict_builds_only_the_coarse_points(self, monkeypatch):
+        monkeypatch.delenv("PVAR_MAX_INTERVALS", raising=False)
+        tracemalloc.start()
+        try:
+            points = qadic_grid(2, 24).restrict(10).points
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert points.size == 2 ** 10 + 1
+        assert peak < 1 << 20
 
 
 class TestDigits:
@@ -155,4 +188,4 @@ class TestHomeomorphism:
         pts = qadic_table(2, 4).points.copy()
         pts[3] = pts[2]  # duplicates break strict monotonicity
         with pytest.raises(ValidationError):
-            PartitionGrid(q=2, level=4, points=pts, generator="table")
+            PartitionGrid(q=2, level=4, table_points=pts)
