@@ -24,7 +24,6 @@ from .schauder import (
     gamma,
     gamma_rows,
     haar_eval,
-    holder_bound,
     qadic_path,
     schauder_eval,
     synthesize,
@@ -46,7 +45,6 @@ from .construct import (
     shifted_reference,
     sign_matrix,
     splice,
-    transport_multiply,
 )
 from .oracle import VariationConstant, variation_constant
 from .calculus import (

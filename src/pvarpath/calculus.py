@@ -281,42 +281,35 @@ class StabilityReport:
     rhs_local_lip: float
 
 
-def stability_bound(
-    g1: SampledPath,
-    g2: SampledPath,
-    p: float,
-    c_p: float,
-    K: float = 1.0,
-    selector: NormSelector | None = None,
-) -> StabilityReport:
+def stability_bound(g1: SampledPath, g2: SampledPath, p: float, c_p: float) -> StabilityReport:
     """Evaluate both sides of the variation-stability inequalities.
 
     lhs: sup over grid prefixes of |c_p * integral of (|g1|^p - |g2|^p)|,
     i.e. the uniform distance of the two predicted variation curves.
     rhs_l1: c_p times the L^1 quadrature of | |g1|^p - |g2|^p |.
-    rhs_local_lip: p c_p K^p (||g1||^(p-1) + ||g2||^(p-1)) ||g1 - g2|| in the
-    selected norm (sup by default).  The chain lhs <= rhs_l1 <= rhs_local_lip
-    is verified up to quadrature slack and a violation raises.
+    rhs_local_lip: p c_p (||g1||^(p-1) + ||g2||^(p-1)) ||g1 - g2|| in the sup
+    norm, from the mean value theorem applied to |.|^p pointwise.  The chain
+    lhs <= rhs_l1 <= rhs_local_lip is verified up to quadrature slack and a
+    violation raises.
     """
     if not g1.grid.same_as(g2.grid):
         raise ValidationError("g1 and g2 must share one grid")
     check_exponent(p)
-    if selector is None:
-        selector = NormSelector.sup()
+    sup = NormSelector.sup()
     dens = np.abs(g1.values) ** p - np.abs(g2.values) ** p
     dt = np.diff(g1.grid.points)
     prefix = np.concatenate(([0.0], np.cumsum(dens[:-1] * dt)))
     lhs = c_p * float(np.max(np.abs(prefix)))
     rhs_l1 = c_p * float(np.sum(np.abs(dens[:-1]) * dt))
-    n1 = grid_norm(g1, selector)
-    n2 = grid_norm(g2, selector)
+    n1 = grid_norm(g1, sup)
+    n2 = grid_norm(g2, sup)
     diff = SampledPath(grid=g1.grid, values=g1.values - g2.values)
-    ndiff = grid_norm(diff, selector)
-    rhs_lip = p * c_p * K ** p * (n1 ** (p - 1) + n2 ** (p - 1)) * ndiff
+    ndiff = grid_norm(diff, sup)
+    rhs_lip = p * c_p * (n1 ** (p - 1) + n2 ** (p - 1)) * ndiff
     slack = 1e-9 * (1.0 + abs(lhs) + abs(rhs_l1) + abs(rhs_lip))
     if lhs > rhs_l1 + slack or rhs_l1 > rhs_lip + slack:
         raise ValidationError(
             f"stability chain violated: lhs={lhs!r}, rhs_l1={rhs_l1!r}, "
-            f"rhs_local_lip={rhs_lip!r} (check the embedding constant K)"
+            f"rhs_local_lip={rhs_lip!r}"
         )
     return StabilityReport(lhs=lhs, rhs_l1=rhs_l1, rhs_local_lip=rhs_lip)

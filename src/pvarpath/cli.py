@@ -45,13 +45,13 @@ from .variation import pvar_profile
 
 def _write_all(outputs) -> None:
     """Write each ``(path, content)`` output in turn: ``content`` is a JSON
-    document, or a function that writes to the open stream.  If any step
+    document, or a function that writes to the open binary stream.  If any step
     fails, the files already created are removed, so a failed command
     leaves none of its outputs behind."""
     created = []
     try:
         for path, content in outputs:
-            with open(path, "w") as stream:
+            with open(path, "wb") as stream:
                 created.append(path)
                 if callable(content):
                     content(stream)
@@ -174,7 +174,7 @@ def _cmd_constant(args) -> int:
     if args.output:
         _write_all([(args.output, doc)])
     else:
-        serialize.write_json(doc, sys.stdout)
+        sys.stdout.write(serialize.canonical_dumps(doc))
     return 0
 
 
@@ -270,8 +270,8 @@ def _cmd_selftest(args) -> int:
     n_pass = sum(r.passed for r in results)
     if args.json:
         for r in results:
-            serialize.write_json(dataclasses.asdict(r), sys.stdout)
-        serialize.write_json({"passed": n_pass, "total": len(results)}, sys.stdout)
+            sys.stdout.write(serialize.canonical_dumps(dataclasses.asdict(r)))
+        sys.stdout.write(serialize.canonical_dumps({"passed": n_pass, "total": len(results)}))
     else:
         for r in results:
             print(r.line())

@@ -47,12 +47,7 @@ from .schauder import (
     eta_all,
     synthesize,
 )
-from .variation import (
-    VariationProfile,
-    pvar_profile,
-    stieltjes_against_profile,
-    variation_index_estimate,
-)
+from .variation import pvar_profile, variation_index_estimate
 
 SIGN_MATRIX_BUDGET = 2 ** 20
 
@@ -160,12 +155,8 @@ def weight_patterns(spec: UniformMagnitudeSpec, n: int, ks=None) -> tuple[np.nda
 
 @dataclass(frozen=True)
 class SignMatrixReport:
-    n: int
-    q: int
     bijection: bool
     distinct: int
-    profile_path: float
-    profile_expected: float
     gap: float
 
 
@@ -199,46 +190,12 @@ def sign_matrix(spec: UniformMagnitudeSpec, n: int) -> SignMatrixReport:
     expected = float(np.mean(np.abs(sums) ** spec.p))
     path = reference_path(spec, n)
     observed = pvar_profile(path, spec.p, eval_level=0).terminal
-    return SignMatrixReport(
-        n=n,
-        q=q,
-        bijection=bijection,
-        distinct=distinct,
-        profile_path=observed,
-        profile_expected=expected,
-        gap=abs(observed - expected),
-    )
+    return SignMatrixReport(bijection=bijection, distinct=distinct, gap=abs(observed - expected))
 
 
 # ---------------------------------------------------------------------------
-# Multiplicative transport and the prescribed-variation recipe
+# The prescribed-variation recipe
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class TransportResult:
-    y: SampledPath
-    predicted: VariationProfile
-
-
-def transport_multiply(
-    g: SampledPath, x: SampledPath, x_profile: VariationProfile, p: float
-) -> TransportResult:
-    """Pointwise product y = g*x plus its predicted variation profile.
-
-    The prediction integrates |g|^p against the increments of the supplied
-    profile of x (left-point sums), which is the exact discrete counterpart
-    of the transport identity for multipliers of vanishing variation; it is
-    reported where ``x_profile`` is.
-    """
-    if not g.grid.same_as(x.grid):
-        raise ValidationError("g and x must share one grid")
-    y = SampledPath(grid=x.grid, values=g.values * x.values)
-    gp = SampledPath(grid=g.grid, values=np.abs(g.values) ** p)
-    pred = stieltjes_against_profile(gp, x_profile)
-    predicted = VariationProfile(p=p, grid=x_profile.grid, eval_level=x_profile.eval_level,
-                                 values=pred)
-    return TransportResult(y=y, predicted=predicted)
 
 
 # The target variations the CLI and the acceptance checks prescribe:
@@ -263,7 +220,8 @@ def recipe(hprime, spec: UniformMagnitudeSpec, n: int) -> RecipeResult:
 
     ``hprime`` is a callable or an array of q**n + 1 finite nonnegative
     samples.  C is the exact constant of ``variation_constant`` for the
-    spec's p, q and branch weights.
+    spec's p, q and branch weights; a C whose error bound is not below its
+    value has no correct digit to divide by, and raises ``BudgetError``.
     The multiplier g = (hprime / C)^(1/p) must itself have vanishing p-th
     variation for the construction to be exact in the limit; that hypothesis
     is not checkable from samples, so from level 4 on the coefficient-trend
@@ -276,6 +234,11 @@ def recipe(hprime, spec: UniformMagnitudeSpec, n: int) -> RecipeResult:
     if not (np.all(np.isfinite(hp)) and np.all(hp >= 0)):
         raise ValidationError("hprime samples must be finite and nonnegative")
     c = variation_constant(spec.p, spec.q, spec.a, method="exact")
+    if not c.error_bound < c.value:
+        raise BudgetError(
+            f"the p={spec.p:g} constant for q={spec.q} is {c.value:.3g} with error bound "
+            f"{c.error_bound:.3g}; the recipe divides by it and needs a bound below the value"
+        )
     g = SampledPath(grid=grid, values=(hp / c.value) ** (1.0 / spec.p))
     trend = variation_index_estimate(analyze(g), [spec.p])[0] if n >= 4 else None
     y = SampledPath(grid=grid, values=g.values * reference_path(spec, n).values)

@@ -334,18 +334,3 @@ def xi(coeffs: CoefficientArray, p: float, m: int) -> float:
 
 def xi_profile(coeffs: CoefficientArray, p: float) -> np.ndarray:
     return np.array([xi(coeffs, p, m) for m in range(coeffs.num_levels)])
-
-
-def holder_bound(coeffs: CoefficientArray, alpha: float) -> float:
-    """Finite-level truncation of sup_m q**(m(alpha - 1/2)) max_k |theta|.
-
-    Boundedness of the full supremum characterizes alpha-Holder continuity;
-    on a stored array only the truncated sup is available.
-    """
-    if not 0 < alpha < 1:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    best = 0.0
-    for m in range(coeffs.num_levels):
-        level_max = float(np.max(np.abs(coeffs.levels[m])))
-        best = max(best, coeffs.q ** (m * (alpha - 0.5)) * level_max)
-    return best

@@ -25,7 +25,7 @@ points, plus those ``grid_points`` for a "table" grid.  Any other key is
 ignored, so documents that still carry provenance keys read as before; how
 an artifact was made is recorded in its manifest.
 
-JSON artifacts are written in one encode call, with sorted keys and compact
+JSON artifacts are written by one encoder, with sorted keys and compact
 separators, so a fixed input produces byte-identical output.  CSV floats
 are written in one format, ``_CSV_FLOAT`` (``%.17g``: 17 significant
 digits, enough for any float64 to read back exactly), and the contract is
@@ -37,8 +37,10 @@ kernel does not decide (a non-finite value, a subnormal, |x| beyond the
 kernel's range, or a rounding too close to a tie to call) is written by
 ``%`` itself and spliced in.
 
-A CSV is streamed to the caller's text stream: its rows are cut into ranges
-of ``_CSV_CHUNK_ROWS``, and the ranges are formatted round-robin by this
+Writers take a binary stream, and text stays bytes from the kernel to the
+file: no newline translation, and no decode or encode between them.  A CSV
+is streamed to the caller's stream: its rows are cut into ranges of
+``_CSV_CHUNK_ROWS``, and the ranges are formatted round-robin by this
 process and forked workers, one per CPU it may run on, then written in
 order (``_write_chunks``).  No process holds much more than one range of
 text, no whole-file string is ever built, and the bytes do not depend on
@@ -80,17 +82,17 @@ def _send(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
-def _receive(pipe: IO[bytes]) -> str:
+def _receive(pipe: IO[bytes]) -> bytes:
     """The next length-prefixed range a worker sent."""
     head = pipe.read(8)
     size = int.from_bytes(head, "little") if len(head) == 8 else -1
     data = pipe.read(size) if size >= 0 else b""
     if len(data) != size:
         raise OSError("a formatting worker stopped before sending all its ranges")
-    return data.decode()
+    return data
 
 
-def _write_chunks(stream: IO[str], n: int, fmt: Callable[[int, int], str]) -> None:
+def _write_chunks(stream: IO[bytes], n: int, fmt: Callable[[int, int], bytes]) -> None:
     """Write ``fmt(lo, hi)`` for the consecutive ``_CSV_CHUNK_ROWS``-item
     ranges ``[lo, hi)`` of ``[0, n)`` to ``stream``, in order.
 
@@ -125,7 +127,7 @@ def _write_chunks(stream: IO[str], n: int, fmt: Callable[[int, int], str]) -> No
                     for _, pipe in workers:
                         pipe.close()
                     for lo in starts[w::procs]:
-                        data = fmt(lo, min(lo + _CSV_CHUNK_ROWS, n)).encode()
+                        data = fmt(lo, min(lo + _CSV_CHUNK_ROWS, n))
                         _send(write_fd, len(data).to_bytes(8, "little") + data)
                     code = 0
                 finally:
@@ -143,19 +145,21 @@ def _write_chunks(stream: IO[str], n: int, fmt: Callable[[int, int], str]) -> No
             os.waitpid(pid, 0)
 
 
-def write_json(obj, stream: IO[str]) -> None:
+def write_json(obj, stream: IO[bytes]) -> None:
     """The canonical JSON of ``obj`` (sorted keys, compact separators, one
-    closing newline) written to ``stream``: the bytes of
+    closing newline) written to the binary ``stream``: the bytes of
     ``json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\\n"``.
     It is written piece by piece, so the document is never held whole: the
     largest piece is one ``f8le`` string."""
     for piece in _JSON_ENCODER.iterencode(obj):
-        stream.write(piece)
-    stream.write("\n")
+        stream.write(piece.encode())
+    stream.write(b"\n")
 
 
 def canonical_dumps(obj) -> str:
-    """``write_json`` of ``obj`` as one string."""
+    """The text whose bytes ``write_json`` writes, as one string (ASCII:
+    the encoder escapes every other character), for a text stream such as
+    ``sys.stdout`` and for hashing."""
     return _JSON_ENCODER.encode(obj) + "\n"
 
 
@@ -475,10 +479,10 @@ def _format_block(words: np.ndarray, head: bytes, cols: list) -> tuple[np.ndarra
     return decided, np.cumsum(length)
 
 
-def _format_rows(prefix: str, *cols) -> str:
+def _format_rows(prefix: str, *cols) -> bytes:
     """``"".join(prefix + ",".join("%.17g" % v for v in row) + "\n")`` over
-    the rows of the columns ``cols``, built in numpy.  ``prefix`` holds no
-    NUL character.
+    the rows of the columns ``cols``, as UTF-8 bytes, built in numpy.
+    ``prefix`` holds no NUL character.
 
     Each value goes through ``_decimal`` and is laid out by a byte mask
     keyed by its sign, its decimal exponent and its number of significant
@@ -498,14 +502,14 @@ def _format_rows(prefix: str, *cols) -> str:
         text = buf.translate(None, b"\0")
         pos = 0
         for i in np.flatnonzero(~decided):
-            out.append(text[pos:ends[i]].decode())
-            out.append(prefix + ",".join([_CSV_FLOAT % c[i] for c in block]) + "\n")
+            out.append(text[pos:ends[i]])
+            out.append((prefix + ",".join([_CSV_FLOAT % c[i] for c in block]) + "\n").encode())
             pos = ends[i]
-        out.append(text[pos:].decode())
-    return "".join(out)
+        out.append(text[pos:])
+    return b"".join(out)
 
 
-def _write_rows(stream: IO[str], prefix: str, *columns) -> None:
+def _write_rows(stream: IO[bytes], prefix: str, *columns) -> None:
     """One line per row: ``prefix``, then the columns' values in ``_CSV_FLOAT``,
     comma-separated.  ``prefix`` holds no NUL character.
 
@@ -514,20 +518,20 @@ def _write_rows(stream: IO[str], prefix: str, *columns) -> None:
     cols = [np.asarray(c, dtype=np.float64) for c in columns]
     _kernel_tables()  # built once, before the workers fork
 
-    def fmt(lo: int, hi: int) -> str:
+    def fmt(lo: int, hi: int) -> bytes:
         return _format_rows(prefix, *(c[lo:hi] for c in cols))
 
     _write_chunks(stream, cols[0].size, fmt)
 
 
-def write_profiles_csv(profiles, stream: IO[str]) -> None:
+def write_profiles_csv(profiles, stream: IO[bytes]) -> None:
     """Rows "level,t,value" across one or more profiles."""
-    stream.write("level,t,value\n")
+    stream.write(b"level,t,value\n")
     for prof in profiles:
         _write_rows(stream, f"{prof.level},", prof.eval_points, prof.values)
 
 
-def write_residual_csv(eval_points, residuals, stream: IO[str]) -> None:
+def write_residual_csv(eval_points, residuals, stream: IO[bytes]) -> None:
     """Rows "t,residual"."""
-    stream.write("t,residual\n")
+    stream.write(b"t,residual\n")
     _write_rows(stream, "", eval_points, residuals)

@@ -107,7 +107,6 @@ class TrendRow:
     p: float
     trend: str          # "bounded" | "growing" | "vanishing"
     slope: float        # per-level log slope over the tail half
-    xi_last: float
 
 
 def variation_index_estimate(coeffs: CoefficientArray, p_grid) -> tuple:
@@ -126,7 +125,7 @@ def variation_index_estimate(coeffs: CoefficientArray, p_grid) -> tuple:
     for p in p_grid:
         xs = xi_profile(coeffs, p)[start:]
         if np.all(xs == 0.0):
-            rows.append(TrendRow(p=float(p), trend="vanishing", slope=-np.inf, xi_last=0.0))
+            rows.append(TrendRow(p=float(p), trend="vanishing", slope=-np.inf))
             continue
         mask = xs > 0.0
         slope = float(np.polyfit(ms[mask], np.log(xs[mask]), 1)[0]) if mask.sum() > 1 else 0.0
@@ -136,7 +135,7 @@ def variation_index_estimate(coeffs: CoefficientArray, p_grid) -> tuple:
             trend = "vanishing"
         else:
             trend = "bounded"
-        rows.append(TrendRow(p=float(p), trend=trend, slope=slope, xi_last=float(xs[-1])))
+        rows.append(TrendRow(p=float(p), trend=trend, slope=slope))
     return tuple(rows)
 
 

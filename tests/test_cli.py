@@ -234,6 +234,29 @@ def test_provenance_meta_keys_are_ignored(tmp_path, monkeypatch, command):
         assert Path("new.out").read_bytes() == Path("old.out").read_bytes()
 
 
+def test_outputs_are_written_to_binary_streams(tmp_path, monkeypatch):
+    # bytes reach the file as written: no newline translation on any platform
+    monkeypatch.chdir(tmp_path)
+    modes = []
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        modes.append(mode)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("pvarpath.cli.open", recording_open, raising=False)
+    for argv in (["build", "--levels", "6", "-o", "x.json"],
+                 ["analyze", "x.json", "-o", "prof.csv"],
+                 ["ito", "x.json", "--f", "0,0,1", "-o", "ito.csv"],
+                 ["recipe", "--levels", "6", "--profile-csv", "r.csv", "-o", "r.json"],
+                 ["timechange", "--mode", "recipe", "--levels", "4", "--make-table", "random",
+                  "--table-out", "t.json", "-o", "tr.json"]):
+        assert run(argv) == 0, argv
+    written = sorted(tmp_path.iterdir())
+    assert len(modes) == len(written) == 9 and set(modes) == {"wb"}
+    for path in written:
+        assert b"\r" not in path.read_bytes(), path.name
+
+
 class TestConstant:
     def test_exact_with_pinned_depth(self, tmp_path, capsys):
         assert run(["constant", "--p", "2", "--q", "2", "--method", "exact",
@@ -696,6 +719,9 @@ EDGE_CASES = [
      "the p=3000.0 moment by exact-enumeration underflows float64 to 0.0"),
     (["constant", "--q", "3", "--p", "3000"], 2,
      "the p=3000.0 moment by exact-enumeration underflows float64 to 0.0"),
+    *[([*command, "--q", "5", "--p", "200", "--levels", "8", "--target", "linear"], 3,
+       "the p=200 constant for q=5 is 7.26e-11 with error bound 6.27e-08")
+      for command in (["recipe"], ["timechange", "--mode", "recipe"])],
     (["constant", "--method", "closed", "--p", "200"], 0, None),
     (["constant", "--method", "closed", "--p", "1100"], 2,
      "so p <= 1028; got p=1100"),

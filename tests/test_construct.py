@@ -21,8 +21,8 @@ from pvarpath import (
     sign_matrix,
     splice,
     stability_bound,
+    stieltjes_against_profile,
     synthesize,
-    transport_multiply,
     variation_constant,
     xi,
     xi_profile,
@@ -443,51 +443,47 @@ class TestSigmaIndependence:
             assert abs(v - base) <= 1e-12
 
 
-class TestTransportMultiply:
-    def make_reference(self, n=10):
+class TestRecipeTransport:
+    """The transport identity on recipe output: y = g x has the variation
+    predicted by the left-point Stieltjes sums of |g|^p against the profile
+    of x.  A multiplier g is passed to ``recipe`` as hprime = C |g|^p."""
+
+    def transport(self, gfun, n=10):
         spec = UniformMagnitudeSpec(q=2, p=2.0)
         x = reference_path(spec, n)
-        return x, pvar_profile(x, 2.0, eval_level=n)
+        prof = pvar_profile(x, 2.0, eval_level=n)
+        gp = SampledPath(grid=x.grid, values=np.abs(gfun(x.grid.points)) ** 2)
+        c = variation_constant(2.0, 2, method="exact").value
+        res = recipe(c * gp.values, spec, n)
+        assert res.constant.value == c
+        predicted = stieltjes_against_profile(gp, prof)
+        return x, prof, res.y, predicted
 
     def test_unit_multiplier(self):
-        x, prof = self.make_reference()
-        g = SampledPath(grid=x.grid, values=np.ones_like(x.values))
-        res = transport_multiply(g, x, prof, 2.0)
-        np.testing.assert_array_equal(res.y.values, x.values)
-        np.testing.assert_allclose(res.predicted.values, prof.values, atol=1e-13)
+        x, prof, y, predicted = self.transport(np.ones_like)
+        np.testing.assert_array_equal(y.values, x.values)
+        np.testing.assert_allclose(predicted, prof.values, atol=1e-13)
 
     def test_constant_multiplier_scales_exactly(self):
-        x, prof = self.make_reference()
         c = -1.7
-        g = SampledPath(grid=x.grid, values=np.full_like(x.values, c))
-        res = transport_multiply(g, x, prof, 2.0)
-        emp = pvar_profile(res.y, 2.0, eval_level=prof.eval_level)
+        x, prof, y, predicted = self.transport(lambda u: np.full_like(u, c))
+        emp = pvar_profile(y, 2.0, eval_level=prof.eval_level)
         np.testing.assert_allclose(emp.values, c ** 2 * prof.values, rtol=1e-12)
-        np.testing.assert_allclose(res.predicted.values, c ** 2 * prof.values, rtol=1e-12)
+        np.testing.assert_allclose(predicted, c ** 2 * prof.values, rtol=1e-12)
 
     @pytest.mark.parametrize("gfun", [lambda u: u, lambda u: 1 + u ** 2 / 2])
     def test_smooth_multiplier_within_two_percent(self, gfun):
-        x, prof = self.make_reference(16)
-        g = SampledPath(grid=x.grid, values=gfun(x.grid.points))
-        res = transport_multiply(g, x, prof, 2.0)
-        emp = pvar_profile(res.y, 2.0, eval_level=prof.eval_level)
-        gap = np.max(np.abs(emp.values - res.predicted.values))
-        assert gap <= 0.02 * (1 + res.predicted.terminal)
+        x, prof, y, predicted = self.transport(gfun, 16)
+        emp = pvar_profile(y, 2.0, eval_level=prof.eval_level)
+        gap = np.max(np.abs(emp.values - predicted))
+        assert gap <= 0.02 * (1 + predicted[-1])
 
     def test_quadratic_target_from_linear_multiplier(self):
-        x, prof = self.make_reference(16)
-        g = SampledPath(grid=x.grid, values=x.grid.points.copy())
-        res = transport_multiply(g, x, prof, 2.0)
-        target = res.predicted.eval_points ** 3 / 3
-        assert np.max(np.abs(res.predicted.values - target)) <= 2e-4
-        emp = pvar_profile(res.y, 2.0, eval_level=prof.eval_level)
+        x, prof, y, predicted = self.transport(lambda u: u.copy(), 16)
+        target = prof.eval_points ** 3 / 3
+        assert np.max(np.abs(predicted - target)) <= 2e-4
+        emp = pvar_profile(y, 2.0, eval_level=prof.eval_level)
         assert np.max(np.abs(emp.values - target)) <= 0.02 * (1 + target[-1])
-
-    def test_grid_mismatch(self):
-        x, prof = self.make_reference()
-        g = SampledPath(grid=qadic_grid(2, 9), values=np.ones(2 ** 9 + 1))
-        with pytest.raises(ValidationError):
-            transport_multiply(g, x, prof, 2.0)
 
 
 class TestRecipe:
@@ -498,6 +494,13 @@ class TestRecipe:
         gap = np.max(np.abs(prof.values - prof.eval_points))
         assert gap <= 0.02 * 2
         assert res.multiplier_trend.trend == "vanishing"
+
+    def test_constant_without_a_correct_digit_refused(self):
+        # the exact oracle stops at J = 3 with a bound of 6.27e-8 on a value
+        # of 7.26e-11; dividing by it gave a path 1.37 times its target
+        spec = UniformMagnitudeSpec(q=5, p=200.0)
+        with pytest.raises(BudgetError, match="7.26e-11 with error bound 6.27e-08"):
+            recipe(lambda t: np.ones_like(t), spec, 2)
 
     def test_negative_density_rejected(self):
         spec = UniformMagnitudeSpec(q=2, p=2.0)

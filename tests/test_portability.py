@@ -69,4 +69,4 @@ def test_kernel_text_does_not_depend_on_byte_order():
     text = serialize._format_rows("", values, values[::-1])
     assert serialize._format_rows("", values.astype(">f8"), values[::-1].astype(">f8")) == text
     assert serialize._format_rows("", values.astype("<f8"), values[::-1].astype("<f8")) == text
-    assert text.splitlines()[0] == "1,nan"
+    assert text.splitlines()[0] == b"1,nan"

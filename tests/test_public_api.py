@@ -19,9 +19,7 @@ UNUSED_ALLOWED = {
     "haar_eval": "pointwise oracle that the tests check the synthesis pyramid against",
     "schauder_eval": "pointwise oracle that the tests check the synthesis pyramid against",
     "qadic_path": "wraps raw samples as a path on the q-adic grid they fit",
-    "holder_bound": "pending ROADMAP item 8 (a certified Holder bracket replaces it)",
     "shifted_reference": "pending ROADMAP item 2 (stability on transported subspaces)",
-    "transport_multiply": "pending ROADMAP item 2 (stability on transported subspaces)",
     "transported_norm": "pending ROADMAP item 2 (stability on transported subspaces)",
 }
 

@@ -13,7 +13,6 @@ from pvarpath import (
     gamma,
     gamma_rows,
     haar_eval,
-    holder_bound,
     power_table,
     pullback_path,
     qadic_grid,
@@ -271,28 +270,6 @@ class TestXi:
         coeffs = CoefficientArray(q=2, boundary=(0.0, 0.0), levels=(np.zeros((1, 1)),))
         with pytest.raises(ValidationError):
             xi(coeffs, 1.0, 0)
-
-
-class TestHolderBound:
-    def test_affine(self):
-        coeffs = CoefficientArray(q=2, boundary=(1.0, 5.0), levels=(np.zeros((1, 1)),))
-        assert holder_bound(coeffs, 0.5) == 0.0
-
-    def test_reference_scaling_is_flat(self):
-        p = 3.0
-        levels = tuple(2 ** (m * (0.5 - 1 / p)) * np.ones((2 ** m, 1)) for m in range(8))
-        coeffs = CoefficientArray(q=2, boundary=(0.0, 0.0), levels=levels)
-        assert holder_bound(coeffs, 1 / p) == pytest.approx(1.0, abs=1e-12)
-
-    def test_single_coefficient_at_exponent_half(self):
-        levels = (np.zeros((1, 1)), np.zeros((2, 1)), np.array([[0.0], [2.0], [0.0], [0.0]]))
-        coeffs = CoefficientArray(q=2, boundary=(0.0, 0.0), levels=levels)
-        assert holder_bound(coeffs, 0.5) == 2.0
-
-    def test_alpha_range(self):
-        coeffs = CoefficientArray(q=2, boundary=(0.0, 0.0), levels=(np.zeros((1, 1)),))
-        with pytest.raises(ValidationError):
-            holder_bound(coeffs, 1.0)
 
 
 class TestSampledPath:

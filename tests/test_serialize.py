@@ -157,9 +157,9 @@ class TestCanonicalOutput:
 
     def test_float_format_round_trips(self):
         vals = [1 / 3, 2.0 ** -52, 1 - 2.0 ** -16, 0.1 + 0.2]
-        buf = io.StringIO()
+        buf = io.BytesIO()
         serialize.write_residual_csv(vals, vals[::-1], buf)
-        rows = [line.split(",") for line in buf.getvalue().split("\n")[1:-1]]
+        rows = [line.split(",") for line in buf.getvalue().decode().split("\n")[1:-1]]
         assert [float(t) for t, _ in rows] == vals
         assert [float(r) for _, r in rows] == vals[::-1]
 
@@ -168,19 +168,26 @@ class TestCsvWriters:
     def test_profile_rows(self):
         x = reference_path(UniformMagnitudeSpec(q=2, p=2.0), 4)
         prof = pvar_profile(x, 2.0)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         serialize.write_profiles_csv([prof], buf)
-        lines = buf.getvalue().strip().split("\n")
+        lines = buf.getvalue().decode().strip().split("\n")
         assert lines[0] == "level,t,value"
         assert len(lines) == 1 + prof.eval_points.size
         level, t, value = lines[-1].split(",")
         assert level == "4" and float(t) == 1.0
         assert float(value) == prof.terminal
 
+    def test_rows_are_bytes(self):
+        # the kernel's bytes go out as they are, and the row holding NaN,
+        # which ``%`` formats, is encoded once and spliced in
+        x = np.array([0.5, math.nan, -2.0])
+        assert serialize._format_rows("3,", x, x[::-1]) == "".join(
+            "3," + _row(a, b) for a, b in zip(x, x[::-1])).encode()
+
     def test_residual_csv(self):
-        buf = io.StringIO()
+        buf = io.BytesIO()
         serialize.write_residual_csv([0.0, 1.0], [0.5, -0.25], buf)
-        assert buf.getvalue() == "t,residual\n0,0.5\n1,-0.25\n"
+        assert buf.getvalue() == b"t,residual\n0,0.5\n1,-0.25\n"
 
 
 def _row(*xs):
@@ -206,11 +213,12 @@ CPU_COUNTS = (1, 2, 3)
 
 
 def _written(monkeypatch, cpus, write):
-    """What ``write(stream)`` writes when the chunked writer sees ``cpus`` CPUs."""
+    """What ``write(stream)`` writes when the chunked writer sees ``cpus`` CPUs,
+    as text."""
     monkeypatch.setattr(serialize, "_cpu_count", lambda: cpus)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write(buf)
-    return buf.getvalue()
+    return buf.getvalue().decode()
 
 
 class TestCsvByteIdentity:
@@ -258,8 +266,9 @@ class TestFormatKernel:
     @given(st.lists(st.tuples(BITS, BITS), max_size=40))
     def test_any_bit_pattern(self, pairs):
         a, b = _floats([p[0] for p in pairs]), _floats([p[1] for p in pairs])
-        assert serialize._format_rows("", a, b) == "".join(map(_row, a, b))
-        assert serialize._format_rows("7,", a, b) == "".join("7," + _row(x, y) for x, y in zip(a, b))
+        assert serialize._format_rows("", a, b) == "".join(map(_row, a, b)).encode()
+        assert serialize._format_rows("7,", a, b) == "".join(
+            "7," + _row(x, y) for x, y in zip(a, b)).encode()
 
     def test_boundaries(self):
         near = []
@@ -271,7 +280,7 @@ class TestFormatKernel:
         wide = [1e-100, 1e300, 5e-324, np.finfo(np.float64).max, 1e-243, 1e-14, 1e98, 1e220]
         x = np.array(near + wide)
         x = np.concatenate([x, -x])
-        assert serialize._format_rows("", x, x[::-1]) == "".join(map(_row, x, x[::-1]))
+        assert serialize._format_rows("", x, x[::-1]) == "".join(map(_row, x, x[::-1])).encode()
         n, e, decided = serialize._decimal(np.array([1e-14, 1e98]))
         assert decided.all() and (n == 10 ** 16).all() and list(e) == [-14, 98]
 
@@ -279,7 +288,7 @@ class TestFormatKernel:
         # m / 2^20 with m = 4 mod 8 above 0.1 is a tie at 17 digits
         t = np.arange(2 ** 20 + 1) / 2 ** 20
         assert serialize._decimal(t)[2].all()
-        assert serialize._format_rows("", t) == "".join(map(_row, t))
+        assert serialize._format_rows("", t) == "".join(map(_row, t)).encode()
 
     def test_fallback_share(self):
         x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, signs=1), 16)
@@ -317,9 +326,9 @@ class TestJsonByteIdentity:
     def test_matches_json_dumps(self, make):
         doc = make()
         expected = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-        buf = io.StringIO()
+        buf = io.BytesIO()
         serialize.write_json(doc, buf)
-        assert buf.getvalue() == expected
+        assert buf.getvalue() == expected.encode()
         assert serialize.canonical_dumps(doc) == expected
 
 
@@ -351,10 +360,10 @@ class TestChunkWorkers:
             # the worker formats ranges 1, 3, 5, ...; it fails on its second
             if os.getpid() != parent and lo >= 3 * CHUNK:
                 raise RuntimeError("worker fails")
-            return f"{lo}-{hi};"
+            return f"{lo}-{hi};".encode()
 
         with _deadline(60), pytest.raises(OSError, match="worker"):
-            serialize._write_chunks(io.StringIO(), 6 * CHUNK, fmt)
+            serialize._write_chunks(io.BytesIO(), 6 * CHUNK, fmt)
         _assert_no_children()
 
     def test_failed_fork_closes_pipes_and_reaps(self, monkeypatch):
@@ -370,7 +379,7 @@ class TestChunkWorkers:
         monkeypatch.setattr(os, "fork", fork_once)
         open_fds = len(os.listdir("/proc/self/fd"))
         with _deadline(60), pytest.raises(OSError, match="no more processes"):
-            serialize._write_chunks(io.StringIO(), 6 * CHUNK, lambda lo, hi: "x" * (1 << 20))
+            serialize._write_chunks(io.BytesIO(), 6 * CHUNK, lambda lo, hi: b"x" * (1 << 20))
         assert len(os.listdir("/proc/self/fd")) == open_fds
         _assert_no_children()
 
@@ -380,9 +389,9 @@ class TestChunkWorkers:
         monkeypatch.setattr(serialize, "_cpu_count", lambda: 3)
 
         class FailingStream:
-            def write(self, text):
+            def write(self, data):
                 raise OSError("disk full")
 
         with _deadline(60), pytest.raises(OSError, match="disk full"):
-            serialize._write_chunks(FailingStream(), 9 * CHUNK, lambda lo, hi: "x" * (1 << 20))
+            serialize._write_chunks(FailingStream(), 9 * CHUNK, lambda lo, hi: b"x" * (1 << 20))
         _assert_no_children()
