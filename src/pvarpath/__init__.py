@@ -49,10 +49,9 @@ from .construct import (
 from .oracle import VariationConstant, variation_constant
 from .calculus import (
     FunctionWithDerivatives,
-    NormSelector,
     change_of_variable_residual,
     follmer_sum,
-    grid_norm,
+    holder_norm,
     holder_quotient,
     stability_bound,
     transported_norm,

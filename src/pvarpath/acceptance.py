@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .calculus import FunctionWithDerivatives, change_of_variable_residual, grid_norm
-from .calculus import NormSelector, holder_quotient, stability_bound
+from .calculus import FunctionWithDerivatives, change_of_variable_residual, holder_norm
+from .calculus import holder_quotient, stability_bound
 from .construct import (
     TARGET_DENSITIES,
     UniformMagnitudeSpec,
@@ -280,7 +280,6 @@ def criterion_12() -> CriterionResult:
     cy = CoefficientArray(q=2, boundary=(-0.2, 0.1), levels=levels_y)
     x = synthesize(cx, 10)
     alpha = 0.5
-    sel = NormSelector.holder(alpha)
     ok = True
     details = []
     for n in (2, 4, 6):
@@ -294,7 +293,7 @@ def criterion_12() -> CriterionResult:
             for m in range(n, 10)
         )
         dist = float(np.max(np.abs(z.values - x.values)))
-        bound = (grid_norm(x, sel) + grid_norm(z, sel)) * 2.0 ** (-n * alpha)
+        bound = (holder_norm(x, alpha) + holder_norm(z, alpha)) * 2.0 ** (-n * alpha)
         ok &= agree <= 1e-12 and xi_match and dist <= bound
         details.append(f"n={n}: agree {agree:.1e}, dist {dist:.3f} <= bound {bound:.3f}")
     return _result(12, "splice mechanics", 5.0, t0, ok, "; ".join(details))

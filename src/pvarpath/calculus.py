@@ -1,6 +1,9 @@
 """Pathwise compensated-sum integrals, change-of-variable residuals,
 transported norms, and the stability inequalities they satisfy.
 
+A norm is a plain function of a ``SampledPath``: ``SampledPath.sup_norm``,
+``holder_norm`` at a fixed exponent, or any function a caller writes.
+
 For even p, the pathwise integral of f'(y) dy along level n is the
 compensated sum over grid intervals of the first p-1 Taylor terms of f at
 the left endpoint.  Together with the correction term (1/p!) * integral of
@@ -177,47 +180,17 @@ def change_of_variable_residual(f: FunctionWithDerivatives, y: SampledPath, p) -
 
 
 # ---------------------------------------------------------------------------
-# Grid norms and transported norms
+# Holder norms and transported norms
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NormSelector:
-    """Choice of function norm evaluated on grid samples."""
-
-    kind: str
-    alpha: float | None = None
-    p: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("holder", "tv_plus_sup", "lp", "sup"):
-            raise ValidationError(f"unknown norm kind {self.kind!r}")
-        if self.kind == "holder" and not (self.alpha and 0 < self.alpha < 1):
-            raise ValidationError("holder selector needs 0 < alpha < 1")
-        if self.kind == "lp" and not (self.p and self.p >= 1):
-            raise ValidationError("lp selector needs p >= 1")
-
-    @classmethod
-    def holder(cls, alpha: float) -> "NormSelector":
-        return cls(kind="holder", alpha=alpha)
-
-    @classmethod
-    def tv_plus_sup(cls) -> "NormSelector":
-        return cls(kind="tv_plus_sup")
-
-    @classmethod
-    def lp(cls, p: float) -> "NormSelector":
-        return cls(kind="lp", p=p)
-
-    @classmethod
-    def sup(cls) -> "NormSelector":
-        return cls(kind="sup")
 
 
 def holder_quotient(points: np.ndarray, values: np.ndarray, alpha: float) -> float:
     """max |v_j - v_i| / (t_j - t_i)**alpha over all grid pairs (O(N^2)).
 
-    The pair count may be at most 64 times the interval budget."""
+    The exponent must satisfy 0 < alpha < 1, and the pair count may be at
+    most 64 times the interval budget."""
+    if not 0 < alpha < 1:
+        raise ValidationError(f"Holder exponent alpha must satisfy 0 < alpha < 1, got {alpha}")
     pts = np.asarray(points, dtype=np.float64)
     vals = np.asarray(values, dtype=np.float64)
     n = pts.size
@@ -241,32 +214,22 @@ def holder_quotient(points: np.ndarray, values: np.ndarray, alpha: float) -> flo
     return best
 
 
-def grid_norm(g: SampledPath, selector: NormSelector) -> float:
-    """Norm of the grid restriction of ``g`` under the selected norm.
-
-    sup and total variation run over grid points; the Holder quotient over
-    all grid pairs; L^p uses left-endpoint quadrature on the grid.
-    """
-    v = g.values
-    if selector.kind == "sup":
-        return float(np.max(np.abs(v)))
-    if selector.kind == "tv_plus_sup":
-        return float(np.max(np.abs(v)) + np.sum(np.abs(np.diff(v))))
-    if selector.kind == "lp":
-        dt = np.diff(g.grid.points)
-        return float(np.sum(np.abs(v[:-1]) ** selector.p * dt) ** (1.0 / selector.p))
-    return abs(float(v[0])) + holder_quotient(g.grid.points, v, selector.alpha)
+def holder_norm(g: SampledPath, alpha: float) -> float:
+    """|g(0)| plus the Holder quotient of ``g`` over all grid pairs."""
+    return abs(float(g.values[0])) + holder_quotient(g.grid.points, g.values, alpha)
 
 
-def transported_norm(y: SampledPath, xbar: SampledPath, selector: NormSelector) -> float:
-    """Norm of the multiplier y / xbar, the transported-space norm of y."""
+def transported_norm(y: SampledPath, xbar: SampledPath, norm) -> float:
+    """Transported-space norm of y: ``norm`` of the multiplier y / xbar.
+
+    ``norm`` is any function of a ``SampledPath``, such as
+    ``SampledPath.sup_norm`` or ``lambda g: holder_norm(g, alpha)``."""
     if not y.grid.same_as(xbar.grid):
         raise ValidationError("y and xbar must share one grid")
     ref = xbar.values
     if np.min(ref) <= 0:
         raise ValidationError("reference path must be strictly positive")
-    ratio = SampledPath(grid=y.grid, values=y.values / ref)
-    return grid_norm(ratio, selector)
+    return norm(SampledPath(grid=y.grid, values=y.values / ref))
 
 
 # ---------------------------------------------------------------------------
@@ -287,24 +250,24 @@ def stability_bound(g1: SampledPath, g2: SampledPath, p: float, c_p: float) -> S
     lhs: sup over grid prefixes of |c_p * integral of (|g1|^p - |g2|^p)|,
     i.e. the uniform distance of the two predicted variation curves.
     rhs_l1: c_p times the L^1 quadrature of | |g1|^p - |g2|^p |.
-    rhs_local_lip: p c_p (||g1||^(p-1) + ||g2||^(p-1)) ||g1 - g2|| in the sup
-    norm, from the mean value theorem applied to |.|^p pointwise.  The chain
-    lhs <= rhs_l1 <= rhs_local_lip is verified up to quadrature slack and a
-    violation raises.
+    rhs_local_lip: p c_p (||g1||^(p-1) + ||g2||^(p-1)) ||g1 - g2|| with
+    ``SampledPath.sup_norm`` as ||.||, from the mean value theorem applied to
+    |.|^p pointwise.  The chain lhs <= rhs_l1 <= rhs_local_lip is verified up
+    to quadrature slack and a violation raises.  c_p must be finite and > 0.
     """
     if not g1.grid.same_as(g2.grid):
         raise ValidationError("g1 and g2 must share one grid")
     check_exponent(p)
-    sup = NormSelector.sup()
+    if not (math.isfinite(c_p) and c_p > 0):
+        raise ValidationError(f"constant c_p must be finite and > 0, got {c_p}")
     dens = np.abs(g1.values) ** p - np.abs(g2.values) ** p
     dt = np.diff(g1.grid.points)
     prefix = np.concatenate(([0.0], np.cumsum(dens[:-1] * dt)))
     lhs = c_p * float(np.max(np.abs(prefix)))
     rhs_l1 = c_p * float(np.sum(np.abs(dens[:-1]) * dt))
-    n1 = grid_norm(g1, sup)
-    n2 = grid_norm(g2, sup)
-    diff = SampledPath(grid=g1.grid, values=g1.values - g2.values)
-    ndiff = grid_norm(diff, sup)
+    n1 = g1.sup_norm()
+    n2 = g2.sup_norm()
+    ndiff = float(np.max(np.abs(g1.values - g2.values)))
     rhs_lip = p * c_p * (n1 ** (p - 1) + n2 ** (p - 1)) * ndiff
     slack = 1e-9 * (1.0 + abs(lhs) + abs(rhs_l1) + abs(rhs_lip))
     if lhs > rhs_l1 + slack or rhs_l1 > rhs_lip + slack:

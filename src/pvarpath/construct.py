@@ -240,7 +240,7 @@ def recipe(hprime, spec: UniformMagnitudeSpec, n: int) -> RecipeResult:
             f"{c.error_bound:.3g}; the recipe divides by it and needs a bound below the value"
         )
     g = SampledPath(grid=grid, values=(hp / c.value) ** (1.0 / spec.p))
-    trend = variation_index_estimate(analyze(g), [spec.p])[0] if n >= 4 else None
+    trend = variation_index_estimate(analyze(g), spec.p) if n >= 4 else None
     y = SampledPath(grid=grid, values=g.values * reference_path(spec, n).values)
     return RecipeResult(y=y, constant=c, multiplier_trend=trend)
 

@@ -104,39 +104,34 @@ def pvar_profile(
 
 @dataclass(frozen=True)
 class TrendRow:
-    p: float
     trend: str          # "bounded" | "growing" | "vanishing"
     slope: float        # per-level log slope over the tail half
 
 
-def variation_index_estimate(coeffs: CoefficientArray, p_grid) -> tuple:
-    """Classify the tail trend of the level diagnostics for each exponent.
+def variation_index_estimate(coeffs: CoefficientArray, p) -> TrendRow:
+    """Classify the tail trend of the level-p diagnostics.
 
     The slope of log xi_m against m is fit over the last half of stored
-    levels; |slope| <= ``SLOPE_TOL`` counts as bounded.  All-zero tails (e.g.
-    piecewise-affine paths) are vanishing by convention.
+    levels; |slope| <= ``SLOPE_TOL`` counts as bounded.  An all-zero tail
+    (e.g. a piecewise-affine path) is vanishing by convention.
     """
     M = coeffs.num_levels
     if M < 4:
         raise ValidationError(f"need at least 4 coefficient levels, got {M}")
-    rows = []
     start = M // 2
     ms = np.arange(start, M, dtype=np.float64)
-    for p in p_grid:
-        xs = xi_profile(coeffs, p)[start:]
-        if np.all(xs == 0.0):
-            rows.append(TrendRow(p=float(p), trend="vanishing", slope=-np.inf))
-            continue
-        mask = xs > 0.0
-        slope = float(np.polyfit(ms[mask], np.log(xs[mask]), 1)[0]) if mask.sum() > 1 else 0.0
-        if slope > SLOPE_TOL:
-            trend = "growing"
-        elif slope < -SLOPE_TOL:
-            trend = "vanishing"
-        else:
-            trend = "bounded"
-        rows.append(TrendRow(p=float(p), trend=trend, slope=slope))
-    return tuple(rows)
+    xs = xi_profile(coeffs, p)[start:]
+    if np.all(xs == 0.0):
+        return TrendRow(trend="vanishing", slope=-np.inf)
+    mask = xs > 0.0
+    slope = float(np.polyfit(ms[mask], np.log(xs[mask]), 1)[0]) if mask.sum() > 1 else 0.0
+    if slope > SLOPE_TOL:
+        trend = "growing"
+    elif slope < -SLOPE_TOL:
+        trend = "vanishing"
+    else:
+        trend = "bounded"
+    return TrendRow(trend=trend, slope=slope)
 
 
 def stieltjes_against_profile(w: SampledPath, profile: VariationProfile) -> np.ndarray:

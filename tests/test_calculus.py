@@ -6,12 +6,11 @@ import pytest
 from pvarpath import (
     BudgetError,
     FunctionWithDerivatives,
-    NormSelector,
     UniformMagnitudeSpec,
     ValidationError,
     change_of_variable_residual,
     follmer_sum,
-    grid_norm,
+    holder_norm,
     holder_quotient,
     pvar_profile,
     qadic_grid,
@@ -115,34 +114,20 @@ class TestChangeOfVariableResidual:
             change_of_variable_residual(f, random_path(), 2)
 
 
+def lp_norm(g, p):
+    """L^p norm of a grid path by left-endpoint quadrature."""
+    dt = np.diff(g.grid.points)
+    return float(np.sum(np.abs(g.values[:-1]) ** p * dt) ** (1.0 / p))
+
+
 class TestGridNorm:
     def test_constant_holder(self):
         g = qadic_path(np.full(2 ** 6 + 1, -1.5), q=2)
-        assert grid_norm(g, NormSelector.holder(0.3)) == 1.5
-
-    def test_linear_tv_plus_sup(self):
-        grid = qadic_grid(2, 8)
-        g = SampledPath(grid=grid, values=grid.points.copy())
-        assert grid_norm(g, NormSelector.tv_plus_sup()) == pytest.approx(2.0, abs=1e-12)
-
-    def test_linear_l2(self):
-        grid = qadic_grid(2, 12)
-        g = SampledPath(grid=grid, values=grid.points.copy())
-        assert grid_norm(g, NormSelector.lp(2.0)) == pytest.approx(
-            1 / math.sqrt(3), abs=1e-3
-        )
+        assert holder_norm(g, 0.3) == 1.5
 
     def test_sup(self):
         g = qadic_path(np.array([0.0, -3.0, 1.0]), q=2)
-        assert grid_norm(g, NormSelector.sup()) == 3.0
-
-    def test_selector_validation(self):
-        with pytest.raises(ValidationError):
-            NormSelector.holder(1.0)
-        with pytest.raises(ValidationError):
-            NormSelector.lp(0.5)
-        with pytest.raises(ValidationError):
-            NormSelector(kind="banach")
+        assert g.sup_norm() == 3.0
 
 
 class TestHolderQuotient:
@@ -153,8 +138,20 @@ class TestHolderQuotient:
         with pytest.raises(BudgetError):
             holder_quotient(t, t, 0.5)                      # 66 pairs
 
+    @pytest.mark.parametrize("alpha", [math.nan, 0.0, 1.0, -1.0, 2.0])
+    def test_exponent_outside_unit_interval_rejected(self, alpha):
+        t = np.linspace(0.0, 1.0, 9)
+        with pytest.raises(ValidationError, match="0 < alpha < 1"):
+            holder_quotient(t, t, alpha)
+
 
 class TestTransportedNorm:
+    NORMS = (
+        SampledPath.sup_norm,
+        lambda g: holder_norm(g, 0.4),
+        lambda g: lp_norm(g, 3.0),
+    )
+
     def make_xbar(self, n=8):
         x = reference_path(UniformMagnitudeSpec(q=2, p=2.0), n)
         return shifted_reference(x, x.sup_norm() + 1.0)
@@ -162,36 +159,36 @@ class TestTransportedNorm:
     def test_reference_itself_has_unit_norm(self):
         xbar = self.make_xbar()
         y = SampledPath(grid=xbar.grid, values=xbar.values)
-        assert transported_norm(y, xbar, NormSelector.holder(0.6)) == pytest.approx(
+        assert transported_norm(y, xbar, lambda g: holder_norm(g, 0.6)) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_homogeneity(self):
         xbar = self.make_xbar()
         y = SampledPath(grid=xbar.grid, values=-2.5 * xbar.values)
-        for sel in (NormSelector.sup(), NormSelector.tv_plus_sup(), NormSelector.lp(2.0)):
-            assert transported_norm(y, xbar, sel) == pytest.approx(2.5, rel=1e-12)
+        for norm in (SampledPath.sup_norm, lambda g: lp_norm(g, 2.0)):
+            assert transported_norm(y, xbar, norm) == pytest.approx(2.5, rel=1e-12)
 
     def test_isometry_round_trip_seed_11(self):
         xbar = self.make_xbar()
         rng = np.random.default_rng(11)
         g = SampledPath(grid=xbar.grid, values=rng.normal(size=xbar.values.size))
         y = SampledPath(grid=xbar.grid, values=g.values * xbar.values)
-        for sel in (
-            NormSelector.sup(),
-            NormSelector.tv_plus_sup(),
-            NormSelector.lp(3.0),
-            NormSelector.holder(0.4),
-        ):
-            assert transported_norm(y, xbar, sel) == pytest.approx(
-                grid_norm(g, sel), rel=1e-12
-            )
+        for norm in self.NORMS:
+            assert transported_norm(y, xbar, norm) == pytest.approx(norm(g), rel=1e-12)
+
+    @pytest.mark.parametrize("norm", NORMS, ids=["sup", "holder", "lp"])
+    def test_accepts_a_plain_function(self, norm):
+        xbar = self.make_xbar()
+        y = SampledPath(grid=xbar.grid, values=np.sin(3.0 * xbar.grid.points))
+        ratio = SampledPath(grid=xbar.grid, values=y.values / xbar.values)
+        assert transported_norm(y, xbar, norm) == norm(ratio)
 
     def test_positivity_required(self):
         xbar = self.make_xbar()
         bad = SampledPath(grid=xbar.grid, values=xbar.values - np.max(xbar.values))
         with pytest.raises(ValidationError):
-            transported_norm(xbar, bad, NormSelector.sup())
+            transported_norm(xbar, bad, SampledPath.sup_norm)
 
 
 class TestEquivalentNorm:
@@ -209,7 +206,7 @@ class TestEquivalentNorm:
         g = SampledPath(grid=grid, values=rng.uniform(0.2, 2.0, grid.points.size))
         gp = SampledPath(grid=grid, values=np.abs(g.values) ** 2)
         predicted_terminal = stieltjes_against_profile(gp, ideal)[-1]
-        lp = grid_norm(g, NormSelector.lp(2.0))
+        lp = lp_norm(g, 2.0)
         assert predicted_terminal ** 0.5 == pytest.approx(c2 ** 0.5 * lp, abs=1e-12)
 
 
@@ -243,6 +240,14 @@ class TestStability:
         g2 = qadic_path(np.zeros(5), q=2)
         with pytest.raises(ValidationError):
             stability_bound(g1, g2, 2.0, 1.0)
+
+    @pytest.mark.parametrize("c_p", [math.nan, math.inf, 0.0, -1.0])
+    def test_constant_must_be_finite_and_positive(self, c_p):
+        grid = qadic_grid(2, 3)
+        g1 = SampledPath(grid=grid, values=grid.points.copy())
+        g2 = SampledPath(grid=grid, values=np.zeros(grid.size))
+        with pytest.raises(ValidationError, match="c_p must be finite and > 0"):
+            stability_bound(g1, g2, 2.0, c_p)
 
 
 class TestItoMapContinuity:

@@ -23,10 +23,7 @@ UNUSED_ALLOWED = {
     "transported_norm": "pending ROADMAP item 2 (stability on transported subspaces)",
 }
 
-UNUSED_MEMBERS_ALLOWED = {
-    "NormSelector.lp": "pending ROADMAP item 2 (norms of the stability bound)",
-    "NormSelector.tv_plus_sup": "pending ROADMAP item 2 (norms of the stability bound)",
-}
+UNUSED_MEMBERS_ALLOWED = {}
 
 
 def loaded_names() -> set:

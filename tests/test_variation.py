@@ -128,8 +128,7 @@ class TestVariationIndexEstimate:
     def test_reference_trends(self):
         p0 = 2.0
         coeffs = build_reference(UniformMagnitudeSpec(q=2, p=p0), 10)
-        rows = variation_index_estimate(coeffs, [1.5, 2.0, 3.0])
-        by_p = {r.p: r for r in rows}
+        by_p = {p: variation_index_estimate(coeffs, p) for p in (1.5, 2.0, 3.0)}
         assert by_p[1.5].trend == "growing"
         assert by_p[2.0].trend == "bounded"
         assert by_p[3.0].trend == "vanishing"
@@ -139,18 +138,18 @@ class TestVariationIndexEstimate:
             q=2, boundary=(0.0, 1.0),
             levels=tuple(np.zeros((2 ** m, 1)) for m in range(6)),
         )
-        rows = variation_index_estimate(coeffs, [1.5, 2.0, 4.0])
-        assert all(r.trend == "vanishing" for r in rows)
+        for p in (1.5, 2.0, 4.0):
+            assert variation_index_estimate(coeffs, p).trend == "vanishing"
 
     def test_flat_diagnostic_has_zero_slope(self):
         coeffs = build_reference(UniformMagnitudeSpec(q=2, p=2.0), 8)
-        row = variation_index_estimate(coeffs, [2.0])[0]
+        row = variation_index_estimate(coeffs, 2.0)
         assert abs(row.slope) <= 1e-9
 
     def test_needs_levels(self):
         coeffs = CoefficientArray(q=2, boundary=(0.0, 0.0), levels=(np.zeros((1, 1)),))
         with pytest.raises(ValidationError):
-            variation_index_estimate(coeffs, [2.0])
+            variation_index_estimate(coeffs, 2.0)
 
 
 def synthetic_linear_profile(n, slope):
