@@ -8,7 +8,6 @@ here, together with per-criterion runtime limits.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,6 +26,7 @@ from .construct import (
     splice,
     weight_patterns,
 )
+from .errors import ValidationError
 from .oracle import variation_constant
 from .partition import power_table, random_refining_table
 from .schauder import CoefficientArray, SampledPath, synthesize, xi_profile
@@ -262,7 +262,7 @@ def criterion_11() -> CriterionResult:
             nodes = np.arange(degree + 1) / degree
             poly = bernstein(lambda t, zv=zv, nodes=nodes: np.interp(t, nodes, zv),
                              degree, grid)
-            quot = holder_quotient(grid.points, poly.values, 0.5)
+            quot = holder_quotient(poly, 0.5)
             bound = (2 * degree + 1) * float(np.max(np.abs(zv)))
             ok &= quot <= bound
             worst_ratio = max(worst_ratio, quot / bound)
@@ -316,5 +316,9 @@ ALL_CRITERIA = (
 
 
 def run_all(indices=None) -> list:
-    selected = range(1, len(ALL_CRITERIA) + 1) if indices is None else indices
+    total = len(ALL_CRITERIA)
+    selected = range(1, total + 1) if indices is None else indices
+    for i in selected:
+        if not 1 <= i <= total:
+            raise ValidationError(f"criterion index must be in 1..{total}, got {i}")
     return [ALL_CRITERIA[i - 1]() for i in selected]

@@ -125,6 +125,8 @@ def build_reference(spec: UniformMagnitudeSpec, n: int) -> CoefficientArray:
     check_interval_budget(spec.q, n)
     a = _branch_weights(spec.q, spec.a)
     levels = [spec.c(m) * np.outer(signs, a) for m, signs in enumerate(spec.sign_arrays(n))]
+    for level in levels:
+        level.setflags(write=False)
     return CoefficientArray(q=spec.q, boundary=(0.0, 0.0), levels=tuple(levels))
 
 

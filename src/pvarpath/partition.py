@@ -63,8 +63,11 @@ def check_interval_budget(q: int, level: int) -> None:
 
 
 def frozen_floats(a) -> np.ndarray:
-    """``a`` as a read-only float64 array: kept as given if it already is one
-    (so coarser levels share its memory), else a read-only copy."""
+    """``a`` as a read-only float64 array, the one rule for every array a
+    ``pvarpath`` object stores: kept as given if it already is one (so
+    coarser levels share its memory, and a fresh array marked read-only is
+    handed over without a copy), else a read-only copy, which leaves the
+    caller's array writable."""
     out = np.asarray(a, dtype=np.float64)
     if out.flags.writeable:
         out = out.copy()

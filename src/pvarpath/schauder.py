@@ -183,13 +183,12 @@ class CoefficientArray:
             raise ValidationError("boundary values must be finite")
         lv = []
         for m, arr in enumerate(self.levels):
-            a = np.asarray(arr, dtype=np.float64)
+            a = frozen_floats(arr)
             want = (self.q ** m, self.q - 1)
             if a.shape != want:
                 raise ValidationError(f"level {m} must have shape {want}, got {a.shape}")
             if not np.all(np.isfinite(a)):
                 raise ValidationError(f"level {m} contains non-finite coefficients")
-            a.setflags(write=False)
             lv.append(a)
         object.__setattr__(self, "levels", tuple(lv))
 
@@ -309,8 +308,9 @@ def analyze(path: SampledPath) -> CoefficientArray:
     out = []
     for m in range(n):
         interior, base = _refinement(vals, q, n, m)
-        detail = interior - base
-        out.append(q ** (0.5 * m + 1) * detail @ inv)
+        level = q ** (0.5 * m + 1) * (interior - base) @ inv
+        level.setflags(write=False)
+        out.append(level)
     return CoefficientArray(q=q, boundary=(float(vals[0]), float(vals[-1])), levels=tuple(out))
 
 

@@ -63,7 +63,6 @@ from .oracle import VariationConstant
 from .errors import ValidationError
 from .partition import PartitionGrid, build_homeomorphism, qadic_grid
 from .schauder import SampledPath
-from .variation import VariationProfile
 
 
 _CSV_CHUNK_ROWS = 1 << 16

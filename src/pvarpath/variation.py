@@ -21,7 +21,7 @@ import numpy as np
 
 from ._util import cumsum_stable
 from .errors import ValidationError, check_exponent
-from .partition import PartitionGrid
+from .partition import PartitionGrid, frozen_floats
 from .schauder import CoefficientArray, SampledPath, xi_profile
 
 DEFAULT_EVAL_LEVEL = 10
@@ -37,7 +37,6 @@ class VariationProfile:
     level is clamped to it.
     """
 
-    p: float
     grid: PartitionGrid
     eval_level: int
     values: np.ndarray
@@ -46,7 +45,7 @@ class VariationProfile:
         if self.eval_level < 0:
             raise ValidationError(f"eval_level must be >= 0, got {self.eval_level}")
         object.__setattr__(self, "eval_level", min(int(self.eval_level), self.grid.level))
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = frozen_floats(self.values)
         if vals.shape != (self.q ** self.eval_level + 1,):
             raise ValidationError(
                 f"a level-{self.eval_level} profile has {self.q ** self.eval_level + 1} "
@@ -54,7 +53,6 @@ class VariationProfile:
             )
         if np.any(np.diff(vals) < 0) or np.any(vals < 0):
             raise ValidationError("profile values must be nonnegative and non-decreasing")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -98,8 +96,9 @@ def pvar_profile(
         raise ValidationError(f"the p={p} variation of this path overflows float64")
     stride = path.q ** max(path.level - eval_level, 0)
     # a compact copy, so a coarse profile does not keep the full sum alive
-    return VariationProfile(p=p, grid=path.grid, eval_level=eval_level,
-                            values=np.ascontiguousarray(cum[::stride]))
+    values = np.ascontiguousarray(cum[::stride])
+    values.setflags(write=False)
+    return VariationProfile(grid=path.grid, eval_level=eval_level, values=values)
 
 
 @dataclass(frozen=True)

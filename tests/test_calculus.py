@@ -12,9 +12,11 @@ from pvarpath import (
     follmer_sum,
     holder_norm,
     holder_quotient,
+    pullback_path,
     pvar_profile,
     qadic_grid,
     qadic_path,
+    random_refining_table,
     recipe,
     reference_path,
     shifted_reference,
@@ -130,19 +132,38 @@ class TestGridNorm:
         assert g.sup_norm() == 3.0
 
 
+def brute_holder_quotient(g, alpha):
+    t, v = g.grid.points, g.values
+    return max(abs(v[j] - v[i]) / (t[j] - t[i]) ** alpha
+               for j in range(t.size) for i in range(j))
+
+
 class TestHolderQuotient:
     def test_pair_budget(self, monkeypatch):
-        monkeypatch.setenv("PVAR_MAX_INTERVALS", "1")     # 64 pairs
-        t = np.linspace(0.0, 1.0, 12)
-        assert holder_quotient(t[:-1], t[:-1], 0.5) > 0.0   # 55 pairs
-        with pytest.raises(BudgetError):
-            holder_quotient(t, t, 0.5)                      # 66 pairs
+        allowed = qadic_path(np.linspace(0.0, 1.0, 11), q=10)   # 55 pairs
+        refused = qadic_path(np.linspace(0.0, 1.0, 12), q=11)   # 66 pairs
+        monkeypatch.setenv("PVAR_MAX_INTERVALS", "1")           # 64 pairs
+        assert holder_quotient(allowed, 0.5) > 0.0
+        with pytest.raises(BudgetError, match=r"12 points give 66 pairs; the pair budget "
+                           r"is 64 \(64 x PVAR_MAX_INTERVALS\)"):
+            holder_quotient(refused, 0.5)
 
     @pytest.mark.parametrize("alpha", [math.nan, 0.0, 1.0, -1.0, 2.0])
     def test_exponent_outside_unit_interval_rejected(self, alpha):
-        t = np.linspace(0.0, 1.0, 9)
+        g = qadic_path(np.linspace(0.0, 1.0, 9), q=2)
         with pytest.raises(ValidationError, match="0 < alpha < 1"):
-            holder_quotient(t, t, alpha)
+            holder_quotient(g, alpha)
+
+    @pytest.mark.parametrize("make", [
+        lambda: reference_path(UniformMagnitudeSpec(q=2, p=2.0, signs=3), 5),
+        lambda: reference_path(UniformMagnitudeSpec(q=3, p=3.0, a=(1.0, -0.5)), 3),
+        lambda: pullback_path(reference_path(UniformMagnitudeSpec(q=3, p=1.5), 3),
+                              random_refining_table(3, 3, seed=2)),
+    ], ids=["q2", "q3", "table"])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_matches_pairwise_loop_bit_for_bit(self, make, alpha):
+        g = make()
+        assert holder_quotient(g, alpha) == brute_holder_quotient(g, alpha)
 
 
 class TestTransportedNorm:
@@ -201,7 +222,7 @@ class TestEquivalentNorm:
         grid = xbar.grid
         from pvarpath import VariationProfile
 
-        ideal = VariationProfile(p=2.0, grid=grid, eval_level=n, values=c2 * grid.points)
+        ideal = VariationProfile(grid=grid, eval_level=n, values=c2 * grid.points)
         rng = np.random.default_rng(0)
         g = SampledPath(grid=grid, values=rng.uniform(0.2, 2.0, grid.points.size))
         gp = SampledPath(grid=grid, values=np.abs(g.values) ** 2)

@@ -5,7 +5,8 @@ load, bare or as an attribute, counts as a use.  A public name that nothing
 loads is dead API: give it a caller or delete it, or, with a reason, list it
 in ``UNUSED_ALLOWED``.  The same holds for the public methods and properties
 of public classes, matched by attribute name, with ``UNUSED_MEMBERS_ALLOWED``
-as their list.
+as their list.  Within each module, every name a module-level import binds
+must be loaded too; ``__init__`` re-exports and ``from __future__`` aside.
 """
 
 import ast
@@ -26,17 +27,25 @@ UNUSED_ALLOWED = {
 UNUSED_MEMBERS_ALLOWED = {}
 
 
-def loaded_names() -> set:
+def package_modules() -> dict:
+    """Module file name -> parsed source, ``__init__`` aside."""
+    return {source.name: ast.parse(source.read_text(), filename=str(source))
+            for source in sorted(Path(pvarpath.__file__).parent.glob("*.py"))
+            if source.name != "__init__.py"}
+
+
+def module_loads(tree) -> set:
     names = set()
-    for source in Path(pvarpath.__file__).parent.glob("*.py"):
-        if source.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(source.read_text(), filename=str(source))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                names.add(node.attr)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
     return names
+
+
+def loaded_names() -> set:
+    return set().union(*map(module_loads, package_modules().values()))
 
 
 def test_public_names_have_callers():
@@ -67,3 +76,16 @@ def test_public_members_have_callers():
     unused = {m for m in public_members() if m.split(".")[1] not in loaded}
     assert unused - set(UNUSED_MEMBERS_ALLOWED) == set(), "public members without a caller"
     assert set(UNUSED_MEMBERS_ALLOWED) - unused == set(), "stale UNUSED_MEMBERS_ALLOWED entries"
+
+
+def test_module_level_imports_are_loaded():
+    unused = []
+    for module, tree in package_modules().items():
+        loads = module_loads(tree)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{module}: {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in loads]
+    assert unused == [], "imports the module never loads"

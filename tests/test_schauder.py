@@ -7,16 +7,22 @@ import pytest
 from pvarpath import (
     BudgetError,
     CoefficientArray,
+    PartitionGrid,
+    UniformMagnitudeSpec,
     ValidationError,
+    VariationProfile,
     analyze,
+    build_reference,
     eta_all,
     gamma,
     gamma_rows,
     haar_eval,
     power_table,
     pullback_path,
+    pvar_profile,
     qadic_grid,
     qadic_path,
+    reference_path,
     schauder_eval,
     synthesize,
     xi,
@@ -314,3 +320,39 @@ class TestSampledPath:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+
+# every stored array goes through ``partition.frozen_floats``
+_STORES = {
+    "PartitionGrid": lambda a: PartitionGrid(2, 2, a).table_points,
+    "SampledPath": lambda a: SampledPath(grid=qadic_grid(2, 2), values=a).values,
+    "CoefficientArray": lambda a: CoefficientArray(
+        q=2, boundary=(0.0, 0.0), levels=(a[:1, None], a[1:3, None])).levels[1],
+    "VariationProfile": lambda a: VariationProfile(
+        grid=qadic_grid(2, 2), eval_level=2, values=a).values,
+}
+
+
+@pytest.mark.parametrize("store", tuple(_STORES))
+def test_caller_array_stays_writable_and_stored_array_is_read_only(store):
+    a = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    stored = _STORES[store](a)
+    assert a.flags.writeable
+    assert not stored.flags.writeable
+    assert not np.shares_memory(stored, a)
+
+
+@pytest.mark.parametrize("store", tuple(_STORES))
+def test_read_only_array_is_stored_as_given(store):
+    a = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    a.setflags(write=False)
+    assert np.shares_memory(_STORES[store](a), a)
+
+
+def test_pipeline_arrays_are_handed_over_read_only():
+    spec = UniformMagnitudeSpec(q=3, p=2.0)
+    path = reference_path(spec, 4)
+    for coeffs in (build_reference(spec, 4), analyze(path)):
+        assert not any(level.flags.writeable for level in coeffs.levels)
+    for eval_level in (4, 2):
+        assert not pvar_profile(path, 2.0, eval_level=eval_level).values.flags.writeable

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pvarpath import (
+    SampledPath,
     UniformMagnitudeSpec,
     ValidationError,
     holder_quotient,
@@ -51,9 +52,10 @@ class TestPullback:
         x = reference_path(UniformMagnitudeSpec(q=2, p=2.0), 8)
         pulled = pullback_path(x, table)
         alpha = 0.5
-        qx = holder_quotient(x.grid.points, x.values, alpha)
-        qphi = holder_quotient(table.points, qadic_grid(2, table.level).points, 0.5)
-        qcomp = holder_quotient(pulled.grid.points, pulled.values, alpha / 2)
+        phi = SampledPath(grid=table, values=qadic_grid(2, table.level).points)
+        qx = holder_quotient(x, alpha)
+        qphi = holder_quotient(phi, 0.5)
+        qcomp = holder_quotient(pulled, alpha / 2)
         assert np.isfinite(qcomp)
         assert qcomp <= qx * qphi ** alpha + 1e-9
 

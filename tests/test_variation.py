@@ -89,7 +89,7 @@ class TestHolderEmbedding:
         # alpha * p > 1 forces the level sums under quot^p * 2**(n(1-alpha p))
         alpha, p = 0.9, 2.0
         x = linear_path(10)
-        quot = holder_quotient(x.grid.points, x.values, alpha)
+        quot = holder_quotient(x, alpha)
         for n in range(1, 11):
             total = pvar_profile(x.restrict(n), p, eval_level=0).terminal
             assert total <= quot ** p * 2.0 ** (n * (1 - alpha * p)) + 1e-15
@@ -154,7 +154,7 @@ class TestVariationIndexEstimate:
 
 def synthetic_linear_profile(n, slope):
     grid = qadic_grid(2, n)
-    return VariationProfile(p=2.0, grid=grid, eval_level=n, values=slope * grid.points)
+    return VariationProfile(grid=grid, eval_level=n, values=slope * grid.points)
 
 
 class TestStieltjes:
