@@ -26,23 +26,37 @@ from __future__ import annotations
 import numpy as np
 
 
+_BLOCK = 1 << 16  # terms per block of the error pass
+
+
 def cumsum_stable(terms: np.ndarray) -> np.ndarray:
     """Prefix sums of the 1-D ``terms``, from the empty sum on: entry i is the
     sum of the first i terms, so the result has one entry more than ``terms``.
 
     Past an overflow to inf or a NaN term, the entries are those of the plain
-    float64 cumsum.
+    float64 cumsum.  The rounding errors are found, summed and added back one
+    block of ``_BLOCK`` terms at a time, so besides ``terms`` and the result
+    only a few blocks are held.
     """
     t = np.asarray(terms, dtype=np.float64)
     s = np.zeros(t.size + 1)
     np.cumsum(t, out=s[1:])             # s_k = fl(s_{k-1} + t_k), in order
+    carry, first = 0.0, 0.0             # the error sum so far; s_lo before its correction
     # past an overflow the corrections are NaN and are not applied
     with np.errstate(invalid="ignore"):
-        b = np.subtract(s[1:], s[:-1])  # b_k = s_k - s_{k-1}
-        e = np.subtract(s[1:], b)
-        np.subtract(s[:-1], e, out=e)   # s_{k-1} - (s_k - b_k)
-        np.subtract(t, b, out=b)        # t_k - b_k
-        e += b                          # e_k = s_{k-1} + t_k - s_k exactly (TwoSum)
-        np.cumsum(e, out=e)
-    np.add(s[1:], e, out=s[1:], where=np.isfinite(s[1:]))
+        for lo in range(0, t.size, _BLOCK):
+            hi = min(lo + _BLOCK, t.size)
+            cur = s[lo + 1:hi + 1]
+            prev = s[lo:hi].copy()
+            prev[0], first = first, cur[-1]
+            b = np.subtract(cur, prev)  # b_k = s_k - s_{k-1}
+            e = np.subtract(cur, b)
+            np.subtract(prev, e, out=e)  # s_{k-1} - (s_k - b_k)
+            np.subtract(t[lo:hi], b, out=b)  # t_k - b_k
+            e += b                      # e_k = s_{k-1} + t_k - s_k exactly (TwoSum)
+            if lo:
+                e[0] += carry
+            np.cumsum(e, out=e)
+            carry = e[-1]
+            np.add(cur, e, out=cur, where=np.isfinite(cur))
     return s

@@ -111,25 +111,32 @@ def _check_even_order(p) -> int:
     return int(p)
 
 
+_BLOCK = 1 << 16  # grid points per block of the Taylor terms and the residual
+
+
 def follmer_sum(f: FunctionWithDerivatives, y: SampledPath, p) -> np.ndarray:
     """Level-n compensated sum of f'(y) dy at every grid point.
 
     Entry i is the sum over grid intervals strictly before point i of
     sum_{k=1}^{p-1} f^(k)(y(t_j)) / k! * (increment)^k, summed by
     ``_util.cumsum_stable`` like the variation profile it is compared
-    against (``_util`` states the precision rule).
+    against (``_util`` states the precision rule).  The terms are formed
+    one block of ``_BLOCK`` intervals at a time, so f's derivatives are
+    evaluated on blocks of the path's values; they must act elementwise.
     """
     p = _check_even_order(p)
     if f.order < p - 1 and not f.exhaustive:
         raise ValidationError(f"need derivatives up to order {p - 1}")
-    d = y.increments()
-    left = y.values[:-1]
-    terms = np.zeros_like(d)
-    dk = np.ones_like(d)
-    # past a polynomial's degree (f.order) every Taylor term is exactly zero
-    for k in range(1, min(p, f.order + 1)):
-        dk = dk * d
-        terms = terms + f.deriv(k)(left) * dk / math.factorial(k)
+    v = y.values
+    terms = np.zeros(v.size - 1)
+    for lo in range(0, terms.size, _BLOCK):
+        hi = min(lo + _BLOCK, terms.size)
+        left, d = v[lo:hi], np.subtract(v[lo + 1:hi + 1], v[lo:hi])
+        dk = np.ones_like(d)
+        # past a polynomial's degree (f.order) every Taylor term is exactly zero
+        for k in range(1, min(p, f.order + 1)):
+            dk *= d
+            terms[lo:hi] += f.deriv(k)(left) * dk / math.factorial(k)
     return cumsum_stable(terms)
 
 
@@ -159,18 +166,31 @@ def change_of_variable_residual(f: FunctionWithDerivatives, y: SampledPath, p) -
     p exceeds a polynomial's degree, f^(p) and the correction vanish and are
     not computed, so any even p runs.  If f or one of its derivatives
     overflows float64 on the path's values, ``ValidationError`` is raised.
+    f is evaluated on blocks of the path's values, like its derivatives in
+    ``follmer_sum``; each residual entry takes the same operations in the
+    same order as the whole-array expression above.
     """
     p = _check_even_order(p)
     if f.order < p and not f.exhaustive:
         raise ValidationError(f"need derivatives up to order {p}")
     sam = y.values
     with np.errstate(over="ignore", invalid="ignore"):
-        comp = follmer_sum(f, y, p)
-        resid = f(sam) - f(sam[0]) - comp
+        correction = None
         if p <= f.order:  # else f^(p) of a polynomial, and the correction, vanish
             profile = pvar_profile(y, p, eval_level=y.level)
             w = SampledPath(grid=y.grid, values=_finite_evaluation(f.deriv(p)(sam)))
-            resid = resid - stieltjes_against_profile(w, profile) / math.factorial(p)
+            correction = stieltjes_against_profile(w, profile)
+            del profile, w
+            correction /= math.factorial(p)
+        # the residual is assembled block by block in the compensated sum's array
+        resid, f0 = follmer_sum(f, y, p), f(sam[0])
+        for lo in range(0, sam.size, _BLOCK):
+            part = f(sam[lo:lo + _BLOCK]) - f0
+            part -= resid[lo:lo + _BLOCK]
+            if correction is not None:
+                part -= correction[lo:lo + _BLOCK]
+            resid[lo:lo + _BLOCK] = part
+        del correction
         resid = _finite_evaluation(resid)
     return ResidualReport(
         eval_points=y.grid.points,

@@ -8,10 +8,11 @@ locations are left out of the configuration; each file read is recorded by
 the digest of its bytes instead.  Identical arguments and inputs produce
 byte-identical artifacts wherever they are written: the only randomness is
 the named seed (default 0) and nothing is time-based.  JSON and CSV outputs
-are streamed to their files in chunks formatted across the CPUs the process
-may run on (see ``serialize``), never assembled as one string first; their
-bytes do not depend on how many CPUs there are.  A command writes all its
-outputs or, if any write fails, none of them.
+are streamed to their files, never assembled as one string first: a JSON
+document piece by piece, each number array one write of its base64 bytes,
+and a CSV in chunks formatted across the CPUs the process may run on (see
+``serialize``), so its bytes do not depend on how many CPUs there are.  A
+command writes all its outputs or, if any write fails, none of them.
 
 Exit codes: 0 success, 2 validation/usage/I-O error, 3 budget exceeded.
 """
@@ -118,8 +119,10 @@ def _load(path: str, from_dict):
     """The object ``from_dict`` builds from the JSON document at ``path``, and
     the first 16 hex digits of the sha256 of the file's bytes (for a
     canonical artifact, equal to ``config_hash`` of the document).  The
-    bytes are released before the object is built, and the parsed document
-    as soon as it is, so a large artifact is not held twice over."""
+    bytes are released before the object is built, its arrays are decoded
+    straight from the parsed text, and the parsed document is released as
+    soon as the object is built, so a large artifact is not held twice
+    over."""
     try:
         raw = Path(path).read_bytes()
         doc, digest = json.loads(raw), hashlib.sha256(raw).hexdigest()[:16]
@@ -262,11 +265,24 @@ def _cmd_timechange(args) -> int:
     return 0
 
 
+def _criteria(text: str) -> list:
+    """``--criteria``: comma-separated criterion indices, each in 1..N."""
+    total = len(acceptance.ALL_CRITERIA)
+    indices = []
+    for item in text.split(","):
+        try:
+            index = int(item)
+        except ValueError:
+            index = 0
+        if not 1 <= index <= total:
+            raise argparse.ArgumentTypeError(
+                f"criterion index must be in 1..{total}, got {item}")
+        indices.append(index)
+    return indices
+
+
 def _cmd_selftest(args) -> int:
-    indices = None
-    if args.criteria:
-        indices = [int(v) for v in args.criteria.split(",")]
-    results = acceptance.run_all(indices)
+    results = acceptance.run_all(args.criteria)
     n_pass = sum(r.passed for r in results)
     if args.json:
         for r in results:
@@ -368,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=_cmd_timechange)
 
     s = sub.add_parser("selftest", help="run the acceptance criteria")
-    s.add_argument("--criteria", default=None, help="comma-separated criterion indices")
+    s.add_argument("--criteria", type=_criteria, default=None,
+                   help="comma-separated criterion indices")
     s.add_argument("--json", action="store_true",
                    help="one JSON object per criterion, then a summary object")
     s.set_defaults(func=_cmd_selftest)

@@ -241,9 +241,14 @@ def recipe(hprime, spec: UniformMagnitudeSpec, n: int) -> RecipeResult:
             f"the p={spec.p:g} constant for q={spec.q} is {c.value:.3g} with error bound "
             f"{c.error_bound:.3g}; the recipe divides by it and needs a bound below the value"
         )
-    g = SampledPath(grid=grid, values=(hp / c.value) ** (1.0 / spec.p))
+    # the products are fresh and read-only, so the paths keep them uncopied
+    gv = (hp / c.value) ** (1.0 / spec.p)
+    gv.setflags(write=False)
+    g = SampledPath(grid=grid, values=gv)
     trend = variation_index_estimate(analyze(g), spec.p) if n >= 4 else None
-    y = SampledPath(grid=grid, values=g.values * reference_path(spec, n).values)
+    yv = g.values * reference_path(spec, n).values
+    yv.setflags(write=False)
+    y = SampledPath(grid=grid, values=yv)
     return RecipeResult(y=y, constant=c, multiplier_trend=trend)
 
 

@@ -254,14 +254,18 @@ def qadic_path(values, q: int = 2) -> SampledPath:
 # ---------------------------------------------------------------------------
 
 
-def _refinement(values: np.ndarray, q: int, n: int, m: int):
-    """The level-(m+1) points inside each level-m interval, as a (q**m, q-1)
-    view into the level-n samples, and their linear interpolation from the
-    level-m points."""
-    parents = values[:: q ** (n - m)]
+_ROWS = 1 << 16  # level-m intervals per block of synthesis
+
+
+def _refinement(values: np.ndarray, q: int, n: int, m: int, lo: int = 0, hi: int | None = None):
+    """The level-(m+1) points inside the level-m intervals ``lo .. hi - 1``
+    (all of them by default), as a (rows, q-1) view into the level-n
+    samples, and their linear interpolation from the level-m points."""
+    hi = q ** m if hi is None else min(hi, q ** m)
+    parents = values[:: q ** (n - m)][lo:hi + 1]
     interp_w = np.arange(1, q, dtype=np.float64) / q
     base = parents[:-1][:, None] + np.diff(parents)[:, None] * interp_w[None, :]
-    interior = values[:: q ** (n - m - 1)][:-1].reshape(q ** m, q)[:, 1:]
+    interior = values[:: q ** (n - m - 1)][:-1].reshape(q ** m, q)[lo:hi, 1:]
     return interior, base
 
 
@@ -271,7 +275,9 @@ def synthesize(coeffs: CoefficientArray, n: int) -> SampledPath:
     Level by level, the new interior points are filled by linear
     interpolation plus the level-m tents; points already filled are never
     written again.  Tent functions of level m >= n vanish at all level-n
-    points, so coefficient levels beyond n-1 are ignored.
+    points, so coefficient levels beyond n-1 are ignored.  A level is
+    filled ``_ROWS`` intervals at a time, so besides the result only a few
+    blocks are held.
     """
     if n < 1:
         raise ValidationError(f"target level must be >= 1, got {n}")
@@ -281,10 +287,13 @@ def synthesize(coeffs: CoefficientArray, n: int) -> SampledPath:
     values = np.empty(q ** n + 1, dtype=np.float64)
     values[0], values[-1] = coeffs.boundary
     for m in range(n):
-        interior, base = _refinement(values, q, n, m)
-        interior[...] = base
-        if m < coeffs.num_levels:
-            interior += q ** (-0.5 * m - 1) * coeffs.levels[m] @ cum
+        scale = q ** (-0.5 * m - 1)
+        for lo in range(0, q ** m, _ROWS):
+            interior, base = _refinement(values, q, n, m, lo, lo + _ROWS)
+            interior[...] = base
+            if m < coeffs.num_levels:
+                interior += scale * coeffs.levels[m][lo:lo + _ROWS] @ cum
+    values.setflags(write=False)  # handed over, not copied
     return SampledPath(grid=grid, values=values)
 
 

@@ -11,7 +11,8 @@ same text on every host.
 Every number a document carries is read by one rule, here: ``q`` and a
 path's ``level`` must be JSON integers (``_json_int``); an array must be an
 ``f8le`` object (that one key, a ``str`` of strict base64 that decodes to a
-multiple of 8 bytes) or, as older and hand-written documents give it, a
+multiple of 8 bytes; ``binascii`` decodes it from the parsed text itself,
+with no ASCII copy) or, as older and hand-written documents give it, a
 flat list of JSON numbers, ``int`` or ``float`` items only
 (``_json_floats``); a path's ``meta`` must be an object.  Anything else is
 refused with one line naming the document kind and the field; a valid
@@ -26,7 +27,15 @@ ignored, so documents that still carry provenance keys read as before; how
 an artifact was made is recorded in its manifest.
 
 JSON artifacts are written by one encoder, with sorted keys and compact
-separators, so a fixed input produces byte-identical output.  CSV floats
+separators, so a fixed input produces byte-identical output: the bytes of
+``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` and a newline.
+It walks dicts and lists as ``json`` does and hands every other value and
+key to ``json``'s encoder, with one exception, the payload rule: an f8le
+text made by ``_f8le`` (an ``_F8leText``, a ``str`` that keeps its base64
+bytes) is written as those bytes, once, between quotes, since base64 never
+needs escaping.  Any other string, a hand-written ``"f8le"`` one included,
+is escaped as ``json`` escapes it.  ``canonical_dumps`` is the same text as
+one string.  CSV floats
 are written in one format, ``_CSV_FLOAT`` (``%.17g``: 17 significant
 digits, enough for any float64 to read back exactly), and the contract is
 the text of Python's ``"%.17g" %``, byte for byte.  A numpy kernel
@@ -37,8 +46,9 @@ kernel does not decide (a non-finite value, a subnormal, |x| beyond the
 kernel's range, or a rounding too close to a tie to call) is written by
 ``%`` itself and spliced in.
 
-Writers take a binary stream, and text stays bytes from the kernel to the
-file: no newline translation, and no decode or encode between them.  A CSV
+Writers take a binary stream, and text stays bytes from the kernel or the
+base64 encoder to the file: no newline translation, and no decode or encode
+between them.  A CSV
 is streamed to the caller's stream: its rows are cut into ranges of
 ``_CSV_CHUNK_ROWS``, and the ranges are formatted round-robin by this
 process and forked workers, one per CPU it may run on, then written in
@@ -49,7 +59,7 @@ how many CPUs there are.
 
 from __future__ import annotations
 
-import base64
+import binascii
 import functools
 import hashlib
 import json
@@ -144,22 +154,84 @@ def _write_chunks(stream: IO[bytes], n: int, fmt: Callable[[int, int], bytes]) -
             os.waitpid(pid, 0)
 
 
+class _F8leText(str):
+    """The base64 text of one ``_f8le`` array.  It is a ``str``, so ``json``,
+    ``_json_floats`` and equality treat it as the text it is, and it keeps
+    the ASCII bytes it was decoded from (``ascii``), which ``write_json``
+    writes as they are.  Only ``_f8le`` makes one."""
+
+    __slots__ = ("ascii",)
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json`` turns it into a string: a ``str`` as it is;
+    a float, an int, a bool or None as its JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _JSON_ENCODER.encode(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _encode(obj, pending: list):
+    """Yield the canonical JSON of ``obj`` as ASCII byte pieces, gathering
+    the text between them in ``pending``: the bytes of every ``_F8leText``
+    are yielded alone, after the text before them.  Dicts (their items
+    sorted, keys converted by ``_json_key``), lists and tuples are walked
+    as ``json`` walks them; every other value is ``_JSON_ENCODER``'s."""
+    if type(obj) is _F8leText:
+        pending.append('"')
+        yield "".join(pending).encode()
+        pending.clear()
+        yield obj.ascii
+        pending.append('"')
+    elif isinstance(obj, (list, tuple)):
+        pending.append("[")
+        for i, value in enumerate(obj):
+            if i:
+                pending.append(",")
+            yield from _encode(value, pending)
+        pending.append("]")
+    elif isinstance(obj, dict):
+        pending.append("{")
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            pending.append(("," if i else "") + _JSON_ENCODER.encode(_json_key(key)) + ":")
+            yield from _encode(value, pending)
+        pending.append("}")
+    else:
+        pending.append(_JSON_ENCODER.encode(obj))
+
+
+def _json_pieces(obj):
+    """The bytes of ``json.dumps(obj, sort_keys=True, separators=(",",
+    ":")) + "\\n"``, in pieces: the bytes of each ``_F8leText`` are one
+    piece, and the text between them is one piece each."""
+    pending = []
+    yield from _encode(obj, pending)
+    pending.append("\n")
+    yield "".join(pending).encode()
+
+
 def write_json(obj, stream: IO[bytes]) -> None:
     """The canonical JSON of ``obj`` (sorted keys, compact separators, one
     closing newline) written to the binary ``stream``: the bytes of
     ``json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\\n"``.
-    It is written piece by piece, so the document is never held whole: the
-    largest piece is one ``f8le`` string."""
-    for piece in _JSON_ENCODER.iterencode(obj):
-        stream.write(piece.encode())
-    stream.write(b"\n")
+
+    An f8le text made by ``_f8le`` is written as one ``write`` of its
+    base64 bytes, between quotes written with the text around it: base64
+    never needs escaping, so it is not scanned, quoted or re-encoded.  Any
+    other string, a hand-written ``"f8le"`` one too, goes through the
+    encoder's escapes.  The document is never held whole: the largest piece
+    is one payload."""
+    for piece in _json_pieces(obj):
+        stream.write(piece)
 
 
 def canonical_dumps(obj) -> str:
     """The text whose bytes ``write_json`` writes, as one string (ASCII:
     the encoder escapes every other character), for a text stream such as
     ``sys.stdout`` and for hashing."""
-    return _JSON_ENCODER.encode(obj) + "\n"
+    return b"".join(_json_pieces(obj)).decode("ascii")
 
 
 def config_hash(config: dict) -> str:
@@ -173,9 +245,14 @@ def config_hash(config: dict) -> str:
 
 def _f8le(values: np.ndarray) -> dict:
     """``values`` as ``{"f8le": <base64 of their little-endian float64
-    bytes>}``, the same text whatever the host's byte order."""
-    raw = np.asarray(values, dtype="<f8").tobytes()
-    return {"f8le": base64.b64encode(raw).decode("ascii")}
+    bytes>}``, the same text whatever the host's byte order.  The text is
+    an ``_F8leText``: ``binascii`` encodes the contiguous little-endian
+    array as it is (only a strided or big-endian one is copied first), and
+    ``write_json`` writes those bytes without a scan."""
+    raw = binascii.b2a_base64(np.ascontiguousarray(values, dtype="<f8"), newline=False)
+    text = _F8leText(raw, "ascii")
+    text.ascii = raw
+    return {"f8le": text}
 
 
 def path_to_dict(path: SampledPath) -> dict:
@@ -201,9 +278,10 @@ def _json_int(value, name: str, kind: str) -> int:
 def _json_floats(value, name: str, kind: str) -> np.ndarray:
     """``value`` as a float64 array if it is an ``_f8le`` object or a flat
     list of JSON numbers."""
-    if type(value) is dict and value.keys() == {"f8le"} and type(value["f8le"]) is str:
+    if type(value) is dict and value.keys() == {"f8le"} and isinstance(value["f8le"], str):
         try:
-            raw = base64.b64decode(value["f8le"], validate=True)
+            # strict: the base64 alphabet and padding only, nothing after it
+            raw = binascii.a2b_base64(value["f8le"], strict_mode=True)
             if len(raw) % 8 == 0:
                 return np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False)
         except ValueError:  # binascii.Error too: not ASCII, not base64, bad padding

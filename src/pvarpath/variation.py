@@ -90,8 +90,12 @@ def pvar_profile(
     A sum that overflows float64 raises ``ValidationError``.
     """
     check_exponent(p)
+    terms = path.increments()
     with np.errstate(over="ignore"):
-        cum = cumsum_stable(np.abs(path.increments()) ** p)
+        np.abs(terms, out=terms)
+        terms **= p  # in place, as ``np.abs(increments) ** p`` would round
+        cum = cumsum_stable(terms)
+    del terms
     if not np.isfinite(cum[-1]):
         raise ValidationError(f"the p={p} variation of this path overflows float64")
     stride = path.q ** max(path.level - eval_level, 0)
@@ -142,6 +146,11 @@ def stieltjes_against_profile(w: SampledPath, profile: VariationProfile) -> np.n
     """
     if not w.grid.same_as(profile.grid):
         raise ValidationError("the weight must be sampled on the profile's grid")
-    wv = w.values[:: profile.stride]
-    dF = np.diff(profile.values)
-    return np.concatenate(([0.0], np.cumsum(wv[:-1] * dF)))
+    wv, vals = w.values[:: profile.stride], profile.values
+    out = np.empty(vals.size)
+    out[0] = 0.0
+    inc = out[1:]
+    np.subtract(vals[1:], vals[:-1], out=inc)  # the profile's increments
+    inc *= wv[:-1]
+    np.cumsum(inc, out=inc)
+    return out

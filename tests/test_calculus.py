@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,11 +26,36 @@ from pvarpath import (
     transported_norm,
     variation_constant,
 )
+from pvarpath._util import cumsum_stable
 from pvarpath.schauder import SampledPath
 
 IDENTITY = FunctionWithDerivatives.polynomial([0.0, 1.0])
 SQUARE = FunctionWithDerivatives.polynomial([0.0, 0.0, 1.0])
 FOURTH = FunctionWithDerivatives.polynomial([0.0, 0.0, 0.0, 0.0, 1.0])
+EXP = FunctionWithDerivatives(funcs=(np.exp,) * 5)
+
+
+def whole_array_follmer_sum(f, y, p):
+    """The compensated sum as whole-array expressions."""
+    d = np.diff(y.values)
+    terms, dk = np.zeros_like(d), np.ones_like(d)
+    for k in range(1, min(p, f.order + 1)):
+        dk = dk * d
+        terms = terms + f.deriv(k)(y.values[:-1]) * dk / math.factorial(k)
+    return cumsum_stable(terms)
+
+
+def whole_array_residual(f, y, p):
+    """The residual as whole-array expressions, in the order of its
+    docstring."""
+    v = y.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = f(v) - f(v[0]) - whole_array_follmer_sum(f, y, p)
+        if p <= f.order:
+            prof = cumsum_stable(np.abs(np.diff(v)) ** p)
+            corr = np.concatenate(([0.0], np.cumsum(f.deriv(p)(v)[:-1] * np.diff(prof))))
+            resid = resid - corr / math.factorial(p)
+    return resid
 
 
 def random_path(n=8, seed=0, q=2):
@@ -114,6 +140,27 @@ class TestChangeOfVariableResidual:
         f = FunctionWithDerivatives(funcs=(np.sin, np.cos))
         with pytest.raises(ValidationError):
             change_of_variable_residual(f, random_path(), 2)
+
+    @pytest.mark.parametrize("f, p", [(SQUARE, 2), (FOURTH, 4), (FOURTH, 2), (EXP, 4)],
+                             ids=["square-p2", "fourth-p4", "fourth-p2", "exp-p4"])
+    @pytest.mark.parametrize("q, n", [(2, 17), (3, 11)])
+    def test_blocks_keep_the_whole_array_bits(self, f, p, q, n):
+        spec = UniformMagnitudeSpec(q=q, p=2.0, signs=1 if q == 2 else "plus")
+        y = reference_path(spec, n)
+        rep = change_of_variable_residual(f, y, p)
+        assert rep.residuals.tobytes() == whole_array_residual(f, y, p).tobytes()
+        assert follmer_sum(f, y, p).tobytes() == whole_array_follmer_sum(f, y, p).tobytes()
+
+    @pytest.mark.parametrize("f, p", [(SQUARE, 2), (FOURTH, 4)], ids=["square-p2", "fourth-p4"])
+    def test_peak_memory_is_at_most_four_path_arrays(self, f, p):
+        y = reference_path(UniformMagnitudeSpec(q=2, p=2.0, signs=1), 20)
+        tracemalloc.start()
+        try:
+            change_of_variable_residual(f, y, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * y.values.nbytes
 
 
 def lp_norm(g, p):

@@ -482,12 +482,13 @@ class TestSelftest:
         assert criterion["index"] == 1 and criterion["passed"] is True
         assert summary == {"passed": 1, "total": 1}
 
-    @pytest.mark.parametrize("index", ["13", "0", "-1"])
+    @pytest.mark.parametrize("index", ["13", "0", "-1", "a", "1,x"])
     def test_index_out_of_range_exit_2(self, capsys, index):
         assert run(["selftest", "--criteria", f"1,{index}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: criterion index must be in 1..12, got {index}\n"
+        assert captured.err == ("error: pvarpath selftest: argument --criteria: criterion "
+                                f"index must be in 1..12, got {index.split(',')[-1]}\n")
 
 
 class TestUsageErrors:

@@ -1,5 +1,6 @@
 import math
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from pvarpath import (
     synthesize,
     xi,
 )
-from pvarpath.schauder import SampledPath
+from pvarpath.schauder import SampledPath, _refinement, gamma_cumulative
 
 SQ2 = math.sqrt(2.0)
 
@@ -237,6 +238,29 @@ class TestSynthesize:
         fine = synthesize(coeffs, 5)
         for m in range(1, 5):
             np.testing.assert_array_equal(fine.restrict(m).values, synthesize(coeffs, m).values)
+
+    @pytest.mark.parametrize("q, n", [(2, 18), (3, 12), (4, 9), (6, 7)])
+    def test_blocks_keep_the_whole_level_bits(self, q, n):
+        rng = np.random.default_rng(q)
+        levels = tuple(rng.normal(size=(q ** m, q - 1)) for m in range(n))
+        coeffs = CoefficientArray(q=q, boundary=(0.3, -1.2), levels=levels)
+        want = np.empty(q ** n + 1)
+        want[0], want[-1] = coeffs.boundary
+        for m in range(n):
+            interior, base = _refinement(want, q, n, m)
+            interior[...] = base
+            interior += q ** (-0.5 * m - 1) * levels[m] @ gamma_cumulative(q)[:, 1:q]
+        assert synthesize(coeffs, n).values.tobytes() == want.tobytes()
+
+    def test_result_is_not_copied(self):
+        coeffs = build_reference(UniformMagnitudeSpec(q=2, p=2.0, signs=1), 20)
+        tracemalloc.start()
+        try:
+            path = synthesize(coeffs, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * path.values.nbytes
 
     def test_round_trip_many_random_arrays(self):
         rng = np.random.default_rng(2024)

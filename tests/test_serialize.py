@@ -320,9 +320,23 @@ def _table_document():
     return serialize.table_to_dict(power_table(3, 5, 2.0))
 
 
+def _hand_written_f8le_document():
+    """Plain strings under "f8le" that need escaping (a quote, a backslash,
+    a newline, a non-ASCII character), one of them put into a dict ``_f8le``
+    made, beside texts ``_f8le`` made: only the latter are written without
+    the escapes."""
+    changed = serialize._f8le(np.array([1.0]))
+    changed["f8le"] = "\\\u00e9"
+    return {"values": {"f8le": 'a"b\\c\nd\u00e9'}, "changed": changed,
+            "meta": {"grid_points": serialize._f8le(np.array([0.0, 0.5, 1.0])),
+                     "more": [{"f8le": "\u2603\n"}, serialize._f8le(np.array([-0.0]))]},
+            "points": {"f8le": "\"\\\n\u00e9"}}
+
+
 class TestJsonByteIdentity:
-    @pytest.mark.parametrize("make", [_path_document, _pulled_document, _table_document],
-                             ids=["path", "pulled", "table"])
+    @pytest.mark.parametrize("make", [_path_document, _pulled_document, _table_document,
+                                      _hand_written_f8le_document],
+                             ids=["path", "pulled", "table", "hand-written-f8le"])
     def test_matches_json_dumps(self, make):
         doc = make()
         expected = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -330,6 +344,83 @@ class TestJsonByteIdentity:
         serialize.write_json(doc, buf)
         assert buf.getvalue() == expected.encode()
         assert serialize.canonical_dumps(doc) == expected
+
+
+class _RecordingStream(io.BytesIO):
+    """A binary stream that keeps every object handed to ``write``."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(data)
+        return super().write(data)
+
+
+class TestJsonPayloadWrites:
+    @pytest.mark.parametrize("make", [_pulled_document, _table_document],
+                             ids=["pulled", "table"])
+    def test_each_payload_is_one_write_of_its_base64(self, monkeypatch, make):
+        doc = make()
+        payloads = [doc[k]["f8le"] for k in ("values", "points") if k in doc]
+        payloads += [doc["meta"]["grid_points"]["f8le"]] if "meta" in doc else []
+        escaped = []
+
+        def escape(text):
+            escaped.append(text)
+            return encode_basestring_ascii(text)
+
+        encode_basestring_ascii = json.encoder.encode_basestring_ascii
+        monkeypatch.setattr(json.encoder, "encode_basestring_ascii", escape)
+        stream = _RecordingStream()
+        serialize.write_json(doc, stream)
+        assert all(type(w) is bytes for w in stream.writes)
+        for text in payloads:
+            raw = text.encode("ascii")
+            assert len(raw) > 1000
+            assert stream.writes.count(raw) == 1
+            assert all(w == raw or raw not in w for w in stream.writes)
+            assert text not in escaped
+        assert max(map(len, escaped)) < 100
+        monkeypatch.undo()
+        assert stream.getvalue() == (
+            json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def _restricted_path():
+    return reference_path(UniformMagnitudeSpec(q=2, p=2.0, signs=1), 10).restrict(6)
+
+
+class TestInMemoryRoundTrip:
+    """Documents that were never written read back bit for bit, strided
+    arrays too."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: reference_path(UniformMagnitudeSpec(q=2, p=2.0, signs=1), 9),
+        lambda: reference_path(UniformMagnitudeSpec(q=3, p=2.0, a=(1.0, -0.5)), 6),
+        _pulled_path,
+        _restricted_path,
+        lambda: pullback_path(reference_path(UniformMagnitudeSpec(q=2, p=2.0), 8),
+                              power_table(2, 8, 1.5)).restrict(5),
+    ], ids=["q2", "q3", "pulled-q3", "restricted", "restricted-pulled"])
+    def test_path(self, make):
+        x = make()
+        back = serialize.path_from_dict(serialize.path_to_dict(x))
+        assert (back.q, back.level, back.grid.generator) == (x.q, x.level, x.grid.generator)
+        assert back.values.tobytes() == x.values.tobytes()
+        assert back.grid.points.tobytes() == x.grid.points.tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: power_table(2, 8, 1.5),
+        lambda: random_refining_table(3, 6, seed=9),
+        lambda: power_table(2, 8, 2.0).restrict(5),
+    ], ids=["q2", "q3", "restricted"])
+    def test_table(self, make):
+        table = make()
+        back = serialize.table_from_dict(serialize.table_to_dict(table))
+        assert (back.q, back.level) == (table.q, table.level)
+        assert back.points.tobytes() == table.points.tobytes()
 
 
 @contextlib.contextmanager

@@ -46,3 +46,30 @@ def test_starts_at_the_empty_sum():
 def test_keeps_the_plain_sum_past_an_overflow():
     got = cumsum_stable(np.array([1.0, np.inf, 1.0, np.nan]))
     np.testing.assert_array_equal(got, [0.0, 1.0, np.inf, np.inf, np.nan])
+
+
+def one_pass(terms):
+    """The error pass over the whole array at once, as one expression per
+    step: the blocks must give its bits."""
+    t = np.asarray(terms, dtype=np.float64)
+    s = np.zeros(t.size + 1)
+    np.cumsum(t, out=s[1:])
+    with np.errstate(invalid="ignore"):
+        b = s[1:] - s[:-1]
+        e = (s[:-1] - (s[1:] - b)) + (t - b)
+        e = np.cumsum(e)
+    np.add(s[1:], e, out=s[1:], where=np.isfinite(s[1:]))
+    return s
+
+
+@pytest.mark.parametrize("size", [1, 2, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 16 + 5])
+def test_blocks_keep_the_one_pass_bits(size):
+    rng = np.random.default_rng(size)
+    terms = rng.standard_normal(size) * 10.0 ** rng.integers(-12, 12, size)
+    terms[::7] = -0.0
+    assert cumsum_stable(terms).tobytes() == one_pass(terms).tobytes()
+    assert cumsum_stable(terms ** 2).tobytes() == one_pass(terms ** 2).tobytes()
+    if size > 2 ** 16:
+        terms[2 ** 16] = np.inf
+        terms[-2] = np.nan
+        assert cumsum_stable(terms).tobytes() == one_pass(terms).tobytes()

@@ -19,6 +19,7 @@ from pvarpath import (
     synthesize,
     variation_index_estimate,
 )
+from pvarpath._util import cumsum_stable
 from pvarpath.schauder import SampledPath
 
 
@@ -28,6 +29,11 @@ def linear_path(n, q=2):
 
 
 class TestPvarProfile:
+    @pytest.mark.parametrize("p", [1.5, 2, 2.0, 2.5, 3.0, 4])
+    def test_terms_keep_the_bits_of_abs_increments_to_the_p(self, p):
+        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, signs=3), 17)
+        want = cumsum_stable(np.abs(np.diff(x.values)) ** p)
+        assert pvar_profile(x, p, eval_level=17).values.tobytes() == want.tobytes()
     def test_linear_path_level_3(self):
         prof = pvar_profile(linear_path(3), 2.0, eval_level=0)
         assert prof.terminal == pytest.approx(1 / 8, abs=1e-16)
