@@ -275,8 +275,9 @@ def _criteria(text: str) -> list:
         except ValueError:
             index = 0
         if not 1 <= index <= total:
+            shown = item if item.strip() else repr(item)   # an empty item would vanish
             raise argparse.ArgumentTypeError(
-                f"criterion index must be in 1..{total}, got {item}")
+                f"criterion index must be in 1..{total}, got {shown}")
         indices.append(index)
     return indices
 

@@ -268,6 +268,20 @@ class TestConstant:
     def test_budget_exit_3(self):
         assert run(["constant", "--p", "2", "--method", "exact", "--J", "40"]) == 3
 
+    # a bound that is not below the value still exits 0, and says so
+    @pytest.mark.parametrize("argv, value, bound", [
+        (["--p", "1.2", "--J", "12"], 1.776, 3.42),
+        (["--q", "5", "--p", "800"], 4.55e-111, 1.47e-28),
+    ])
+    def test_bound_not_below_value_is_flagged(self, capsys, argv, value, bound):
+        assert run(["constant", *argv]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["value"] == pytest.approx(value, rel=1e-3)
+        assert doc["error_bound"] == pytest.approx(bound, rel=1e-2)
+        assert doc["details"]["bound_not_below_value"] is True
+        assert run(["constant", "--p", "2.5"]) == 0
+        assert "bound_not_below_value" not in json.loads(capsys.readouterr().out)["details"]
+
     def test_output_file(self, tmp_path):
         out = tmp_path / "c.json"
         assert run(["constant", "--p", "4", "--method", "closed",
@@ -489,6 +503,13 @@ class TestSelftest:
         assert captured.out == ""
         assert captured.err == ("error: pvarpath selftest: argument --criteria: criterion "
                                 f"index must be in 1..12, got {index.split(',')[-1]}\n")
+
+    # an empty or blank item is quoted, or the line would end at "got"
+    @pytest.mark.parametrize("criteria, shown", [("1,,2", "''"), ("1,", "''"), ("1, ,2", "' '")])
+    def test_empty_index_is_shown(self, capsys, criteria, shown):
+        assert run(["selftest", "--criteria", criteria]) == 2
+        assert capsys.readouterr().err == ("error: pvarpath selftest: argument --criteria: "
+                                           f"criterion index must be in 1..12, got {shown}\n")
 
 
 class TestUsageErrors:

@@ -34,8 +34,10 @@ from pvarpath.oracle import (
     _cross_sums,
     _mean_abs_pow,
     _mean_abs_pow_binomial,
+    _mean_abs_pow_series,
     _series_weights,
 )
+from pvarpath.partition import digits_within
 from pvarpath.schauder import SampledPath
 
 
@@ -217,6 +219,11 @@ class TestVariationConstant:
         with pytest.raises(ValidationError, match="moment by .* underflows float64 to 0.0"):
             variation_constant(2.0, 3, (1e-200, 1e-200), method=method, N=1000)
 
+    def test_series_with_a_zero_tail_underflows(self):
+        # rho**j * 1e-322 is 0.0 from j = 9, so all 64 tail strings are 0.0
+        with pytest.raises(ValidationError, match="moment by .* underflows float64 to 0.0"):
+            variation_constant(2.5, 2, (1e-322,), J=16)
+
     @pytest.mark.parametrize("J", (0, -3))
     def test_truncation_depth_below_one_rejected(self, J):
         # J = -3 used to report value 0.0 from a fractional term count
@@ -254,6 +261,49 @@ class TestVariationConstant:
             variation_constant(p, 3, a=(1.0, 2.0))
         res = recipe(lambda t: np.ones_like(t), UniformMagnitudeSpec(q=2, p=2.0), 6)
         assert res.constant.details["terms"] == 2 ** 23
+
+    @pytest.mark.parametrize("q, a, J", [(2, None, 18), (3, (1.0, -0.5), 11)])
+    @pytest.mark.parametrize("p", (1.5, 2.5, 3.7))
+    def test_series_keeps_the_pairwise_accounting(self, monkeypatch, p, q, a, J):
+        fast = variation_constant(p, q, a, method="exact", J=J)
+        monkeypatch.setattr(oracle, "_mean_abs_pow_series", oracle._mean_abs_pow)
+        pairwise = variation_constant(p, q, a, method="exact", J=J)
+        assert (fast.method, fast.error_bound, fast.details) == \
+            (pairwise.method, pairwise.error_bound, pairwise.details)
+        assert fast.value == pytest.approx(pairwise.value, rel=1e-15)
+
+    # the paired share shrinks like rho**J: at p = 1.5 it is 6.5% at q = 2,
+    # J = 26 (item 17's depth) and 5.4% at q = 3, J = 16; at p = 2.5 and the
+    # default tol, 1.7% (J = 20) and 0.7% (J = 13)
+    @pytest.mark.parametrize("p, q, J", [(1.5, 2, 26), (1.5, 3, 16), (2.5, 2, None),
+                                         (2.5, 3, None)])
+    def test_series_pairs_only_strings_near_zero(self, monkeypatch, p, q, J):
+        pairs = []
+
+        def counting(a, b, p):
+            pairs.append(a.size * b.size)
+            return _mean_abs_pow(a, b, p)
+
+        monkeypatch.setattr(oracle, "_mean_abs_pow", counting)
+        rep = variation_constant(p, q, J=J)
+        assert 0 < sum(pairs) <= rep.details["terms"] / 4
+
+    @pytest.mark.parametrize("p", (16.5, 100.5))
+    def test_non_integer_p_above_16_pairs_every_string(self, monkeypatch, p):
+        def refuse(*args):
+            raise AssertionError("the binomial series ran past POWER_SUM_MAX_P")
+
+        monkeypatch.setattr(oracle, "_mean_abs_pow_series", refuse)
+        rep = variation_constant(p, 2)
+        assert rep.value > 0 and rep.error_bound <= 1e-6
+
+    # v_J = E|Z_J|**p grows with J by conditional Jensen (each added digit is
+    # independent with mean zero), so a decrease means lost accuracy
+    @pytest.mark.parametrize("q, a, J_max", [(2, None, 16), (3, None, 11), (3, (1.0, -2.0), 11)])
+    @pytest.mark.parametrize("p", (1.2, 1.5, 2.5))
+    def test_exact_value_grows_with_depth(self, p, q, a, J_max):
+        values = [variation_constant(p, q, a, J=J).value for J in range(1, J_max + 1)]
+        assert all(x <= y for x, y in zip(values, values[1:])), values
 
     # beyond float64 the moment is refused, whichever kernel sums it
     @pytest.mark.filterwarnings("error")
@@ -328,6 +378,19 @@ class TestMonteCarloSampler:
         assert first.details["strata"] == (1 if N < 128 else 1024)
         assert math.isfinite(first.value) and first.stderr > 0.0
 
+    # values of the sampler that rebuilt its strata every chunk, pinned: the
+    # strata offset moves from chunk to chunk at q = 3 (729 strata), not at
+    # q = 2 (1024); N = 200000 spans three full 2**16-sample chunks and a
+    # partial one
+    @pytest.mark.parametrize("q, value, stderr", [
+        (2, 1.3021952407372677, 0.0004465738999578847),
+        (3, 1.3956940611410324, 0.0005353711346524843),
+    ])
+    def test_seed_gives_pinned_values(self, q, value, stderr):
+        rep = variation_constant(1.5, q, method="mc", N=200_000, seed=1)
+        assert rep.details["strata"] == {2: 1024, 3: 729}[q]
+        assert (rep.value, rep.stderr) == (value, stderr)
+
     def test_memory_does_not_grow_with_samples(self):
         def peak(N):
             tracemalloc.start()
@@ -363,6 +426,61 @@ class TestEnumerationKernel:
         pairs = np.abs(head[:, None] + tail[None, :]).ravel() ** p
         reference = math.fsum(pairs) / pairs.size
         assert _mean_abs_pow_binomial(head, tail, p) == pytest.approx(reference, rel=1e-15)
+
+    @pytest.mark.parametrize("p", (1.2, 1.5, 2.5, 3.7, 15.5))
+    @pytest.mark.parametrize("balanced", (True, False), ids=("balanced", "short-tail"))
+    @pytest.mark.parametrize("q, a, J", SPLITS, ids=[f"q{q}-a{a}" for q, a, _ in SPLITS])
+    def test_series_matches_an_fsum_of_all_pairs(self, p, q, a, J, balanced):
+        etas, rho = _series_weights(p, q, a)
+        split = J // 2 if balanced else J - digits_within(q, oracle.SERIES_TAIL_CAP)
+        head = _cross_sums([rho ** j * etas for j in range(1, split + 1)])
+        tail = _cross_sums([rho ** j * etas for j in range(split + 1, J + 1)])
+        pairs = np.abs(head[:, None] + tail[None, :]).ravel() ** p
+        reference = math.fsum(pairs) / pairs.size
+        assert _mean_abs_pow_series(head, tail, p) == pytest.approx(reference, rel=1e-15)
+
+    # J <= 3 leaves one head, 0.0, which is paired with every tail
+    @pytest.mark.parametrize("q, J", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("p", (1.2, 2.5))
+    def test_series_at_depths_below_the_tail(self, p, q, J):
+        etas, rho = _series_weights(p, q, None)
+        strings = _cross_sums([rho ** j * etas for j in range(1, J + 1)])
+        reference = math.fsum(np.abs(strings) ** p) / strings.size
+        assert variation_constant(p, q, J=J).value == pytest.approx(reference, rel=1e-15)
+
+    # heads at +-4B take the series with |v| = 1/4, its worst case; heads
+    # at 0.0 and inside the band are paired
+    @pytest.mark.parametrize("p", (1.2, 1.5, 2.5, 3.7, 15.5))
+    def test_series_at_the_band_edge_and_zero_heads(self, monkeypatch, p):
+        a = np.array([-9.0, -4.0, -3.5, 0.0, 0.0, 1.0, 4.0, 4.5, 300.0])
+        b = np.array([0.5, -1.0, 0.25, 1.0, -0.75])
+        paired = []
+
+        def counting(a, b, p):
+            paired.extend(a.tolist())
+            return _mean_abs_pow(a, b, p)
+
+        monkeypatch.setattr(oracle, "_mean_abs_pow", counting)
+        reference = math.fsum(np.abs(a[:, None] + b[None, :]).ravel() ** p) / (a.size * b.size)
+        assert _mean_abs_pow_series(a, b, p) == pytest.approx(reference, rel=1e-15)
+        assert paired == [-3.5, 0.0, 0.0, 1.0]
+
+    def test_series_blocks_the_heads(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=1000) * 8, rng.uniform(-1, 1, size=27)
+        whole = _mean_abs_pow_series(a, b, 2.5)
+        monkeypatch.setattr(oracle, "SERIES_BLOCK", 64)
+        assert _mean_abs_pow_series(a, b, 2.5) == pytest.approx(whole, rel=1e-15)
+
+    def test_series_memory_at_the_budget(self):
+        tracemalloc.start()
+        try:
+            variation_constant(1.5, 2, J=26)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 2**20 heads are 8.4 MB; pairing every string peaked at 33.7 MB
+        assert peak < 20e6
 
     @pytest.mark.parametrize("p", (3, 5))
     def test_power_sums_with_exact_ties(self, p):
