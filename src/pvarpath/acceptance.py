@@ -20,11 +20,11 @@ from .construct import (
     TARGET_DENSITIES,
     UniformMagnitudeSpec,
     bernstein,
+    increment_patterns,
     recipe,
     reference_path,
     sign_matrix,
     splice,
-    weight_patterns,
 )
 from .errors import ValidationError
 from .oracle import variation_constant
@@ -161,10 +161,7 @@ def criterion_5() -> CriterionResult:
     for spec in cases:
         x = reference_path(spec, n)
         observed = spec.q ** (n / spec.p) * x.increments()
-        D, sigma = weight_patterns(spec, n)
-        w = sigma * spec.eta_values()[D]
-        coef = np.array([spec.rho ** j for j in range(1, n + 1)])
-        series = w @ coef
+        _, series = increment_patterns(spec, n)
         worst = max(worst, float(np.max(np.abs(series - observed))))
     ok = worst <= 1e-12
     return _result(5, "increment series identity", 5.0, t0, ok,

@@ -74,22 +74,28 @@ class FunctionWithDerivatives:
     @classmethod
     def polynomial(cls, coefficients) -> "FunctionWithDerivatives":
         """All derivatives of a polynomial given finite ascending coefficients,
-        whose derivative coefficients must be finite too."""
+        whose derivative coefficients must be finite too.  Trailing zeros are
+        dropped, and the last derivative c_d * d!, which overflows past degree
+        about 300, is checked before the degree**2 / 2 chain floats are built.
+        """
         coeffs = np.asarray(coefficients, dtype=np.float64)
         if not np.all(np.isfinite(coeffs)):
             raise ValidationError(
-                f"polynomial coefficients must be finite, got {coeffs.tolist()}")
-        if coeffs.size == 0:
-            coeffs = np.zeros(1)
+                f"polynomial coefficients must be finite, got {coeffs[~np.isfinite(coeffs)][0]} "
+                f"in the degree-{coeffs.size - 1} polynomial")
+        nonzero = np.flatnonzero(coeffs)
+        coeffs = coeffs[:nonzero[-1] + 1] if nonzero.size else np.zeros(1)
+        overflow = ValidationError(
+            f"derivatives of the degree-{coeffs.size - 1} polynomial overflow float64")
+        if not math.isfinite(math.prod(range(coeffs.size - 1, 0, -1), start=float(coeffs[-1]))):
+            raise overflow
         chains = [coeffs]
         with np.errstate(over="ignore"):
             while chains[-1].size > 1:
                 c = chains[-1]
                 chains.append(c[1:] * np.arange(1, c.size))
-        if not all(np.all(np.isfinite(c)) for c in chains):
-            raise ValidationError(
-                f"derivatives of the polynomial with coefficients {coeffs.tolist()} "
-                "overflow float64")
+                if not np.all(np.isfinite(chains[-1])):
+                    raise overflow
         funcs = [
             (lambda cc: (lambda v: np.polynomial.polynomial.polyval(v, cc)))(c)
             for c in chains
@@ -103,12 +109,15 @@ class FunctionWithDerivatives:
 
 
 def _check_even_order(p) -> int:
-    if not (float(p).is_integer() and int(p) >= 2 and int(p) % 2 == 0):
-        raise ValidationError(
-            f"compensated sums are defined for even integer p, got {p}; "
-            "noninteger orders are out of scope"
-        )
-    return int(p)
+    if not float(p).is_integer():
+        reason = "noninteger orders are out of scope"
+    elif int(p) % 2:
+        reason = "an odd p needs the signed p-th variation, which is not implemented"
+    elif int(p) >= 2:
+        return int(p)
+    else:
+        reason = "p must be at least 2"
+    raise ValidationError(f"compensated sums are defined for even integer p, got {p}; {reason}")
 
 
 _BLOCK = 1 << 16  # grid points per block of the Taylor terms and the residual

@@ -83,8 +83,21 @@ def _manifest(args: argparse.Namespace, extra: dict | None = None) -> dict:
     return {"config": config, "config_hash": serialize.config_hash(config)}
 
 
+def _numbers(text: str, flag: str) -> tuple:
+    """The comma-separated numbers given to ``flag``, which names an empty or
+    bad item; the manifest records the flag's text."""
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(float(item))
+        except ValueError:
+            shown = item if item.strip() else repr(item)   # an empty item would vanish
+            raise ValidationError(f"{flag} takes comma-separated numbers, got {shown}") from None
+    return tuple(values)
+
+
 def _weights_from_args(args: argparse.Namespace):
-    return tuple(float(v) for v in args.a.split(",")) if args.a else None
+    return None if args.a is None else _numbers(args.a, "--a")
 
 
 def _spec_from_args(args: argparse.Namespace) -> UniformMagnitudeSpec:
@@ -203,6 +216,7 @@ def _cmd_recipe(args) -> int:
 
 
 def _cmd_ito(args) -> int:
+    f = FunctionWithDerivatives.polynomial(_numbers(args.f, "--f"))
     path, input_hash = _load(args.input, serialize.path_from_dict)
     if args.level is not None:
         if args.level > path.level:
@@ -210,8 +224,6 @@ def _cmd_ito(args) -> int:
                 f"artifact holds level {path.level}, cannot evaluate at level {args.level}"
             )
         path = path.restrict(args.level)
-    coeffs = [float(v) for v in args.f.split(",")]
-    f = FunctionWithDerivatives.polynomial(coeffs)
     report = change_of_variable_residual(f, path, args.p)
     _write_all([
         (args.output, lambda stream: serialize.write_residual_csv(

@@ -35,7 +35,6 @@ from .partition import (
     MAX_INTERVALS_ENV,
     PartitionGrid,
     check_interval_budget,
-    digits_matrix,
     digits_within,
     interval_budget,
     qadic_grid,
@@ -136,23 +135,36 @@ def reference_path(spec: UniformMagnitudeSpec, n: int) -> SampledPath:
 
 
 # ---------------------------------------------------------------------------
-# Weight patterns and the sign/digit matrix
+# Weight patterns and the sign/digit bijection
 # ---------------------------------------------------------------------------
 
 
-def weight_patterns(spec: UniformMagnitudeSpec, n: int, ks=None) -> tuple[np.ndarray, np.ndarray]:
-    """Digits and signs behind the series weights of level-``n`` increments.
+def increment_patterns(spec: UniformMagnitudeSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Codes and scaled increments of every level-``n`` increment k.
 
-    Returns (D, sigma), both (len(ks), n) with column j-1 for level n-j:
-    D holds d_j(k) and sigma holds sigma_{n-j}[k // q**j], the sign of the
-    coefficient whose tent spans increment k.  The weights are
-    w = sigma * eta[D].  ``ks`` defaults to every increment.
+    ``series[k]`` is sum_j rho**j w_j(k).  ``codes[k]`` is sum_j e_j q**(j-1),
+    with e_j = d_j(k), or q-1-d_j(k) where sigma_{n-j}[k // q**j] = -1, since
+    sigma * eta_d = eta_{q-1-d} (eta = (1, -1) at q = 2, and q >= 3 has no -1
+    signs): a code names its pattern (w_1(k), ..., w_n(k)).  Both are built
+    one digit at a time from the coarsest level, in the refinement order of
+    ``synthesize``, and the budget is checked before any sign is drawn.
     """
-    q = spec.q
-    ks = np.arange(q ** n, dtype=np.int64) if ks is None else np.asarray(ks, dtype=np.int64)
-    signs = spec.sign_arrays(n)
-    sigma = np.stack([signs[n - j][ks // q ** j] for j in range(1, n + 1)], axis=1)
-    return digits_matrix(n, q, ks), sigma
+    if n < 1:
+        raise ValidationError(f"level n must be >= 1, got {n}")
+    n_max = digits_within(spec.q, SIGN_MATRIX_BUDGET)
+    if n > n_max:
+        raise BudgetError(
+            f"increment patterns at level {n} for q={spec.q} exceed the budget of "
+            f"{SIGN_MATRIX_BUDGET}; the largest level allowed is {n_max}"
+        )
+    q, eta, digits = spec.q, spec.eta_values(), np.arange(spec.q, dtype=np.int64)
+    codes, series = np.zeros(1, dtype=np.int64), np.zeros(1)
+    for m, sigma in enumerate(spec.sign_arrays(n)):
+        j = n - m
+        effective = np.where((sigma > 0)[:, None], digits, q - 1 - digits)
+        codes = (codes[:, None] + effective * q ** (j - 1)).ravel()
+        series = (series[:, None] + sigma[:, None] * (spec.rho ** j * eta)).ravel()
+    return codes, series
 
 
 @dataclass(frozen=True)
@@ -169,22 +181,8 @@ def sign_matrix(spec: UniformMagnitudeSpec, n: int) -> SignMatrixReport:
     and that the level-n variation of the synthesized path equals the
     average of |sum_j rho^j w_j|^p over all enumerated patterns.
     """
-    n_max = digits_within(spec.q, SIGN_MATRIX_BUDGET)
-    if n > n_max:
-        raise BudgetError(
-            f"sign matrix at level {n} for q={spec.q} exceeds the budget of "
-            f"{SIGN_MATRIX_BUDGET} rows; the largest level allowed is {n_max}"
-        )
-    if n < 1:
-        raise ValidationError(f"level n must be >= 1, got {n}")
-    q = spec.q
-    D, sigma = weight_patterns(spec, n)
-    # sigma * eta_d = eta_{q-1-d} when sigma = -1 (q = 2, eta = (1, -1));
-    # sigma is +1 for q >= 3, so the pattern is indexed by its digits
-    effective = np.where(sigma > 0, D, q - 1 - D)
-    codes = effective @ (q ** np.arange(n, dtype=np.int64))
-    order = np.sort(codes)
-    bijection = bool(np.array_equal(order, np.arange(q ** n)))
+    codes, _ = increment_patterns(spec, n)
+    bijection = bool(np.array_equal(np.sort(codes), np.arange(spec.q ** n)))
     distinct = int(np.unique(codes).size)
 
     weights = [spec.rho ** j * spec.eta_values() for j in range(1, n + 1)]
@@ -275,11 +273,11 @@ def shifted_reference(x: SampledPath, shift: float) -> SampledPath:
 
 
 def bernstein(z, degree: int, grid: PartitionGrid) -> SampledPath:
-    """Degree-``degree`` Bernstein polynomial of ``z`` sampled on ``grid``.
+    """Degree-``degree`` Bernstein polynomial of the callable ``z``, which is
+    evaluated at the nodes k/degree, sampled on ``grid``.
 
-    ``z`` may be a callable or a SampledPath (linearly interpolated at the
-    nodes k/degree).  Evaluation folds convex combinations in place, which
-    is numerically stable and reproduces constants bitwise.  The work array
+    Evaluation folds convex combinations in place, which is numerically
+    stable and reproduces constants bitwise.  The work array
     of ``(degree + 1) * grid.size`` entries may hold at most the
     interval budget.
     """
@@ -292,11 +290,7 @@ def bernstein(z, degree: int, grid: PartitionGrid) -> SampledPath:
             f"degree {degree} on {grid.size} points needs a {work}-entry work array; "
             f"budget is {budget} (override with {MAX_INTERVALS_ENV})"
         )
-    nodes = np.arange(degree + 1, dtype=np.float64) / degree
-    if callable(z):
-        zv = np.asarray(z(nodes), dtype=np.float64)
-    else:
-        zv = np.interp(nodes, z.grid.points, z.values)
+    zv = np.asarray(z(np.arange(degree + 1, dtype=np.float64) / degree), dtype=np.float64)
     t = grid.points
     b = np.repeat(zv[:, None], t.size, axis=1)
     for _ in range(degree):

@@ -1,4 +1,4 @@
-"""Dyadic/q-adic grids, q-refining tables and base-q digit tables.
+"""Dyadic/q-adic grids, q-refining tables and the base-q digit budget.
 
 A q-adic grid is its (q, level): its points i / q**level are computed from
 exact integer ratios when they are read, and every structural question
@@ -158,20 +158,6 @@ def qadic_level(q: int, intervals: int) -> int:
 def qadic_grid(q: int, n: int) -> PartitionGrid:
     """The level-``n`` grid {0, 1/q**n, ..., 1}; points are exact ratios."""
     return PartitionGrid(q, n)
-
-
-def digits_matrix(n: int, q: int, ks: np.ndarray | None = None) -> np.ndarray:
-    """Digit table for many indices at once: column j-1 holds d_j(k)."""
-    if ks is None:
-        ks = np.arange(q ** n, dtype=np.int64)
-    ks = np.asarray(ks, dtype=np.int64)
-    if ks.size and (ks.min() < 0 or ks.max() >= q ** n):
-        raise ValidationError("some indices out of range for the requested level")
-    out = np.empty((ks.size, n), dtype=np.int64)
-    rem = ks.copy()
-    for j in range(n):
-        rem, out[:, j] = np.divmod(rem, q)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,26 @@ class TestFunctionWithDerivatives:
         with pytest.raises(ValidationError, match="coefficients must be finite"):
             FunctionWithDerivatives.polynomial(coefficients)
 
+    def test_trailing_zeros_dropped(self):
+        f = FunctionWithDerivatives.polynomial([1.0, 2.0, 0.0, 0.0])
+        assert f.order == 1 and f.deriv(2)(3.0) == 0.0
+        assert FunctionWithDerivatives.polynomial([0.0, 0.0]).order == 0
+
+    def test_long_coefficient_lists_build_no_chains(self):
+        # the chains of a degree-1e5 polynomial would hold 5e9 floats
+        zeros = [0.0] * 10 ** 5
+        one_at_the_end = zeros + [1.0]
+        tracemalloc.start()
+        try:
+            assert FunctionWithDerivatives.polynomial(zeros).order == 0
+            with pytest.raises(ValidationError,
+                               match="derivatives of the degree-100000 polynomial overflow"):
+                FunctionWithDerivatives.polynomial(one_at_the_end)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6    # a coefficient array is 0.8 MB
+
     def test_explicit_derivatives_bounded(self):
         f = FunctionWithDerivatives(funcs=(np.sin, np.cos))
         with pytest.raises(ValidationError):
@@ -102,9 +122,9 @@ class TestFollmerSum:
 
     def test_odd_order_rejected(self):
         y = random_path()
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="got 3; an odd p needs the signed p-th"):
             follmer_sum(SQUARE, y, 3)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="got 2.5; noninteger orders are out of scope"):
             follmer_sum(SQUARE, y, 2.5)
 
 

@@ -372,11 +372,18 @@ class TestIto:
         assert manifest["config"]["sup_residual"] <= 1e-12
         assert res.read_text().startswith("t,residual\n")
 
-    def test_odd_order_rejected(self, tmp_path):
+    @pytest.mark.parametrize("p, reason", [
+        ("3", "an odd p needs the signed p-th variation, which is not implemented"),
+        ("1.5", "noninteger orders are out of scope"),
+    ], ids=["odd", "noninteger"])
+    def test_odd_order_rejected(self, tmp_path, capsys, p, reason):
         ref = tmp_path / "ref.json"
         assert run(["build", "--levels", "6", "-o", str(ref)]) == 0
-        assert run(["ito", str(ref), "--f", "0,0,1", "--p", "3",
+        assert run(["ito", str(ref), "--f", "0,0,1", "--p", p,
                     "-o", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: compensated sums are defined for even integer p, "
+                       f"got {float(p)}; {reason}\n"), err
 
 
 class TestTimechange:
@@ -654,6 +661,26 @@ class TestUsageErrors:
         assert err.count("\n") == 1 and message in err, err
         assert list(tmp_path.iterdir()) == [tmp_path / "x.json"]
 
+    # a number list that holds an item which is not a number, or no item at
+    # all, is refused with the flag's name; an empty --a used to mean the
+    # default weights
+    @pytest.mark.parametrize("argv, message", [
+        (["ito", "x.json", "--f", ""], "error: --f takes comma-separated numbers, got ''"),
+        (["ito", "x.json", "--f", "1,,2"], "error: --f takes comma-separated numbers, got ''"),
+        (["constant", "--q", "3", "--a", "1,x", "--p", "2"],
+         "error: --a takes comma-separated numbers, got x"),
+        (["build", "--q", "3", "--a", "", "--levels", "2"],
+         "error: --a takes comma-separated numbers, got ''"),
+    ], ids=["ito-f-empty", "ito-f-empty-item", "constant-a-word", "build-a-empty"])
+    def test_number_list_errors_name_the_flag(self, tmp_path, capsys, monkeypatch, argv,
+                                              message):
+        monkeypatch.chdir(tmp_path)
+        assert run(["build", "--levels", "2", "-o", "x.json"]) == 0
+        assert run([*argv, "-o", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err == message + "\n", err
+        assert list(tmp_path.iterdir()) == [tmp_path / "x.json"]
+
     # a float64 overflow is refused with one line naming its cause (the
     # exponent, the polynomial or the function) and no RuntimeWarning,
     # whichever form the input documents give their values in
@@ -663,7 +690,7 @@ class TestUsageErrors:
         (["analyze", "huge.json"], "the p=2.0 variation of this path overflows float64"),
         (["analyze", "wide.json", "--p", "4"], "the p=4.0 variation of this path overflows"),
         (["ito", "x.json", "--f", "0,1e308,1e308"],
-         "polynomial with coefficients [0.0, 1e+308, 1e+308] overflow float64"),
+         "derivatives of the degree-2 polynomial overflow float64"),
         (["ito", "wide.json", "--f", "0,0,0,0,1"],
          "the function f or one of its derivatives overflows float64"),
         (["timechange", "--mode", "recipe", "--exponent", "2000", "--levels", "4"],

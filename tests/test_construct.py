@@ -28,7 +28,7 @@ from pvarpath import (
     xi_profile,
 )
 from pvarpath import construct, oracle
-from pvarpath.construct import weight_patterns
+from pvarpath.construct import increment_patterns
 from pvarpath.oracle import (
     MC_CHUNK,
     _cross_sums,
@@ -491,24 +491,45 @@ class TestEnumerationKernel:
         assert _mean_abs_pow_binomial(a, b, p) == direct
 
 
-def series_increments(spec, n, ks=None):
-    """sum_j rho**j w_j(k) for each k, from the weight patterns."""
-    D, sigma = weight_patterns(spec, n, ks)
-    coef = np.array([spec.rho ** j for j in range(1, n + 1)])
-    return (sigma * spec.eta_values()[D]) @ coef
+def formula_patterns(spec, n):
+    """Codes and series of every level-n increment k from its divmod digits
+    d_j(k) and the signs sigma_{n-j}[k // q**j], one k at a time."""
+    q, eta, signs = spec.q, spec.eta_values(), spec.sign_arrays(n)
+    codes, series = [], []
+    for k in range(q ** n):
+        code, total, rest = 0, 0.0, k
+        for j in range(1, n + 1):
+            rest, d = divmod(rest, q)
+            sigma = int(signs[n - j][k // q ** j])
+            code += (d if sigma > 0 else q - 1 - d) * q ** (j - 1)
+            total += spec.rho ** j * sigma * eta[d]
+        codes.append(code)
+        series.append(total)
+    return np.array(codes), np.array(series)
+
+
+PATTERN_SPECS = [
+    UniformMagnitudeSpec(q=2, p=2.0),
+    UniformMagnitudeSpec(q=2, p=3.0, signs=13),
+    UniformMagnitudeSpec(q=3, p=2.0, a=(1.0, 1.0)),
+    UniformMagnitudeSpec(q=3, p=2.5, a=(1.0, -2.0)),
+    UniformMagnitudeSpec(q=4, p=4.0, a=(1.0, -0.5, 2.0)),
+]
 
 
 class TestIncrementDecomposition:
-    def test_first_level_all_plus(self):
-        spec = UniformMagnitudeSpec(q=2, p=2.0)
-        assert series_increments(spec, 1, [0])[0] == pytest.approx(2.0 ** 0.5 * 0.5, rel=1e-15)
+    @pytest.mark.parametrize("spec", PATTERN_SPECS, ids=lambda s: f"q{s.q}-{s.signs}-{s.a}")
+    def test_pyramid_matches_digit_formula(self, spec):
+        for n in range(1, {2: 9, 3: 7, 4: 6}[spec.q]):
+            codes, series = increment_patterns(spec, n)
+            want_codes, want_series = formula_patterns(spec, n)
+            assert codes.dtype == np.int64
+            np.testing.assert_array_equal(codes, want_codes)
+            assert np.max(np.abs(series - want_series)) <= 1e-15
 
-    def test_ternary_digits_drive_weights(self):
-        spec = UniformMagnitudeSpec(q=3, p=2.0, a=(1.0, 1.0))
-        D, sigma = weight_patterns(spec, 5, [71])
-        assert D.tolist() == [[2, 2, 1, 2, 0]]
-        etas = spec.eta_values()
-        np.testing.assert_allclose(sigma[0] * etas[D[0]], etas[[2, 2, 1, 2, 0]], rtol=1e-15)
+    def test_first_level_all_plus(self):
+        _, series = increment_patterns(UniformMagnitudeSpec(q=2, p=2.0), 1)
+        assert series[0] == pytest.approx(2.0 ** 0.5 * 0.5, rel=1e-15)
 
     @pytest.mark.parametrize(
         "spec",
@@ -522,7 +543,19 @@ class TestIncrementDecomposition:
         n = 8
         x = reference_path(spec, n)
         scaled = spec.q ** (n / spec.p) * x.increments()
-        assert np.max(np.abs(series_increments(spec, n) - scaled)) <= 1e-12
+        _, series = increment_patterns(spec, n)
+        assert np.max(np.abs(series - scaled)) <= 1e-12
+
+    def test_budget_refused_before_signs_are_drawn(self, monkeypatch):
+        drawn, draw = [], UniformMagnitudeSpec.sign_arrays
+        monkeypatch.setattr(UniformMagnitudeSpec, "sign_arrays",
+                            lambda spec, n: drawn.append(n) or draw(spec, n))
+        spec = UniformMagnitudeSpec(q=2, p=2.0, signs=5)
+        with pytest.raises(BudgetError, match="the largest level allowed is 20"):
+            increment_patterns(spec, 21)
+        assert drawn == []
+        increment_patterns(spec, 3)
+        assert drawn == [3]
 
 
 class TestSignMatrix:
@@ -687,10 +720,9 @@ class TestBernstein:
         out = bernstein(lambda t: t, 32, grid)
         assert np.max(np.abs(out.values - grid.points)) <= 1e-13
 
-    def test_sampled_path_input(self):
+    def test_interpolated_samples_input(self):
         grid = qadic_grid(2, 6)
-        z = SampledPath(grid=grid, values=grid.points ** 2)
-        out = bernstein(z, 8, grid)
+        out = bernstein(lambda t: np.interp(t, grid.points, grid.points ** 2), 8, grid)
         # degree-8 smoothing of t^2: exact value is t^2 + t(1-t)/8
         target = grid.points ** 2 + grid.points * (1 - grid.points) / 8
         assert np.max(np.abs(out.values - target)) <= 1e-12

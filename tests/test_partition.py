@@ -2,7 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from pvarpath import (
     BudgetError,
@@ -16,7 +15,7 @@ from pvarpath import (
     random_refining_table,
     variation_constant,
 )
-from pvarpath.partition import PartitionGrid, digits_matrix, digits_within, qadic_level
+from pvarpath.partition import PartitionGrid, digits_within, qadic_level
 from pvarpath.schauder import gamma_rows
 
 # every place that takes a branching factor q applies the one rule of
@@ -129,32 +128,6 @@ class TestComputedPoints:
             tracemalloc.stop()
         assert points.size == 2 ** 10 + 1
         assert peak < 1 << 20
-
-
-class TestDigits:
-    def test_ternary_71(self):
-        # 71 = 2 + 2*3 + 1*9 + 2*27 + 0*81
-        assert digits_matrix(5, 3, [71]).tolist() == [[2, 2, 1, 2, 0]]
-
-    def test_zero_index(self):
-        assert digits_matrix(4, 5, [0]).tolist() == [[0, 0, 0, 0]]
-
-    def test_binary_5(self):
-        assert digits_matrix(3, 2, [5]).tolist() == [[1, 0, 1]]
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            digits_matrix(3, 2, [8])
-        with pytest.raises(ValidationError):
-            digits_matrix(3, 2, [-1])
-
-    @given(q=st.integers(2, 5), n=st.integers(0, 8), data=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_round_trip(self, q, n, data):
-        k = data.draw(st.integers(0, q ** n - 1)) if n > 0 else 0
-        (dv,) = digits_matrix(n, q, [k]).tolist()
-        assert sum(d * q ** j for j, d in enumerate(dv)) == k
-        assert len(dv) == n
 
 
 class TestRefining:
