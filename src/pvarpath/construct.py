@@ -274,7 +274,9 @@ def shifted_reference(x: SampledPath, shift: float) -> SampledPath:
 
 def bernstein(z, degree: int, grid: PartitionGrid) -> SampledPath:
     """Degree-``degree`` Bernstein polynomial of the callable ``z``, which is
-    evaluated at the nodes k/degree, sampled on ``grid``.
+    evaluated at the nodes k/degree, sampled on ``grid``.  ``z`` must give
+    one finite value per node, ``degree + 1`` in all; anything else raises
+    ``ValidationError``.
 
     Evaluation folds convex combinations in place, which is numerically
     stable and reproduces constants bitwise.  The work array
@@ -291,6 +293,10 @@ def bernstein(z, degree: int, grid: PartitionGrid) -> SampledPath:
             f"budget is {budget} (override with {MAX_INTERVALS_ENV})"
         )
     zv = np.asarray(z(np.arange(degree + 1, dtype=np.float64) / degree), dtype=np.float64)
+    if zv.shape != (degree + 1,) or not np.isfinite(zv).all():
+        raise ValidationError(
+            f"z must give degree + 1 = {degree + 1} finite values at the nodes k/{degree}, "
+            f"got {zv!r}")
     t = grid.points
     b = np.repeat(zv[:, None], t.size, axis=1)
     for _ in range(degree):

@@ -48,8 +48,8 @@ from .partition import digits_within
 from .schauder import eta_all
 
 ENUMERATION_BUDGET = 2 ** 26
-MC_TABLE_CAP = 4096      # entries in one Monte Carlo digit-block table
-MC_CHUNK = 1 << 16       # samples drawn and accumulated at a time
+MC_TABLE_CAP = 1 << 16   # entries in one Monte Carlo digit-block table
+MC_CHUNK = 1 << 16       # most samples drawn and accumulated at a time
 POWER_SUM_MAX_P = 16     # largest p enumerated by binomial power sums or series
 SERIES_TAIL_CAP = 64     # most tail strings a head's binomial series sums over
 SERIES_BLOCK = 1 << 16   # heads summed at a time by the binomial series
@@ -278,14 +278,22 @@ def _constant_monte_carlo(p, q, etas, rho, N, seed) -> VariationConstant:
     each holding >= 64 samples unless N < 128 makes one stratum); sample i
     belongs to stratum i mod S.  The next Jt digits are sampled, with Jt
     chosen so the dropped tail costs at most 1e-10.  Those digits are drawn
-    in blocks of k, where q**k <= MC_TABLE_CAP: each block has a table of
-    its q**k cross sums (a short last block is padded with zero-weight
-    digits, which repeats its table), and one uniform index into the table
-    is k independent uniform digits.  So the estimator and its distribution
-    are those of drawing digit by digit, at about Jt/k draws per sample.
-    Per-stratum sums and sums of squares are accumulated one 2**16-sample
-    chunk at a time, so memory does not grow with N.  A seed's stream is not
-    that of the earlier digit-by-digit sampler.
+    in blocks of k, the largest k with q**k <= MC_TABLE_CAP = 2**16 (k = 16
+    at q = 2, 10 at q = 3): each block has a table of its q**k cross sums,
+    the cross sum of the tables of its two halves (a short last block is
+    padded with zero-weight digits, which repeats its table), and one
+    uniform index into the table is k independent uniform digits; where
+    q**k is 2**16, an index is 16 raw bits.  So the estimator and its
+    distribution are those of drawing digit by digit, at about Jt/k draws
+    per sample (4 at p = 1.5, q = 2 and 3).
+
+    Samples go stratum-major, rows x S at a time with rows = MC_CHUNK // S:
+    column s of a chunk is stratum s, so the heads are added by broadcasting
+    and the per-stratum sums and sums of squares are column sums.  A short
+    last chunk ends in a partial row, whose padded samples are zeroed after
+    the power.  Memory does not grow with N.  A seed's stream is neither
+    that of the digit-by-digit sampler nor that of the sample-major one with
+    4096-entry tables that followed it.
     """
     if N < 2:
         raise ValidationError(f"a standard error needs N >= 2 samples, got {N}")
@@ -305,23 +313,30 @@ def _constant_monte_carlo(p, q, etas, rho, N, seed) -> VariationConstant:
     k = max(1, digits_within(q, MC_TABLE_CAP))   # digits per table block
     digit_weights = [rho ** j * etas for j in range(J0 + 1, J0 + Jt + 1)]
     digit_weights += [np.zeros(q)] * (-Jt % k)
-    tables = [_cross_sums(digit_weights[b:b + k]) for b in range(0, len(digit_weights), k)]
+    # a table is the cross sum of its two halves' tables, so the step that
+    # fills its q**k entries adds rows of about q**(k/2) of them, not of q
+    tables = [_cross_sums([_cross_sums(digit_weights[b:b + k // 2]),
+                           _cross_sums(digit_weights[b + k // 2:b + k])])
+              for b in range(0, len(digit_weights), k)]
+    # where q**k is 2**16, a uniform index is 16 raw bits, the cheapest draw
+    index_type = np.uint16 if q ** k == 1 << 16 else np.int64
     rng = np.random.default_rng(seed)
     sums = np.zeros(S)
     sumsq = np.zeros(S)
-    cycle = np.arange(MC_CHUNK + S) % S   # sample start + i is in stratum cycle[start % S + i]
-    for start in range(0, N, MC_CHUNK):
-        size = min(N, start + MC_CHUNK) - start
-        strata = cycle[start % S:start % S + size]
-        draws = rng.integers(0, q ** k, size=(len(tables), size))
-        z = heads[strata]
-        for table, idx in zip(tables, draws):
+    rows = max(1, MC_CHUNK // S)   # a chunk is rows x S samples; column s is stratum s
+    for start in range(0, N, rows * S):
+        size = min(N, start + rows * S) - start
+        draws = rng.integers(0, q ** k, size=(len(tables), -(-size // S), S), dtype=index_type)
+        z = tables[0].take(draws[0])
+        z += heads
+        for table, idx in zip(tables[1:], draws[1:]):
             z += table.take(idx)
         np.abs(z, out=z)
         z **= p
-        sums += np.bincount(strata, weights=z, minlength=S)
+        z.reshape(-1)[size:] = 0.0   # the padded tail of a short last row
+        sums += z.sum(axis=0)
         z *= z
-        sumsq += np.bincount(strata, weights=z, minlength=S)
+        sumsq += z.sum(axis=0)
     counts = np.full(S, N // S, dtype=np.int64)
     counts[: N % S] += 1
     means = sums / counts
@@ -404,22 +419,27 @@ def variation_constant(
     relative for integer p <= 16, the series by 4.4e-16 and the pairwise
     sum by 3.8e-16.  The power-sum error grows about linearly in p, past
     p = 1029 the binomial coefficients overflow float64, and the series
-    coefficients C(p, k) 4**-k grow with p, hence the cap; for 16 < p <= 100
-    the default ``tol`` needs J <= 18 at q = 2 (and less at larger q), so
-    pairing there costs milliseconds.  The expansions are of power sums of
-    the enumerated cross sums, not of digit moments, so "exact" and
-    "closed" still check each other through two different algebras.  A
-    result whose ``error_bound`` is not below its ``value`` says so with
+    coefficients C(p, k) 4**-k grow with p, hence the cap.  For 16 < p <=
+    100 the default ``tol`` needs J <= 18 at q = 2 (and less at larger q),
+    so pairing there costs milliseconds.  J keeps growing with p: at p =
+    1000 it is 21, and at p = 3000 it is 23, whose 2**23 pairs take most of
+    a second.  The expansions are of power sums of the enumerated cross
+    sums, not of digit moments, so "exact" and "closed" still check each
+    other through two different algebras.  A result whose ``error_bound``
+    is not below its ``value`` says so with
     ``details["bound_not_below_value"] = True``.  A moment that overflows
     float64 or underflows to 0.0, a truncation bound or a Monte Carlo
     standard error that overflows raises ``ValidationError``.
 
     Monte Carlo draws its sampled digits in blocks of k, one uniform index
     per block into a table of the block's q**k cross sums (q**k <=
-    MC_TABLE_CAP = 4096), and accumulates per-stratum sums one chunk at a
-    time, so its memory does not depend on N.  The estimator and its
-    distribution are those of digit-by-digit draws, but the values a seed
-    gives differ from those of earlier releases, which drew digit by digit.
+    MC_TABLE_CAP = 2**16: k = 16 at q = 2 and 10 at q = 3), and lays each
+    chunk of samples out stratum-major, rows x strata, accumulating
+    per-stratum sums one chunk at a time, so its memory does not depend on
+    N.  The estimator and its distribution are those of digit-by-digit
+    draws, but the values a seed gives differ from those of earlier
+    releases: the digit-by-digit sampler, and then the sample-major one with
+    4096-entry tables.
     """
     check_exponent(p)
     if not (math.isfinite(tol) and tol > 0):

@@ -378,13 +378,13 @@ class TestMonteCarloSampler:
         assert first.details["strata"] == (1 if N < 128 else 1024)
         assert math.isfinite(first.value) and first.stderr > 0.0
 
-    # values of the sampler that rebuilt its strata every chunk, pinned: the
-    # strata offset moves from chunk to chunk at q = 3 (729 strata), not at
-    # q = 2 (1024); N = 200000 spans three full 2**16-sample chunks and a
-    # partial one
+    # values of the stratum-major sampler with 2**16-entry tables, pinned: a
+    # chunk is 64 rows of 1024 samples at q = 2 and 89 rows of 729 at q = 3,
+    # so N = 200000 spans three full chunks and a partial one ending in a
+    # partial row
     @pytest.mark.parametrize("q, value, stderr", [
-        (2, 1.3021952407372677, 0.0004465738999578847),
-        (3, 1.3956940611410324, 0.0005353711346524843),
+        (2, 1.30222140648678, 0.00044522077823706157),
+        (3, 1.3950712252407358, 0.0005333901391823684),
     ])
     def test_seed_gives_pinned_values(self, q, value, stderr):
         rep = variation_constant(1.5, q, method="mc", N=200_000, seed=1)
@@ -396,6 +396,29 @@ class TestMonteCarloSampler:
             tracemalloc.start()
             try:
                 variation_constant(1.5, 2, method="mc", N=N, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4_000_000) <= 1.1 * peak(1_000_000)
+
+    # at q = 3 a chunk is 89 rows of 729 strata: 729 * 89 + 1 is a full chunk
+    # and a one-sample one, 729 * 64 + 5 one chunk ending in a 5-sample row;
+    # a padded sample left in the sums would move the value by 1/89 to 1/64
+    @pytest.mark.parametrize("N", (729 * 89 + 1, 729 * 64 + 5))
+    def test_partial_rows_and_chunks(self, exact, N):
+        args, _ = self.CASES["q3-a12-p3"]
+        mc = variation_constant(**args, method="mc", N=N, seed=0)
+        assert mc.details["strata"] == 729
+        assert math.isfinite(mc.value) and mc.stderr > 0.0
+        ref = exact["q3-a12-p3"]
+        assert abs(mc.value - ref.value) <= 4 * mc.stderr + ref.error_bound
+
+    def test_memory_does_not_grow_with_samples_at_q3(self):
+        def peak(N):
+            tracemalloc.start()
+            try:
+                variation_constant(1.5, 3, method="mc", N=N, seed=0)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -736,6 +759,16 @@ class TestBernstein:
             out = bernstein(lambda t: np.interp(t, nodes, zv), degree, grid)
             quot = holder_quotient(out, 0.5)
             assert quot <= (2 * degree + 1) * np.max(np.abs(zv))
+
+    @pytest.mark.parametrize("z", [
+        lambda t: 0.7,
+        lambda t: t[:2],
+        lambda t: np.append(t, 1.0),
+        lambda t: np.where(t == 0.5, np.nan, t),
+    ], ids=["0-d", "2-values", "6-values", "nan"])
+    def test_callable_must_give_one_finite_value_per_node(self, z):
+        with pytest.raises(ValidationError, match=r"degree \+ 1 = 5 finite values"):
+            bernstein(z, 4, qadic_grid(2, 3))
 
     def test_budget_checked_before_allocating(self, monkeypatch):
         grid = qadic_grid(2, 8)
