@@ -321,7 +321,7 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
                    help="dyadic coefficient signs")
     p.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
     p.add_argument("--a", type=str, default=None,
-                   help="comma-separated branch weights for q >= 3 (default all ones)")
+                   help="comma-separated branch weights (default all ones)")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -3,7 +3,7 @@
 The reference construction fixes one magnitude per level,
 c_m = q**(m(1/2 - 1/p)), which normalizes the level diagnostic to 1, and
 spreads it over all positions: theta_m[k, l] = c_m * sigma_m[k] * a_l, with
-branch weights a (a = (1,) for q = 2) and per-position signs sigma (free
+q-1 branch weights a (default all ones) and per-position signs sigma (free
 for q = 2, all +1 for q >= 3).  Read at grid level n, only the levels
 m < n count.  Scaled increments of such a path are partial sums of a
 geometric series with sign/digit-dependent terms:
@@ -12,8 +12,8 @@ geometric series with sign/digit-dependent terms:
 
 with rho = q**-(1-1/p) and the single weight
 formula w_j(k) = sigma_{n-j}[k // q**j] * eta_{d_j(k)}, where d_j(k) is the
-j-th base-q digit of k and eta_d = sum_l a_l gamma[l, d] (eta = (1, -1) for
-q = 2).  Because k -> (w_1(k), ..., w_n(k)) enumerates all possibilities
+j-th base-q digit of k and eta_d = sum_l a_l gamma[l, d] (eta = (a_1, -a_1)
+for q = 2).  Because k -> (w_1(k), ..., w_n(k)) enumerates all possibilities
 exactly once, level sums equal expectations over independent uniform
 digits, and the limiting slope of the variation is the p-th absolute moment
 of the full series, computed in ``oracle``.
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ValidationError, check_branching, check_exponent
-from .oracle import VariationConstant, _branch_weights, _cross_sums, variation_constant
+from .oracle import VariationConstant, variation_constant
 from .partition import (
     MAX_INTERVALS_ENV,
     PartitionGrid,
@@ -64,10 +64,9 @@ class UniformMagnitudeSpec:
     It holds no level: ``build_reference`` and ``reference_path`` take the
     grid level n and build the levels m < n only.  ``signs`` is "plus" or an
     integer seed of random per-position signs; ``a`` holds the q-1 branch
-    weights (default all ones).  q = 2 takes no weights (a = (1,)), and
-    q >= 3 takes no signs: a sign flip permutes the two dyadic child values
-    but not the q >= 3 ones, and the bijection behind the variation constant
-    needs that permutation.
+    weights (default all ones).  q >= 3 takes no signs: a sign flip permutes
+    the two dyadic child values but not the q >= 3 ones, and the bijection
+    behind the variation constant needs that permutation.
     """
 
     q: int = 2
@@ -81,14 +80,11 @@ class UniformMagnitudeSpec:
         if not (isinstance(self.signs, (int, np.integer))
                 or isinstance(self.signs, str) and self.signs == "plus"):
             raise ValidationError("signs must be 'plus' or an integer seed")
-        if self.q == 2 and self.a is not None:
-            raise ValidationError("branch weights apply only to q >= 3")
-        if self.q >= 3:
-            a = tuple(float(v) for v in (self.a if self.a is not None else np.ones(self.q - 1)))
-            eta_all(a, self.q)
-            object.__setattr__(self, "a", a)
-            if self.signs != "plus":
-                raise ValidationError("random signs apply only to q = 2")
+        a = tuple(float(v) for v in (self.a if self.a is not None else np.ones(self.q - 1)))
+        eta_all(a, self.q)
+        object.__setattr__(self, "a", a)
+        if self.q >= 3 and self.signs != "plus":
+            raise ValidationError("random signs apply only to q = 2")
 
     @property
     def rho(self) -> float:
@@ -98,8 +94,8 @@ class UniformMagnitudeSpec:
         return self.q ** (m * (0.5 - 1.0 / self.p))
 
     def eta_values(self) -> np.ndarray:
-        """The q per-child values eta_d driven by digits; (1, -1) when q = 2."""
-        return eta_all(_branch_weights(self.q, self.a), self.q)
+        """The q per-child values eta_d driven by digits; (a_1, -a_1) when q = 2."""
+        return eta_all(self.a, self.q)
 
     def sign_arrays(self, n: int) -> list:
         """Per-level +-1 arrays sigma_m of length q**m for m < n; deterministic
@@ -122,8 +118,7 @@ class UniformMagnitudeSpec:
 def build_reference(spec: UniformMagnitudeSpec, n: int) -> CoefficientArray:
     """Coefficient levels m < n of the reference path: theta_m[k, l] = c_m * sigma_m[k] * a_l."""
     check_interval_budget(spec.q, n)
-    a = _branch_weights(spec.q, spec.a)
-    levels = [spec.c(m) * np.outer(signs, a) for m, signs in enumerate(spec.sign_arrays(n))]
+    levels = [spec.c(m) * np.outer(signs, spec.a) for m, signs in enumerate(spec.sign_arrays(n))]
     for level in levels:
         level.setflags(write=False)
     return CoefficientArray(q=spec.q, boundary=(0.0, 0.0), levels=tuple(levels))
@@ -144,8 +139,8 @@ def increment_patterns(spec: UniformMagnitudeSpec, n: int) -> tuple[np.ndarray, 
 
     ``series[k]`` is sum_j rho**j w_j(k).  ``codes[k]`` is sum_j e_j q**(j-1),
     with e_j = d_j(k), or q-1-d_j(k) where sigma_{n-j}[k // q**j] = -1, since
-    sigma * eta_d = eta_{q-1-d} (eta = (1, -1) at q = 2, and q >= 3 has no -1
-    signs): a code names its pattern (w_1(k), ..., w_n(k)).  Both are built
+    sigma * eta_d = eta_{q-1-d} (eta = (a_1, -a_1) at q = 2, and q >= 3 has no
+    -1 signs): a code names its pattern (w_1(k), ..., w_n(k)).  Both are built
     one digit at a time from the coarsest level, in the refinement order of
     ``synthesize``, and the budget is checked before any sign is drawn.
     """
@@ -170,7 +165,6 @@ def increment_patterns(spec: UniformMagnitudeSpec, n: int) -> tuple[np.ndarray, 
 @dataclass(frozen=True)
 class SignMatrixReport:
     bijection: bool
-    distinct: int
     gap: float
 
 
@@ -178,19 +172,15 @@ def sign_matrix(spec: UniformMagnitudeSpec, n: int) -> SignMatrixReport:
     """Exhaustively verify the weight-pattern bijection at level ``n``.
 
     Checks that k -> (w_1(k), ..., w_n(k)) hits every pattern exactly once,
-    and that the level-n variation of the synthesized path equals the
-    average of |sum_j rho^j w_j|^p over all enumerated patterns.
+    and that the level-n variation of the synthesized path equals the exact
+    oracle truncated at J = n, the average of |sum_{j<=n} rho^j W_j|^p over
+    all q**n digit strings.
     """
     codes, _ = increment_patterns(spec, n)
     bijection = bool(np.array_equal(np.sort(codes), np.arange(spec.q ** n)))
-    distinct = int(np.unique(codes).size)
-
-    weights = [spec.rho ** j * spec.eta_values() for j in range(1, n + 1)]
-    sums = _cross_sums(weights)
-    expected = float(np.mean(np.abs(sums) ** spec.p))
-    path = reference_path(spec, n)
-    observed = pvar_profile(path, spec.p, eval_level=0).terminal
-    return SignMatrixReport(bijection=bijection, distinct=distinct, gap=abs(observed - expected))
+    expected = variation_constant(spec.p, spec.q, spec.a, J=n).value
+    observed = pvar_profile(reference_path(spec, n), spec.p, eval_level=0).terminal
+    return SignMatrixReport(bijection=bijection, gap=abs(observed - expected))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +224,7 @@ def recipe(hprime, spec: UniformMagnitudeSpec, n: int) -> RecipeResult:
     if not (np.all(np.isfinite(hp)) and np.all(hp >= 0)):
         raise ValidationError("hprime samples must be finite and nonnegative")
     c = variation_constant(spec.p, spec.q, spec.a, method="exact")
-    if not c.error_bound < c.value:
+    if c.details.get("bound_not_below_value"):
         raise BudgetError(
             f"the p={spec.p:g} constant for q={spec.q} is {c.value:.3g} with error bound "
             f"{c.error_bound:.3g}; the recipe divides by it and needs a bound below the value"

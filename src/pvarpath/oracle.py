@@ -72,12 +72,9 @@ class VariationConstant:
     details: dict = field(default_factory=dict)
 
 
-def _branch_weights(q: int, a) -> np.ndarray:
-    return np.ones(q - 1) if a is None else np.asarray(a, dtype=np.float64)
-
-
 def _series_weights(p: float, q: int, a) -> tuple[np.ndarray, float]:
-    return eta_all(_branch_weights(q, a), q), q ** -(1.0 - 1.0 / p)
+    """The q digit values eta_d of weights ``a`` (None is all ones) and rho."""
+    return eta_all(np.ones(q - 1) if a is None else a, q), q ** -(1.0 - 1.0 / p)
 
 
 def _truncation_bound(p: float, head_sup: float, tail_sup: float) -> float:
@@ -291,9 +288,7 @@ def _constant_monte_carlo(p, q, etas, rho, N, seed) -> VariationConstant:
     column s of a chunk is stratum s, so the heads are added by broadcasting
     and the per-stratum sums and sums of squares are column sums.  A short
     last chunk ends in a partial row, whose padded samples are zeroed after
-    the power.  Memory does not grow with N.  A seed's stream is neither
-    that of the digit-by-digit sampler nor that of the sample-major one with
-    4096-entry tables that followed it.
+    the power.  Memory does not grow with N.
     """
     if N < 2:
         raise ValidationError(f"a standard error needs N >= 2 samples, got {N}")
@@ -437,9 +432,7 @@ def variation_constant(
     chunk of samples out stratum-major, rows x strata, accumulating
     per-stratum sums one chunk at a time, so its memory does not depend on
     N.  The estimator and its distribution are those of digit-by-digit
-    draws, but the values a seed gives differ from those of earlier
-    releases: the digit-by-digit sampler, and then the sample-major one with
-    4096-entry tables.
+    draws.
     """
     check_exponent(p)
     if not (math.isfinite(tol) and tol > 0):

@@ -139,7 +139,8 @@ class PartitionGrid:
         """Coarsen to a lower level; a table grid keeps every
         ``q**(n - level)``-th point, as a view."""
         if not 0 <= level <= self.level:
-            raise ValidationError(f"cannot restrict level-{self.level} grid to level {level}")
+            raise ValidationError(f"a level-{self.level} grid has no level {level}; "
+                                  f"it holds levels 0..{self.level}")
         if self.table_points is None:
             return PartitionGrid(self.q, level)
         stride = self.q ** (self.level - level)

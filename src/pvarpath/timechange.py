@@ -40,7 +40,6 @@ def pullback_path(x: SampledPath, table: PartitionGrid) -> SampledPath:
         raise ValidationError("pullback expects a path sampled on a q-adic grid")
     if x.q != table.q:
         raise ValidationError(f"path q={x.q} does not match table q={table.q}")
-    # table.restrict rejects a path finer than the table
     return SampledPath(grid=table.restrict(x.level), values=x.values)
 
 
@@ -78,7 +77,7 @@ def transported_recipe(
     """
     if spec.q != table.q:
         raise ValidationError(f"spec q={spec.q} does not match table q={table.q}")
-    s_grid = table.restrict(n)  # rejects a level finer than the table
+    s_grid = table.restrict(n)
     h_vals = np.asarray(H(s_grid.points), dtype=np.float64)
     if h_vals.shape != (s_grid.size,):
         raise ValidationError(f"H must return one value per level-{n} point "

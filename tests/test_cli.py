@@ -90,6 +90,14 @@ class TestBuild:
         assert serialize.path_from_dict(doc).values.shape == (2 ** 8 + 1,)
         assert "config_hash" in doc["manifest"]
 
+    def test_q2_branch_weight(self, tmp_path):
+        unit, double = tmp_path / "unit.json", tmp_path / "double.json"
+        argv = ["build", "--q", "2", "--levels", "8", "--signs", "random", "--seed", "4"]
+        assert run(argv + ["-o", str(unit)]) == 0
+        assert run(argv + ["--a", "2", "-o", str(double)]) == 0
+        np.testing.assert_array_equal(serialize.path_from_dict(read_json(double)).values,
+                                      2.0 * serialize.path_from_dict(read_json(unit)).values)
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["build", "--q", "2", "--p", "3", "--levels", "10",
@@ -330,6 +338,12 @@ class TestRecipe:
         assert gap <= 0.02 * (1 + (np.e - 1))
         assert csv.read_text().startswith("level,t,value\n")
 
+    def test_q2_branch_weight_exp_target(self, tmp_path):
+        out = tmp_path / "y.json"
+        assert run(["recipe", "--q", "2", "--a", "2", "--target", "exp", "--levels", "12",
+                    "-o", str(out)]) == 0
+        assert read_json(out)["manifest"]["config"]["target_sup_gap"] <= 0.02 * (1 + (np.e - 1))
+
     def test_negative_eval_level_rejected(self, tmp_path, capsys):
         # it used to profile t = 0 alone and record a target_sup_gap of 0.0
         out, csv = tmp_path / "y.json", tmp_path / "prof.csv"
@@ -474,6 +488,23 @@ class TestTimechange:
         doc = {"q": 2, "points": malform([0.0, 0.25, 0.5, 0.75, 1.0])}
         assert_table_rejected(tmp_path, capsys, doc,
                               f"malformed table document: 'points' {ARRAY_MESSAGE}")
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "recipe", "--levels", "6"],
+        ["--mode", "pullback", "--path", "x.json"],
+        ["--mode", "check", "--path", "x.json"],
+    ], ids=["recipe", "pullback", "check"])
+    def test_level_finer_than_table_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(["build", "--q", "3", "--levels", "6", "-o", "x.json"]) == 0
+        assert run(["timechange", "--mode", "recipe", "--q", "3", "--levels", "4",
+                    "--table-out", "t.json", "-o", "y.json"]) == 0
+        capsys.readouterr()
+        assert run(["timechange", "--q", "3", *argv, "--table", "t.json", "-o", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "a level-4 grid has no level 6; it holds levels 0..4" in err, err
+        assert not (tmp_path / "out").exists()
 
     def test_reads_persisted_table(self, tmp_path):
         tbl = tmp_path / "table.json"
@@ -832,8 +863,8 @@ _SWEEP_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e-320", "1.0000001", "3000",
                  "99999999999999999999")
 _SWEEP_LISTS = ("nan,1", "1e308,1", "1,-1", "-1,1")
 # each command's base argv and its numeric flags, with the flags each needs
-# beside it to act: weights need q >= 3, and a seed random signs or a
-# random table
+# beside it to act: weights go with q = 3, where the two-item lists fit, and
+# a seed with random signs or a random table
 _Q3, _SIGNS, _TABLE = ["--q", "3"], ["--signs", "random"], ["--make-table", "random"]
 _SPEC_FLAGS = {"--q": [], "--p": [], "--levels": [], "--seed": _SIGNS, "--a": _Q3}
 _SWEEP_COMMANDS = [

@@ -52,6 +52,26 @@ class TestSpec:
         spec = UniformMagnitudeSpec(q=3, p=2.0)
         assert spec.a == (1.0, 1.0)
 
+    def test_q2_weights(self):
+        assert UniformMagnitudeSpec(q=2, p=2.0).a == (1.0,)
+        spec = UniformMagnitudeSpec(q=2, p=2.0, signs=3, a=(2.0,))
+        np.testing.assert_array_equal(spec.eta_values(), [2.0, -2.0])
+
+    @pytest.mark.parametrize("signs", ["plus", 5])
+    def test_q2_doubled_weight_doubles_the_path(self, signs):
+        # scaling by a power of two is exact at every step of synthesis
+        unit = reference_path(UniformMagnitudeSpec(q=2, p=2.5, signs=signs), 12)
+        double = reference_path(UniformMagnitudeSpec(q=2, p=2.5, signs=signs, a=(2.0,)), 12)
+        assert double.values.tobytes() == (2.0 * unit.values).tobytes()
+
+    @pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
+    def test_q2_doubled_weight_scales_the_constant(self, p):
+        # J is pinned: the truncation bound grows with the weights, so the
+        # default tol would pick a deeper J for a = (2,)
+        unit = variation_constant(p, 2, J=20).value
+        double = variation_constant(p, 2, (2.0,), J=20).value
+        assert double == pytest.approx(2.0 ** p * unit, rel=1e-15, abs=0)
+
     def test_sign_modes(self):
         plus = UniformMagnitudeSpec(q=2, p=2.0).sign_arrays(4)
         assert len(plus) == 4 and all(np.all(s == 1) for s in plus)
@@ -93,7 +113,7 @@ class TestSpec:
         with pytest.raises(ValidationError):
             UniformMagnitudeSpec(q=3, p=2.0, signs=4)
         with pytest.raises(ValidationError):
-            UniformMagnitudeSpec(q=2, p=2.0, a=(1.0,))
+            UniformMagnitudeSpec(q=2, p=2.0, a=(1.0, 1.0))
 
     def test_signs_are_plus_or_a_seed(self):
         for signs in ([np.ones(2 ** m, dtype=np.int8) for m in range(4)],
@@ -584,12 +604,12 @@ class TestIncrementDecomposition:
 class TestSignMatrix:
     def test_three_levels_all_plus(self):
         rep = sign_matrix(UniformMagnitudeSpec(q=2, p=2.0), 3)
-        assert rep.bijection and rep.distinct == 8
+        assert rep.bijection
         assert rep.gap <= 1e-12
 
     def test_single_level(self):
         rep = sign_matrix(UniformMagnitudeSpec(q=2, p=2.0), 1)
-        assert rep.bijection and rep.distinct == 2
+        assert rep.bijection
 
     @pytest.mark.parametrize("n", (0, -2))
     def test_level_below_one_rejected(self, n):
@@ -604,6 +624,20 @@ class TestSignMatrix:
     def test_budget(self):
         with pytest.raises(BudgetError):
             sign_matrix(UniformMagnitudeSpec(q=2, p=2.0), 24)
+
+    @pytest.mark.parametrize("spec, n", [
+        (UniformMagnitudeSpec(q=3, p=2.5, a=(1.0, -2.0)), 9),
+        (UniformMagnitudeSpec(q=4, p=3.0, a=(1.0, 2.0, -0.5)), 7),
+        (UniformMagnitudeSpec(q=2, p=1.5, signs=3), 14),
+        (UniformMagnitudeSpec(q=2, p=2.0, a=(2.0,)), 10),
+    ], ids=["q3-mixed", "q4-mixed", "q2-seeded-p1.5", "q2-weight-2"])
+    def test_gap_is_against_the_exact_oracle_at_depth_n(self, spec, n):
+        rep = sign_matrix(spec, n)
+        assert rep.bijection
+        assert rep.gap <= 1e-12
+        observed = pvar_profile(reference_path(spec, n), spec.p, eval_level=0).terminal
+        exact = variation_constant(spec.p, spec.q, spec.a, J=n).value
+        assert rep.gap == abs(observed - exact)
 
 
 class TestSigmaIndependence:

@@ -7,6 +7,8 @@ in ``UNUSED_ALLOWED``.  The same holds for the public methods and properties
 of public classes, matched by attribute name, with ``UNUSED_MEMBERS_ALLOWED``
 as their list.  Within each module, every name a module-level import binds
 must be loaded too; ``__init__`` re-exports and ``from __future__`` aside.
+No module imports another module's underscore name: what a module keeps
+private stays behind its public functions.
 """
 
 import ast
@@ -89,3 +91,14 @@ def test_module_level_imports_are_loaded():
                 unused += [f"{module}: {alias.name}" for alias in node.names
                            if (alias.asname or alias.name.split(".")[0]) not in loads]
     assert unused == [], "imports the module never loads"
+
+
+def test_no_module_imports_a_private_name():
+    private = []
+    for module, tree in package_modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "pvarpath"):
+                private += [f"{module}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == [], "underscore names imported from another package module"
