@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .construct import (
 )
 from .errors import ValidationError
 from .oracle import variation_constant
-from .partition import power_table, random_refining_table
+from .partition import power_table, qadic_grid, random_refining_table
 from .schauder import CoefficientArray, SampledPath, synthesize, xi_profile
 from .timechange import transported_pvar_check
 from .variation import pvar_profile
@@ -51,16 +51,29 @@ class CriterionResult:
         )
 
 
-def _result(index, name, limit, t0, ok, detail) -> CriterionResult:
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(
-        index=index,
-        name=name,
-        passed=bool(ok) and elapsed < limit,
-        runtime_s=elapsed,
-        runtime_limit_s=limit,
-        detail=detail,
-    )
+ALL_CRITERIA = []
+
+
+def _criterion(name: str, limit_s: float):
+    """Register the decorated check, which returns ``(ok, detail)``, as the
+    next criterion: numbered by its place in ``ALL_CRITERIA``, it passes
+    when ``ok`` holds and the call took less than ``limit_s`` seconds."""
+    def register(check):
+        index = len(ALL_CRITERIA) + 1
+
+        @wraps(check)
+        def criterion() -> CriterionResult:
+            t0 = time.perf_counter()
+            ok, detail = check()
+            elapsed = time.perf_counter() - t0
+            return CriterionResult(index=index, name=name,
+                                   passed=bool(ok) and elapsed < limit_s, runtime_s=elapsed,
+                                   runtime_limit_s=limit_s, detail=detail)
+
+        ALL_CRITERIA.append(criterion)
+        return criterion
+
+    return register
 
 
 @lru_cache(maxsize=None)
@@ -79,22 +92,21 @@ def _recipe_path(target: str):
     return recipe(lambda t: hprime(t, 1.0), _default_spec(), 16)
 
 
-def criterion_1() -> CriterionResult:
+@_criterion("exact dyadic level identity", 1.0)
+def criterion_1():
     """Exact dyadic level identity 1 - 2**-n for the default reference."""
-    t0 = time.perf_counter()
     x = _reference16(2.0)
     worst = 0.0
     for n in range(17):
         got = pvar_profile(x.restrict(n), 2.0, eval_level=0).terminal
         worst = max(worst, abs(got - (1.0 - 2.0 ** -n)))
     ok = worst <= 1e-12
-    return _result(1, "exact dyadic level identity", 1.0, t0, ok,
-                   f"max |[x]^(2)_n(1) - (1 - 2^-n)| = {worst:.2e} (tol 1e-12)")
+    return ok, f"max |[x]^(2)_n(1) - (1 - 2^-n)| = {worst:.2e} (tol 1e-12)"
 
 
-def criterion_2() -> CriterionResult:
+@_criterion("linear p-variation convergence", 10.0)
+def criterion_2():
     """Linear p-variation: level-16 sum near the constant, profile near t."""
-    t0 = time.perf_counter()
     worst_const = 0.0
     worst_lin = 0.0
     bounds_ok = True
@@ -107,14 +119,13 @@ def criterion_2() -> CriterionResult:
         worst_lin = max(worst_lin, float(np.max(np.abs(
             prof.values - prof.eval_points * prof.terminal))))
     ok = bounds_ok and worst_const <= 1e-2 and worst_lin <= 1e-2
-    return _result(2, "linear p-variation convergence", 10.0, t0, ok,
-                   f"max |V16(1) - C_p| = {worst_const:.2e}, "
-                   f"max |V16(t) - t V16(1)| = {worst_lin:.2e} (tol 1e-2)")
+    return ok, (f"max |V16(1) - C_p| = {worst_const:.2e}, "
+                f"max |V16(t) - t V16(1)| = {worst_lin:.2e} (tol 1e-2)")
 
 
-def criterion_3() -> CriterionResult:
+@_criterion("constant oracle agreement", 30.0)
+def criterion_3():
     """Three independent estimates of the constant agree for p in {2, 4}."""
-    t0 = time.perf_counter()
     ok = True
     parts = []
     for p in (2.0, 4.0):
@@ -129,12 +140,12 @@ def criterion_3() -> CriterionResult:
             ok &= diff <= max(stat, 1e-12) and diff <= 1e-3
             worst = max(worst, diff)
         parts.append(f"p={p:g}: max pairwise diff {worst:.2e} (se {mc.stderr:.1e})")
-    return _result(3, "constant oracle agreement", 30.0, t0, ok, "; ".join(parts))
+    return ok, "; ".join(parts)
 
 
-def criterion_4() -> CriterionResult:
+@_criterion("sign-matrix bijection", 5.0)
+def criterion_4():
     """Sign patterns are a bijection and level sums equal pattern averages."""
-    t0 = time.perf_counter()
     ok = True
     worst = 0.0
     for signs in ("plus", 0):
@@ -144,13 +155,12 @@ def criterion_4() -> CriterionResult:
             ok &= rep.bijection
             worst = max(worst, rep.gap)
     ok &= worst <= 1e-12
-    return _result(4, "sign-matrix bijection", 5.0, t0, ok,
-                   f"bijection at n<=12 for both sign modes, max identity gap {worst:.2e}")
+    return ok, f"bijection at n<=12 for both sign modes, max identity gap {worst:.2e}"
 
 
-def criterion_5() -> CriterionResult:
+@_criterion("increment series identity", 5.0)
+def criterion_5():
     """Scaled increments equal their series decomposition for all k, n=10."""
-    t0 = time.perf_counter()
     worst = 0.0
     cases = [
         UniformMagnitudeSpec(q=2, p=2.0),
@@ -164,13 +174,12 @@ def criterion_5() -> CriterionResult:
         _, series = increment_patterns(spec, n)
         worst = max(worst, float(np.max(np.abs(series - observed))))
     ok = worst <= 1e-12
-    return _result(5, "increment series identity", 5.0, t0, ok,
-                   f"max |series - scaled increment| over all k = {worst:.2e} (tol 1e-12)")
+    return ok, f"max |series - scaled increment| over all k = {worst:.2e} (tol 1e-12)"
 
 
-def criterion_6() -> CriterionResult:
+@_criterion("prescribed-variation recipe", 20.0)
+def criterion_6():
     """Prescribed-variation recipe reproduces h on [0,1] within 2 percent."""
-    t0 = time.perf_counter()
     ok = True
     parts = []
     for name, (_, h) in TARGET_DENSITIES.items():
@@ -180,37 +189,35 @@ def criterion_6() -> CriterionResult:
         tol = 0.02 * (1.0 + float(h(1.0, 1.0)))
         ok &= gap <= tol
         parts.append(f"{name}: sup gap {gap:.2e} (tol {tol:.3f})")
-    return _result(6, "prescribed-variation recipe", 20.0, t0, ok, "; ".join(parts))
+    return ok, "; ".join(parts)
 
 
-def criterion_7() -> CriterionResult:
+@_criterion("ternary linear variation", 20.0)
+def criterion_7():
     """Ternary reference with unit branch weights converges to slope 1."""
-    t0 = time.perf_counter()
     spec = UniformMagnitudeSpec(q=3, p=2.0, a=(1.0, 1.0))
     x = reference_path(spec, 10)
     gap = abs(pvar_profile(x, 2.0, eval_level=0).terminal - 1.0)
     ok = gap <= 2e-2
-    return _result(7, "ternary linear variation", 20.0, t0, ok,
-                   f"|V10(1) - 1| = {gap:.2e} (tol 2e-2)")
+    return ok, f"|V10(1) - 1| = {gap:.2e} (tol 2e-2)"
 
 
-def criterion_8() -> CriterionResult:
+@_criterion("compensated-sum exactness", 10.0)
+def criterion_8():
     """Compensated-sum change of variable: exact for y^2, vanishing for y^4."""
-    t0 = time.perf_counter()
     res = _recipe_path("exp")
     f2 = FunctionWithDerivatives.polynomial([0.0, 0.0, 1.0])
     sup2 = change_of_variable_residual(f2, res.y.restrict(14), 2).sup
     f4 = FunctionWithDerivatives.polynomial([0.0, 0.0, 0.0, 0.0, 1.0])
     sups = [change_of_variable_residual(f4, res.y.restrict(n), 2).sup for n in (12, 14, 16)]
     ok = sup2 <= 1e-12 and sups[2] <= 5e-2 and sups[0] > sups[1] > sups[2]
-    return _result(8, "compensated-sum exactness", 10.0, t0, ok,
-                   f"y^2 residual {sup2:.2e} (tol 1e-12); "
-                   f"y^4 residuals 12/14/16 = {sups[0]:.2e}/{sups[1]:.2e}/{sups[2]:.2e}")
+    return ok, (f"y^2 residual {sup2:.2e} (tol 1e-12); "
+                f"y^4 residuals 12/14/16 = {sups[0]:.2e}/{sups[1]:.2e}/{sups[2]:.2e}")
 
 
-def criterion_9() -> CriterionResult:
+@_criterion("time-change transport exactness", 5.0)
+def criterion_9():
     """Transport identity along time changes is exact at partition points."""
-    t0 = time.perf_counter()
     sqrt_table = power_table(2, 10, 2.0)
     x2 = reference_path(UniformMagnitudeSpec(q=2, p=2.0), 10)
     gap_sqrt = transported_pvar_check(x2, sqrt_table, 2.0)
@@ -218,15 +225,12 @@ def criterion_9() -> CriterionResult:
     x3 = reference_path(UniformMagnitudeSpec(q=3, p=2.0, a=(1.0, 1.0)), 10)
     gap_rand = transported_pvar_check(x3, rand_table, 2.0)
     ok = gap_sqrt <= 1e-12 and gap_rand <= 1e-12
-    return _result(9, "time-change transport exactness", 5.0, t0, ok,
-                   f"sqrt-table gap {gap_sqrt:.2e}, random ternary-table gap {gap_rand:.2e}")
+    return ok, f"sqrt-table gap {gap_sqrt:.2e}, random ternary-table gap {gap_rand:.2e}"
 
 
-def criterion_10() -> CriterionResult:
+@_criterion("variation stability bounds", 5.0)
+def criterion_10():
     """Variation stability: L1 bound always dominates; equality case exact."""
-    t0 = time.perf_counter()
-    from .partition import qadic_grid
-
     grid = qadic_grid(2, 8)
     c2 = variation_constant(2.0, 2, method="closed").value
     rng = np.random.default_rng(5)
@@ -240,15 +244,12 @@ def criterion_10() -> CriterionResult:
     zero = SampledPath(grid=grid, values=np.zeros(grid.size))
     eq = stability_bound(ones, zero, 2.0, c2)
     ok &= abs(eq.lhs - c2) <= 1e-12 and abs(eq.lhs - eq.rhs_l1) <= 1e-12
-    return _result(10, "variation stability bounds", 5.0, t0, ok,
-                   f"100 random pairs dominated; equality case lhs=rhs_l1={eq.lhs:.12f}")
+    return ok, f"100 random pairs dominated; equality case lhs=rhs_l1={eq.lhs:.12f}"
 
 
-def criterion_11() -> CriterionResult:
+@_criterion("bernstein holder bound", 5.0)
+def criterion_11():
     """Bernstein smoothing obeys the (2n+1) sup-norm Holder bound."""
-    t0 = time.perf_counter()
-    from .partition import qadic_grid
-
     grid = qadic_grid(2, 10)
     rng = np.random.default_rng(7)
     ok = True
@@ -263,13 +264,12 @@ def criterion_11() -> CriterionResult:
             bound = (2 * degree + 1) * float(np.max(np.abs(zv)))
             ok &= quot <= bound
             worst_ratio = max(worst_ratio, quot / bound)
-    return _result(11, "bernstein holder bound", 5.0, t0, ok,
-                   f"max quotient/bound ratio {worst_ratio:.3f} over 20 seeds x 3 degrees")
+    return ok, f"max quotient/bound ratio {worst_ratio:.3f} over 20 seeds x 3 degrees"
 
 
-def criterion_12() -> CriterionResult:
+@_criterion("splice mechanics", 5.0)
+def criterion_12():
     """Splicing: coarse agreement, level diagnostics, sup-norm closeness."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(3)
     levels_x = tuple(rng.uniform(-1, 1, (2 ** m, 1)) for m in range(10))
     levels_y = tuple(rng.uniform(-1, 1, (2 ** m, 1)) for m in range(10))
@@ -293,23 +293,7 @@ def criterion_12() -> CriterionResult:
         bound = (holder_norm(x, alpha) + holder_norm(z, alpha)) * 2.0 ** (-n * alpha)
         ok &= agree <= 1e-12 and xi_match and dist <= bound
         details.append(f"n={n}: agree {agree:.1e}, dist {dist:.3f} <= bound {bound:.3f}")
-    return _result(12, "splice mechanics", 5.0, t0, ok, "; ".join(details))
-
-
-ALL_CRITERIA = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
-    criterion_12,
-)
+    return ok, "; ".join(details)
 
 
 def run_all(indices=None) -> list:

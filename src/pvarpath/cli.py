@@ -41,7 +41,7 @@ from .errors import BudgetError, ValidationError
 from .oracle import variation_constant
 from .partition import power_table, qadic_table, random_refining_table
 from .timechange import HPRIME_RULE, pullback_path, transported_pvar_check, transported_recipe
-from .variation import pvar_profile
+from .variation import DEFAULT_EVAL_LEVEL, pvar_profile
 
 
 def _write_all(outputs) -> None:
@@ -313,15 +313,26 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_spec_flags(p: argparse.ArgumentParser) -> None:
+def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
+    """The flags ``constant`` shares with the commands that build a spec."""
     p.add_argument("--q", type=int, default=2, help="branching factor (default 2)")
+    p.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
+    p.add_argument("--a", type=str, default=None,
+                   help="comma-separated branch weights (default all ones)")
+
+
+def _add_spec_flags(p: argparse.ArgumentParser) -> None:
+    _add_oracle_flags(p)
     p.add_argument("--p", type=float, default=2.0, help="variation exponent (default 2)")
     p.add_argument("--levels", type=int, default=16, help="grid level")
     p.add_argument("--signs", choices=("plus", "random"), default="plus",
                    help="dyadic coefficient signs")
-    p.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
-    p.add_argument("--a", type=str, default=None,
-                   help="comma-separated branch weights (default all ones)")
+
+
+def _add_target_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--target", choices=tuple(TARGET_DENSITIES), default="linear",
+                   help="target variation h(t) (default linear)")
+    p.add_argument("--rate", type=float, default=1.0, help="target growth parameter")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -346,30 +357,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="per-level variation profiles of a path artifact")
     a.add_argument("input", help="path JSON artifact")
-    a.add_argument("--p", type=float, default=2.0)
+    a.add_argument("--p", type=float, default=2.0, help="variation exponent (default 2)")
     a.add_argument("--q", type=int, default=None, help="expected q (validated against artifact)")
     a.add_argument("--levels", type=int, default=None, help="finest level to profile")
-    a.add_argument("--eval-level", type=int, default=10, help="profile evaluation subgrid level")
+    a.add_argument("--eval-level", type=int, default=DEFAULT_EVAL_LEVEL,
+                   help="profile evaluation subgrid level")
     a.add_argument("-o", "--output", required=True, help="output profile CSV")
     a.set_defaults(func=_cmd_analyze)
 
     c = sub.add_parser("constant", help="limiting variation constant by one of three oracles")
-    c.add_argument("--p", type=float, required=True)
-    c.add_argument("--q", type=int, default=2)
-    c.add_argument("--a", type=str, default=None)
-    c.add_argument("--method", choices=("exact", "mc", "closed"), default="exact")
+    _add_oracle_flags(c)
+    c.add_argument("--p", type=float, required=True, help="variation exponent")
+    c.add_argument("--method", choices=("exact", "mc", "closed"), default="exact",
+                   help="exact enumeration, Monte Carlo or closed form (default exact)")
     c.add_argument("--J", type=int, default=None, help="enumeration truncation depth")
     c.add_argument("--N", type=int, default=10 ** 6, help="monte-carlo sample count")
-    c.add_argument("--seed", type=int, default=0)
     c.add_argument("--tol", type=float, default=1e-6, help="target truncation bound")
     c.add_argument("-o", "--output", default=None, help="output JSON (stdout if omitted)")
     c.set_defaults(func=_cmd_constant)
 
     r = sub.add_parser("recipe", help="construct a path with prescribed variation")
     _add_spec_flags(r)
-    r.add_argument("--target", choices=tuple(TARGET_DENSITIES), default="linear")
-    r.add_argument("--rate", type=float, default=1.0, help="target growth parameter")
-    r.add_argument("--eval-level", type=int, default=10)
+    _add_target_flags(r)
+    r.add_argument("--eval-level", type=int, default=DEFAULT_EVAL_LEVEL,
+                   help="profile evaluation subgrid level")
     r.add_argument("--profile-csv", default=None, help="also write the empirical profile CSV")
     r.add_argument("-o", "--output", required=True, help="output path JSON")
     r.set_defaults(func=_cmd_recipe)
@@ -384,15 +395,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("timechange", help="transport paths/targets through a time change")
     _add_spec_flags(t)
-    t.add_argument("--mode", choices=("check", "pullback", "recipe"), required=True)
+    t.add_argument("--mode", choices=("check", "pullback", "recipe"), required=True,
+                   help="check the transport identity on --path, pull --path back onto "
+                   "the table, or transport a target variation")
     t.add_argument("--table", default=None, help="refining table JSON")
     t.add_argument("--make-table", choices=("qadic", "power", "random"), default="power",
                    help="generate a --levels deep table instead of reading one")
     t.add_argument("--exponent", type=float, default=2.0, help="power-table exponent")
     t.add_argument("--table-out", default=None, help="persist the generated table")
     t.add_argument("--path", default=None, help="path JSON (check / pullback modes)")
-    t.add_argument("--target", choices=tuple(TARGET_DENSITIES), default="linear")
-    t.add_argument("--rate", type=float, default=1.0)
+    _add_target_flags(t)
     t.add_argument("-o", "--output", required=True, help="output JSON")
     t.set_defaults(func=_cmd_timechange)
 

@@ -199,18 +199,16 @@ def random_refining_table(q: int, depth: int, seed: int = 0) -> PartitionGrid:
     check_branching(q)  # before the budget, whose digit count needs q >= 2
     check_interval_budget(q, depth)
     rng = np.random.default_rng(seed)
-    pts = qadic_grid(q, 0).points
+    pts = np.empty(q ** depth + 1, dtype=np.float64)
+    pts[0], pts[-1] = 0.0, 1.0
     for n in range(depth):
         w = rng.dirichlet(np.full(q, DIRICHLET_CONCENTRATION), size=q ** n)
         cuts = np.cumsum(w, axis=1)[:, :-1]
-        left = pts[:-1][:, None]
-        length = np.diff(pts)[:, None]
-        inner = left + length * cuts
-        fine = np.empty(q ** (n + 1) + 1, dtype=np.float64)
-        fine[:: q] = pts
-        for d in range(1, q):
-            fine[d::q] = inner[:, d - 1]
-        pts = fine
+        parents = pts[:: q ** (depth - n)]
+        left = parents[:-1][:, None]
+        length = np.diff(parents)[:, None]
+        pts[:: q ** (depth - n - 1)][:-1].reshape(q ** n, q)[:, 1:] = left + length * cuts
+    pts.setflags(write=False)  # handed over, not copied
     return PartitionGrid(q, depth, pts)
 
 

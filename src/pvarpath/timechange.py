@@ -44,11 +44,11 @@ def pullback_path(x: SampledPath, table: PartitionGrid) -> SampledPath:
 
 
 def transported_pvar_check(x: SampledPath, table: PartitionGrid, p: float) -> float:
-    """Max gap of the transport identity at all refined partition points.
-
-    Both sides of [x o phi](s) = [x](phi(s)) are computed independently, at
-    every level-n point of the refined grid; the identity is exact there so
-    the returned gap should be at machine level.
+    """Max gap of the transport identity [x o phi](s) = [x](phi(s)) at every
+    level-n point of the refined grid.  The gap is 0.0 by construction:
+    ``pullback_path`` keeps x's values and ``pvar_profile`` reads only the
+    values, q and the level, so this checks the pullback's index pairing.
+    ROADMAP item 18 gives acceptance criterion 9 a claim that can fail.
     """
     pulled = pullback_path(x, table)
     lhs = pvar_profile(pulled, p, eval_level=x.level).values

@@ -1,3 +1,4 @@
+import argparse
 import base64
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 
 import pvarpath
 from pvarpath import serialize
-from pvarpath.cli import run
+from pvarpath.cli import build_parser, run
 
 
 def read_json(path):
@@ -551,6 +552,14 @@ class TestSelftest:
 
 
 class TestUsageErrors:
+    def test_every_argument_has_help(self):
+        (commands,) = [action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        missing = [f"{name} {'/'.join(action.option_strings) or action.dest}"
+                   for name, command in commands.items()
+                   for action in command._actions if not action.help]
+        assert missing == []
+
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 2
 
@@ -792,10 +801,12 @@ def _refuse_nonfinite(token):
     raise AssertionError(f"non-finite number {token} in a JSON output")
 
 
-# extreme sizes and exponents end at once: a budget check compares the level
-# (or J) with the largest one the budget holds and never forms q**level; a
-# bound, a constant or a density that overflows or underflows float64 is
-# refused; past a polynomial's degree the Ito correction is zero
+# extreme sizes and exponents end in a bounded time: a budget check compares
+# the level (or J) with the largest one the budget holds and never forms
+# q**level; a bound, a constant or a density that overflows or underflows
+# float64 is refused; past a polynomial's degree the Ito correction is zero.
+# The slowest case is `constant --p 3000`, whose exact oracle pairs 2**23
+# digit strings (about a second)
 EDGE_CASES = [
     (["constant", "--p", "3000"], 0, None),
     (["recipe", "--p", "3000", "--levels", "4"], 0, None),
