@@ -15,19 +15,18 @@ with mu_k = E W**k and m_0 = 1.  Every route refuses a moment that is not a
 finite float64 > 0: one that overflows, or underflows to 0.0.
 
 Enumeration splits the J digits into head and tail cross sums a and b and
-averages |a_i + b_j|**p over all q**J pairs, in one of three ways:
+averages |a_i + b_j|**p over all q**J pairs with one of two kernels:
 
 - integer p <= POWER_SUM_MAX_P: a balanced split (q**(J//2) heads) and a
   binomial expansion of (a_i + b_j)**p, which needs only power sums of the
   sorted b, prefix sums up to -a_i where odd p flips the sign: O(p q**(J/2))
   work, not O(q**J);
-- other p <= POWER_SUM_MAX_P: a tail of the last t digits, q**t <=
-  SERIES_TAIL_CAP = 64, and B = max|b_j|.  A head with |a_i| >= 4B sums its
-  row as |a_i|**p sum_{k<=K} C(p, k) (B/a_i)**k sum_j (b_j/B)**k, with K the
-  first index past p where |C(p, K+1)| 4**-(K+1) / (3/4)**(p+1) < 2**-60
-  (K = 17 to 24 for 1 < p < 16); only the heads in the band |a_i| < 4B
-  are paired, SERIES_BLOCK = 2**16 heads at a time;
-- p > POWER_SUM_MAX_P: a balanced split, every head paired with every tail.
+- every other p: a tail of the last t digits, q**t <= SERIES_TAIL_CAP = 64,
+  B = max|b_j| and r = max(4, p).  A far head, |a_i| >= r B, sums its row
+  as |a_i|**p sum_{k<=K} C(p, k) (B/a_i)**k sum_j (b_j/B)**k, cut where
+  the relative remainder is below 2**-60 (``_binomial_series``, K <= 24);
+  only the heads in the band |a_i| < r B are paired, SERIES_BLOCK = 2**16
+  heads at a time.
 
 Against a ``math.fsum`` of all pairs, the series was off by at most
 4.4e-16 relative (q = 2, 3, 4, unit and mixed-sign weights, 1.05 <= p <=
@@ -50,7 +49,7 @@ from .schauder import eta_all
 ENUMERATION_BUDGET = 2 ** 26
 MC_TABLE_CAP = 1 << 16   # entries in one Monte Carlo digit-block table
 MC_CHUNK = 1 << 16       # most samples drawn and accumulated at a time
-POWER_SUM_MAX_P = 16     # largest p enumerated by binomial power sums or series
+POWER_SUM_MAX_P = 16     # largest integer p enumerated by binomial power sums
 SERIES_TAIL_CAP = 64     # most tail strings a head's binomial series sums over
 SERIES_BLOCK = 1 << 16   # heads summed at a time by the binomial series
 CLOSED_FORM_MAX_P = 1028  # largest even p whose C(p, p/2) is within float64
@@ -122,11 +121,20 @@ def _checked_moment(value: float, p: float, method: str) -> float:
 
 
 def _cross_sums(weights: list) -> np.ndarray:
-    """All sums picking one entry from each weight set (iterated cross sum)."""
-    sums = np.zeros(1, dtype=np.float64)
-    for w in weights:
-        sums = (sums[:, None] + w[None, :]).ravel()
-    return sums
+    """All sums picking one entry from each weight set, first set major.
+
+    The result is the cross sum of the tables of the two halves of
+    ``weights``, each built one set at a time, so the step that fills the
+    last entries adds rows of about sqrt(size) of them, not of one set's.
+    """
+    half = len(weights) // 2
+    tables = []
+    for part in (weights[:half], weights[half:]):
+        sums = np.zeros(1, dtype=np.float64)
+        for w in part:
+            sums = (sums[:, None] + w[None, :]).ravel()
+        tables.append(sums)
+    return (tables[0][:, None] + tables[1][None, :]).ravel()
 
 
 def _mean_abs_pow(a: np.ndarray, b: np.ndarray, p: float) -> float:
@@ -169,40 +177,52 @@ def _mean_abs_pow_binomial(a: np.ndarray, b: np.ndarray, p: int) -> float:
     return float(np.sum(inner)) / (a.size * b.size)
 
 
-def _binomial_series(p: float) -> np.ndarray:
-    """C(p, 0..K) for the series of (1 + x)**p, |x| <= 1/4, in float64.
+def _binomial_series(p: float) -> tuple[float, np.ndarray]:
+    """The far ratio r = max(4, p) and C(p, k) r**-k, k = 0..K, in float64.
 
-    K is the first index past p with |C(p, K+1)| 4**-(K+1) / (3/4)**(p+1)
-    below 2**-60.  Past p the coefficients shrink in magnitude, so the terms
-    dropped after K sum to at most |C(p, K+1)| 4**-(K+1) * 4/3, and
-    (1 + x)**p >= (3/4)**p: the relative truncation error of every pair is
-    below 2**-60.
+    A head a_i is far from a tail set b when |a_i| >= r B, B = max|b_j|;
+    then (a_i + b_j)**p = a_i**p (1 + x)**p with x = b_j / a_i, |x| <= 1/r,
+    and the series sum_k C(p, k) x**k is cut after K, the first index with
+
+        |C(p, K+1)| r**-(K+1) / (1 - max(1/(K+2), 1/r)) < 2**-60 (1 - 1/r)**p.
+
+    The dropped terms are bounded by |C(p, k)| r**-k, and since r >= p the
+    ratio of consecutive bounds, |p - k| / ((k+1) r), is at most
+    max(1/(k+1), 1/r): below p it is at most p / ((k+1) r) <= 1/(k+1), past
+    p below 1/r.  So the terms after K sum to at most the left side, and as
+    (1 + x)**p >= (1 - 1/r)**p, the relative truncation error of every pair
+    is below 2**-60.  K is at most 24 (24 at p = 1.5, 20 at p = 3000).  The
+    coefficients carry the r**-k so that they stay below 1 for every p; at
+    r = 4 that scaling is exact, so p < 4 sums the same bits as an unscaled
+    series.
     """
+    r = max(4.0, p)
+    limit = 2.0 ** -60 * (1.0 - 1.0 / r) ** p
     coefs = [1.0]
-    limit = 2.0 ** -60 * 0.75 ** (p + 1)
     while True:
         k = len(coefs) - 1
-        nxt = coefs[-1] * (p - k) / (k + 1)     # C(p, k + 1)
-        if k + 1 > p and abs(nxt) * 4.0 ** -(k + 1) < limit:
-            return np.array(coefs)
+        nxt = coefs[-1] * (p - k) / (k + 1) / r     # C(p, k + 1) r**-(k + 1)
+        if abs(nxt) / (1.0 - max(1.0 / (k + 2), 1.0 / r)) < limit:
+            return r, np.array(coefs)
         coefs.append(nxt)
 
 
 def _mean_abs_pow_series(a: np.ndarray, b: np.ndarray, p: float) -> float:
     """``_mean_abs_pow`` by a binomial series in b/a, for a small set b.
 
-    With B = max|b_j|, a head with |a_i| >= 4B has |b_j / a_i| <= 1/4, so
-    sum_j |a_i + b_j|**p = |a_i|**p sum_{k<=K} C(p, k) v_i**k M_k, where
-    v_i = B / a_i and M_k = sum_j (b_j / B)**k, truncated as in
-    ``_binomial_series``; the inner sum is one Horner pass per head, and
-    |v_i| <= 1/4 keeps its partial sums near b.size.  Heads nearer zero are
+    With B = max|b_j| and r from ``_binomial_series``, a head with |a_i| >=
+    r B has |b_j / a_i| <= 1/r, so sum_j |a_i + b_j|**p = |a_i|**p
+    sum_{k<=K} C(p, k) r**-k v_i**k M_k, where v_i = r B / a_i and M_k =
+    sum_j (b_j / B)**k; the inner sum is one Horner pass per head, and
+    |v_i| <= 1 keeps its partial sums near b.size.  Heads nearer zero are
     paired with every b_j by ``_mean_abs_pow``.  Heads go ``SERIES_BLOCK``
     at a time, so the buffers do not grow with a.size.
     """
     B = float(np.max(np.abs(b)))
     if not B > 0:           # every b_j is 0: no head is far from zero
         return _mean_abs_pow(a, b, p)
-    coefs = _binomial_series(p)
+    r, coefs = _binomial_series(p)
+    edge = r * B
     scaled, power = b / B, np.ones_like(b)
     moments = np.empty(coefs.size)
     for k in range(coefs.size):
@@ -212,13 +232,13 @@ def _mean_abs_pow_series(a: np.ndarray, b: np.ndarray, p: float) -> float:
     total = 0.0
     for start in range(0, a.size, SERIES_BLOCK):
         block = a[start:start + SERIES_BLOCK]
-        far = np.abs(block) >= 4.0 * B
+        far = np.abs(block) >= edge
         near = block[~far]
         if near.size:
             total += _mean_abs_pow(near, b, p) * (near.size * b.size)
         heads = block[far]
         if heads.size:
-            v = B / heads
+            v = edge / heads
             inner = np.full_like(v, horner[0])
             for c in horner[1:]:
                 inner *= v
@@ -247,17 +267,15 @@ def _constant_exact(p, q, etas, rho, J, tol) -> VariationConstant:
             f"J={J} exceeds the enumeration budget of {ENUMERATION_BUDGET} digit strings "
             f"for q={q}; the largest J allowed is {J_max}"
         )
-    series = p <= POWER_SUM_MAX_P and not float(p).is_integer()
-    split = J - min(J, digits_within(q, SERIES_TAIL_CAP)) if series else J // 2
+    power_sums = p <= POWER_SUM_MAX_P and float(p).is_integer()
+    split = J // 2 if power_sums else J - min(J, digits_within(q, SERIES_TAIL_CAP))
     head = _cross_sums([rho ** j * etas for j in range(1, split + 1)])
     tail = _cross_sums([rho ** j * etas for j in range(split + 1, J + 1)])
     with np.errstate(over="ignore", invalid="ignore"):
-        if series:
-            value = _mean_abs_pow_series(head, tail, p)
-        elif p <= POWER_SUM_MAX_P:
+        if power_sums:
             value = _mean_abs_pow_binomial(head, tail, int(p))
         else:
-            value = _mean_abs_pow(head, tail, p)
+            value = _mean_abs_pow_series(head, tail, p)
     value = _checked_moment(value, p, "exact-enumeration")
     return VariationConstant(
         value=value,
@@ -308,11 +326,7 @@ def _constant_monte_carlo(p, q, etas, rho, N, seed) -> VariationConstant:
     k = max(1, digits_within(q, MC_TABLE_CAP))   # digits per table block
     digit_weights = [rho ** j * etas for j in range(J0 + 1, J0 + Jt + 1)]
     digit_weights += [np.zeros(q)] * (-Jt % k)
-    # a table is the cross sum of its two halves' tables, so the step that
-    # fills its q**k entries adds rows of about q**(k/2) of them, not of q
-    tables = [_cross_sums([_cross_sums(digit_weights[b:b + k // 2]),
-                           _cross_sums(digit_weights[b + k // 2:b + k])])
-              for b in range(0, len(digit_weights), k)]
+    tables = [_cross_sums(digit_weights[b:b + k]) for b in range(0, len(digit_weights), k)]
     # where q**k is 2**16, a uniform index is 16 raw bits, the cheapest draw
     index_type = np.uint16 if q ** k == 1 << 16 else np.int64
     rng = np.random.default_rng(seed)
@@ -402,26 +416,25 @@ def variation_constant(
 
     For integer p <= POWER_SUM_MAX_P = 16, "exact" sums the q**J strings
     through binomial power sums over the sorted head/tail split, in
-    O(p q**(J/2)) work.  Other p <= 16 split off a tail of at most
-    SERIES_TAIL_CAP = 64 strings and sum each head's row by a binomial
-    series in b/a, cut where its relative remainder is below 2**-60; only
-    heads within four tail sups of zero are paired, and the paired share of
-    the q**J strings shrinks like rho**J: at q = 2 it is 1.7% at p = 2.5,
-    J = 20, 32% at p = 1.5, J = 19 and 6.5% at J = 26.  p > 16 pairs every
-    head with every tail, O(q**J).  All three report the same J, ``terms``
-    and ``error_bound``.  Against a ``math.fsum`` of all pairs (q = 2, 3, 4;
-    unit and mixed-sign weights), the power sums are off by at most 5.8e-16
-    relative for integer p <= 16, the series by 4.4e-16 and the pairwise
-    sum by 3.8e-16.  The power-sum error grows about linearly in p, past
-    p = 1029 the binomial coefficients overflow float64, and the series
-    coefficients C(p, k) 4**-k grow with p, hence the cap.  For 16 < p <=
-    100 the default ``tol`` needs J <= 18 at q = 2 (and less at larger q),
-    so pairing there costs milliseconds.  J keeps growing with p: at p =
-    1000 it is 21, and at p = 3000 it is 23, whose 2**23 pairs take most of
-    a second.  The expansions are of power sums of the enumerated cross
-    sums, not of digit moments, so "exact" and "closed" still check each
-    other through two different algebras.  A result whose ``error_bound``
-    is not below its ``value`` says so with
+    O(p q**(J/2)) work; their error grows about linearly in p, and past
+    p = 1029 the binomial coefficients overflow float64, hence the cap.
+    Every other p splits off a tail of at most SERIES_TAIL_CAP = 64 strings
+    and sums each head's row by a binomial series in b/a, cut where its
+    relative remainder is below 2**-60; only heads within r = max(4, p)
+    tail sups of zero are paired, and the paired share of the q**J strings
+    shrinks like rho**J: at q = 2 it is 1.7% at p = 2.5, J = 20, 32% at
+    p = 1.5, J = 19, 6.5% at J = 26 and 2.3% at p = 3000, J = 23.  Both
+    kernels report the same J, ``terms`` and ``error_bound``.  Against a
+    ``math.fsum`` of all pairs (q = 2, 3, 4; unit and mixed-sign weights),
+    the power sums are off by at most 5.8e-16 relative for integer p <= 16
+    and the series by 4.4e-16 for p <= 15.5; past 16, where the power
+    itself rounds to about p 2**-53, the series and pairing agree within
+    that.  J grows with p: at the default ``tol`` and q = 2 it is 18 at
+    p = 100, 21 at p = 1000 and 23 at p = 3000, whose 2**23 strings take
+    tens of milliseconds.  The expansions are of power sums of the
+    enumerated cross sums, not of digit moments, so "exact" and "closed"
+    still check each other through two different algebras.  A result whose
+    ``error_bound`` is not below its ``value`` says so with
     ``details["bound_not_below_value"] = True``.  A moment that overflows
     float64 or underflows to 0.0, a truncation bound or a Monte Carlo
     standard error that overflows raises ``ValidationError``.

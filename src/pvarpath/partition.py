@@ -203,11 +203,12 @@ def random_refining_table(q: int, depth: int, seed: int = 0) -> PartitionGrid:
     pts[0], pts[-1] = 0.0, 1.0
     for n in range(depth):
         w = rng.dirichlet(np.full(q, DIRICHLET_CONCENTRATION), size=q ** n)
-        cuts = np.cumsum(w, axis=1)[:, :-1]
+        np.cumsum(w, axis=1, out=w)
+        cuts = w[:, :-1]
         parents = pts[:: q ** (depth - n)]
-        left = parents[:-1][:, None]
-        length = np.diff(parents)[:, None]
-        pts[:: q ** (depth - n - 1)][:-1].reshape(q ** n, q)[:, 1:] = left + length * cuts
+        cuts *= np.diff(parents)[:, None]
+        cuts += parents[:-1][:, None]
+        pts[:: q ** (depth - n - 1)][:-1].reshape(q ** n, q)[:, 1:] = cuts
     pts.setflags(write=False)  # handed over, not copied
     return PartitionGrid(q, depth, pts)
 

@@ -805,8 +805,10 @@ def _refuse_nonfinite(token):
 # the level (or J) with the largest one the budget holds and never forms
 # q**level; a bound, a constant or a density that overflows or underflows
 # float64 is refused; past a polynomial's degree the Ito correction is zero.
-# The slowest case is `constant --p 3000`, whose exact oracle pairs 2**23
-# digit strings (about a second)
+# The slowest cases are `constant --p 3000` and the two recipes at p = 3000
+# that need its constant: the exact oracle sums 2**23 digit strings by the
+# binomial series, pairing 2.3% of them (about 33 ms in-process on a 2-vCPU
+# Xeon)
 EDGE_CASES = [
     (["constant", "--p", "3000"], 0, None),
     (["recipe", "--p", "3000", "--levels", "4"], 0, None),
