@@ -13,6 +13,7 @@ document piece by piece, each number array one write of its base64 bytes,
 and a CSV in chunks formatted across the CPUs the process may run on (see
 ``serialize``), so its bytes do not depend on how many CPUs there are.  A
 command writes all its outputs or, if any write fails, none of them.
+The argument parser is built once per process, on the first ``run``.
 
 Exit codes: 0 success, 2 validation/usage/I-O error, 3 budget exceeded.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -343,7 +345,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {self.prog}: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The shared parser of every ``run`` in this process, built on the first
+    call.  It holds no per-call state: ``parse_args`` returns a fresh
+    namespace, and no argument appends to a default."""
     parser = _Parser(
         prog="pvarpath",
         description="Paths with prescribed p-th variation along refining partitions",

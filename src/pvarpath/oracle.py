@@ -12,7 +12,8 @@ independent copy of Z, so m_n = E Z**n obeys
     m_n (1 - rho**n) = rho**n sum_{k=1..n} C(n, k) mu_k m_{n-k},
 
 with mu_k = E W**k and m_0 = 1.  Every route refuses a moment that is not a
-finite float64 > 0: one that overflows, or underflows to 0.0.
+finite normal float64 > 0: one that overflows, or underflows to 0.0 or to a
+subnormal.
 
 Enumeration splits the J digits into head and tail cross sums a and b and
 averages |a_i + b_j|**p over all q**J pairs with one of two kernels:
@@ -38,6 +39,7 @@ still check each other through two different algebras.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,12 +113,16 @@ def _dropped_bound(p: float, rho: float, eta_sup: float, J: int) -> float:
 
 
 def _checked_moment(value: float, p: float, method: str) -> float:
-    """``value`` if it is a finite float64 > 0, the only kind of moment a
-    route reports; one that overflows or underflows to 0.0 raises."""
+    """``value`` if it is a finite normal float64 > 0, the only kind of
+    moment a route reports; one that overflows, or underflows to 0.0 or to a
+    subnormal, raises."""
     if not math.isfinite(value):
         raise ValidationError(f"the p={p} moment by {method} overflows float64")
     if not value > 0:
         raise ValidationError(f"the p={p} moment by {method} underflows float64 to {value}")
+    if value < sys.float_info.min:
+        raise ValidationError(
+            f"the p={p} moment by {method} underflows float64 to a subnormal {value}")
     return value
 
 
@@ -298,9 +304,9 @@ def _constant_monte_carlo(p, q, etas, rho, N, seed) -> VariationConstant:
     the cross sum of the tables of its two halves (a short last block is
     padded with zero-weight digits, which repeats its table), and one
     uniform index into the table is k independent uniform digits; where
-    q**k is 2**16, an index is 16 raw bits.  So the estimator and its
-    distribution are those of drawing digit by digit, at about Jt/k draws
-    per sample (4 at p = 1.5, q = 2 and 3).
+    q**k is 2**16, four indices per raw 64-bit word.  So the estimator and
+    its distribution are those of drawing digit by digit, at about Jt/k
+    draws per sample (4 at p = 1.5, q = 2 and 3).
 
     Samples go stratum-major, rows x S at a time with rows = MC_CHUNK // S:
     column s of a chunk is stratum s, so the heads are added by broadcasting
@@ -327,15 +333,22 @@ def _constant_monte_carlo(p, q, etas, rho, N, seed) -> VariationConstant:
     digit_weights = [rho ** j * etas for j in range(J0 + 1, J0 + Jt + 1)]
     digit_weights += [np.zeros(q)] * (-Jt % k)
     tables = [_cross_sums(digit_weights[b:b + k]) for b in range(0, len(digit_weights), k)]
-    # where q**k is 2**16, a uniform index is 16 raw bits, the cheapest draw
-    index_type = np.uint16 if q ** k == 1 << 16 else np.int64
     rng = np.random.default_rng(seed)
     sums = np.zeros(S)
     sumsq = np.zeros(S)
     rows = max(1, MC_CHUNK // S)   # a chunk is rows x S samples; column s is stratum s
     for start in range(0, N, rows * S):
         size = min(N, start + rows * S) - start
-        draws = rng.integers(0, q ** k, size=(len(tables), -(-size // S), S), dtype=index_type)
+        shape = (len(tables), -(-size // S), S)
+        if q ** k == 1 << 16:
+            # four indices per raw 64-bit word, low 16 bits first: the bits
+            # integers(0, 2**16, dtype=uint16) draws.  Only the last chunk can
+            # leave part of a word unused; every other holds 2**16 per table
+            count = math.prod(shape)
+            words = rng.bit_generator.random_raw(-(-count // 4))
+            draws = words.astype("<u8", copy=False).view("<u2")[:count].reshape(shape)
+        else:
+            draws = rng.integers(0, q ** k, size=shape, dtype=np.int64)
         z = tables[0].take(draws[0])
         z += heads
         for table, idx in zip(tables[1:], draws[1:]):
@@ -436,16 +449,16 @@ def variation_constant(
     still check each other through two different algebras.  A result whose
     ``error_bound`` is not below its ``value`` says so with
     ``details["bound_not_below_value"] = True``.  A moment that overflows
-    float64 or underflows to 0.0, a truncation bound or a Monte Carlo
-    standard error that overflows raises ``ValidationError``.
+    float64 or underflows to 0.0 or to a subnormal, a truncation bound or a
+    Monte Carlo standard error that overflows raises ``ValidationError``.
 
     Monte Carlo draws its sampled digits in blocks of k, one uniform index
     per block into a table of the block's q**k cross sums (q**k <=
-    MC_TABLE_CAP = 2**16: k = 16 at q = 2 and 10 at q = 3), and lays each
-    chunk of samples out stratum-major, rows x strata, accumulating
-    per-stratum sums one chunk at a time, so its memory does not depend on
-    N.  The estimator and its distribution are those of digit-by-digit
-    draws.
+    MC_TABLE_CAP = 2**16: k = 16 at q = 2 and 10 at q = 3; where q**k is
+    2**16, four indices per raw 64-bit word), and lays each chunk of
+    samples out stratum-major, rows x strata, accumulating per-stratum sums
+    one chunk at a time, so its memory does not depend on N.  The estimator
+    and its distribution are those of digit-by-digit draws.
     """
     check_exponent(p)
     if not (math.isfinite(tol) and tol > 0):

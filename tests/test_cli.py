@@ -819,6 +819,8 @@ EDGE_CASES = [
      "the p=3000.0 moment by exact-enumeration underflows float64 to 0.0"),
     (["constant", "--q", "3", "--p", "3000"], 2,
      "the p=3000.0 moment by exact-enumeration underflows float64 to 0.0"),
+    (["constant", "--p", "3000.5", "--q", "3", "--a", "1,-0.5", "--J", "13"], 2,
+     "the p=3000.5 moment by exact-enumeration underflows float64 to a subnormal 2.13"),
     *[([*command, "--q", "5", "--p", "200", "--levels", "8", "--target", "linear"], 3,
        "the p=200 constant for q=5 is 7.26e-11 with error bound 6.27e-08")
       for command in (["recipe"], ["timechange", "--mode", "recipe"])],
@@ -927,12 +929,36 @@ def test_sweep_every_numeric_flag(tmp_path, capsys, monkeypatch, argv):
         _assert_finite_output(path)
 
 
+def _python_dash_m(*argv, cwd=None):
+    src = str(Path(pvarpath.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "pvarpath", *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
-        src = str(Path(pvarpath.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run([sys.executable, "-m", "pvarpath", "selftest", "--criteria", "1"],
-                              env=env, capture_output=True, text=True, timeout=120)
+        proc = _python_dash_m("selftest", "--criteria", "1")
         assert proc.returncode == 0, proc.stderr
         assert "1/1 criteria passed" in proc.stdout
+
+
+# every run in a process parses with one parser, built on the first call; a
+# flag given to one run, or a run that ends in a usage error, leaves nothing
+# for the next
+class TestSharedParser:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_runs_leave_no_state(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["constant", "--p", "3", "--J", "10", "-o", "a.json"]) == 0
+        assert run(["constant", "--p"]) == 2
+        assert "argument --p: expected one argument" in capsys.readouterr().err
+        assert run(["constant", "--p", "3", "-o", "b.json"]) == 0
+        assert read_json(Path("a.json"))["manifest"]["config"]["J"] == 10
+        assert read_json(Path("b.json"))["manifest"]["config"]["J"] is None
+        proc = _python_dash_m("constant", "--p", "3", "-o", "fresh.json", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert Path("b.json").read_bytes() == Path("fresh.json").read_bytes()

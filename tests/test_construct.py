@@ -239,6 +239,12 @@ class TestVariationConstant:
         with pytest.raises(ValidationError, match="moment by .* underflows float64 to 0.0"):
             variation_constant(2.0, 3, (1e-200, 1e-200), method=method, N=1000)
 
+    # 2.13e-312 is below the least normal float64, 2.2e-308
+    def test_moment_underflowing_to_a_subnormal_rejected(self):
+        with pytest.raises(ValidationError, match="exact-enumeration underflows float64 "
+                                                  "to a subnormal 2.13"):
+            variation_constant(3000.5, 3, (1.0, -0.5), J=13)
+
     def test_series_with_a_zero_tail_underflows(self):
         # rho**j * 1e-322 is 0.0 from j = 9, so all 64 tail strings are 0.0
         with pytest.raises(ValidationError, match="moment by .* underflows float64 to 0.0"):
@@ -406,16 +412,20 @@ class TestMonteCarloSampler:
         assert math.isfinite(first.value) and first.stderr > 0.0
 
     # values of the stratum-major sampler with 2**16-entry tables, pinned: a
-    # chunk is 64 rows of 1024 samples at q = 2 and 89 rows of 729 at q = 3,
-    # so N = 200000 spans three full chunks and a partial one ending in a
-    # partial row
-    @pytest.mark.parametrize("q, value, stderr", [
-        (2, 1.30222140648678, 0.0004452207782370619),
-        (3, 1.3950712252407358, 0.0005333901391823684),
+    # chunk is 64 rows of 1024 samples at q = 2 and 4 and 89 rows of 729 at
+    # q = 3, so N = 200000 spans three full chunks and a partial one ending
+    # in a partial row.  At q = 2 and 4 (k = 16 and 8) four indices come from
+    # one raw 64-bit word; N = 130 has 2 strata and 5 tables, 650 indices, so
+    # its one chunk leaves half a word unused
+    @pytest.mark.parametrize("q, N, strata, value, stderr", [
+        (2, 200_000, 1024, 1.30222140648678, 0.0004452207782370619),
+        (3, 200_000, 729, 1.3950712252407358, 0.0005333901391823684),
+        (4, 200_000, 1024, 1.4689588521038126, 0.0005013275978020771),
+        (2, 130, 2, 1.33659601284982, 0.11441780417398809),
     ])
-    def test_seed_gives_pinned_values(self, q, value, stderr):
-        rep = variation_constant(1.5, q, method="mc", N=200_000, seed=1)
-        assert rep.details["strata"] == {2: 1024, 3: 729}[q]
+    def test_seed_gives_pinned_values(self, q, N, strata, value, stderr):
+        rep = variation_constant(1.5, q, method="mc", N=N, seed=1)
+        assert rep.details["strata"] == strata
         assert (rep.value, rep.stderr) == (value, stderr)
 
     def test_memory_does_not_grow_with_samples(self):
