@@ -201,6 +201,7 @@ def change_of_variable_residual(f: FunctionWithDerivatives, y: SampledPath, p) -
             resid[lo:lo + _BLOCK] = part
         del correction
         resid = _finite_evaluation(resid)
+    resid.setflags(write=False)  # a path on y's grid takes it without a copy
     return ResidualReport(
         eval_points=y.grid.points,
         residuals=resid,

@@ -1,18 +1,23 @@
 """Command-line entry point.
 
 Subcommands: build, analyze, constant, recipe, ito, timechange, selftest.
-Artifacts are JSON (machine interchange) or CSV (plotting interchange);
-every run records the fully resolved configuration and its hash, either
-inside the JSON artifact or in a sibling ``<output>.manifest.json``.  File
-locations are left out of the configuration; each file read is recorded by
-the digest of its bytes instead.  Identical arguments and inputs produce
-byte-identical artifacts wherever they are written: the only randomness is
-the named seed (default 0) and nothing is time-based.  JSON and CSV outputs
-are streamed to their files, never assembled as one string first: a JSON
-document piece by piece, each number array one write of its base64 bytes,
-and a CSV in chunks formatted across the CPUs the process may run on (see
-``serialize``), so its bytes do not depend on how many CPUs there are.  A
-command writes all its outputs or, if any write fails, none of them.
+Artifacts are JSON (machine interchange: paths, tables, constants, checks)
+or CSV (plotting interchange: the variation profiles of ``analyze`` and
+``recipe --profile-csv``).  A path is always a path document, and so is the
+change-of-variable residual that ``ito`` writes: it is a function on the
+path's own grid, so ``analyze`` reads it like any path.  Every run records
+the fully resolved configuration and its hash, either inside the JSON
+artifact or in a sibling ``<output>.manifest.json`` (``analyze`` and
+``ito``).  File locations are left out of the configuration; each file read
+is recorded by the digest of its bytes instead.  Identical arguments and
+inputs produce byte-identical artifacts wherever they are written: the only
+randomness is the named seed (default 0) and nothing is time-based.  JSON
+and CSV outputs are streamed to their files, never assembled as one string
+first: a JSON document piece by piece, each number array base64-encoded
+slice by slice as it is written, and a CSV in chunks formatted across the
+CPUs the process may run on (see ``serialize``), so its bytes do not depend
+on how many CPUs there are.  A command writes all its outputs or, if any
+write fails, none of them.
 The argument parser is built once per process, on the first ``run``.
 
 Exit codes: 0 success, 2 validation/usage/I-O error, 3 budget exceeded.
@@ -42,6 +47,7 @@ from .construct import (
 from .errors import BudgetError, ValidationError
 from .oracle import variation_constant
 from .partition import power_table, qadic_table, random_refining_table
+from .schauder import SampledPath
 from .timechange import HPRIME_RULE, pullback_path, transported_pvar_check, transported_recipe
 from .variation import DEFAULT_EVAL_LEVEL, pvar_profile
 
@@ -227,9 +233,9 @@ def _cmd_ito(args) -> int:
             )
         path = path.restrict(args.level)
     report = change_of_variable_residual(f, path, args.p)
+    residual = SampledPath(grid=path.grid, values=report.residuals)
     _write_all([
-        (args.output, lambda stream: serialize.write_residual_csv(
-            report.eval_points, report.residuals, stream)),
+        (args.output, serialize.path_to_dict(residual)),
         (args.output + ".manifest.json",
          _manifest(args, {"sup_residual": report.sup, "input_hash": input_hash})),
     ])
@@ -391,12 +397,18 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("-o", "--output", required=True, help="output path JSON")
     r.set_defaults(func=_cmd_recipe)
 
-    i = sub.add_parser("ito", help="compensated-sum change-of-variable residual")
+    i = sub.add_parser(
+        "ito", help="compensated-sum change-of-variable residual",
+        description="Write the change-of-variable residual of a path artifact as a path "
+        "JSON on the path's grid (the document `build` writes, so `analyze` reads it), "
+        "and its manifest, with sup_residual and input_hash, to <output>.manifest.json. "
+        "Earlier versions wrote a t,residual CSV.")
     i.add_argument("input", help="path JSON artifact")
     i.add_argument("--f", required=True, help="ascending polynomial coefficients, e.g. 0,0,1")
     i.add_argument("--p", type=float, default=2.0, help="even variation order")
     i.add_argument("--level", type=int, default=None, help="restrict to a coarser level")
-    i.add_argument("-o", "--output", required=True, help="output residual CSV")
+    i.add_argument("-o", "--output", required=True, help="output residual path JSON; "
+                   "the manifest goes to <output>.manifest.json")
     i.set_defaults(func=_cmd_ito)
 
     t = sub.add_parser("timechange", help="transport paths/targets through a time change")

@@ -5,20 +5,23 @@ is ``{"q": q, "points": <array>}``, the level-N points, whose count fixes N.
 
 A document's number arrays (a path's ``values`` and ``meta.grid_points``,
 a table's ``points``) are written as ``{"f8le": "<base64 of the
-little-endian float64 bytes>"}`` (``_f8le``): exact to the bit, and the
-same text on every host.
+little-endian float64 bytes>"}``: exact to the bit, and the same text on
+every host.  In memory, before it is written, the document holds the
+contiguous ``"<f8"`` array itself under ``"f8le"`` (``_f8le``); no text is
+made until the document is written.
 
 Every number a document carries is read by one rule, here: ``q`` and a
 path's ``level`` must be JSON integers (``_json_int``); an array must be an
-``f8le`` object (that one key, a ``str`` of strict base64 that decodes to a
-multiple of 8 bytes; ``binascii`` decodes it from the parsed text itself,
-with no ASCII copy) or, as older and hand-written documents give it, a
-flat list of JSON numbers, ``int`` or ``float`` items only
-(``_json_floats``); a path's ``meta`` must be an object.  Anything else is
-refused with one line naming the document kind and the field; a valid
-document reads back bit for bit, and non-finite values are refused by the
-path or grid they would build.  A path's numbers are its ``values`` alone:
-a ``meta.offset`` shift is refused, not read and dropped.
+``f8le`` object (that one key, holding a ``str`` of strict base64 that
+decodes to a multiple of 8 bytes, which ``binascii`` decodes from the
+parsed text itself, with no ASCII copy; or, in a document that was never
+written, the array ``_f8le`` put there) or, as older and hand-written
+documents give it, a flat list of JSON numbers, ``int`` or ``float`` items
+only (``_json_floats``); a path's ``meta`` must be an object.  Anything
+else is refused with one line naming the document kind and the field; a
+valid document reads back bit for bit, and non-finite values are refused by
+the path or grid they would build.  A path's numbers are its ``values``
+alone: a ``meta.offset`` shift is refused, not read and dropped.
 
 A path document's ``meta`` is its grid's layout only: ``grid_generator``,
 "q-adic" for a grid fixed by q and level or "table" for one that stores its
@@ -28,31 +31,35 @@ an artifact was made is recorded in its manifest.
 
 JSON artifacts are written by one encoder, with sorted keys and compact
 separators, so a fixed input produces byte-identical output: the bytes of
-``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` and a newline.
-It walks dicts and lists as ``json`` does and hands every other value and
-key to ``json``'s encoder, with one exception, the payload rule: an f8le
-text made by ``_f8le`` (an ``_F8leText``, a ``str`` that keeps its base64
-bytes) is written as those bytes, once, between quotes, since base64 never
-needs escaping.  Any other string, a hand-written ``"f8le"`` one included,
-is escaped as ``json`` escapes it.  ``canonical_dumps`` is the same text as
-one string.  CSV floats
-are written in one format, ``_CSV_FLOAT`` (``%.17g``: 17 significant
-digits, enough for any float64 to read back exactly), and the contract is
-the text of Python's ``"%.17g" %``, byte for byte.  A numpy kernel
-(``_format_rows``) meets it: it rounds each value to 17 digits exactly in
-float64 arithmetic (``_decimal``), turns the digits into text through
-lookup tables and lays them out by a byte mask.  A row holding a value the
-kernel does not decide (a non-finite value, a subnormal, |x| beyond the
-kernel's range, or a rounding too close to a tie to call) is written by
-``%`` itself and spliced in.
+``json.dumps`` (``sort_keys=True, separators=(",", ":")``) of the document
+with each array in its base64 text form, and a newline.  It walks dicts and
+lists as ``json`` does and hands every other value and key to ``json``'s
+encoder, with one exception, the payload rule: an array ``_f8le`` put in the
+document is encoded while it is written, between quotes, by
+``binascii.b2a_base64`` of consecutive ``_F8LE_CHUNK``-byte slices of its
+bytes.  The slices are a multiple of 3 bytes long, so their texts join into
+the text of the whole array, and base64 never needs escaping, so that text
+is neither scanned nor quoted.  No more than one slice's text is held at a
+time.  Any string, a hand-written ``"f8le"`` one included, is escaped as
+``json`` escapes it.  ``canonical_dumps`` is the same text as one string.
+
+CSV holds the variation profiles (``write_profiles_csv``).  CSV floats are
+written in one format, ``_CSV_FLOAT`` (``%.17g``: 17 significant digits,
+enough for any float64 to read back exactly), and the contract is the text
+of Python's ``"%.17g" %``, byte for byte.  A numpy kernel (``_format_rows``)
+meets it: it rounds each value to 17 digits exactly in float64 arithmetic
+(``_decimal``), turns the digits into text through lookup tables and lays
+them out by a byte mask.  A row holding a value the kernel does not decide
+(a non-finite value, a subnormal, |x| beyond the kernel's range, or a
+rounding too close to a tie to call) is written by ``%`` itself and spliced
+in.
 
 Writers take a binary stream, and text stays bytes from the kernel or the
 base64 encoder to the file: no newline translation, and no decode or encode
-between them.  A CSV
-is streamed to the caller's stream: its rows are cut into ranges of
-``_CSV_CHUNK_ROWS``, and the ranges are formatted round-robin by this
-process and forked workers, one per CPU it may run on, then written in
-order (``_write_chunks``).  No process holds much more than one range of
+between them.  A CSV is streamed to the caller's stream: its rows are cut
+into ranges of ``_CSV_CHUNK_ROWS``, and the ranges are formatted round-robin
+by this process and forked workers, one per CPU it may run on, then written
+in order (``_write_chunks``).  No process holds much more than one range of
 text, no whole-file string is ever built, and the bytes do not depend on
 how many CPUs there are.
 """
@@ -76,6 +83,8 @@ from .schauder import SampledPath
 
 
 _CSV_CHUNK_ROWS = 1 << 16
+_F8LE_CHUNK = 3 << 16  # bytes per base64 slice of a payload: a multiple of 3
+_F8LE = np.dtype("<f8")
 _JSON_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
@@ -154,15 +163,6 @@ def _write_chunks(stream: IO[bytes], n: int, fmt: Callable[[int, int], bytes]) -
             os.waitpid(pid, 0)
 
 
-class _F8leText(str):
-    """The base64 text of one ``_f8le`` array.  It is a ``str``, so ``json``,
-    ``_json_floats`` and equality treat it as the text it is, and it keeps
-    the ASCII bytes it was decoded from (``ascii``), which ``write_json``
-    writes as they are.  Only ``_f8le`` makes one."""
-
-    __slots__ = ("ascii",)
-
-
 def _json_key(key) -> str:
     """A dict key as ``json`` turns it into a string: a ``str`` as it is;
     a float, an int, a bool or None as its JSON text."""
@@ -173,17 +173,25 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
+def _is_payload(obj) -> bool:
+    """Whether ``obj`` is an array as ``_f8le`` puts it in a document."""
+    return type(obj) is np.ndarray and obj.dtype == _F8LE and obj.ndim == 1
+
+
 def _encode(obj, pending: list):
     """Yield the canonical JSON of ``obj`` as ASCII byte pieces, gathering
-    the text between them in ``pending``: the bytes of every ``_F8leText``
-    are yielded alone, after the text before them.  Dicts (their items
-    sorted, keys converted by ``_json_key``), lists and tuples are walked
-    as ``json`` walks them; every other value is ``_JSON_ENCODER``'s."""
-    if type(obj) is _F8leText:
+    the text between them in ``pending``: a payload array is yielded as the
+    base64 of its consecutive ``_F8LE_CHUNK``-byte slices, one piece each,
+    after the text before it.  Dicts (their items sorted, keys converted by
+    ``_json_key``), lists and tuples are walked as ``json`` walks them;
+    every other value is ``_JSON_ENCODER``'s."""
+    if _is_payload(obj):
         pending.append('"')
         yield "".join(pending).encode()
         pending.clear()
-        yield obj.ascii
+        raw = np.ascontiguousarray(obj).view(np.uint8)
+        for lo in range(0, raw.size, _F8LE_CHUNK):
+            yield binascii.b2a_base64(raw[lo:lo + _F8LE_CHUNK], newline=False)
         pending.append('"')
     elif isinstance(obj, (list, tuple)):
         pending.append("[")
@@ -204,8 +212,9 @@ def _encode(obj, pending: list):
 
 def _json_pieces(obj):
     """The bytes of ``json.dumps(obj, sort_keys=True, separators=(",",
-    ":")) + "\\n"``, in pieces: the bytes of each ``_F8leText`` are one
-    piece, and the text between them is one piece each."""
+    ":")) + "\\n"``, each payload array as its base64 text, in pieces: each
+    slice of a payload is one piece, and the text between payloads is one
+    piece each."""
     pending = []
     yield from _encode(obj, pending)
     pending.append("\n")
@@ -215,14 +224,15 @@ def _json_pieces(obj):
 def write_json(obj, stream: IO[bytes]) -> None:
     """The canonical JSON of ``obj`` (sorted keys, compact separators, one
     closing newline) written to the binary ``stream``: the bytes of
-    ``json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\\n"``.
+    ``json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\\n"``,
+    with each array ``_f8le`` put in ``obj`` written as its base64 text.
 
-    An f8le text made by ``_f8le`` is written as one ``write`` of its
-    base64 bytes, between quotes written with the text around it: base64
-    never needs escaping, so it is not scanned, quoted or re-encoded.  Any
-    other string, a hand-written ``"f8le"`` one too, goes through the
-    encoder's escapes.  The document is never held whole: the largest piece
-    is one payload."""
+    That text is encoded here, one ``write`` per ``_F8LE_CHUNK``-byte slice
+    of the array, between quotes written with the text around it: base64
+    never needs escaping, so it is not scanned, quoted or re-encoded.  Every
+    string, a hand-written ``"f8le"`` one too, goes through the encoder's
+    escapes.  Neither the document nor a whole payload's text is ever held:
+    the largest piece is one slice's text."""
     for piece in _json_pieces(obj):
         stream.write(piece)
 
@@ -244,15 +254,12 @@ def config_hash(config: dict) -> str:
 
 
 def _f8le(values: np.ndarray) -> dict:
-    """``values`` as ``{"f8le": <base64 of their little-endian float64
-    bytes>}``, the same text whatever the host's byte order.  The text is
-    an ``_F8leText``: ``binascii`` encodes the contiguous little-endian
-    array as it is (only a strided or big-endian one is copied first), and
-    ``write_json`` writes those bytes without a scan."""
-    raw = binascii.b2a_base64(np.ascontiguousarray(values, dtype="<f8"), newline=False)
-    text = _F8leText(raw, "ascii")
-    text.ascii = raw
-    return {"f8le": text}
+    """``values`` as ``{"f8le": <their contiguous little-endian float64
+    array>}``: the array as it is, or a copy of a strided or big-endian one.
+    ``write_json`` writes it as the base64 of its bytes, the same text
+    whatever the host's byte order, and ``_json_floats`` reads it back as it
+    is."""
+    return {"f8le": np.ascontiguousarray(values, dtype=_F8LE)}
 
 
 def path_to_dict(path: SampledPath) -> dict:
@@ -276,16 +283,21 @@ def _json_int(value, name: str, kind: str) -> int:
 
 
 def _json_floats(value, name: str, kind: str) -> np.ndarray:
-    """``value`` as a float64 array if it is an ``_f8le`` object or a flat
-    list of JSON numbers."""
-    if type(value) is dict and value.keys() == {"f8le"} and isinstance(value["f8le"], str):
-        try:
-            # strict: the base64 alphabet and padding only, nothing after it
-            raw = binascii.a2b_base64(value["f8le"], strict_mode=True)
-            if len(raw) % 8 == 0:
-                return np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False)
-        except ValueError:  # binascii.Error too: not ASCII, not base64, bad padding
-            pass
+    """``value`` as a float64 array if it is an f8le object (its base64
+    text, or the array ``_f8le`` put in a document that was never written)
+    or a flat list of JSON numbers."""
+    if type(value) is dict and value.keys() == {"f8le"}:
+        payload = value["f8le"]
+        if _is_payload(payload):
+            return payload.astype(np.float64, copy=False)
+        if isinstance(payload, str):
+            try:
+                # strict: the base64 alphabet and padding only, nothing after it
+                raw = binascii.a2b_base64(payload, strict_mode=True)
+                if len(raw) % 8 == 0:
+                    return np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False)
+            except ValueError:  # binascii.Error too: not ASCII, not base64, bad padding
+                pass
     elif type(value) is list and set(map(type, value)) <= {int, float}:
         try:
             return np.asarray(value, dtype=np.float64)
@@ -609,6 +621,7 @@ def write_profiles_csv(profiles, stream: IO[bytes]) -> None:
 
 
 def write_residual_csv(eval_points, residuals, stream: IO[bytes]) -> None:
-    """Rows "t,residual"."""
+    """Rows "t,residual".  No command writes this form since ``ito`` writes
+    its residual as a path document."""
     stream.write(b"t,residual\n")
     _write_rows(stream, "", eval_points, residuals)

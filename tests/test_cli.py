@@ -379,13 +379,64 @@ class TestRecipe:
 class TestIto:
     def test_square_residual_is_tiny(self, tmp_path):
         ref = tmp_path / "ref.json"
-        res = tmp_path / "resid.csv"
+        res = tmp_path / "resid.json"
         assert run(["build", "--levels", "10", "-o", str(ref)]) == 0
         assert run(["ito", str(ref), "--f", "0,0,1", "--p", "2",
                     "-o", str(res)]) == 0
-        manifest = read_json(tmp_path / "resid.csv.manifest.json")
+        manifest = read_json(tmp_path / "resid.json.manifest.json")
         assert manifest["config"]["sup_residual"] <= 1e-12
-        assert res.read_text().startswith("t,residual\n")
+        resid = serialize.path_from_dict(read_json(res))
+        assert (resid.q, resid.level, resid.grid.generator) == (2, 10, "q-adic")
+        assert resid.sup_norm() == manifest["config"]["sup_residual"]
+
+    def test_residual_document_is_analyzed(self, tmp_path):
+        ref, res, prof = tmp_path / "ref.json", tmp_path / "resid.json", tmp_path / "prof.csv"
+        assert run(["build", "--levels", "8", "--signs", "random", "--seed", "3",
+                    "-o", str(ref)]) == 0
+        assert run(["ito", str(ref), "--f", "0,0,0,0,1", "--p", "4", "-o", str(res)]) == 0
+        assert run(["analyze", str(res), "--p", "2", "-o", str(prof)]) == 0
+        assert prof.read_text().startswith("level,t,value\n")
+
+    @pytest.mark.parametrize("f, p", [("0,0,1", "2"), ("0,0,0,0,1", "4"), ("1,-2,0.5", "4")],
+                             ids=["square", "fourth", "quadratic-p4"])
+    def test_residual_values_are_the_report_bit_for_bit(self, tmp_path, f, p):
+        ref, res = tmp_path / "ref.json", tmp_path / "resid.json"
+        assert run(["build", "--levels", "9", "--signs", "random", "--seed", "5",
+                    "-o", str(ref)]) == 0
+        assert run(["ito", str(ref), "--f", f, "--p", p, "-o", str(res)]) == 0
+        path = serialize.path_from_dict(read_json(ref))
+        report = pvarpath.change_of_variable_residual(
+            pvarpath.FunctionWithDerivatives.polynomial([float(c) for c in f.split(",")]),
+            path, float(p))
+        resid = serialize.path_from_dict(read_json(res))
+        assert resid.values.tobytes() == report.residuals.tobytes()
+        assert resid.grid.points.tobytes() == report.eval_points.tobytes()
+        assert read_json(tmp_path / "resid.json.manifest.json")["config"]["sup_residual"] \
+            == report.sup
+
+    def test_level_flag_writes_that_level(self, tmp_path):
+        ref, res = tmp_path / "ref.json", tmp_path / "resid.json"
+        assert run(["build", "--levels", "9", "-o", str(ref)]) == 0
+        assert run(["ito", str(ref), "--f", "0,0,1", "--level", "6", "-o", str(res)]) == 0
+        doc = read_json(res)
+        assert (doc["q"], doc["level"]) == (2, 6)
+        assert serialize.path_from_dict(doc).values.size == 2 ** 6 + 1
+
+    def test_pulled_path_residual_keeps_the_table_grid(self, tmp_path):
+        ref, table = tmp_path / "ref.json", tmp_path / "table.json"
+        pulled, res = tmp_path / "pulled.json", tmp_path / "resid.json"
+        assert run(["build", "--q", "3", "--levels", "5", "-o", str(ref)]) == 0
+        assert run(["timechange", "--mode", "pullback", "--q", "3", "--levels", "5",
+                    "--make-table", "random", "--seed", "2", "--table-out", str(table),
+                    "--path", str(ref), "-o", str(pulled)]) == 0
+        for level, stride in ((None, 1), ("3", 9)):
+            flags = [] if level is None else ["--level", level]
+            assert run(["ito", str(pulled), "--f", "0,0,1", *flags, "-o", str(res)]) == 0
+            doc = read_json(res)
+            assert doc["meta"]["grid_generator"] == "table"
+            points = serialize.table_from_dict(read_json(table)).points[::stride]
+            grid_points = serialize.path_from_dict(doc).grid.points
+            assert grid_points.tobytes() == np.ascontiguousarray(points).tobytes()
 
     @pytest.mark.parametrize("p, reason", [
         ("3", "an odd p needs the signed p-th variation, which is not implemented"),
@@ -775,7 +826,8 @@ class TestUsageErrors:
         assert not out.exists()
 
     def test_failed_chunk_worker_leaves_no_output(self, tmp_path, capsys, monkeypatch):
-        # the residual CSV of a level-17 path spans three chunks, so a worker forks
+        # at --eval-level 17 the profile CSV of a level-17 path holds its
+        # level-17 profile, whose rows span three chunks, so a worker forks
         path = tmp_path / "x.json"
         assert run(["build", "--levels", "17", "-o", str(path)]) == 0
         write_chunks, parent = serialize._write_chunks, os.getpid()
@@ -789,7 +841,8 @@ class TestUsageErrors:
 
         monkeypatch.setattr(serialize, "_cpu_count", lambda: 2)
         monkeypatch.setattr(serialize, "_write_chunks", failing_in_worker)
-        assert run(["ito", str(path), "--f", "0,0,1", "-o", str(tmp_path / "r.csv")]) == 2
+        assert run(["analyze", str(path), "--eval-level", "17",
+                    "-o", str(tmp_path / "r.csv")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "formatting worker stopped" in err, err
         assert list(tmp_path.iterdir()) == [path]

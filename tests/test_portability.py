@@ -12,6 +12,8 @@ array's byte order.  The kernel's powers of ten are built from integer
 arithmetic, not from a platform's ``pow``.
 """
 
+import io
+import json
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -32,13 +34,19 @@ def test_no_platform_sized_floats():
     assert hits == []
 
 
+def _written_f8le(values) -> bytes:
+    buf = io.BytesIO()
+    serialize.write_json(serialize._f8le(values), buf)
+    return buf.getvalue()
+
+
 def test_f8le_bytes_do_not_depend_on_byte_order():
     values = np.array([1.0, -0.0, 5e-324, 1 / 3, -2.5e300])
-    text = serialize._f8le(values)["f8le"]
-    assert serialize._f8le(values.astype(">f8"))["f8le"] == text
-    assert serialize._f8le(values.astype("<f8"))["f8le"] == text
-    assert serialize._f8le(np.array([1.0]))["f8le"] == "AAAAAAAA8D8="  # 00 .. 00 f0 3f
-    back = serialize._json_floats({"f8le": text}, "values", "path")
+    written = _written_f8le(values)
+    assert _written_f8le(values.astype(">f8")) == written
+    assert _written_f8le(values.astype("<f8")) == written
+    assert _written_f8le(np.array([1.0])) == b'{"f8le":"AAAAAAAA8D8="}\n'  # 00 .. 00 f0 3f
+    back = serialize._json_floats(json.loads(written), "values", "path")
     assert back.tobytes() == values.tobytes()
 
 

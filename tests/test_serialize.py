@@ -6,6 +6,7 @@ import json
 import math
 import os
 import signal
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -98,11 +99,29 @@ class TestTableRoundTrip:
         np.testing.assert_array_equal(back.points, table.points)
 
 
+def _b64(values) -> str:
+    """The base64 text of ``values`` as little-endian float64, encoded here,
+    not by the writer."""
+    return base64.b64encode(np.asarray(values).astype("<f8").tobytes()).decode()
+
+
+def _as_text(obj):
+    """``obj`` with every array ``_f8le`` put in it as the base64 text a
+    written document holds, so that ``json`` can write it."""
+    if isinstance(obj, np.ndarray):
+        return _b64(obj)
+    if isinstance(obj, dict):
+        return {k: _as_text(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_as_text(v) for v in obj]
+    return obj
+
+
 def _as_lists(doc):
     """``doc`` with every f8le array (values, meta.grid_points, points) in
     the list form of older and hand-written documents."""
     def lists(value):
-        return np.frombuffer(base64.b64decode(value["f8le"]), dtype="<f8").tolist()
+        return np.frombuffer(base64.b64decode(_as_text(value["f8le"])), dtype="<f8").tolist()
     out = {k: lists(v) if k in ("values", "points") else v for k, v in doc.items()}
     if "grid_points" in doc.get("meta", {}):
         out["meta"] = {**doc["meta"], "grid_points": lists(doc["meta"]["grid_points"])}
@@ -339,7 +358,7 @@ class TestJsonByteIdentity:
                              ids=["path", "pulled", "table", "hand-written-f8le"])
     def test_matches_json_dumps(self, make):
         doc = make()
-        expected = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        expected = json.dumps(_as_text(doc), sort_keys=True, separators=(",", ":")) + "\n"
         buf = io.BytesIO()
         serialize.write_json(doc, buf)
         assert buf.getvalue() == expected.encode()
@@ -361,10 +380,11 @@ class _RecordingStream(io.BytesIO):
 class TestJsonPayloadWrites:
     @pytest.mark.parametrize("make", [_pulled_document, _table_document],
                              ids=["pulled", "table"])
-    def test_each_payload_is_one_write_of_its_base64(self, monkeypatch, make):
+    def test_payload_bytes_never_pass_through_the_escaper(self, monkeypatch, make):
         doc = make()
         payloads = [doc[k]["f8le"] for k in ("values", "points") if k in doc]
         payloads += [doc["meta"]["grid_points"]["f8le"]] if "meta" in doc else []
+        texts = [_b64(values) for values in payloads]
         escaped = []
 
         def escape(text):
@@ -376,16 +396,66 @@ class TestJsonPayloadWrites:
         stream = _RecordingStream()
         serialize.write_json(doc, stream)
         assert all(type(w) is bytes for w in stream.writes)
-        for text in payloads:
+        for text in texts:
             raw = text.encode("ascii")
             assert len(raw) > 1000
+            # the text is its own writes, apart from the quotes around it
             assert stream.writes.count(raw) == 1
             assert all(w == raw or raw not in w for w in stream.writes)
-            assert text not in escaped
+            assert all(text not in e for e in escaped)
         assert max(map(len, escaped)) < 100
         monkeypatch.undo()
         assert stream.getvalue() == (
-            json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+            json.dumps(_as_text(doc), sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+# value counts whose byte counts (8 per value) lie just below, on and just
+# above one and two base64 slices, and leave 0, 1 or 2 bytes over a multiple of 3
+_SLICE_VALUES = serialize._F8LE_CHUNK // 8
+_CHUNK_SIZES = [0, 1, 2, 3, _SLICE_VALUES - 1, _SLICE_VALUES, _SLICE_VALUES + 1,
+                2 * _SLICE_VALUES - 2, 2 * _SLICE_VALUES, 2 * _SLICE_VALUES + 2]
+
+
+class _CountingSink:
+    """A binary stream that keeps only the number of bytes written."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, data):
+        self.size += len(data)
+        return len(data)
+
+
+class TestChunkedPayloads:
+    def test_sizes_cover_every_remainder(self):
+        assert serialize._F8LE_CHUNK % 3 == 0
+        assert {8 * n % 3 for n in _CHUNK_SIZES} == {0, 1, 2}
+        assert {8 * n % serialize._F8LE_CHUNK for n in _CHUNK_SIZES} >= {
+            0, 8, serialize._F8LE_CHUNK - 8}
+
+    @pytest.mark.parametrize("n", _CHUNK_SIZES)
+    def test_text_is_the_whole_array_encoded_at_once(self, n):
+        values = np.random.default_rng(n).standard_normal(n)
+        expected = b'{"f8le":"' + base64.b64encode(values.astype("<f8").tobytes()) + b'"}\n'
+        for form in (values, values.astype(">f8"), np.repeat(values, 2)[::2]):
+            stream = _RecordingStream()
+            serialize.write_json(serialize._f8le(form), stream)
+            assert stream.getvalue() == expected
+            assert max(map(len, stream.writes)) <= 4 * serialize._F8LE_CHUNK // 3
+        assert serialize.canonical_dumps(serialize._f8le(values)) == expected.decode()
+
+    def test_writing_a_path_holds_one_slice(self):
+        x = qadic_path(np.random.default_rng(2).standard_normal(2 ** 18 + 1))
+        sink = _CountingSink()
+        tracemalloc.start()
+        try:
+            serialize.write_json(serialize.path_to_dict(x), sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 8 * 2 ** 18 * 4 // 3
+        assert peak < 1 << 20, peak
 
 
 def _restricted_path():
