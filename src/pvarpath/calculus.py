@@ -151,7 +151,6 @@ def follmer_sum(f: FunctionWithDerivatives, y: SampledPath, p) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ResidualReport:
-    eval_points: np.ndarray
     residuals: np.ndarray
     sup: float
 
@@ -203,7 +202,6 @@ def change_of_variable_residual(f: FunctionWithDerivatives, y: SampledPath, p) -
         resid = _finite_evaluation(resid)
     resid.setflags(write=False)  # a path on y's grid takes it without a copy
     return ResidualReport(
-        eval_points=y.grid.points,
         residuals=resid,
         sup=float(np.max(np.abs(resid))),
     )

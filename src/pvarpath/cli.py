@@ -14,9 +14,8 @@ inputs produce byte-identical artifacts wherever they are written: the only
 randomness is the named seed (default 0) and nothing is time-based.  JSON
 and CSV outputs are streamed to their files, never assembled as one string
 first: a JSON document piece by piece, each number array base64-encoded
-slice by slice as it is written, and a CSV in chunks formatted across the
-CPUs the process may run on (see ``serialize``), so its bytes do not depend
-on how many CPUs there are.  A command writes all its outputs or, if any
+slice by slice as it is written, and a CSV block by block in the writing
+process (see ``serialize``).  A command writes all its outputs or, if any
 write fails, none of them.
 The argument parser is built once per process, on the first ``run``.
 

@@ -46,7 +46,7 @@ time.  Any string, a hand-written ``"f8le"`` one included, is escaped as
 CSV holds the variation profiles (``write_profiles_csv``).  CSV floats are
 written in one format, ``_CSV_FLOAT`` (``%.17g``: 17 significant digits,
 enough for any float64 to read back exactly), and the contract is the text
-of Python's ``"%.17g" %``, byte for byte.  A numpy kernel (``_format_rows``)
+of Python's ``"%.17g" %``, byte for byte.  A numpy kernel (``_write_rows``)
 meets it: it rounds each value to 17 digits exactly in float64 arithmetic
 (``_decimal``), turns the digits into text through lookup tables and lays
 them out by a byte mask.  A row holding a value the kernel does not decide
@@ -56,12 +56,10 @@ in.
 
 Writers take a binary stream, and text stays bytes from the kernel or the
 base64 encoder to the file: no newline translation, and no decode or encode
-between them.  A CSV is streamed to the caller's stream: its rows are cut
-into ranges of ``_CSV_CHUNK_ROWS``, and the ranges are formatted round-robin
-by this process and forked workers, one per CPU it may run on, then written
-in order (``_write_chunks``).  No process holds much more than one range of
-text, no whole-file string is ever built, and the bytes do not depend on
-how many CPUs there are.
+between them.  A CSV is written block by block in the writing process: the
+text of each ``_BLOCK_ROWS`` rows goes to the caller's stream as soon as it
+is formatted, so no more than one block's text is held and no whole-file
+string is ever built.
 """
 
 from __future__ import annotations
@@ -71,8 +69,7 @@ import functools
 import hashlib
 import json
 import math
-import os
-from typing import IO, Callable
+from typing import IO
 
 import numpy as np
 
@@ -82,85 +79,9 @@ from .partition import PartitionGrid, build_homeomorphism, qadic_grid
 from .schauder import SampledPath
 
 
-_CSV_CHUNK_ROWS = 1 << 16
 _F8LE_CHUNK = 3 << 16  # bytes per base64 slice of a payload: a multiple of 3
 _F8LE = np.dtype("<f8")
 _JSON_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def _cpu_count() -> int:
-    """Processes ``_write_chunks`` may use: the CPUs this process may run on,
-    where the platform reports them (and so can fork), else 1."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _send(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _receive(pipe: IO[bytes]) -> bytes:
-    """The next length-prefixed range a worker sent."""
-    head = pipe.read(8)
-    size = int.from_bytes(head, "little") if len(head) == 8 else -1
-    data = pipe.read(size) if size >= 0 else b""
-    if len(data) != size:
-        raise OSError("a formatting worker stopped before sending all its ranges")
-    return data
-
-
-def _write_chunks(stream: IO[bytes], n: int, fmt: Callable[[int, int], bytes]) -> None:
-    """Write ``fmt(lo, hi)`` for the consecutive ``_CSV_CHUNK_ROWS``-item
-    ranges ``[lo, hi)`` of ``[0, n)`` to ``stream``, in order.
-
-    Range i is formatted by process ``i % P``: this process, or one of
-    ``P - 1`` forked workers, P being the CPU count capped at the number of
-    ranges.  A worker sends its ranges, length-prefixed, through its own
-    pipe and blocks until this process has taken the previous one, so every
-    process holds about one range of text at a time.  The bytes written are
-    those of the serial loop whatever P is.  A worker runs only ``fmt`` and
-    ``os.write`` and always leaves by ``os._exit``; one that stops early
-    makes this function raise ``OSError``.  Every worker is reaped before it
-    returns or raises.
-    """
-    starts = range(0, n, _CSV_CHUNK_ROWS)
-    procs = max(1, min(_cpu_count(), len(starts)))
-    workers = []  # (pid, read end of its pipe)
-    try:
-        for w in range(1, procs):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                code = 1
-                try:
-                    # hold no other pipe's read end, so each worker sees a
-                    # broken pipe as soon as this process closes its end
-                    os.close(read_fd)
-                    for _, pipe in workers:
-                        pipe.close()
-                    for lo in starts[w::procs]:
-                        data = fmt(lo, min(lo + _CSV_CHUNK_ROWS, n))
-                        _send(write_fd, len(data).to_bytes(8, "little") + data)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write_fd)
-            workers.append((pid, os.fdopen(read_fd, "rb")))
-        for i, lo in enumerate(starts):
-            if i % procs == 0:
-                stream.write(fmt(lo, min(lo + _CSV_CHUNK_ROWS, n)))
-            else:
-                stream.write(_receive(workers[i % procs - 1][1]))
-    finally:
-        for pid, pipe in workers:
-            pipe.close()
-            os.waitpid(pid, 0)
 
 
 def _json_key(key) -> str:
@@ -441,7 +362,7 @@ def _words(table: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _kernel_tables() -> dict:
-    """The tables ``_format_rows`` reads, built on first use from integer
+    """The tables ``_write_rows`` reads, built on first use from integer
     arithmetic, so that importing this module does not pay for them.
 
     Indexed by the biased binary exponent b of |x|: ``live`` (E of every
@@ -568,49 +489,31 @@ def _format_block(words: np.ndarray, head: bytes, cols: list) -> tuple[np.ndarra
     return decided, np.cumsum(length)
 
 
-def _format_rows(prefix: str, *cols) -> bytes:
-    """``"".join(prefix + ",".join("%.17g" % v for v in row) + "\n")`` over
-    the rows of the columns ``cols``, as UTF-8 bytes, built in numpy.
-    ``prefix`` holds no NUL character.
+def _write_rows(stream: IO[bytes], prefix: str, *columns) -> None:
+    """One line per row: ``prefix``, then the columns' values in ``_CSV_FLOAT``,
+    comma-separated, written to ``stream`` one ``_BLOCK_ROWS`` block at a
+    time.  ``prefix`` holds no NUL character.
 
-    Each value goes through ``_decimal`` and is laid out by a byte mask
-    keyed by its sign, its decimal exponent and its number of significant
-    digits; a row holding a value ``_decimal`` leaves undecided is written
-    by ``%`` and spliced in.
+    ``%.17g`` is the contract.  Each value goes through ``_decimal`` and is
+    laid out by a byte mask keyed by its sign, its decimal exponent and its
+    number of significant digits; a row holding a value ``_decimal`` leaves
+    undecided is written by ``%`` and spliced in.
     """
-    cols = [np.asarray(c, dtype=np.float64) for c in cols]
+    cols = [np.asarray(c, dtype=np.float64) for c in columns]
     head = prefix.encode()
     width = -(-len(head) // 8) + _WORDS * len(cols)
-    rows = min(cols[0].size, _BLOCK_ROWS)
-    buf = bytearray(8 * width * rows)  # reused: fresh pages for each block cost more
-    words = np.frombuffer(buf, dtype=np.uint64).reshape(rows, width)
-    out = []
+    buf = bytearray(8 * width * min(cols[0].size, _BLOCK_ROWS))  # reused: fresh pages cost more
+    words = np.frombuffer(buf, dtype=np.uint64).reshape(-1, width)
     for lo in range(0, cols[0].size, _BLOCK_ROWS):
         block = [c[lo:lo + _BLOCK_ROWS] for c in cols]
         decided, ends = _format_block(words, head, block)
         text = buf.translate(None, b"\0")
         pos = 0
         for i in np.flatnonzero(~decided):
-            out.append(text[pos:ends[i]])
-            out.append((prefix + ",".join([_CSV_FLOAT % c[i] for c in block]) + "\n").encode())
+            stream.write(text[pos:ends[i]])
+            stream.write((prefix + ",".join([_CSV_FLOAT % c[i] for c in block]) + "\n").encode())
             pos = ends[i]
-        out.append(text[pos:])
-    return b"".join(out)
-
-
-def _write_rows(stream: IO[bytes], prefix: str, *columns) -> None:
-    """One line per row: ``prefix``, then the columns' values in ``_CSV_FLOAT``,
-    comma-separated.  ``prefix`` holds no NUL character.
-
-    ``%.17g`` is the contract; ``_format_rows`` meets it with a numpy kernel
-    and ``%`` for the values the kernel leaves undecided."""
-    cols = [np.asarray(c, dtype=np.float64) for c in columns]
-    _kernel_tables()  # built once, before the workers fork
-
-    def fmt(lo: int, hi: int) -> bytes:
-        return _format_rows(prefix, *(c[lo:hi] for c in cols))
-
-    _write_chunks(stream, cols[0].size, fmt)
+        stream.write(text[pos:])
 
 
 def write_profiles_csv(profiles, stream: IO[bytes]) -> None:

@@ -410,7 +410,7 @@ class TestIto:
             path, float(p))
         resid = serialize.path_from_dict(read_json(res))
         assert resid.values.tobytes() == report.residuals.tobytes()
-        assert resid.grid.points.tobytes() == report.eval_points.tobytes()
+        assert resid.grid.points.tobytes() == path.grid.points.tobytes()
         assert read_json(tmp_path / "resid.json.manifest.json")["config"]["sup_residual"] \
             == report.sup
 
@@ -825,29 +825,25 @@ class TestUsageErrors:
         assert err.count("\n") == 1 and "budget" in err
         assert not out.exists()
 
-    def test_failed_chunk_worker_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+    def test_failed_block_write_leaves_no_output(self, tmp_path, capsys, monkeypatch):
         # at --eval-level 17 the profile CSV of a level-17 path holds its
-        # level-17 profile, whose rows span three chunks, so a worker forks
+        # level-17 profile, many blocks long; the second block fails
         path = tmp_path / "x.json"
         assert run(["build", "--levels", "17", "-o", str(path)]) == 0
-        write_chunks, parent = serialize._write_chunks, os.getpid()
+        format_block, calls = serialize._format_block, []
 
-        def failing_in_worker(stream, n, fmt):
-            def fmt_or_fail(lo, hi):
-                if os.getpid() != parent:
-                    raise RuntimeError("worker fails")
-                return fmt(lo, hi)
-            write_chunks(stream, n, fmt_or_fail)
+        def failing_on_second_call(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return format_block(*args)
 
-        monkeypatch.setattr(serialize, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(serialize, "_write_chunks", failing_in_worker)
+        monkeypatch.setattr(serialize, "_format_block", failing_on_second_call)
         assert run(["analyze", str(path), "--eval-level", "17",
                     "-o", str(tmp_path / "r.csv")]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "formatting worker stopped" in err, err
+        assert err.count("\n") == 1 and "disk full" in err, err
         assert list(tmp_path.iterdir()) == [path]
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
 
 def _refuse_nonfinite(token):

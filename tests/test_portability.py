@@ -72,9 +72,15 @@ def test_kernel_binades():
         assert Fraction(np.nextafter(ceil, 0.0)) < Fraction(10) ** (e0 + 1) <= Fraction(ceil)
 
 
+def _written_rows(*cols) -> bytes:
+    buf = io.BytesIO()
+    serialize._write_rows(buf, "", *cols)
+    return buf.getvalue()
+
+
 def test_kernel_text_does_not_depend_on_byte_order():
     values = np.array([1.0, -0.0, 5e-324, 1 / 3, -2.5e300, 0.1, 1e16, np.nan])
-    text = serialize._format_rows("", values, values[::-1])
-    assert serialize._format_rows("", values.astype(">f8"), values[::-1].astype(">f8")) == text
-    assert serialize._format_rows("", values.astype("<f8"), values[::-1].astype("<f8")) == text
+    text = _written_rows(values, values[::-1])
+    assert _written_rows(values.astype(">f8"), values[::-1].astype(">f8")) == text
+    assert _written_rows(values.astype("<f8"), values[::-1].astype("<f8")) == text
     assert text.splitlines()[0] == b"1,nan"

@@ -1,11 +1,8 @@
 import base64
-import contextlib
 import hashlib
 import io
 import json
 import math
-import os
-import signal
 import tracemalloc
 from types import SimpleNamespace
 
@@ -200,7 +197,7 @@ class TestCsvWriters:
         # the kernel's bytes go out as they are, and the row holding NaN,
         # which ``%`` formats, is encoded once and spliced in
         x = np.array([0.5, math.nan, -2.0])
-        assert serialize._format_rows("3,", x, x[::-1]) == "".join(
+        assert _formatted("3,", x, x[::-1]) == "".join(
             "3," + _row(a, b) for a, b in zip(x, x[::-1])).encode()
 
     def test_residual_csv(self):
@@ -210,8 +207,15 @@ class TestCsvWriters:
 
 
 def _row(*xs):
-    """The per-row CSV formula the chunked writers must reproduce byte for byte."""
+    """The per-row CSV formula the block writer must reproduce byte for byte."""
     return ",".join(f"{float(x):.17g}" for x in xs) + "\n"
+
+
+def _formatted(prefix, *cols) -> bytes:
+    """What ``_write_rows`` writes for ``cols``."""
+    buf = io.BytesIO()
+    serialize._write_rows(buf, prefix, *cols)
+    return buf.getvalue()
 
 
 SPECIALS = [0.0, -0.0, 5e-324, 2.0 ** -52, 1 / 3, 1e300, -1e-14, 1.0, -7.0, 12345678.0]
@@ -226,41 +230,47 @@ def _columns(rows):
     return t, r
 
 
-CHUNK = serialize._CSV_CHUNK_ROWS
-ROW_COUNTS = [0, 1, len(SPECIALS), CHUNK - 1, CHUNK, CHUNK + 3, 2 * CHUNK + 3]
-CPU_COUNTS = (1, 2, 3)
-
-
-def _written(monkeypatch, cpus, write):
-    """What ``write(stream)`` writes when the chunked writer sees ``cpus`` CPUs,
-    as text."""
-    monkeypatch.setattr(serialize, "_cpu_count", lambda: cpus)
-    buf = io.BytesIO()
-    write(buf)
-    return buf.getvalue().decode()
+BLOCK = serialize._BLOCK_ROWS
+ROW_COUNTS = [0, 1, len(SPECIALS), BLOCK - 1, BLOCK, BLOCK + 3, 2 * BLOCK + 3, 2 ** 16 + 3]
 
 
 class TestCsvByteIdentity:
     @pytest.mark.parametrize("rows", ROW_COUNTS)
-    def test_residual_csv(self, rows, monkeypatch):
+    def test_residual_csv(self, rows):
         t, r = _columns(rows)
-        expected = "t,residual\n" + "".join(map(_row, t, r))
-        for cpus in CPU_COUNTS:
-            out = _written(monkeypatch, cpus, lambda buf: serialize.write_residual_csv(t, r, buf))
-            assert out == expected, cpus
+        buf = io.BytesIO()
+        serialize.write_residual_csv(t, r, buf)
+        assert buf.getvalue().decode() == "t,residual\n" + "".join(map(_row, t, r))
 
     @pytest.mark.parametrize("rows", ROW_COUNTS)
-    def test_profiles_csv(self, rows, monkeypatch):
+    def test_profiles_csv(self, rows):
         t, r = _columns(rows)
         profiles = [SimpleNamespace(level=3, eval_points=t, values=r),
                     SimpleNamespace(level=17, eval_points=r[::-1], values=t[::-1])]
-        expected = "level,t,value\n" + "".join(
+        buf = io.BytesIO()
+        serialize.write_profiles_csv(profiles, buf)
+        assert buf.getvalue().decode() == "level,t,value\n" + "".join(
             f"{prof.level}," + _row(a, b)
             for prof in profiles for a, b in zip(prof.eval_points, prof.values))
-        for cpus in CPU_COUNTS:
-            out = _written(monkeypatch, cpus,
-                           lambda buf: serialize.write_profiles_csv(profiles, buf))
-            assert out == expected, cpus
+
+    def test_rows_written_by_percent_splice_across_a_block_seam(self):
+        # the last row of block 1 and the first of block 2 are undecided
+        t, r = _columns(2 * BLOCK + 3)
+        r[BLOCK - 1] = r[BLOCK] = math.nan
+        assert _formatted("5,", t, r) == "".join("5," + _row(a, b) for a, b in zip(t, r)).encode()
+
+    def test_writing_a_profile_holds_one_block(self):
+        t, r = _columns(2 ** 18 + 1)
+        profile = SimpleNamespace(level=18, eval_points=t, values=r)
+        sink = _CountingSink()
+        tracemalloc.start()
+        try:
+            serialize.write_profiles_csv([profile], sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 2 ** 18 * 30
+        assert peak < 2 << 20, peak
 
 
 def _floats(bits):
@@ -279,14 +289,14 @@ BITS = st.one_of(st.integers(0, 2 ** 64 - 1), st.sampled_from(SPECIAL_BITS),
 
 
 class TestFormatKernel:
-    """``_format_rows`` is the ``%.17g`` row formula, byte for byte."""
+    """``_write_rows`` writes the ``%.17g`` row formula, byte for byte."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(BITS, BITS), max_size=40))
     def test_any_bit_pattern(self, pairs):
         a, b = _floats([p[0] for p in pairs]), _floats([p[1] for p in pairs])
-        assert serialize._format_rows("", a, b) == "".join(map(_row, a, b)).encode()
-        assert serialize._format_rows("7,", a, b) == "".join(
+        assert _formatted("", a, b) == "".join(map(_row, a, b)).encode()
+        assert _formatted("7,", a, b) == "".join(
             "7," + _row(x, y) for x, y in zip(a, b)).encode()
 
     def test_boundaries(self):
@@ -299,7 +309,7 @@ class TestFormatKernel:
         wide = [1e-100, 1e300, 5e-324, np.finfo(np.float64).max, 1e-243, 1e-14, 1e98, 1e220]
         x = np.array(near + wide)
         x = np.concatenate([x, -x])
-        assert serialize._format_rows("", x, x[::-1]) == "".join(map(_row, x, x[::-1])).encode()
+        assert _formatted("", x, x[::-1]) == "".join(map(_row, x, x[::-1])).encode()
         n, e, decided = serialize._decimal(np.array([1e-14, 1e98]))
         assert decided.all() and (n == 10 ** 16).all() and list(e) == [-14, 98]
 
@@ -307,13 +317,13 @@ class TestFormatKernel:
         # m / 2^20 with m = 4 mod 8 above 0.1 is a tie at 17 digits
         t = np.arange(2 ** 20 + 1) / 2 ** 20
         assert serialize._decimal(t)[2].all()
-        assert serialize._format_rows("", t) == "".join(map(_row, t)).encode()
+        assert _formatted("", t) == "".join(map(_row, t)).encode()
 
     def test_fallback_share(self):
         x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, signs=1), 16)
         report = change_of_variable_residual(FunctionWithDerivatives.polynomial([0, 0, 1]), x, 2.0)
         prof = pvar_profile(x, 2.0)
-        values = np.concatenate([report.eval_points, report.residuals,
+        values = np.concatenate([x.grid.points, report.residuals,
                                  prof.eval_points, prof.values])
         undecided = np.count_nonzero(~serialize._decimal(values)[2])
         assert undecided <= 1e-3 * values.size
@@ -491,68 +501,3 @@ class TestInMemoryRoundTrip:
         back = serialize.table_from_dict(serialize.table_to_dict(table))
         assert (back.q, back.level) == (table.q, table.level)
         assert back.points.tobytes() == table.points.tobytes()
-
-
-@contextlib.contextmanager
-def _deadline(seconds):
-    """Fail a test that blocks for longer than ``seconds`` instead of hanging."""
-    def expire(signum, frame):
-        pytest.fail(f"still blocked after {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-class TestChunkWorkers:
-    def test_worker_failure_raises_and_reaps(self, monkeypatch):
-        monkeypatch.setattr(serialize, "_cpu_count", lambda: 2)
-        parent = os.getpid()
-
-        def fmt(lo, hi):
-            # the worker formats ranges 1, 3, 5, ...; it fails on its second
-            if os.getpid() != parent and lo >= 3 * CHUNK:
-                raise RuntimeError("worker fails")
-            return f"{lo}-{hi};".encode()
-
-        with _deadline(60), pytest.raises(OSError, match="worker"):
-            serialize._write_chunks(io.BytesIO(), 6 * CHUNK, fmt)
-        _assert_no_children()
-
-    def test_failed_fork_closes_pipes_and_reaps(self, monkeypatch):
-        monkeypatch.setattr(serialize, "_cpu_count", lambda: 3)
-        real_fork, forks = os.fork, []
-
-        def fork_once():
-            if forks:
-                raise OSError("no more processes")
-            forks.append(1)
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", fork_once)
-        open_fds = len(os.listdir("/proc/self/fd"))
-        with _deadline(60), pytest.raises(OSError, match="no more processes"):
-            serialize._write_chunks(io.BytesIO(), 6 * CHUNK, lambda lo, hi: b"x" * (1 << 20))
-        assert len(os.listdir("/proc/self/fd")) == open_fds
-        _assert_no_children()
-
-    def test_failed_stream_reaps_blocked_workers(self, monkeypatch):
-        # ranges larger than a pipe's buffer keep every worker blocked in a
-        # write when the stream fails
-        monkeypatch.setattr(serialize, "_cpu_count", lambda: 3)
-
-        class FailingStream:
-            def write(self, data):
-                raise OSError("disk full")
-
-        with _deadline(60), pytest.raises(OSError, match="disk full"):
-            serialize._write_chunks(FailingStream(), 9 * CHUNK, lambda lo, hi: b"x" * (1 << 20))
-        _assert_no_children()
