@@ -37,27 +37,32 @@ def cumsum_stable(terms: np.ndarray) -> np.ndarray:
     Past an overflow to inf or a NaN term, the entries are those of the plain
     float64 cumsum.  The rounding errors are found, summed and added back one
     block of ``_BLOCK`` terms at a time, so besides ``terms`` and the result
-    only a few blocks are held.
+    only two block buffers are held, reused from block to block.
     """
     t = np.asarray(terms, dtype=np.float64)
     s = np.zeros(t.size + 1)
     np.cumsum(t, out=s[1:])             # s_k = fl(s_{k-1} + t_k), in order
+    # a partial sum that is inf or NaN stays so, so a finite last one means all are
+    finite = bool(np.isfinite(s[-1]))
     carry, first = 0.0, 0.0             # the error sum so far; s_lo before its correction
+    b_buf, e_buf = np.empty(min(_BLOCK, t.size)), np.empty(min(_BLOCK, t.size))
     # past an overflow the corrections are NaN and are not applied
     with np.errstate(invalid="ignore"):
         for lo in range(0, t.size, _BLOCK):
             hi = min(lo + _BLOCK, t.size)
-            cur = s[lo + 1:hi + 1]
-            prev = s[lo:hi].copy()
-            prev[0], first = first, cur[-1]
-            b = np.subtract(cur, prev)  # b_k = s_k - s_{k-1}
-            e = np.subtract(cur, b)
+            cur, prev = s[lo + 1:hi + 1], s[lo:hi]  # prev[0] is corrected: first was not
+            b, e = b_buf[:hi - lo], e_buf[:hi - lo]
+            np.subtract(cur, prev, out=b)  # b_k = s_k - s_{k-1}
+            b[0] = cur[0] - first
+            np.subtract(cur, b, out=e)
             np.subtract(prev, e, out=e)  # s_{k-1} - (s_k - b_k)
+            e[0] = first - (cur[0] - b[0])
+            first = cur[-1]
             np.subtract(t[lo:hi], b, out=b)  # t_k - b_k
             e += b                      # e_k = s_{k-1} + t_k - s_k exactly (TwoSum)
             if lo:
                 e[0] += carry
             np.cumsum(e, out=e)
             carry = e[-1]
-            np.add(cur, e, out=cur, where=np.isfinite(cur))
+            np.add(cur, e, out=cur, where=True if finite else np.isfinite(cur))
     return s

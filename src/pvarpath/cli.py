@@ -31,6 +31,7 @@ import hashlib
 import json
 import math
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -138,18 +139,30 @@ def _trend_verdict(trend) -> str | None:
 def _load(path: str, from_dict):
     """The object ``from_dict`` builds from the JSON document at ``path``, and
     the first 16 hex digits of the sha256 of the file's bytes (for a
-    canonical artifact, equal to ``config_hash`` of the document).  The
-    bytes are released before the object is built, its arrays are decoded
-    straight from the parsed text, and the parsed document is released as
-    soon as the object is built, so a large artifact is not held twice
-    over."""
+    canonical artifact, equal to ``config_hash`` of the document).
+
+    The bytes are hashed on a thread (``hashlib`` releases the GIL on a
+    large buffer) while ``serialize.read_json`` decodes each array straight
+    from them, so no array's text becomes a ``str``; the thread is joined
+    whatever the parse gives.  The bytes are released before the object is
+    built, and the parsed document as soon as it is built, so a large
+    artifact is not held twice over.  A document nested too deep to parse
+    is refused like any other unreadable one."""
     try:
         raw = Path(path).read_bytes()
-        doc, digest = json.loads(raw), hashlib.sha256(raw).hexdigest()[:16]
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    digest = []
+    hasher = threading.Thread(target=lambda: digest.append(hashlib.sha256(raw).hexdigest()[:16]))
+    hasher.start()
+    try:
+        doc = serialize.read_json(raw)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    finally:
+        hasher.join()
     del raw
-    return from_dict(doc), digest
+    return from_dict(doc), digest[0]
 
 
 # ---------------------------------------------------------------------------

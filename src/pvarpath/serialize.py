@@ -13,15 +13,22 @@ made until the document is written.
 Every number a document carries is read by one rule, here: ``q`` and a
 path's ``level`` must be JSON integers (``_json_int``); an array must be an
 ``f8le`` object (that one key, holding a ``str`` of strict base64 that
-decodes to a multiple of 8 bytes, which ``binascii`` decodes from the
-parsed text itself, with no ASCII copy; or, in a document that was never
-written, the array ``_f8le`` put there) or, as older and hand-written
-documents give it, a flat list of JSON numbers, ``int`` or ``float`` items
-only (``_json_floats``); a path's ``meta`` must be an object.  Anything
-else is refused with one line naming the document kind and the field; a
-valid document reads back bit for bit, and non-finite values are refused by
-the path or grid they would build.  A path's numbers are its ``values``
-alone: a ``meta.offset`` shift is refused, not read and dropped.
+decodes to a multiple of 8 bytes, or the array that text decodes to, as
+``read_json`` puts it there, or, in a document that was never written, the
+array ``_f8le`` put there) or, as older and hand-written documents give
+it, a flat list of JSON numbers, ``int`` or ``float`` items only
+(``_json_floats``); a path's ``meta`` must be an object.  Anything else is
+refused with one line naming the document kind and the field; a valid
+document reads back bit for bit, and non-finite values are refused by the
+path or grid they would build.  A path's numbers are its ``values`` alone:
+a ``meta.offset`` shift is refused, not read and dropped.
+
+A file is read by ``read_json``, the reading side of ``write_json``.  Each
+f8le object laid out as ``write_json`` lays it out is decoded by
+``binascii`` straight from the file's bytes, so its text never becomes a
+``str``, and ``json`` parses only the rest, a few hundred bytes for an
+artifact.  The document it gives, or the error it raises, is the one
+``json.loads`` gives, with each such object holding its decoded array.
 
 A path document's ``meta`` is its grid's layout only: ``grid_generator``,
 "q-adic" for a grid fixed by q and level or "table" for one that stores its
@@ -69,6 +76,7 @@ import functools
 import hashlib
 import json
 import math
+import sys
 from typing import IO
 
 import numpy as np
@@ -81,6 +89,8 @@ from .schauder import SampledPath
 
 _F8LE_CHUNK = 3 << 16  # bytes per base64 slice of a payload: a multiple of 3
 _F8LE = np.dtype("<f8")
+_F8LE_OPEN = b'{"f8le":"'  # an f8le object as write_json writes it, up to its text
+_NUL_ESCAPE = b"\\u0000"  # the key of read_json's marker, as JSON text
 _JSON_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
@@ -169,6 +179,65 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_dumps(config).encode()).hexdigest()[:16]
 
 
+def _payloads(raw: bytes):
+    """Yield ``(start, end, array)`` for each span ``{"f8le":"<text>"}`` of
+    ``raw``, laid out as ``write_json`` lays it out, whose text is strict
+    base64 of a multiple of 8 bytes, decoded from a view of ``raw``.  The
+    text runs to the next quote, so an escaped quote puts a backslash in it,
+    which base64 refuses."""
+    view, at = memoryview(raw), raw.find(_F8LE_OPEN)
+    while at >= 0:
+        lo = at + len(_F8LE_OPEN)
+        hi = raw.find(b'"', lo)
+        if hi < 0:
+            return
+        if raw[hi + 1:hi + 2] == b"}":
+            try:
+                data = binascii.a2b_base64(view[lo:hi], strict_mode=True)
+            except ValueError:  # binascii.Error too: not strict base64
+                data = None
+            if data is not None and len(data) % 8 == 0:
+                yield at, hi + 2, np.frombuffer(data, dtype=_F8LE)
+                at = raw.find(_F8LE_OPEN, hi + 2)
+                continue
+        at = raw.find(_F8LE_OPEN, at + 1)
+
+
+def read_json(raw: bytes):
+    """The document ``json.loads(raw)`` gives, with each f8le object that
+    ``_payloads`` finds holding its decoded ``"<f8"`` array instead of its
+    text, and the error ``json.loads(raw)`` raises for a document it
+    refuses.
+
+    Only a skeleton is parsed: ``raw`` with each such object replaced by
+    the marker ``{"\\u0000": k}``, which an ``object_hook`` turns back into
+    ``{"f8le": <array k>}``.  Where the object's ``{`` is not in a string,
+    the object and its marker are each one JSON object; where it is, the
+    quote after it ends the string and neither text is valid.  So the
+    skeleton is valid exactly where ``raw`` is.  The arrays are spliced
+    only in UTF-8 (in UTF-16 or UTF-32 the pattern's bytes are other
+    characters), and only where no text outside them holds the escape
+    ``\\u0000``, which could name a marker.  Otherwise, or if the skeleton
+    is refused, ``raw`` is parsed as it is."""
+    if json.detect_encoding(raw) in ("utf-8", "utf-8-sig"):
+        arrays, pieces, start = [], [], 0
+        for at, end, array in _payloads(raw):
+            if raw.find(_NUL_ESCAPE, start, at) >= 0:
+                break
+            pieces += [raw[start:at], b'{"\\u0000":%d}' % len(arrays)]
+            arrays.append(array)
+            start = end
+        else:
+            if arrays and raw.find(_NUL_ESCAPE, start) < 0:
+                pieces.append(raw[start:])
+                try:
+                    return json.loads(b"".join(pieces), object_hook=lambda obj: (
+                        {"f8le": arrays[obj["\0"]]} if "\0" in obj else obj))
+                except (ValueError, RecursionError):  # JSONDecodeError, UnicodeDecodeError
+                    pass  # raised again below, as raw gives it
+    return json.loads(raw)
+
+
 # ---------------------------------------------------------------------------
 # SampledPath <-> JSON
 # ---------------------------------------------------------------------------
@@ -195,11 +264,17 @@ def path_to_dict(path: SampledPath) -> dict:
     }
 
 
+def _shown(value) -> str:
+    """``repr(value)`` on one line, a decoded array in it too."""
+    with np.printoptions(linewidth=sys.maxsize):
+        return repr(value)
+
+
 def _json_int(value, name: str, kind: str) -> int:
     """``value`` if it is a JSON integer (not a bool, float or string)."""
     if type(value) is not int:
         raise ValidationError(
-            f"malformed {kind} document: {name!r} must be an integer, got {value!r}")
+            f"malformed {kind} document: {name!r} must be an integer, got {_shown(value)}")
     return value
 
 
@@ -245,7 +320,8 @@ def path_from_dict(d: dict) -> SampledPath:
     if generator == "q-adic":
         grid = qadic_grid(q, level)
     elif generator != "table":
-        raise ValidationError(f"grid generator {generator!r} is not 'q-adic' or 'table'")
+        raise ValidationError(
+            f"grid generator {_shown(generator)} is not 'q-adic' or 'table'")
     elif "grid_points" not in meta:
         raise ValidationError("malformed path document: a 'table' grid needs meta.grid_points")
     else:

@@ -1,17 +1,20 @@
 import argparse
 import base64
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pvarpath
-from pvarpath import serialize
+from pvarpath import ValidationError, cli, serialize
 from pvarpath.cli import build_parser, run
 
 
@@ -897,6 +900,11 @@ EDGE_CASES = [
     (["timechange", "--mode", "recipe", "--levels", "6", "--rate", "1e308"], 2,
      "hprime samples must be finite and nonnegative"),
     *[(["ito", "x.json", "--f", "0,0,1", "--p", p], 0, None) for p in ("3000", "1e20", "1e308")],
+    # a document nested deeper than the parser recurses
+    *[(command, 2, "cannot read deep.json: maximum recursion depth exceeded")
+      for command in (["analyze", "deep.json"],
+                      ["timechange", "--mode", "pullback", "--table", "deep.json",
+                       "--path", "x.json"])],
 ]
 
 
@@ -906,11 +914,12 @@ EDGE_CASES = [
 def test_edge_values_end_at_once(tmp_path, capsys, monkeypatch, argv, code, message):
     monkeypatch.chdir(tmp_path)
     assert run(["build", "--levels", "6", "-o", "x.json"]) == 0
+    Path("deep.json").write_text("[" * 200_000)
     assert run([*argv, "-o", "out"]) == code
     err = capsys.readouterr().err
     if code:
         assert err.count("\n") == 1 and message in err, err
-        assert list(tmp_path.iterdir()) == [tmp_path / "x.json"]
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "deep.json", tmp_path / "x.json"]
         return
     assert err == ""
     doc = json.loads(Path("out.manifest.json" if argv[0] == "ito" else "out").read_text(),
@@ -1011,3 +1020,127 @@ class TestSharedParser:
         proc = _python_dash_m("constant", "--p", "3", "-o", "fresh.json", cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert Path("b.json").read_bytes() == Path("fresh.json").read_bytes()
+
+
+# hand-written documents around the f8le objects that ``serialize.read_json``
+# decodes from the file's bytes: each reads as ``json.loads`` reads it
+_B64_V = f8le([0.0, 1.0, 0.0, 1.0, 0.0])["f8le"]
+_B64_G = f8le([0.0, 0.1, 0.5, 0.75, 1.0])["f8le"]
+
+
+def _compact(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _path_text(values=_compact(f8le([0.0, 1.0, 0.0, 1.0, 0.0])), q="2", meta=""):
+    """A level-2 path document on a "table" grid, laid out as ``write_json``
+    lays it out, with the texts given for ``values``, ``q`` and more meta."""
+    return (f'{{"level":2,"meta":{{"grid_generator":"table",'
+            f'"grid_points":{{"f8le":"{_B64_G}"}}{meta}}},"q":{q},"values":{values}}}\n')
+
+
+HAND_WRITTEN = {
+    "canonical": (_path_text().encode(), 0),
+    "spaced": (_path_text(values=f'{{ "f8le" : "{_B64_V}" }}').encode(), 0),
+    "list-form": (_path_text(values="[0.0, 1, 0.0, 1.0, 0]").encode(), 0),
+    "nul-string-in-meta": (_path_text(meta=',"note":"a\\u0000b"').encode(), 0),
+    "marker-in-meta": (_path_text(meta=',"m":{"\\u0000":0}').encode(), 0),
+    "marker-after-the-arrays": (
+        _path_text(values="[0, 1, 0, 1, 0]", meta=',"m":{"\\u0000":0}').encode(), 0),
+    "f8le-text-in-string": (_path_text(meta=f',"note":"{{\\"f8le\\":\\"{_B64_V}\\"}}"').encode(), 0),
+    "utf-16": (_path_text().encode("utf-16"), 0),
+    "utf-16-be": (_path_text().encode("utf-16-be"), 0),
+    "utf-32": (_path_text().encode("utf-32"), 0),
+    # a string whose UTF-16 bytes hold two f8le objects: spliced, it would still parse
+    "utf-16-f8le-bytes-in-string": (_path_text(meta=',"note":' + json.dumps(
+        (2 * b'{"f8le":"AAAAAAAAAAA="}x').decode("utf-16-le"), ensure_ascii=False)
+    ).encode("utf-16-le"), 0),
+    "utf-8-bom": (b"\xef\xbb\xbf" + _path_text().encode(), 0),
+    "escaped-newline-in-base64": (
+        _path_text(values=f'{{"f8le":"{_B64_V[:8]}\\n{_B64_V[8:]}"}}').encode(), 2),
+    "newline-in-base64": (_path_text(values=f'{{"f8le":"{_B64_V[:8]}\n{_B64_V[8:]}"}}').encode(), 2),
+    "bad-padding": (_path_text(values=f'{{"f8le":"{_B64_V.rstrip("=")}"}}').encode(), 2),
+    "12-bytes": (_path_text(values=f'{{"f8le":"{"A" * 16}"}}').encode(), 2),
+    "duplicate-key": (_path_text(values=f'{{"f8le":"{_B64_G}","f8le":"{_B64_V}"}}').encode(), 0),
+    "duplicate-key-last-bad": (_path_text(values=f'{{"f8le":"{_B64_V}","f8le":"*"}}').encode(), 2),
+    "f8le-object-closed-by-a-bracket": (
+        _path_text(meta=f',"m":[{{"f8le":"{_B64_V}"],1]').encode(), 2),
+    "f8le-as-a-key": (_path_text(meta=f',"m":{{{{"f8le":"{_B64_V}"}}:1}}').encode(), 2),
+    "truncated": (_path_text().encode()[:-30], 2),
+    "trailing-text": (_path_text().encode() + b"x", 2),
+    "q-f8le": (_path_text(q=f'{{"f8le":"{_B64_V}"}}').encode(), 2),
+    "q-f8le-3000-values": (_path_text(q=_compact(f8le(np.arange(3000.0)))).encode(), 2),
+    "grid-generator-f8le": (_path_text().replace('"table"', _compact(f8le([1.5]))).encode(), 2),
+}
+# where a field holds an f8le object that is not an array field, the message
+# shows the decoded array, on one line, where it showed the base64 text
+SHOWN_ARRAYS = {
+    "q-f8le": "'q' must be an integer, got {'f8le': array([0., 1., 0., 1., 0.])}",
+    "q-f8le-3000-values": "'q' must be an integer, got {'f8le': array([0.000e+00, 1.000e+00, ",
+    "grid-generator-f8le": "grid generator {'f8le': array([1.5])} is not 'q-adic' or 'table'",
+}
+
+
+def _read_arrays(doc):
+    """``doc`` with each f8le object that reads as an array as its bytes."""
+    if type(doc) is dict:
+        try:
+            return serialize._json_floats(doc, "", "").tobytes()
+        except ValidationError:
+            return {k: _read_arrays(v) for k, v in doc.items()}
+    return doc
+
+
+@pytest.mark.parametrize("name", HAND_WRITTEN)
+def test_hand_written_documents_read_as_json_reads_them(tmp_path, capsys, monkeypatch, name):
+    raw, code = HAND_WRITTEN[name]
+    try:
+        want = json.loads(raw)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            serialize.read_json(raw)
+        assert str(got.value) == str(exc)
+    else:
+        assert _read_arrays(serialize.read_json(raw)) == _read_arrays(want)
+    monkeypatch.chdir(tmp_path)
+    Path("x.json").write_bytes(raw)
+    outcomes = []
+    for reader in (serialize.read_json, json.loads):
+        monkeypatch.setattr(serialize, "read_json", reader)
+        outcomes.append((run(["analyze", "x.json", "-o", "out.csv"]), capsys.readouterr().err,
+                         Path("out.csv").read_bytes() if code == 0 else None))
+    new, old = outcomes
+    assert new[0] == code and (new[1] == "" if code == 0 else new[1].count("\n") == 1), new[1]
+    if name in SHOWN_ARRAYS:
+        assert "{'f8le': '" in old[1] and SHOWN_ARRAYS[name] in new[1], new[1]
+        assert new[0] == old[0]
+    else:
+        assert new == old
+
+
+class TestLoad:
+    def test_no_thread_outlives_a_load(self, tmp_path):
+        good, bad = tmp_path / "x.json", tmp_path / "truncated.json"
+        assert run(["build", "--levels", "12", "-o", str(good)]) == 0
+        bad.write_bytes(good.read_bytes()[:-100])
+        before = threading.active_count()
+        path, digest = cli._load(str(good), serialize.path_from_dict)
+        assert threading.active_count() == before
+        assert digest == hashlib.sha256(good.read_bytes()).hexdigest()[:16]
+        assert path.values.tobytes() == serialize.path_from_dict(read_json(good)).values.tobytes()
+        with pytest.raises(ValidationError, match="cannot read .*truncated.json"):
+            cli._load(str(bad), serialize.path_from_dict)
+        assert threading.active_count() == before
+
+    def test_peak_is_at_most_twice_the_file(self, tmp_path):
+        # the bytes and the decoded arrays, not the arrays' text as well
+        x = tmp_path / "x.json"
+        assert run(["build", "--levels", "18", "-o", str(x)]) == 0
+        tracemalloc.start()
+        try:
+            path, _ = cli._load(str(x), serialize.path_from_dict)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.values.size == 2 ** 18 + 1
+        assert peak <= 2.0 * x.stat().st_size, peak / x.stat().st_size

@@ -501,3 +501,86 @@ class TestInMemoryRoundTrip:
         back = serialize.table_from_dict(serialize.table_to_dict(table))
         assert (back.q, back.level) == (table.q, table.level)
         assert back.points.tobytes() == table.points.tobytes()
+
+
+def _decoded(doc):
+    """``doc`` with each f8le object that ``_json_floats`` reads as the
+    bytes it reads from it."""
+    if type(doc) is dict:
+        try:
+            return serialize._json_floats(doc, "", "").tobytes()
+        except ValidationError:
+            return {k: _decoded(v) for k, v in doc.items()}
+    return doc
+
+
+def _written(doc) -> bytes:
+    buf = io.BytesIO()
+    serialize.write_json(doc, buf)
+    return buf.getvalue()
+
+
+# manifest text that reaches the reader's guards: NUL characters, the marker's
+# key, and the text of an f8le object inside a string
+_TEXT = st.one_of(st.text(), st.sampled_from(["\0", "\0\0", '{"f8le":"AAAAAAAAAAA="}']))
+
+
+@st.composite
+def _written_documents(draw):
+    """A path (on a q-adic or a table grid) or a table document as
+    ``write_json`` writes it, its arrays of any float64 bits."""
+    q, level = draw(st.integers(2, 4)), draw(st.integers(0, 3))
+    grid = random_refining_table(q, level, seed=draw(st.integers(0, 99)))
+    kind = draw(st.sampled_from(["q-adic", "table", "refining-table"]))
+    if kind == "refining-table":
+        doc = serialize.table_to_dict(grid)
+    else:
+        bits = draw(st.lists(BITS, min_size=grid.points.size, max_size=grid.points.size))
+        doc = {"q": q, "level": level, "values": serialize._f8le(_floats(bits)),
+               "meta": {"grid_generator": kind}}
+        if kind == "table":
+            doc["meta"]["grid_points"] = serialize._f8le(grid.points)
+    for key in ("manifest", "~"):  # text before the arrays and after them
+        doc[key] = draw(st.dictionaries(_TEXT, st.one_of(_TEXT, st.integers()), max_size=3))
+    return doc
+
+
+class TestReadJson:
+    """``read_json`` gives what ``json.loads`` and ``_json_floats`` give."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_written_documents())
+    def test_written_documents_read_as_json_reads_them(self, doc):
+        raw = _written(doc)
+        assert _decoded(serialize.read_json(raw)) == _decoded(json.loads(raw))
+
+    @pytest.mark.parametrize("make, to_dict, from_dict, arrays", [
+        (lambda: reference_path(UniformMagnitudeSpec(q=2, p=2.0, signs=1), 9),
+         serialize.path_to_dict, serialize.path_from_dict, lambda x: (x.values, x.grid.points)),
+        (_pulled_path, serialize.path_to_dict, serialize.path_from_dict,
+         lambda x: (x.values, x.grid.points)),
+        (lambda: power_table(2, 8, 1.5), serialize.table_to_dict, serialize.table_from_dict,
+         lambda t: (t.points,)),
+    ], ids=["q-adic", "pulled", "table"])
+    def test_artifacts_read_back_bit_for_bit(self, make, to_dict, from_dict, arrays):
+        obj = make()
+        raw = _written(to_dict(obj))
+        for back in (from_dict(serialize.read_json(raw)), from_dict(json.loads(raw))):
+            assert [a.tobytes() for a in arrays(back)] == [a.tobytes() for a in arrays(obj)]
+
+    def test_arrays_are_decoded_from_the_bytes(self, monkeypatch):
+        # the one base64 decode each array gets is of a buffer of the bytes,
+        # never of a str
+        doc = serialize.path_to_dict(_pulled_path())
+        raw = _written(doc)
+        decoded = []
+        a2b_base64 = serialize.binascii.a2b_base64
+
+        def spy(data, **kwargs):
+            decoded.append(type(data))
+            return a2b_base64(data, **kwargs)
+
+        monkeypatch.setattr(serialize.binascii, "a2b_base64", spy)
+        back = serialize.path_from_dict(serialize.read_json(raw))
+        assert decoded == [memoryview, memoryview]
+        assert back.values.tobytes() == doc["values"]["f8le"].tobytes()

@@ -73,3 +73,17 @@ def test_blocks_keep_the_one_pass_bits(size):
         terms[2 ** 16] = np.inf
         terms[-2] = np.nan
         assert cumsum_stable(terms).tobytes() == one_pass(terms).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_tail_past_a_non_finite_term_is_the_plain_cumsum(bad):
+    # the corrections stop at the first non-finite partial sum; before it the
+    # entries are corrected as if the terms ended there
+    terms = mixed_sign_terms()[:3 * 2 ** 16 + 5]
+    k = 2 ** 16 + 123
+    terms[k] = bad
+    got, plain = cumsum_stable(terms), np.concatenate([[0.0], np.cumsum(terms)])
+    assert got[k + 1:].tobytes() == plain[k + 1:].tobytes()
+    assert got[:k + 1].tobytes() == cumsum_stable(terms[:k]).tobytes()
+    assert got[:k + 1].tobytes() != plain[:k + 1].tobytes()
+    assert got.tobytes() == one_pass(terms).tobytes()
