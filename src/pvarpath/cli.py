@@ -270,8 +270,7 @@ def _cmd_timechange(args) -> int:
         }
         table = makers[args.make_table]()
         if args.table_out:
-            outputs.append((args.table_out, lambda stream: serialize.write_json(
-                serialize.table_to_dict(table), stream)))
+            outputs.append((args.table_out, serialize.table_to_dict(table)))
 
     if args.mode in ("check", "pullback"):
         src, inputs["path_hash"] = _load(args.path, serialize.path_from_dict)

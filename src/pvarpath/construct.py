@@ -268,10 +268,13 @@ def bernstein(z, degree: int, grid: PartitionGrid) -> SampledPath:
     one finite value per node, ``degree + 1`` in all; anything else raises
     ``ValidationError``.
 
-    Evaluation folds convex combinations in place, which is numerically
-    stable and reproduces constants bitwise.  The work array
-    of ``(degree + 1) * grid.size`` entries may hold at most the
-    interval budget.
+    Evaluation is de Casteljau's: each of ``degree`` rounds replaces the
+    rows b_k of the work array by the convex combinations
+    b_k + t (b_{k+1} - b_k), in a new array one row shorter (the difference
+    and the product are new arrays too).  This is numerically stable and
+    reproduces constants bitwise.  The first work array, of
+    ``(degree + 1) * grid.size`` entries, may hold at most the interval
+    budget.
     """
     if degree < 1:
         raise ValidationError(f"degree must be >= 1, got {degree}")

@@ -36,19 +36,22 @@ points, plus those ``grid_points`` for a "table" grid.  Any other key is
 ignored, so documents that still carry provenance keys read as before; how
 an artifact was made is recorded in its manifest.
 
-JSON artifacts are written by one encoder, with sorted keys and compact
-separators, so a fixed input produces byte-identical output: the bytes of
-``json.dumps`` (``sort_keys=True, separators=(",", ":")``) of the document
-with each array in its base64 text form, and a newline.  It walks dicts and
-lists as ``json`` does and hands every other value and key to ``json``'s
-encoder, with one exception, the payload rule: an array ``_f8le`` put in the
-document is encoded while it is written, between quotes, by
+JSON artifacts are written by ``json``'s own encoder, with sorted keys and
+compact separators, so a fixed input produces byte-identical output: the
+bytes of ``json.dumps`` (``sort_keys=True, separators=(",", ":")``) of the
+document with each array in its base64 text form, and a newline.  ``json``
+writes every dict, list, key and scalar; the writer adds one rule, the
+payload rule.  An array ``_f8le`` put in the document reaches the encoder's
+``default``, which records it and returns ``""``, and the chunk ``'""'``
+that follows is replaced by the array's text between quotes:
 ``binascii.b2a_base64`` of consecutive ``_F8LE_CHUNK``-byte slices of its
 bytes.  The slices are a multiple of 3 bytes long, so their texts join into
 the text of the whole array, and base64 never needs escaping, so that text
 is neither scanned nor quoted.  No more than one slice's text is held at a
-time.  Any string, a hand-written ``"f8le"`` one included, is escaped as
-``json`` escapes it.  ``canonical_dumps`` is the same text as one string.
+time.  Any string, a hand-written ``"f8le"`` one or an empty one included,
+is escaped as ``json`` escapes it, and any other value ``json`` cannot
+write is refused with ``json``'s own ``TypeError``.  ``canonical_dumps`` is
+the same text as one string.
 
 CSV holds the variation profiles (``write_profiles_csv``).  CSV floats are
 written in one format, ``_CSV_FLOAT`` (``%.17g``: 17 significant digits,
@@ -91,17 +94,6 @@ _F8LE_CHUNK = 3 << 16  # bytes per base64 slice of a payload: a multiple of 3
 _F8LE = np.dtype("<f8")
 _F8LE_OPEN = b'{"f8le":"'  # an f8le object as write_json writes it, up to its text
 _NUL_ESCAPE = b"\\u0000"  # the key of read_json's marker, as JSON text
-_JSON_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def _json_key(key) -> str:
-    """A dict key as ``json`` turns it into a string: a ``str`` as it is;
-    a float, an int, a bool or None as its JSON text."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _JSON_ENCODER.encode(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _is_payload(obj) -> bool:
@@ -109,45 +101,35 @@ def _is_payload(obj) -> bool:
     return type(obj) is np.ndarray and obj.dtype == _F8LE and obj.ndim == 1
 
 
-def _encode(obj, pending: list):
-    """Yield the canonical JSON of ``obj`` as ASCII byte pieces, gathering
-    the text between them in ``pending``: a payload array is yielded as the
-    base64 of its consecutive ``_F8LE_CHUNK``-byte slices, one piece each,
-    after the text before it.  Dicts (their items sorted, keys converted by
-    ``_json_key``), lists and tuples are walked as ``json`` walks them;
-    every other value is ``_JSON_ENCODER``'s."""
-    if _is_payload(obj):
-        pending.append('"')
-        yield "".join(pending).encode()
-        pending.clear()
-        raw = np.ascontiguousarray(obj).view(np.uint8)
-        for lo in range(0, raw.size, _F8LE_CHUNK):
-            yield binascii.b2a_base64(raw[lo:lo + _F8LE_CHUNK], newline=False)
-        pending.append('"')
-    elif isinstance(obj, (list, tuple)):
-        pending.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                pending.append(",")
-            yield from _encode(value, pending)
-        pending.append("]")
-    elif isinstance(obj, dict):
-        pending.append("{")
-        for i, (key, value) in enumerate(sorted(obj.items())):
-            pending.append(("," if i else "") + _JSON_ENCODER.encode(_json_key(key)) + ":")
-            yield from _encode(value, pending)
-        pending.append("}")
-    else:
-        pending.append(_JSON_ENCODER.encode(obj))
-
-
 def _json_pieces(obj):
     """The bytes of ``json.dumps(obj, sort_keys=True, separators=(",",
     ":")) + "\\n"``, each payload array as its base64 text, in pieces: each
     slice of a payload is one piece, and the text between payloads is one
-    piece each."""
+    piece each.
+
+    ``json``'s pure-Python encoder (``iterencode``) writes the document.
+    Its ``default`` takes a payload only, records it and returns ``""``;
+    the encoder yields that string's text ``'""'`` as its next chunk, and
+    that chunk, and no other, is replaced by the payload's quoted text."""
+    payloads = []
+
+    def default(value):
+        if not _is_payload(value):
+            return json.JSONEncoder.default(None, value)  # json's own TypeError
+        payloads.append(value)
+        return ""
+
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=default)
     pending = []
-    yield from _encode(obj, pending)
+    for chunk in encoder.iterencode(obj):
+        if payloads:
+            yield ("".join(pending) + '"').encode()
+            raw = np.ascontiguousarray(payloads.pop()).view(np.uint8)
+            for lo in range(0, raw.size, _F8LE_CHUNK):
+                yield binascii.b2a_base64(raw[lo:lo + _F8LE_CHUNK], newline=False)
+            pending = ['"']
+        else:
+            pending.append(chunk)
     pending.append("\n")
     yield "".join(pending).encode()
 
@@ -158,10 +140,11 @@ def write_json(obj, stream: IO[bytes]) -> None:
     ``json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\\n"``,
     with each array ``_f8le`` put in ``obj`` written as its base64 text.
 
-    That text is encoded here, one ``write`` per ``_F8LE_CHUNK``-byte slice
-    of the array, between quotes written with the text around it: base64
-    never needs escaping, so it is not scanned, quoted or re-encoded.  Every
-    string, a hand-written ``"f8le"`` one too, goes through the encoder's
+    ``json``'s encoder writes the text around the arrays; each array's
+    text is encoded here, one ``write`` per ``_F8LE_CHUNK``-byte slice of
+    the array, between quotes written with the text around it: base64 never
+    needs escaping, so it is not scanned, quoted or re-encoded.  Every
+    string, a hand-written ``"f8le"`` one too, goes through ``json``'s
     escapes.  Neither the document nor a whole payload's text is ever held:
     the largest piece is one slice's text."""
     for piece in _json_pieces(obj):

@@ -928,8 +928,8 @@ def test_edge_values_end_at_once(tmp_path, capsys, monkeypatch, argv, code, mess
         assert doc["error_bound"] <= doc["manifest"]["config"]["tol"]
 
 
-# every numeric flag of every command, one edge value at a time (ROADMAP item
-# 12's sweep): each case ends in exit 0, 2 or 3 with no exception and no
+# a sweep of every numeric flag of every command, one edge value at a time,
+# for the way each case ends: in exit 0, 2 or 3 with no exception and no
 # warning; a failure prints one stderr line and writes nothing, and a success
 # writes only finite numbers
 _SWEEP_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e-320", "1.0000001", "3000", "1e20", "1e308",

@@ -8,7 +8,9 @@ of public classes, matched by attribute name, with ``UNUSED_MEMBERS_ALLOWED``
 as their list.  Within each module, every name a module-level import binds
 must be loaded too; ``__init__`` re-exports and ``from __future__`` aside.
 No module imports another module's underscore name: what a module keeps
-private stays behind its public functions.
+private stays behind its public functions.  So each private function, class
+and assignment at module level must be loaded in its own module, or it is
+dead code.
 """
 
 import ast
@@ -102,3 +104,28 @@ def test_no_module_imports_a_private_name():
                 private += [f"{module}: {alias.name}" for alias in node.names
                             if alias.name.startswith("_")]
     assert private == [], "underscore names imported from another package module"
+
+
+def module_private_names(tree) -> list:
+    """The underscore names, dunders aside, that a module's top-level
+    function and class definitions and assignments bind."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for target in targets for n in ast.walk(target)
+                      if isinstance(n, ast.Name)]
+    return [name for name in names
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_private_names_are_read_in_their_module():
+    unread = []
+    for module, tree in package_modules().items():
+        loads = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{module}: {name}" for name in module_private_names(tree)
+                   if name not in loads]
+    assert unread == [], "private names their module never reads"

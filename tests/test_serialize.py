@@ -105,7 +105,7 @@ def _b64(values) -> str:
 def _as_text(obj):
     """``obj`` with every array ``_f8le`` put in it as the base64 text a
     written document holds, so that ``json`` can write it."""
-    if isinstance(obj, np.ndarray):
+    if serialize._is_payload(obj):
         return _b64(obj)
     if isinstance(obj, dict):
         return {k: _as_text(v) for k, v in obj.items()}
@@ -362,17 +362,47 @@ def _hand_written_f8le_document():
             "points": {"f8le": "\"\\\n\u00e9"}}
 
 
+def _payload(*values):
+    return serialize._f8le(np.array(values, dtype=float))["f8le"]
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 class TestJsonByteIdentity:
-    @pytest.mark.parametrize("make", [_path_document, _pulled_document, _table_document,
-                                      _hand_written_f8le_document],
-                             ids=["path", "pulled", "table", "hand-written-f8le"])
+    @pytest.mark.parametrize("make", [
+        _path_document, _pulled_document, _table_document, _hand_written_f8le_document,
+        lambda: {"a": "", "b": _payload(1.0), "c": ""},
+        lambda: [_payload(1.0), _payload(2.0, 3.0), "", _payload(4.0)],
+        lambda: _payload(0.5, -0.0, 5e-324),
+        lambda: {7: _payload(1.0), 2.5: _payload(2.0), True: _payload(3.0), -1: ""},
+        lambda: {"\u0000": "\u0000", "values": _payload(1.0), "z": ["\u0000"]},
+        lambda: [{"a": [_payload(1.0)]}],
+    ], ids=["path", "pulled", "table", "hand-written-f8le", "empty-strings-beside",
+            "payloads-in-a-row", "bare-payload", "number-keys", "nul", "nested"])
     def test_matches_json_dumps(self, make):
         doc = make()
-        expected = json.dumps(_as_text(doc), sort_keys=True, separators=(",", ":")) + "\n"
+        expected = _dumps(_as_text(doc))
         buf = io.BytesIO()
         serialize.write_json(doc, buf)
         assert buf.getvalue() == expected.encode()
         assert serialize.canonical_dumps(doc) == expected
+
+    @pytest.mark.parametrize("doc, message", [
+        *[({"values": {"f8le": value}, "other": _payload(1.0)}, "is not JSON serializable")
+          for value in (np.zeros((2, 2)), np.zeros(3, dtype=np.float32),
+                        np.zeros(3, dtype=">f8"), np.int64(3), np.bool_(True))],
+        ({1: _payload(1.0), None: 2}, "not supported between instances"),
+    ], ids=["2-d", "float32", "big-endian", "int64", "bool_", "int-and-none-keys"])
+    def test_refuses_what_json_dumps_refuses(self, doc, message):
+        with pytest.raises(TypeError, match=message) as refused:
+            _dumps(_as_text(doc))
+        for write in (lambda: serialize.write_json(doc, io.BytesIO()),
+                      lambda: serialize.canonical_dumps(doc)):
+            with pytest.raises(TypeError) as exc:
+                write()
+            assert str(exc.value) == str(refused.value)
 
 
 class _RecordingStream(io.BytesIO):
