@@ -36,6 +36,25 @@ def _zero(v):
     return np.zeros_like(np.asarray(v, dtype=np.float64))
 
 
+def _horner(coeffs: np.ndarray):
+    """The evaluator of the polynomial with ascending ``coeffs``: Horner's
+    rule in one new array, ``coeffs[-1]``, then for each lower coefficient c
+    (zeros too) times v plus c.  On finite values it rounds as
+    ``np.polynomial.polynomial.polyval`` does, which makes a new array per
+    step."""
+    lead, rest = float(coeffs[-1]), [float(c) for c in coeffs[-2::-1]]
+
+    def evaluate(v):
+        x = np.asarray(v, dtype=np.float64)
+        out = np.full(x.shape, lead)
+        for c in rest:
+            out *= x
+            out += c
+        return out if out.ndim else out[()]
+
+    return evaluate
+
+
 @dataclass(frozen=True)
 class FunctionWithDerivatives:
     """A function together with user-supplied derivative evaluators.
@@ -96,11 +115,7 @@ class FunctionWithDerivatives:
                 chains.append(c[1:] * np.arange(1, c.size))
                 if not np.all(np.isfinite(chains[-1])):
                     raise overflow
-        funcs = [
-            (lambda cc: (lambda v: np.polynomial.polynomial.polyval(v, cc)))(c)
-            for c in chains
-        ]
-        return cls(funcs=tuple(funcs), exhaustive=True)
+        return cls(funcs=tuple(map(_horner, chains)), exhaustive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +191,9 @@ def change_of_variable_residual(f: FunctionWithDerivatives, y: SampledPath, p) -
     overflows float64 on the path's values, ``ValidationError`` is raised.
     f is evaluated on blocks of the path's values, like its derivatives in
     ``follmer_sum``; each residual entry takes the same operations in the
-    same order as the whole-array expression above.
+    same order as the whole-array expression above.  The samples of f^(p)
+    are marked read-only and kept, not copied, so its evaluator must return
+    a new array (as a polynomial's does) or a read-only one.
     """
     p = _check_even_order(p)
     if f.order < p and not f.exhaustive:
@@ -186,7 +203,9 @@ def change_of_variable_residual(f: FunctionWithDerivatives, y: SampledPath, p) -
         correction = None
         if p <= f.order:  # else f^(p) of a polynomial, and the correction, vanish
             profile = pvar_profile(y, p, eval_level=y.level)
-            w = SampledPath(grid=y.grid, values=_finite_evaluation(f.deriv(p)(sam)))
+            w = _finite_evaluation(np.asarray(f.deriv(p)(sam), dtype=np.float64))
+            w.setflags(write=False)  # handed over, not copied
+            w = SampledPath(grid=y.grid, values=w)
             correction = stieltjes_against_profile(w, profile)
             del profile, w
             correction /= math.factorial(p)

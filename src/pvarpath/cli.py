@@ -144,9 +144,13 @@ def _load(path: str, from_dict):
     The bytes are hashed on a thread (``hashlib`` releases the GIL on a
     large buffer) while ``serialize.read_json`` decodes each array straight
     from them, so no array's text becomes a ``str``; the thread is joined
-    whatever the parse gives.  The bytes are released before the object is
-    built, and the parsed document as soon as it is built, so a large
-    artifact is not held twice over.  A document nested too deep to parse
+    whatever the parse gives.  Most of the base64 kernel's numpy operations
+    release the GIL as well, so where a second CPU is free the hash can
+    overlap the decode.  The kernel's gain over ``binascii`` does not rest
+    on that overlap: on a 2-vCPU VM where two busy processes each run at
+    half speed, there is none to be had.  The bytes are released before the
+    object is built, and the parsed document as soon as it is built, so a
+    large artifact is not held twice over.  A document nested too deep to parse
     is refused like any other unreadable one."""
     try:
         raw = Path(path).read_bytes()

@@ -269,12 +269,12 @@ def bernstein(z, degree: int, grid: PartitionGrid) -> SampledPath:
     ``ValidationError``.
 
     Evaluation is de Casteljau's: each of ``degree`` rounds replaces the
-    rows b_k of the work array by the convex combinations
-    b_k + t (b_{k+1} - b_k), in a new array one row shorter (the difference
-    and the product are new arrays too).  This is numerically stable and
-    reproduces constants bitwise.  The first work array, of
+    rows b_k of the work array, in place and for k from 0 up, by the convex
+    combinations b_k + t (b_{k+1} - b_k), formed in one reused row; the
+    round leaves its last row unused.  This is numerically stable and
+    reproduces constants bitwise.  The work array, of
     ``(degree + 1) * grid.size`` entries, may hold at most the interval
-    budget.
+    budget; besides it only t and that one row are held.
     """
     if degree < 1:
         raise ValidationError(f"degree must be >= 1, got {degree}")
@@ -292,9 +292,16 @@ def bernstein(z, degree: int, grid: PartitionGrid) -> SampledPath:
             f"got {zv!r}")
     t = grid.points
     b = np.repeat(zv[:, None], t.size, axis=1)
-    for _ in range(degree):
-        b = b[:-1] + t[None, :] * (b[1:] - b[:-1])
-    return SampledPath(grid=grid, values=b[0])
+    d = np.empty_like(t)
+    for rows in range(degree, 0, -1):
+        for k in range(rows):  # upwards, so b[k + 1] is still the last round's
+            np.subtract(b[k + 1], b[k], out=d)
+            np.multiply(t, d, out=d)
+            np.add(b[k], d, out=b[k])
+    d[:] = b[0]
+    del b
+    d.setflags(write=False)  # handed over, not copied
+    return SampledPath(grid=grid, values=d)
 
 
 def splice(x_coeffs: CoefficientArray, y_coeffs: CoefficientArray, n: int) -> CoefficientArray:

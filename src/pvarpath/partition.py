@@ -137,10 +137,13 @@ class PartitionGrid:
 
     def restrict(self, level: int) -> "PartitionGrid":
         """Coarsen to a lower level; a table grid keeps every
-        ``q**(n - level)``-th point, as a view."""
+        ``q**(n - level)``-th point, as a view.  At its own level a grid is
+        itself, so its points are not checked again."""
         if not 0 <= level <= self.level:
             raise ValidationError(f"a level-{self.level} grid has no level {level}; "
                                   f"it holds levels 0..{self.level}")
+        if level == self.level:
+            return self
         if self.table_points is None:
             return PartitionGrid(self.q, level)
         stride = self.q ** (self.level - level)
@@ -186,6 +189,7 @@ def power_table(q: int, depth: int, exponent: float = 2.0) -> PartitionGrid:
         raise ValidationError(
             f"power-table exponent {exponent} makes neighbouring level-{depth} points "
             "equal in float64")
+    points.setflags(write=False)  # handed over, not copied
     return PartitionGrid(q, depth, points)
 
 

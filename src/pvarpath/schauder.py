@@ -233,7 +233,10 @@ class SampledPath:
         return np.diff(self.values)
 
     def restrict(self, level: int) -> "SampledPath":
-        """Values on the coarser level-``level`` subgrid of the same sequence."""
+        """Values on the coarser level-``level`` subgrid of the same sequence;
+        at its own level a path is itself."""
+        if level == self.level:
+            return self
         stride = self.q ** (self.level - level)
         return SampledPath(grid=self.grid.restrict(level), values=self.values[::stride])
 

@@ -26,6 +26,7 @@ from pvarpath import (
     transported_norm,
     variation_constant,
 )
+from pvarpath import schauder
 from pvarpath._util import cumsum_stable
 from pvarpath.schauder import SampledPath
 
@@ -95,6 +96,26 @@ class TestFunctionWithDerivatives:
         finally:
             tracemalloc.stop()
         assert peak < 2e6    # a coefficient array is 0.8 MB
+
+    def test_polynomial_rounds_as_polyval(self):
+        # Horner in one array: the same operations, in the same order, as
+        # numpy's polyval on finite values, zeros and signed zeros included
+        x = np.concatenate([np.linspace(-3.0, 3.0, 1001), [0.0, -0.0, 1e-300, -1e200]])
+        for coefficients in ([0.0], [-2.5], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0, 1.0],
+                             [1.0, -0.5, 0.0, 1 / 3, 0.0, -7.25], [-0.0, 1e-3, 0.0, 2.0]):
+            f = FunctionWithDerivatives.polynomial(coefficients)
+            for k in range(f.order + 1):
+                cc = np.asarray(coefficients, dtype=np.float64)
+                for _ in range(k):
+                    cc = np.polynomial.polynomial.polyder(cc)
+                cc = np.trim_zeros(cc, "b") if np.any(cc) else np.zeros(1)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = np.polynomial.polynomial.polyval(x, cc)
+                    got = f.deriv(k)(x)
+                np.testing.assert_array_equal(got, want)
+                assert got.tobytes() == want.tobytes()
+                assert f.deriv(k)(2.0) == np.polynomial.polynomial.polyval(2.0, cc)
+                assert np.ndim(f.deriv(k)(2.0)) == 0
 
     def test_explicit_derivatives_bounded(self):
         f = FunctionWithDerivatives(funcs=(np.sin, np.cos))
@@ -170,6 +191,21 @@ class TestChangeOfVariableResidual:
         rep = change_of_variable_residual(f, y, p)
         assert rep.residuals.tobytes() == whole_array_residual(f, y, p).tobytes()
         assert follmer_sum(f, y, p).tobytes() == whole_array_follmer_sum(f, y, p).tobytes()
+
+    def test_fp_samples_are_handed_over(self, monkeypatch):
+        # the path the correction integrates holds f^(p)'s own array
+        y = reference_path(UniformMagnitudeSpec(q=2, p=2.0, signs=1), 8)
+        copies = []
+        frozen_floats = schauder.frozen_floats
+
+        def spy(a):
+            out = frozen_floats(a)
+            copies.append(out is not a)
+            return out
+
+        monkeypatch.setattr(schauder, "frozen_floats", spy)
+        change_of_variable_residual(SQUARE, y, 2)
+        assert copies == [False]
 
     @pytest.mark.parametrize("f, p", [(SQUARE, 2), (FOURTH, 4)], ids=["square-p2", "fourth-p4"])
     def test_peak_memory_is_at_most_four_path_arrays(self, f, p):

@@ -12,6 +12,7 @@ from pvarpath import (
     bernstein,
     build_reference,
     holder_quotient,
+    power_table,
     pvar_profile,
     qadic_grid,
     qadic_path,
@@ -870,6 +871,30 @@ class TestBernstein:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("degree", [1, 3, 8, 17, 64])
+    def test_rounds_in_place_match_whole_array_rounds(self, degree):
+        # the same operations in the same order as a new array per round
+        for grid in (qadic_grid(2, 9), qadic_grid(3, 5), power_table(2, 8, 1.7)):
+            for z in (np.exp, np.sin, lambda t: t ** 3 - t):
+                t = grid.points
+                b = np.repeat(z(np.arange(degree + 1) / degree)[:, None], t.size, axis=1)
+                for _ in range(degree):
+                    b = b[:-1] + t[None, :] * (b[1:] - b[:-1])
+                assert bernstein(z, degree, grid).values.tobytes() == b[0].tobytes()
+
+    def test_peak_is_the_budgeted_array_and_three_rows(self):
+        # the work array, t, the reused row and the values handed over; a
+        # new array per round peaked at about 3x the work array
+        grid, degree = qadic_grid(2, 16), 8
+        tracemalloc.start()
+        try:
+            out = bernstein(np.exp, degree, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.values.size == grid.size
+        assert peak <= (degree + 1 + 3) * grid.size * 8, peak / ((degree + 1) * grid.size * 8)
 
 
 class TestSplice:

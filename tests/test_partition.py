@@ -15,7 +15,8 @@ from pvarpath import (
     random_refining_table,
     variation_constant,
 )
-from pvarpath.partition import PartitionGrid, digits_within, qadic_level
+from pvarpath import partition
+from pvarpath.partition import PartitionGrid, digits_within, frozen_floats, qadic_level
 from pvarpath.schauder import gamma_rows
 
 # every place that takes a branching factor q applies the one rule of
@@ -98,6 +99,24 @@ class TestPartitionGrid:
         points[1] = 0.1
         assert grid.points[1] == 0.0625
         assert not grid.points.flags.writeable
+
+    def test_power_table_points_are_handed_over(self, monkeypatch):
+        copies = []
+
+        def spy(a):
+            out = frozen_floats(a)
+            copies.append(out is not a)
+            return out
+
+        monkeypatch.setattr(partition, "frozen_floats", spy)
+        table = power_table(2, 6, 1.5)
+        assert copies == [False]
+        assert not table.points.flags.writeable
+
+    @pytest.mark.parametrize("grid", [qadic_grid(3, 2), power_table(2, 3)], ids=["q-adic", "table"])
+    def test_restrict_to_its_own_level_is_itself(self, grid):
+        assert grid.restrict(grid.level) is grid
+        assert grid.restrict(grid.level - 1).level == grid.level - 1
 
     def test_generator_follows_from_stored_points(self):
         assert qadic_grid(3, 2).generator == "q-adic"

@@ -327,6 +327,11 @@ class TestSampledPath:
             assert np.shares_memory(coarse.values, path.values)
             assert np.shares_memory(pulled.restrict(level).grid.points, pulled.grid.points)
 
+    def test_restrict_to_its_own_level_is_itself(self):
+        path = qadic_path(np.arange(9.0), q=2)
+        assert path.restrict(3) is path
+        assert path.restrict(2).level == 2
+
     def test_qadic_path_rejects_bad_count(self):
         with pytest.raises(ValidationError):
             qadic_path(np.zeros(6), q=2)

@@ -1,4 +1,5 @@
 import base64
+import binascii
 import hashlib
 import io
 import json
@@ -600,17 +601,83 @@ class TestReadJson:
 
     def test_arrays_are_decoded_from_the_bytes(self, monkeypatch):
         # the one base64 decode each array gets is of a buffer of the bytes,
-        # never of a str
+        # never of a str, and the path keeps the decoded buffer
         doc = serialize.path_to_dict(_pulled_path())
         raw = _written(doc)
         decoded = []
-        a2b_base64 = serialize.binascii.a2b_base64
+        b64decode = serialize._b64decode
 
-        def spy(data, **kwargs):
-            decoded.append(type(data))
-            return a2b_base64(data, **kwargs)
+        def spy(text):
+            decoded.append(type(text))
+            return b64decode(text)
 
-        monkeypatch.setattr(serialize.binascii, "a2b_base64", spy)
-        back = serialize.path_from_dict(serialize.read_json(raw))
+        monkeypatch.setattr(serialize, "_b64decode", spy)
+        parsed = serialize.read_json(raw)
+        back = serialize.path_from_dict(parsed)
         assert decoded == [memoryview, memoryview]
         assert back.values.tobytes() == doc["values"]["f8le"].tobytes()
+        assert back.values is parsed["values"]["f8le"]
+        assert back.grid.points is parsed["meta"]["grid_points"]["f8le"]
+
+
+# the base64 alphabet, padding, and characters strict base64 refuses
+_B64_TEXT = st.text(
+    alphabet=st.sampled_from(list(serialize._B64_ALPHABET.decode() + "=\n\\\"\0\u00e9\u20ac")),
+    max_size=40)
+
+
+class TestB64Decode:
+    """``_b64decode`` is ``binascii.a2b_base64(text, strict_mode=True)``."""
+
+    @staticmethod
+    def _agree(text):
+        try:
+            want = binascii.a2b_base64(text, strict_mode=True)
+        except ValueError:
+            want = None
+        try:
+            got = serialize._b64decode(text)
+        except ValueError:
+            assert want is None, text
+            return
+        assert want is not None, text
+        assert got.dtype == np.uint8 and not got.flags.writeable
+        assert got.tobytes() == want
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(
+        _B64_TEXT,
+        # valid text, then a mutation at any place: every length mod 4 and
+        # every block seam is reached with the rest of it valid
+        st.tuples(st.binary(max_size=40), st.integers(0, 60), _B64_TEXT).map(
+            lambda t: (lambda v: v[:t[1]] + t[2] + v[t[1]:])(base64.b64encode(t[0]).decode())),
+        st.tuples(st.binary(max_size=40), _B64_TEXT).map(
+            lambda t: base64.b64encode(t[0]).decode() + t[1]),
+        # runs of padding, which strict binascii accepts after a whole quad
+        st.tuples(st.binary(max_size=40), st.integers(0, 12)).map(
+            lambda t: base64.b64encode(t[0]).decode() + "=" * t[1])))
+    def test_agrees_with_strict_binascii(self, text):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(serialize, "_B64_BLOCK", 2)  # so that texts cross block seams
+            for form in (text, text.encode("utf-8"), memoryview(text.encode("utf-8"))):
+                self._agree(form)
+
+    @pytest.mark.parametrize("text", [
+        "", "QUFB", "QUFBQQ==", "QUFBQUE=", "QUFB====", "QUFB========", "QUFBQQ======",
+        "QUFB=QUF", "====", "QR==", "QUFBQR==", "QUFBQ===", "QUFBQUF", "QUF", "Q",
+        "QUFB\nQUFB", "QU\0B", "QUFBQUFB\"", "QUFBQUF\u00e9", "QUFB\\UFB",
+    ])
+    def test_edge_texts(self, monkeypatch, text):
+        monkeypatch.setattr(serialize, "_B64_BLOCK", 1)
+        for form in (text, text.encode("utf-8")):
+            self._agree(form)
+
+    def test_str_payload_reads_through_json_floats(self):
+        values = np.array([0.0, -1.5, 2.0 ** -1074, np.pi, 1e308])
+        text = base64.b64encode(values.astype("<f8").tobytes()).decode()
+        got = serialize._json_floats({"f8le": text}, "values", "path")
+        assert got.dtype == np.float64 and not got.flags.writeable
+        assert got.tobytes() == values.tobytes()
+        for bad in (text[:-1], text + "====x", text.replace("A", "\u00e9", 1)):
+            with pytest.raises(ValidationError, match="'values' must be"):
+                serialize._json_floats({"f8le": bad}, "values", "path")

@@ -40,6 +40,12 @@ class TestPullback:
         np.testing.assert_array_equal(pulled.values, x.values)
         assert pulled.grid.generator == "table"
 
+    def test_table_at_the_paths_level_is_kept(self):
+        # the pulled-back path's grid is the table itself, not a re-checked copy
+        table = sqrt_table(8)
+        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0), 8)
+        assert pullback_path(x, table).grid is table
+
     def test_sup_norm_preserved_exactly(self):
         table = sqrt_table()
         x = reference_path(UniformMagnitudeSpec(q=2, p=2.0), 10)
