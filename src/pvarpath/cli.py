@@ -31,7 +31,6 @@ import hashlib
 import json
 import math
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -141,32 +140,20 @@ def _load(path: str, from_dict):
     the first 16 hex digits of the sha256 of the file's bytes (for a
     canonical artifact, equal to ``config_hash`` of the document).
 
-    The bytes are hashed on a thread (``hashlib`` releases the GIL on a
-    large buffer) while ``serialize.read_json`` decodes each array straight
-    from them, so no array's text becomes a ``str``; the thread is joined
-    whatever the parse gives.  Most of the base64 kernel's numpy operations
-    release the GIL as well, so where a second CPU is free the hash can
-    overlap the decode.  The kernel's gain over ``binascii`` does not rest
-    on that overlap: on a 2-vCPU VM where two busy processes each run at
-    half speed, there is none to be had.  The bytes are released before the
-    object is built, and the parsed document as soon as it is built, so a
-    large artifact is not held twice over.  A document nested too deep to parse
-    is refused like any other unreadable one."""
+    The bytes are read, hashed and then decoded by ``serialize.read_json``
+    straight from them, so no array's text becomes a ``str``.  The bytes are
+    released before the object is built, and the parsed document as soon as
+    it is built, so a large artifact is not held twice over.  A file that
+    cannot be read, or a document that is not JSON or is nested too deep to
+    parse, is refused with one line."""
     try:
         raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    digest = []
-    hasher = threading.Thread(target=lambda: digest.append(hashlib.sha256(raw).hexdigest()[:16]))
-    hasher.start()
-    try:
+        digest = hashlib.sha256(raw).hexdigest()[:16]
         doc = serialize.read_json(raw)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    finally:
-        hasher.join()
     del raw
-    return from_dict(doc), digest[0]
+    return from_dict(doc), digest
 
 
 # ---------------------------------------------------------------------------

@@ -185,12 +185,15 @@ def power_table(q: int, depth: int, exponent: float = 2.0) -> PartitionGrid:
     if not (math.isfinite(exponent) and exponent > 0):
         raise ValidationError(f"power-table exponent must be finite and > 0, got {exponent}")
     points = qadic_grid(q, depth).points ** exponent
-    if not np.all(np.diff(points) > 0):
+    points.setflags(write=False)  # handed over, not copied
+    try:
+        return PartitionGrid(q, depth, points)
+    except ValidationError as exc:
+        # 0**e == 0 and 1**e == 1, and qadic_grid has checked q and depth, so
+        # only strict increase can fail
         raise ValidationError(
             f"power-table exponent {exponent} makes neighbouring level-{depth} points "
-            "equal in float64")
-    points.setflags(write=False)  # handed over, not copied
-    return PartitionGrid(q, depth, points)
+            "equal in float64") from exc
 
 
 def random_refining_table(q: int, depth: int, seed: int = 0) -> PartitionGrid:

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -1119,18 +1118,17 @@ def test_hand_written_documents_read_as_json_reads_them(tmp_path, capsys, monkey
 
 
 class TestLoad:
-    def test_no_thread_outlives_a_load(self, tmp_path):
+    def test_digest_and_object_of_a_load(self, tmp_path):
         good, bad = tmp_path / "x.json", tmp_path / "truncated.json"
         assert run(["build", "--levels", "12", "-o", str(good)]) == 0
         bad.write_bytes(good.read_bytes()[:-100])
-        before = threading.active_count()
         path, digest = cli._load(str(good), serialize.path_from_dict)
-        assert threading.active_count() == before
         assert digest == hashlib.sha256(good.read_bytes()).hexdigest()[:16]
         assert path.values.tobytes() == serialize.path_from_dict(read_json(good)).values.tobytes()
         with pytest.raises(ValidationError, match="cannot read .*truncated.json"):
             cli._load(str(bad), serialize.path_from_dict)
-        assert threading.active_count() == before
+        with pytest.raises(ValidationError, match="cannot read .*missing.json"):
+            cli._load(str(tmp_path / "missing.json"), serialize.path_from_dict)
 
     def test_peak_is_at_most_twice_the_file(self, tmp_path):
         # the bytes and the decoded arrays, not the arrays' text as well

@@ -113,6 +113,18 @@ class TestPartitionGrid:
         assert copies == [False]
         assert not table.points.flags.writeable
 
+    def test_power_table_checks_its_points_once(self, monkeypatch):
+        sizes = []
+        diff = np.diff
+
+        def spy(a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return diff(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "diff", spy)
+        power_table(2, 12, 1.5)
+        assert sizes.count(2 ** 12 + 1) == 1
+
     @pytest.mark.parametrize("grid", [qadic_grid(3, 2), power_table(2, 3)], ids=["q-adic", "table"])
     def test_restrict_to_its_own_level_is_itself(self, grid):
         assert grid.restrict(grid.level) is grid
