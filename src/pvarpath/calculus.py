@@ -145,14 +145,16 @@ def follmer_sum(f: FunctionWithDerivatives, y: SampledPath, p) -> np.ndarray:
     sum_{k=1}^{p-1} f^(k)(y(t_j)) / k! * (increment)^k, summed by
     ``_util.cumsum_stable`` like the variation profile it is compared
     against (``_util`` states the precision rule).  The terms are formed
-    one block of ``_BLOCK`` intervals at a time, so f's derivatives are
-    evaluated on blocks of the path's values; they must act elementwise.
+    one block of ``_BLOCK`` intervals at a time, in the array of the sums,
+    which ``cumsum_stable`` then sums in place; so f's derivatives are
+    evaluated on blocks of the path's values, and they must act elementwise.
     """
     p = _check_even_order(p)
     if f.order < p - 1 and not f.exhaustive:
         raise ValidationError(f"need derivatives up to order {p - 1}")
     v = y.values
-    terms = np.zeros(v.size - 1)
+    cum = np.zeros(v.size)
+    terms = cum[1:]
     for lo in range(0, terms.size, _BLOCK):
         hi = min(lo + _BLOCK, terms.size)
         left, d = v[lo:hi], np.subtract(v[lo + 1:hi + 1], v[lo:hi])
@@ -161,7 +163,7 @@ def follmer_sum(f: FunctionWithDerivatives, y: SampledPath, p) -> np.ndarray:
         for k in range(1, min(p, f.order + 1)):
             dk *= d
             terms[lo:hi] += f.deriv(k)(left) * dk / math.factorial(k)
-    return cumsum_stable(terms)
+    return cumsum_stable(cum)
 
 
 @dataclass(frozen=True, eq=False)

@@ -231,6 +231,7 @@ def recipe(hprime, spec: UniformMagnitudeSpec, n: int) -> RecipeResult:
         )
     # the products are fresh and read-only, so the paths keep them uncopied
     gv = (hp / c.value) ** (1.0 / spec.p)
+    del hp  # not held while g is analyzed and the reference path is built
     gv.setflags(write=False)
     g = SampledPath(grid=grid, values=gv)
     trend = variation_index_estimate(analyze(g), spec.p) if n >= 4 else None

@@ -201,7 +201,9 @@ def random_refining_table(q: int, depth: int, seed: int = 0) -> PartitionGrid:
 
     Level by level, each interval is split into q parts with
     Dirichlet(``DIRICHLET_CONCENTRATION``) weights, which keeps points
-    strictly increasing.
+    strictly increasing.  The j-th cut of an interval is the running sum of
+    its first j weights times its width plus its left point, written one
+    column of cuts at a time into the points array.
     """
     check_branching(q)  # before the budget, whose digit count needs q >= 2
     check_interval_budget(q, depth)
@@ -210,12 +212,15 @@ def random_refining_table(q: int, depth: int, seed: int = 0) -> PartitionGrid:
     pts[0], pts[-1] = 0.0, 1.0
     for n in range(depth):
         w = rng.dirichlet(np.full(q, DIRICHLET_CONCENTRATION), size=q ** n)
-        np.cumsum(w, axis=1, out=w)
-        cuts = w[:, :-1]
         parents = pts[:: q ** (depth - n)]
-        cuts *= np.diff(parents)[:, None]
-        cuts += parents[:-1][:, None]
-        pts[:: q ** (depth - n - 1)][:-1].reshape(q ** n, q)[:, 1:] = cuts
+        width, left = np.diff(parents), parents[:-1]
+        children = pts[:: q ** (depth - n - 1)][:-1].reshape(q ** n, q)
+        for j in range(1, q):
+            if j > 1:
+                w[:, j - 1] += w[:, j - 2]  # the running sum, as a cumsum rounds
+            cut = children[:, j]
+            np.multiply(w[:, j - 1], width, out=cut)
+            cut += left
     pts.setflags(write=False)  # handed over, not copied
     return PartitionGrid(q, depth, pts)
 

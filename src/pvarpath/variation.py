@@ -5,7 +5,9 @@ level-n grid; clamping at t means intervals beyond t contribute exactly
 zero, so on grid points the profile is a prefix sum of |increment|^p terms.
 That prefix sum is ``_util.cumsum_stable``, because it is one side of the
 exact y**2 change-of-variable identity (``_util`` states the precision rule
-and its measurement).  Every other sum here is plain float64.
+and its measurement).  The terms are formed in the profile's own array and
+summed there, so a full profile holds one path-sized array.  Every other sum
+here is plain float64.
 
 A profile is read on its path's own grid, at the points of one coarser
 level m of the same partition sequence (every q**(n - m)-th point): where
@@ -34,7 +36,8 @@ class VariationProfile:
 
     ``values`` are reported on the level-``eval_level`` subgrid, every
     ``stride``-th point of ``grid``; an ``eval_level`` above the grid's own
-    level is clamped to it.
+    level is clamped to it.  They are finite, nonnegative and
+    non-decreasing, which one comparison pass over them checks.
     """
 
     grid: PartitionGrid
@@ -51,7 +54,12 @@ class VariationProfile:
                 f"a level-{self.eval_level} profile has {self.q ** self.eval_level + 1} "
                 f"values, got {vals.shape}"
             )
-        if np.any(np.diff(vals) < 0) or np.any(vals < 0):
+        # False at a NaN; with a finite last value, no value is inf either
+        ordered = vals[0] >= 0 and bool(np.all(vals[1:] >= vals[:-1]))
+        if not (ordered and np.isfinite(vals[-1])):
+            bad = vals[~np.isfinite(vals)]
+            if bad.size:
+                raise ValidationError(f"profile values must be finite, got {bad[0]}")
             raise ValidationError("profile values must be nonnegative and non-decreasing")
         object.__setattr__(self, "values", vals)
 
@@ -87,15 +95,20 @@ def pvar_profile(
     The profile is reported on the level-min(n, ``eval_level``) subgrid
     (level 10 by default, to bound output size); ``eval_level=path.level``
     reports every grid point and ``eval_level=0`` only t = 0 and t = 1.
-    A sum that overflows float64 raises ``ValidationError``.
+    A sum that overflows float64 raises ``ValidationError``.  The
+    |increment|^p terms are formed in the array of the sums and summed there
+    in place, so at the full level the peak is that one array and
+    ``cumsum_stable``'s block buffers.
     """
     check_exponent(p)
-    terms = path.increments()
+    v = path.values
+    cum = np.empty(v.size)
+    terms = cum[1:]  # the terms are summed where they are formed
+    np.subtract(v[1:], v[:-1], out=terms)
     with np.errstate(over="ignore"):
         np.abs(terms, out=terms)
         terms **= p  # in place, as ``np.abs(increments) ** p`` would round
-        cum = cumsum_stable(terms)
-    del terms
+        cumsum_stable(cum)
     if not np.isfinite(cum[-1]):
         raise ValidationError(f"the p={p} variation of this path overflows float64")
     stride = path.q ** max(path.level - eval_level, 0)

@@ -27,7 +27,7 @@ from pvarpath import (
     variation_constant,
 )
 from pvarpath import schauder
-from pvarpath._util import cumsum_stable
+from pvarpath._util import _BLOCK, cumsum_stable
 from pvarpath.schauder import SampledPath
 
 IDENTITY = FunctionWithDerivatives.polynomial([0.0, 1.0])
@@ -43,7 +43,7 @@ def whole_array_follmer_sum(f, y, p):
     for k in range(1, min(p, f.order + 1)):
         dk = dk * d
         terms = terms + f.deriv(k)(y.values[:-1]) * dk / math.factorial(k)
-    return cumsum_stable(terms)
+    return cumsum_stable(np.concatenate(([0.0], terms)))
 
 
 def whole_array_residual(f, y, p):
@@ -53,7 +53,7 @@ def whole_array_residual(f, y, p):
     with np.errstate(over="ignore", invalid="ignore"):
         resid = f(v) - f(v[0]) - whole_array_follmer_sum(f, y, p)
         if p <= f.order:
-            prof = cumsum_stable(np.abs(np.diff(v)) ** p)
+            prof = cumsum_stable(np.concatenate(([0.0], np.abs(np.diff(v)) ** p)))
             corr = np.concatenate(([0.0], np.cumsum(f.deriv(p)(v)[:-1] * np.diff(prof))))
             resid = resid - corr / math.factorial(p)
     return resid
@@ -208,7 +208,7 @@ class TestChangeOfVariableResidual:
         assert copies == [False]
 
     @pytest.mark.parametrize("f, p", [(SQUARE, 2), (FOURTH, 4)], ids=["square-p2", "fourth-p4"])
-    def test_peak_memory_is_at_most_four_path_arrays(self, f, p):
+    def test_peak_memory_is_three_path_arrays_and_block_buffers(self, f, p):
         y = reference_path(UniformMagnitudeSpec(q=2, p=2.0, signs=1), 20)
         tracemalloc.start()
         try:
@@ -216,7 +216,8 @@ class TestChangeOfVariableResidual:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * y.values.nbytes
+        # the profile, f^(p)'s samples and the correction, alive together
+        assert peak <= 3 * y.values.nbytes + 3 * _BLOCK * 8, peak / y.values.nbytes
 
 
 def lp_norm(g, p):

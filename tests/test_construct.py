@@ -769,6 +769,19 @@ class TestRecipe:
         with pytest.raises(ValidationError, match="hprime samples must be finite"):
             recipe(density, spec, 6)
 
+    def test_peak_holds_no_density_samples_beside_the_multiplier(self):
+        # the samples of hprime alive through the synthesis peaked at 4.19 arrays
+        n = 20
+        size = (2 ** n + 1) * 8
+        tracemalloc.start()
+        try:
+            res = recipe(np.exp, UniformMagnitudeSpec(q=2, p=2.0, signs=1), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.y.values.nbytes == size
+        assert peak <= 3.3 * size, peak / size
+
     def test_zero_touching_density_allowed(self):
         spec = UniformMagnitudeSpec(q=2, p=2.0)
         res = recipe(lambda t: t, spec, 8)  # density vanishes at 0

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,18 @@ class TestTransportedPvarCheck:
         table = random_refining_table(3, 8, seed=17)
         x = reference_path(UniformMagnitudeSpec(q=3, p=2.0, a=(1.0, 1.0)), 8)
         assert transported_pvar_check(x, table, 2.0) <= 1e-12
+
+    def test_peak_is_two_profiles_and_block_buffers(self):
+        # the whole-array difference and its absolute value peaked at 4.0 arrays
+        table = qadic_table(2, 20)
+        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, signs=1), 20)
+        tracemalloc.start()
+        try:
+            assert transported_pvar_check(x, table, 2.0) == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * x.values.nbytes, peak / x.values.nbytes
 
 
 class TestTransportedRecipe:

@@ -1,11 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pvarpath._util import cumsum_stable
+from pvarpath._util import _BLOCK, cumsum_stable
 
 STRIDE = 4096
+
+
+def summed(terms):
+    """``cumsum_stable`` of ``terms``, written into the result's entries 1 on."""
+    s = np.empty(np.size(terms) + 1)
+    s[1:] = terms
+    return cumsum_stable(s)
 
 
 def fsum_prefixes(terms, stride):
@@ -33,18 +41,18 @@ def mixed_sign_terms():
                          ids=["mixed-sign", "squared"])
 def test_prefixes_within_one_ulp_of_fsum(terms):
     # a plain float64 cumsum is off by up to 5335 ulp on the mixed-sign terms
-    got = cumsum_stable(terms)[STRIDE::STRIDE]
+    got = summed(terms)[STRIDE::STRIDE]
     want = fsum_prefixes(terms, STRIDE)
     assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
 
 def test_starts_at_the_empty_sum():
-    np.testing.assert_array_equal(cumsum_stable(np.array([1.0, 2.0, 3.0])), [0, 1, 3, 6])
-    np.testing.assert_array_equal(cumsum_stable(np.array([])), [0.0])
+    np.testing.assert_array_equal(summed(np.array([1.0, 2.0, 3.0])), [0, 1, 3, 6])
+    np.testing.assert_array_equal(summed(np.array([])), [0.0])
 
 
 def test_keeps_the_plain_sum_past_an_overflow():
-    got = cumsum_stable(np.array([1.0, np.inf, 1.0, np.nan]))
+    got = summed(np.array([1.0, np.inf, 1.0, np.nan]))
     np.testing.assert_array_equal(got, [0.0, 1.0, np.inf, np.inf, np.nan])
 
 
@@ -67,12 +75,12 @@ def test_blocks_keep_the_one_pass_bits(size):
     rng = np.random.default_rng(size)
     terms = rng.standard_normal(size) * 10.0 ** rng.integers(-12, 12, size)
     terms[::7] = -0.0
-    assert cumsum_stable(terms).tobytes() == one_pass(terms).tobytes()
-    assert cumsum_stable(terms ** 2).tobytes() == one_pass(terms ** 2).tobytes()
+    assert summed(terms).tobytes() == one_pass(terms).tobytes()
+    assert summed(terms ** 2).tobytes() == one_pass(terms ** 2).tobytes()
     if size > 2 ** 16:
         terms[2 ** 16] = np.inf
         terms[-2] = np.nan
-        assert cumsum_stable(terms).tobytes() == one_pass(terms).tobytes()
+        assert summed(terms).tobytes() == one_pass(terms).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
@@ -82,8 +90,28 @@ def test_tail_past_a_non_finite_term_is_the_plain_cumsum(bad):
     terms = mixed_sign_terms()[:3 * 2 ** 16 + 5]
     k = 2 ** 16 + 123
     terms[k] = bad
-    got, plain = cumsum_stable(terms), np.concatenate([[0.0], np.cumsum(terms)])
+    got, plain = summed(terms), np.concatenate([[0.0], np.cumsum(terms)])
     assert got[k + 1:].tobytes() == plain[k + 1:].tobytes()
-    assert got[:k + 1].tobytes() == cumsum_stable(terms[:k]).tobytes()
+    assert got[:k + 1].tobytes() == summed(terms[:k]).tobytes()
     assert got[:k + 1].tobytes() != plain[:k + 1].tobytes()
     assert got.tobytes() == one_pass(terms).tobytes()
+
+
+def test_sums_in_place_from_the_empty_sum():
+    s = np.full(4, np.nan)  # entry 0 is set, whatever it held
+    s[1:] = [1.0, 2.0, 3.0]
+    assert cumsum_stable(s) is s
+    np.testing.assert_array_equal(s, [0, 1, 3, 6])
+
+
+def test_holds_three_block_buffers_beside_the_sums():
+    s = np.empty(2 ** 20 + 1)
+    s[1:] = mixed_sign_terms()
+    tracemalloc.start()
+    try:
+        cumsum_stable(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a copy of the terms beside the sums would be 8.4 MB
+    assert peak <= 3 * _BLOCK * 8 + 8192

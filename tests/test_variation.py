@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,8 +34,21 @@ class TestPvarProfile:
     @pytest.mark.parametrize("p", [1.5, 2, 2.0, 2.5, 3.0, 4])
     def test_terms_keep_the_bits_of_abs_increments_to_the_p(self, p):
         x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, signs=3), 17)
-        want = cumsum_stable(np.abs(np.diff(x.values)) ** p)
+        want = cumsum_stable(np.concatenate(([0.0], np.abs(np.diff(x.values)) ** p)))
         assert pvar_profile(x, p, eval_level=17).values.tobytes() == want.tobytes()
+
+    def test_peak_is_one_path_array_and_block_buffers(self):
+        # forming the terms beside the sums peaked at 2.125 arrays
+        x = reference_path(UniformMagnitudeSpec(q=2, p=2.0, signs=1), 20)
+        tracemalloc.start()
+        try:
+            prof = pvar_profile(x, 2.0, eval_level=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prof.values.size == x.values.size
+        assert peak <= 1.3 * x.values.nbytes, peak / x.values.nbytes
+
     def test_linear_path_level_3(self):
         prof = pvar_profile(linear_path(3), 2.0, eval_level=0)
         assert prof.terminal == pytest.approx(1 / 8, abs=1e-16)
@@ -62,6 +77,28 @@ class TestPvarProfile:
         prof = pvar_profile(path, 2.0, eval_level=10)
         assert (prof.eval_level, prof.level, prof.stride) == (3, 3, 1)
         np.testing.assert_array_equal(prof.eval_points, path.grid.points)
+
+    @pytest.mark.parametrize("values", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf],
+                                        [np.nan] * 3, [-np.inf, 0.0, 1.0],
+                                        [0.0, np.inf, np.inf]],
+                             ids=["nan-inside", "inf-last", "all-nan", "-inf-first",
+                                  "inf-inside"])
+    def test_non_finite_values_rejected(self, values):
+        # a NaN fails every comparison and an inf none, so sign and order
+        # checks alone let these through
+        with pytest.raises(ValidationError, match=r"^profile values must be finite, got "):
+            VariationProfile(grid=qadic_grid(2, 1), eval_level=1, values=values)
+
+    @pytest.mark.parametrize("values", [[0.0, 2.0, 1.0], [-1.0, 0.0, 1.0], [0.0, -0.5, 1.0]],
+                             ids=["decreasing", "negative-first", "negative-inside"])
+    def test_decreasing_or_negative_values_rejected(self, values):
+        with pytest.raises(ValidationError,
+                           match=r"^profile values must be nonnegative and non-decreasing$"):
+            VariationProfile(grid=qadic_grid(2, 1), eval_level=1, values=values)
+
+    def test_flat_and_signed_zero_values_accepted(self):
+        prof = VariationProfile(grid=qadic_grid(2, 1), eval_level=1, values=[-0.0, 0.0, 0.0])
+        assert prof.terminal == 0.0
 
     def test_negative_eval_level_rejected(self):
         # a negative level used to collapse the subgrid to t = 0 alone
